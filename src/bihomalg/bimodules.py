@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, InputAxiomsFail,
-                     TwistHypothesisViolated)
+from .errors import DimensionMismatch, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
-                         DEFAULT_VIOLATION_CAP, yau_twist)
+                         DEFAULT_VIOLATION_CAP, require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,7 @@ def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     when the data is a bimodule.
     """
     if check:
-        rep = check_bimodule(A, M)
-        if not rep.passed:
-            raise InputAxiomsFail(
-                f"split_null_extension: {', '.join(rep.failed_axioms())}", rep)
+        require(check_bimodule(A, M), "split_null_extension")
     n, m = A.dim, M.dim
     d = n + m
     zero = A.field.zero()
@@ -167,6 +163,13 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
         R.twist(atilde_M, btilde_A))
 
 
+def _grb_products(M: BiHomBimodule, pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
+    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M."""
+    ident = LinearMap.identity(pi.map.field, M.dim)
+    return (M.left_action.as_matrix().compose(tensor2(pi.map, ident)),
+            M.right_action.as_matrix().compose(tensor2(ident, pi.map)))
+
+
 def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
               cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """pi(m)pi(n) == pi( pi(m).n + m.pi(n) ) on basis pairs of M.
@@ -178,13 +181,9 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
     rep = CheckReport(cap=cap)
-    mu = A.mu.as_matrix()
-    L = M.left_action.as_matrix()
-    R = M.right_action.as_matrix()
-    ident = LinearMap.identity(A.field, m)
-    lhs = mu.compose(tensor2(pi.map, pi.map))
-    inner = L.compose(tensor2(pi.map, ident)) + R.compose(tensor2(ident, pi.map))
-    rep._compare("grb", lhs, pi.map.compose(inner), (m, m))
+    lhs = A.mu.as_matrix().compose(tensor2(pi.map, pi.map))
+    succ, prec = _grb_products(M, pi)
+    rep._compare("grb", lhs, pi.map.compose(succ + prec), (m, m))
     rep.sub_checks["commutes_alpha"] = \
         A.alpha.compose(pi.map) == pi.map.compose(M.alpha_M)
     rep.sub_checks["commutes_beta"] = \
@@ -197,9 +196,7 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """pi_hat(a, m) = (pi(m), 0) on the split null extension; a weight-0
     Rota-Baxter operator there exactly when pi satisfies the generalized
     Rota-Baxter identity."""
-    rep = check_bimodule(A, M)
-    if not rep.passed:
-        raise InputAxiomsFail(f"grb_hat: {', '.join(rep.failed_axioms())}", rep)
+    require(check_bimodule(A, M), "grb_hat")
     n, m = A.dim, M.dim
     d = n + m
     zero = A.field.zero()
@@ -212,12 +209,7 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
 
 
 def _require_grb(A, M, pi, caller):
-    rep = check_grb(A, M, pi)
-    if not rep.passed:
-        raise InputAxiomsFail(f"{caller}: grb", rep)
-    for name in ("commutes_alpha", "commutes_beta"):
-        if not rep.sub_checks[name]:
-            raise InputAxiomsFail(f"{caller}: {name}", rep)
+    require(check_grb(A, M, pi), caller, ("commutes_alpha", "commutes_beta"))
 
 
 def grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator,
@@ -226,14 +218,11 @@ def grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator,
     A = M.algebra
     if check:
         _require_grb(A, M, pi, "grb_to_dendriform")
-    ident = LinearMap.identity(A.field, M.dim)
-    succ = StructureTable.from_matrix(
-        A.field, M.left_action.as_matrix().compose(tensor2(pi.map, ident)),
-        M.dim, M.dim)
-    prec = StructureTable.from_matrix(
-        A.field, M.right_action.as_matrix().compose(tensor2(ident, pi.map)),
-        M.dim, M.dim)
-    return BiHomDendriform(A.field, prec, succ, M.alpha_M, M.beta_M)
+    succ, prec = _grb_products(M, pi)
+    return BiHomDendriform(A.field,
+                           StructureTable.from_matrix(A.field, prec, M.dim, M.dim),
+                           StructureTable.from_matrix(A.field, succ, M.dim, M.dim),
+                           M.alpha_M, M.beta_M)
 
 
 def grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
@@ -245,19 +234,17 @@ def grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     n, m = A.dim, M.dim
     field = A.field
     mu = A.mu.as_matrix()
-    L = M.left_action.as_matrix()
-    R = M.right_action.as_matrix()
     id_n = LinearMap.identity(field, n)
-    id_m = LinearMap.identity(field, m)
-    star = StructureTable.from_matrix(
-        field, L.compose(tensor2(pi.map, id_m)) + R.compose(tensor2(id_m, pi.map)),
-        m, m)
+    succ, prec = _grb_products(M, pi)
+    star = StructureTable.from_matrix(field, succ + prec, m, m)
     base = BiHomAssociativeAlgebra(field, star, M.alpha_M, M.beta_M)
     # left: M (x) A -> A, m ._pi a
     left = StructureTable.from_matrix(
-        field, mu.compose(tensor2(pi.map, id_n)) - pi.map.compose(R), m, n)
+        field, mu.compose(tensor2(pi.map, id_n))
+        - pi.map.compose(M.right_action.as_matrix()), m, n)
     # right: A (x) M -> A, a ._pi m
     right = StructureTable.from_matrix(
-        field, mu.compose(tensor2(id_n, pi.map)) - pi.map.compose(L), n, m)
+        field, mu.compose(tensor2(id_n, pi.map))
+        - pi.map.compose(M.left_action.as_matrix()), n, m)
     module = BiHomBimodule(base, A.alpha, A.beta, left, right)
     return module, split_null_extension(base, module)

@@ -206,23 +206,6 @@ def block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(f.field, tuple(tuple(row) for row in out))
 
 
-def map_ops(kind: str, *args):
-    """Dispatch entry point mirroring the operation table."""
-    if kind == "apply":
-        return args[0].apply(args[1])
-    if kind == "compose":
-        return args[0].compose(args[1])
-    if kind == "add":
-        return args[0] + args[1]
-    if kind == "scale":
-        return args[0].scale(args[1])
-    if kind == "tensor2":
-        return tensor2(*args)
-    if kind == "tensor3":
-        return tensor3(*args)
-    raise ValueError(f"unknown map op {kind!r}")
-
-
 @dataclass(frozen=True)
 class StructureTable:
     """A bilinear operation X x Y -> Z as structure constants c[i][j][k],

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, HypothesisViolated, InputAxiomsFail
-from .linalg import LinearMap, StructureTable, maps_commute, tensor2, tensor3
-from .rota_baxter import (OneSidedBaxter, RBOperator, _require_rb,
-                          check_one_sided_baxter)
+from .errors import DimensionMismatch, HypothesisViolated
+from .linalg import LinearMap, StructureTable, tensor2, tensor3
+from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
+                          _require_rb)
 from .structures import (BiHomAssociativeAlgebra, CheckReport,
-                         DEFAULT_VIOLATION_CAP)
+                         DEFAULT_VIOLATION_CAP, require)
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,7 @@ def twisted_algebra(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
                     check: bool = True) -> BiHomAssociativeAlgebra:
     """(A, mu T, atilde alpha, btilde beta)."""
     if check:
-        rep = check_weak_pseudotwistor(A, W)
-        if not rep.passed:
-            raise InputAxiomsFail(
-                f"twisted_algebra: {', '.join(rep.failed_axioms())}", rep)
+        require(check_weak_pseudotwistor(A, W), "twisted_algebra")
     mu = StructureTable.from_matrix(A.field, A.mu.as_matrix().compose(W.T),
                                     A.dim, A.dim)
     return BiHomAssociativeAlgebra(A.field, mu, W.atilde.compose(A.alpha),
@@ -191,21 +188,7 @@ def baxter_pair_pseudotwistor(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
                               Q: OneSidedBaxter) -> WeakPseudotwistor:
     """T = P (x) Q with companion P (x) (P Q) (x) Q for a commuting
     (right, left) Baxter pair; the twisted multiplication is a*b = P(a)Q(b)."""
-    if P.side != "right" or Q.side != "left":
-        raise InputAxiomsFail("baxter_pair_pseudotwistor: need a (right, left) pair")
-    for op, name in ((P, "P"), (Q, "Q")):
-        rep = check_one_sided_baxter(A, op)
-        if not rep.passed:
-            raise InputAxiomsFail(
-                f"baxter_pair_pseudotwistor: {op.side}_baxter ({name})", rep)
-        if not maps_commute(op.map, A.alpha):
-            raise InputAxiomsFail(
-                f"baxter_pair_pseudotwistor: {name} does not commute with alpha")
-        if not maps_commute(op.map, A.beta):
-            raise InputAxiomsFail(
-                f"baxter_pair_pseudotwistor: {name} does not commute with beta")
-    if not maps_commute(P.map, Q.map):
-        raise InputAxiomsFail("baxter_pair_pseudotwistor: P and Q do not commute")
+    _require_baxter_pair(A, P, Q, "baxter_pair_pseudotwistor")
     ident = LinearMap.identity(A.field, A.dim)
     return WeakPseudotwistor(tensor2(P.map, Q.map),
                              tensor3(P.map, P.map.compose(Q.map), Q.map),

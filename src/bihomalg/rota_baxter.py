@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InputAxiomsFail, NonzeroWeight
-from .linalg import LinearMap, maps_commute
+from .linalg import LinearMap, StructureTable, maps_commute
 from .scalars import Scalar
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                          BiHomTridendriform, CheckReport, DEFAULT_VIOLATION_CAP,
-                         check_dendriform, yau_twist)
+                         check_dendriform, require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ def _match(A, op_map: LinearMap) -> None:
         raise DimensionMismatch("operator does not match the algebra dimension")
 
 
+def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable:
+    """x * y = R(x)y + xR(y) + weight*xy."""
+    return A.mu.compose_left(R.map) + A.mu.compose_right(R.map) \
+        + A.mu.scale(R.weight)
+
+
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
                       cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x)R(y) == R( R(x)y + xR(y) + weight*xy ) on all basis pairs.
@@ -55,22 +61,17 @@ def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
     rep = CheckReport(cap=cap)
     n = A.dim
     lhs = A.mu.twist(R.map, R.map)
-    inner = A.mu.compose_left(R.map) + A.mu.compose_right(R.map) \
-        + A.mu.scale(R.weight)
-    rhs = inner.postcompose(R.map)
+    rhs = _double_product(A, R).postcompose(R.map)
     rep._compare("rota_baxter", lhs.as_matrix(), rhs.as_matrix(), (n, n))
     rep.sub_checks["commutes_alpha"] = maps_commute(R.map, A.alpha)
     rep.sub_checks["commutes_beta"] = maps_commute(R.map, A.beta)
     return rep
 
 
-def _require_rb(A: BiHomAssociativeAlgebra, R: RBOperator, caller: str) -> None:
-    rep = check_rota_baxter(A, R)
-    if not rep.passed:
-        raise InputAxiomsFail(f"{caller}: rota_baxter", rep)
-    for name in ("commutes_alpha", "commutes_beta"):
-        if not rep.sub_checks[name]:
-            raise InputAxiomsFail(f"{caller}: {name}", rep)
+def _require_rb(A: BiHomAssociativeAlgebra, R: RBOperator, caller: str,
+                suffix: str = "") -> None:
+    require(check_rota_baxter(A, R), caller, ("commutes_alpha", "commutes_beta"),
+            suffix)
 
 
 def rb_derive(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -96,9 +97,7 @@ def check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
     """R(x * y) == R(x)R(y) where * is the Rota-Baxter double product."""
     _match(A, R.map)
     rep = CheckReport(cap=cap)
-    star = A.mu.compose_left(R.map) + A.mu.compose_right(R.map) \
-        + A.mu.scale(R.weight)
-    lhs = star.postcompose(R.map)
+    lhs = _double_product(A, R).postcompose(R.map)
     rhs = A.mu.twist(R.map, R.map)
     rep._compare("double_product_morphism", lhs.as_matrix(), rhs.as_matrix(),
                  (A.dim, A.dim))
@@ -111,13 +110,8 @@ def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
     for which R becomes multiplicative."""
     if check:
         _require_rb(A, R, "rb_double_product")
-        morph = check_double_product_morphism(A, R)
-        if not morph.passed:
-            raise InputAxiomsFail("rb_double_product: double_product_morphism",
-                                  morph)
-    star = A.mu.compose_left(R.map) + A.mu.compose_right(R.map) \
-        + A.mu.scale(R.weight)
-    return BiHomAssociativeAlgebra(A.field, star, A.alpha, A.beta)
+        require(check_double_product_morphism(A, R), "rb_double_product")
+    return BiHomAssociativeAlgebra(A.field, _double_product(A, R), A.alpha, A.beta)
 
 
 def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
@@ -146,14 +140,8 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
 def rb_dendriform_to_quadri(D: BiHomDendriform, R: RBOperator) -> BiHomQuadri:
     """x nw y = x < R(y), x sw y = R(x) < y, x ne y = x > R(y),
     x se y = R(x) > y."""
-    rep = check_rb_on_dendriform(D, R)
-    if not rep.passed:
-        raise InputAxiomsFail(
-            f"rb_dendriform_to_quadri: {', '.join(rep.failed_axioms())}", rep)
-    drep = check_dendriform(D)
-    if not drep.passed:
-        raise InputAxiomsFail(
-            f"rb_dendriform_to_quadri: {', '.join(drep.failed_axioms())}", drep)
+    require(check_rb_on_dendriform(D, R), "rb_dendriform_to_quadri")
+    require(check_dendriform(D), "rb_dendriform_to_quadri")
     return BiHomQuadri(
         D.field,
         nw=D.prec.compose_right(R.map),
@@ -171,12 +159,7 @@ def commuting_pair_quadri(A: BiHomAssociativeAlgebra, R: RBOperator,
     for op, name in ((R, "R"), (P, "P")):
         if not op.weight.is_zero():
             raise InputAxiomsFail(f"commuting_pair_quadri: weight of {name} is nonzero")
-        rep = check_rota_baxter(A, op)
-        if not rep.passed:
-            raise InputAxiomsFail(f"commuting_pair_quadri: rota_baxter ({name})", rep)
-        for sub in ("commutes_alpha", "commutes_beta"):
-            if not rep.sub_checks[sub]:
-                raise InputAxiomsFail(f"commuting_pair_quadri: {sub} ({name})", rep)
+        _require_rb(A, op, "commuting_pair_quadri", f" ({name})")
     if not maps_commute(R.map, P.map):
         raise InputAxiomsFail("commuting_pair_quadri: R and P do not commute")
     rp = R.map.compose(P.map)
@@ -204,23 +187,26 @@ def check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
     return rep
 
 
+def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
+                         Q: OneSidedBaxter, caller: str) -> None:
+    """P right Baxter, Q left Baxter, both commuting with alpha and beta, and
+    PQ = QP."""
+    if P.side != "right" or Q.side != "left":
+        raise InputAxiomsFail(f"{caller}: need a (right, left) pair")
+    for op, name in ((P, "P"), (Q, "Q")):
+        require(check_one_sided_baxter(A, op), caller, suffix=f" ({name})")
+        for tag, f in (("alpha", A.alpha), ("beta", A.beta)):
+            if not maps_commute(op.map, f):
+                raise InputAxiomsFail(f"{caller}: {name} does not commute with {tag}")
+    if not maps_commute(P.map, Q.map):
+        raise InputAxiomsFail(f"{caller}: P and Q do not commute")
+
+
 def baxter_pair_product(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
                         Q: OneSidedBaxter) -> BiHomAssociativeAlgebra:
     """a * b = P(a)Q(b) for a right Baxter operator P and a left Baxter
     operator Q that commute with each other and with alpha, beta."""
-    if P.side != "right" or Q.side != "left":
-        raise InputAxiomsFail("baxter_pair_product: need a (right, left) pair")
-    for op, name in ((P, "P"), (Q, "Q")):
-        rep = check_one_sided_baxter(A, op)
-        if not rep.passed:
-            raise InputAxiomsFail(f"baxter_pair_product: {op.side}_baxter ({name})",
-                                  rep)
-        if not maps_commute(op.map, A.alpha):
-            raise InputAxiomsFail(f"baxter_pair_product: {name} does not commute with alpha")
-        if not maps_commute(op.map, A.beta):
-            raise InputAxiomsFail(f"baxter_pair_product: {name} does not commute with beta")
-    if not maps_commute(P.map, Q.map):
-        raise InputAxiomsFail("baxter_pair_product: P and Q do not commute")
+    _require_baxter_pair(A, P, Q, "baxter_pair_product")
     return BiHomAssociativeAlgebra(A.field, A.mu.twist(P.map, Q.map),
                                    A.alpha, A.beta)
 

@@ -268,21 +268,6 @@ def scalar_eq(x: Scalar, y: Scalar) -> bool:
     return x == y
 
 
-def arith(op: str, x: Scalar, y: Scalar | None = None) -> Scalar:
-    """Dispatch-style arithmetic entry point (add/sub/mul/neg/inv)."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Literal grammar: integers, p/q rationals, parameter identifiers, + - * / ( )
 # ---------------------------------------------------------------------------

@@ -65,22 +65,18 @@ def _space_size(A: BiHomAssociativeAlgebra) -> int:
     return total
 
 
-def _rb_range(A, weight, start, stop):
-    hits = []
-    for k in range(start, stop):
-        R = RBOperator(index_to_matrix(A.field, A.dim, k), weight)
-        if check_rota_baxter(A, R).passed:
-            hits.append(k)
-    return hits
+def _passes(A, m, weight, side) -> bool:
+    """Check candidate m as a Rota-Baxter operator of the given weight, or as
+    a one-sided Baxter operator when side is set.  The checkers are looked
+    up as module globals on each call, so rebinding them takes effect."""
+    if side is None:
+        return check_rota_baxter(A, RBOperator(m, weight)).passed
+    return check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed
 
 
-def _baxter_range(A, side, start, stop):
-    hits = []
-    for k in range(start, stop):
-        B = OneSidedBaxter(index_to_matrix(A.field, A.dim, k), side)
-        if check_one_sided_baxter(A, B).passed:
-            hits.append(k)
-    return hits
+def _range_hits(A, weight, side, start, stop):
+    return [k for k in range(start, stop)
+            if _passes(A, index_to_matrix(A.field, A.dim, k), weight, side)]
 
 
 def _run_partitioned(worker, args, total, jobs):
@@ -96,21 +92,25 @@ def _run_partitioned(worker, args, total, jobs):
     return hits
 
 
-def enumerate_rb(A: BiHomAssociativeAlgebra, weight: Scalar,
-                 jobs: int = 1) -> SearchResult:
-    """All Rota-Baxter operators of the given weight on A, exhaustively."""
+def _enumerate(A, weight, side, jobs) -> SearchResult:
     total = _space_size(A)
     start = time.monotonic()
-    hits = _run_partitioned(_rb_range, (A, weight), total, jobs)
+    hits = _run_partitioned(_range_hits, (A, weight, side), total, jobs)
     hits.sort()
     operators = []
     for k in hits:
         m = index_to_matrix(A.field, A.dim, k)
-        if not check_rota_baxter(A, RBOperator(m, weight)).passed:
+        if not _passes(A, m, weight, side):
             raise AssertionError("second verification pass disagreed")
         operators.append(m)
     return SearchResult(operators, A.field, A.dim, weight, total,
-                        len(operators), time.monotonic() - start)
+                        len(operators), time.monotonic() - start, side=side)
+
+
+def enumerate_rb(A: BiHomAssociativeAlgebra, weight: Scalar,
+                 jobs: int = 1) -> SearchResult:
+    """All Rota-Baxter operators of the given weight on A, exhaustively."""
+    return _enumerate(A, weight, None, jobs)
 
 
 def enumerate_baxter(A: BiHomAssociativeAlgebra, side: str,
@@ -118,15 +118,4 @@ def enumerate_baxter(A: BiHomAssociativeAlgebra, side: str,
     """All one-sided Baxter operators of the given side on A, exhaustively."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    total = _space_size(A)
-    start = time.monotonic()
-    hits = _run_partitioned(_baxter_range, (A, side), total, jobs)
-    hits.sort()
-    operators = []
-    for k in hits:
-        m = index_to_matrix(A.field, A.dim, k)
-        if not check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed:
-            raise AssertionError("second verification pass disagreed")
-        operators.append(m)
-    return SearchResult(operators, A.field, A.dim, None, total,
-                        len(operators), time.monotonic() - start, side=side)
+    return _enumerate(A, None, side, jobs)

@@ -18,18 +18,13 @@ from .scalars import FieldSpec, Scalar, scalar_to_str
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform,
                          BiHomQuadri, BiHomTridendriform)
 
-KIND_TABLES = {
-    "assoc": ("mu",),
-    "dend": ("prec", "succ"),
-    "tridend": ("prec", "succ", "dot"),
-    "quadri": ("nw", "sw", "ne", "se"),
-}
 KIND_CLASSES = {
     "assoc": BiHomAssociativeAlgebra,
     "dend": BiHomDendriform,
     "tridend": BiHomTridendriform,
     "quadri": BiHomQuadri,
 }
+KIND_TABLES = {kind: cls.OPS for kind, cls in KIND_CLASSES.items()}
 
 
 def _fail(path: str, msg: str):

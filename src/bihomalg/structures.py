@@ -57,6 +57,18 @@ class CheckReport:
         return ok
 
 
+def require(rep: CheckReport, caller: str, sub_checks=(), suffix: str = "") -> None:
+    """Refuse a construction whose input failed its precondition: raise
+    InputAxiomsFail naming the failed axioms of rep or, when every axiom
+    held, the first of the required sub_checks that is false.  The message
+    is "<caller>: <names><suffix>"."""
+    failed = rep.failed_axioms()
+    if not failed:
+        failed = [name for name in sub_checks if not rep.sub_checks[name]][:1]
+    if failed:
+        raise InputAxiomsFail(f"{caller}: {', '.join(failed)}{suffix}", rep)
+
+
 def _decode(col: int, dims) -> tuple[int, ...]:
     out = []
     for d in reversed(dims[1:]):
@@ -185,7 +197,6 @@ def check_bihom_associative(A: BiHomAssociativeAlgebra,
     _mult_check(rep, "alpha_multiplicative", A.alpha, A.mu)
     _mult_check(rep, "beta_multiplicative", A.beta, A.mu)
     m = A.mu.as_matrix()
-    ident = LinearMap.identity(A.field, n)
     # alpha(x)(yz) == (xy)beta(z)
     lhs = m.compose(tensor2(A.alpha, m))
     rhs = m.compose(tensor2(m, A.beta))
@@ -318,15 +329,9 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
                    **twisted)
 
 
-def _require(S: Structure, caller: str) -> None:
-    rep = check_structure(S)
-    if not rep.passed:
-        raise InputAxiomsFail(f"{caller}: {', '.join(rep.failed_axioms())}", rep)
-
-
 def tridend_to_dend(T: BiHomTridendriform) -> BiHomDendriform:
     """x <' y = x < y + x.y ; x >' y = x > y."""
-    _require(T, "tridend_to_dend")
+    require(check_structure(T), "tridend_to_dend")
     return BiHomDendriform(T.field, T.prec + T.dot, T.succ, T.alpha, T.beta)
 
 
@@ -338,7 +343,7 @@ def embed_dend_in_tridend(D: BiHomDendriform) -> BiHomTridendriform:
 
 def total_product(S: Structure) -> BiHomAssociativeAlgebra:
     """The sum of all operations, a BiHom-associative multiplication."""
-    _require(S, "total_product")
+    require(check_structure(S), "total_product")
     if isinstance(S, BiHomAssociativeAlgebra):
         return S
     mu = None
@@ -350,48 +355,28 @@ def total_product(S: Structure) -> BiHomAssociativeAlgebra:
 
 def quadri_projections(Q: BiHomQuadri) -> tuple[BiHomDendriform, BiHomDendriform]:
     """Horizontal (prec, succ) and vertical (wedge, vee) dendriform algebras."""
-    _require(Q, "quadri_projections")
+    require(check_structure(Q), "quadri_projections")
     horizontal = BiHomDendriform(Q.field, Q.prec, Q.succ, Q.alpha, Q.beta)
     vertical = BiHomDendriform(Q.field, Q.wedge, Q.vee, Q.alpha, Q.beta)
     return horizontal, vertical
 
 
 def _tensor_tables(ta: StructureTable, tb: StructureTable) -> StructureTable:
-    """Componentwise tensor: (a1 (x) b1, a2 (x) b2) -> ta(a1,a2) (x) tb(b1,b2)."""
-    return StructureTable.from_matrix(
-        ta.field, _mix(ta.as_matrix(), tb.as_matrix(), ta.dim, tb.dim),
-        ta.dim * tb.dim, ta.dim * tb.dim)
-
-
-def _mix(ma: LinearMap, mb: LinearMap, na: int, nb: int) -> LinearMap:
-    # ta (x) tb as a map (A(x)B) (x) (A(x)B) -> A(x)B needs the middle factors
-    # swapped relative to the plain Kronecker product of ma and mb.
-    field = ma.field
-    zero = field.zero()
-    n = na * nb
-    out = [[zero] * (n * n) for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    col = (i1 * nb + j1) * n + (i2 * nb + j2)
-                    ca = i1 * na + i2
-                    cb = j1 * nb + j2
-                    for k1 in range(na):
-                        a = ma.entries[k1][ca]
-                        if a.is_zero():
-                            continue
-                        for k2 in range(nb):
-                            b = mb.entries[k2][cb]
-                            if not b.is_zero():
-                                out[k1 * nb + k2][col] = a * b
-    return LinearMap(field, tuple(tuple(r) for r in out))
+    """Componentwise tensor: (a1 (x) b1, a2 (x) b2) -> ta(a1,a2) (x) tb(b1,b2).
+    A product with a zero factor is the field's zero, not a computed 0*x,
+    which over Q(params) would serialize as (0)/(..)."""
+    zero = ta.field.zero()
+    return StructureTable(ta.field, tuple(
+        tuple(tuple(zero if a.is_zero() or b.is_zero() else a * b
+                    for a in ta.constants[i1][i2] for b in tb.constants[j1][j2])
+              for i2 in range(ta.dim) for j2 in range(tb.dim))
+        for i1 in range(ta.dim) for j1 in range(tb.dim)))
 
 
 def tensor_quadri(A: BiHomDendriform, B: BiHomDendriform) -> BiHomQuadri:
     """The quadri-algebra on A (x) B built from two dendriform algebras."""
-    _require(A, "tensor_quadri (left factor)")
-    _require(B, "tensor_quadri (right factor)")
+    require(check_structure(A), "tensor_quadri (left factor)")
+    require(check_structure(B), "tensor_quadri (right factor)")
     return BiHomQuadri(
         A.field,
         nw=_tensor_tables(A.prec, B.prec),

@@ -12,6 +12,7 @@ first.  Grafting joins two trees under a fresh root whose power is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (BoundsExceeded, Indecomposable, InvalidArity,
                      WrongAugmentation)
@@ -453,36 +454,15 @@ def _element_fits(x: FreeElement, bounds) -> bool:
 def _bounded_generators(field, rank, n, bounds):
     """All single-term free elements with exactly n leaves inside the window."""
     out = []
-    max_ab = bounds["max_ab_power"]
-    max_r = bounds["max_r_power"]
+    pairs = list(product(range(bounds["max_ab_power"] + 1), repeat=2))
+    r_powers = range(bounds["max_r_power"] + 1)
     for shape in enumerate_trees(n):
-        nv = shape.vertices
-        for lp in _tuples_of_pairs(n, max_ab):
-            for vp in _power_tuples(nv, max_r):
+        for lp in product(pairs, repeat=n):
+            for vp in product(r_powers, repeat=shape.vertices):
                 tree = RBAugTree(shape, lp, vp)
-                for word in _words(n, rank):
+                for word in product(range(rank), repeat=n):
                     out.append(FreeElement.generator(field, rank, tree, word))
     return out
-
-
-def _tuples_of_pairs(n, max_ab):
-    pairs = [(a, b) for a in range(max_ab + 1) for b in range(max_ab + 1)]
-    return _product(pairs, n)
-
-
-def _power_tuples(n, max_r):
-    return _product(list(range(max_r + 1)), n)
-
-
-def _words(n, rank):
-    return _product(list(range(rank)), n)
-
-
-def _product(items, n):
-    if n == 0:
-        return [()]
-    rest = _product(items, n - 1)
-    return [(item,) + tail for item in items for tail in rest]
 
 
 class _Eliminator:

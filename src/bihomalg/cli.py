@@ -15,7 +15,8 @@ from . import bimodules, families, pseudotwistors, rota_baxter, search, trees
 from .errors import BiHomAlgError, InputAxiomsFail, SpecFileError
 from .linalg import Vector
 from .scalars import scalar_to_str
-from .specfile import KIND_TABLES, parse_spec, serialize
+from .specfile import (KIND_TABLES, _fail, _matrix, _object, _parse_field,
+                       _scalar, _structure_kind, parse_spec, serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
 
@@ -60,7 +61,6 @@ def cmd_check(args) -> int:
     parts = _load(args.spec)
     structure = parts["structure"]
     if args.kind:
-        from .specfile import _structure_kind
         if _structure_kind(structure) != args.kind:
             print(f"spec file holds a {_structure_kind(structure)} structure, "
                   f"not {args.kind}", file=sys.stderr)
@@ -68,13 +68,22 @@ def cmd_check(args) -> int:
     return _print_report(check_structure(structure))
 
 
-def _matrix_arg(field, text, name):
+def _json_arg(text: str, name: str):
     try:
-        rows = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SpecFileError(f"--{name}: {exc}") from exc
-    from .specfile import _matrix
-    return _matrix(field, rows, len(rows), len(rows[0]) if rows else 0, name)
+        raise SpecFileError(f"{name}: {exc}") from exc
+
+
+def _rows_arg(text: str, name: str) -> list:
+    rows = _json_arg(text, name)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        _fail(name, "must be a JSON list of lists")
+    return rows
+
+
+def _matrix_arg(field, text, name, dim):
+    return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name)
 
 
 def cmd_derive(args) -> int:
@@ -91,8 +100,8 @@ def cmd_derive(args) -> int:
         if not args.atilde or not args.btilde:
             print("--via yau needs --atilde and --btilde", file=sys.stderr)
             return 2
-        at = _matrix_arg(S.field, args.atilde, "atilde")
-        bt = _matrix_arg(S.field, args.btilde, "btilde")
+        at = _matrix_arg(S.field, args.atilde, "atilde", S.dim)
+        bt = _matrix_arg(S.field, args.btilde, "btilde", S.dim)
         _emit({"structure": yau_twist(S, at, bt)}, args.output)
     elif via == "tensor-quadri":
         if not args.second:
@@ -154,10 +163,7 @@ def cmd_trees(args) -> int:
         parts = _load(args.spec)
         A = parts["structure"]
         t = trees.parse_tree(args.tree)
-        try:
-            raw = json.loads(args.elements)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"elements: {exc}") from exc
+        raw = _rows_arg(args.elements, "elements")
         elements = [Vector(A.field, tuple(A.field.parse(str(x)) for x in coords))
                     for coords in raw]
         R = parts.get("rota_baxter") if isinstance(t, trees.RBAugTree) else None
@@ -165,16 +171,7 @@ def cmd_trees(args) -> int:
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0
     if args.tree_cmd == "reduce":
-        with open(args.element_file) as fh:
-            doc = json.load(fh)
-        from .specfile import _parse_field
-        field = _parse_field(doc["field"], "field")
-        x = trees.FreeElement.zero(field, doc["rank"])
-        for term in doc["terms"]:
-            tree = trees.parse_tree(term["tree"])
-            x = x + trees.FreeElement.generator(
-                field, doc["rank"], tree, tuple(term["word"]),
-                field.parse(term["coeff"]))
+        doc, x = _load_element(args.element_file)
         bounds = {"max_leaves": args.max_leaves, "max_ab_power": args.max_ab,
                   "max_r_power": args.max_r}
         reduced = trees.truncated_ideal_reduce(x, bounds)
@@ -187,6 +184,46 @@ def cmd_trees(args) -> int:
         return 0
     print(f"unknown trees subcommand {args.tree_cmd!r}", file=sys.stderr)
     return 2
+
+
+def _load_element(path: str):
+    """The JSON document of a `trees reduce` element file and its element."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
+    try:
+        return doc, _parse_element(doc)
+    except SpecFileError as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
+
+
+def _parse_element(doc) -> trees.FreeElement:
+    _object(doc, "document")
+    for key in ("field", "rank", "terms"):
+        if key not in doc:
+            _fail("document", f"missing required key {key!r}")
+    field = _parse_field(doc["field"], "field")
+    rank = doc["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+        _fail("rank", "must be a non-negative integer")
+    if not isinstance(doc["terms"], list):
+        _fail("terms", "must be a list")
+    x = trees.FreeElement.zero(field, rank)
+    for n, term in enumerate(doc["terms"]):
+        path = f"terms[{n}]"
+        _object(term, path)
+        if not isinstance(term.get("tree"), str):
+            _fail(f"{path}.tree", "must be a string")
+        word = term.get("word")
+        if not isinstance(word, list) or not all(
+                isinstance(w, int) and not isinstance(w, bool) for w in word):
+            _fail(f"{path}.word", "must be a list of integers")
+        x = x + trees.FreeElement.generator(
+            field, rank, trees.parse_tree(term["tree"]), tuple(word),
+            _scalar(field, term.get("coeff"), f"{path}.coeff"))
+    return x
 
 
 def cmd_search(args) -> int:
@@ -210,10 +247,23 @@ def cmd_verify_family(args) -> int:
         if not args.samples:
             print("sampled mode needs --samples", file=sys.stderr)
             return 2
-        raw = json.loads(args.samples)
-        samples = [{k: Fraction(str(v)) for k, v in s.items()} for s in raw]
+        samples = _samples_arg(args.samples)
     rep = families.verify_parametric_family(args.family, args.mode, samples)
     return _print_report(rep)
+
+
+def _samples_arg(text: str) -> list:
+    raw = _json_arg(text, "--samples")
+    if not isinstance(raw, list):
+        _fail("--samples", "must be a JSON list of objects")
+    samples = []
+    for n, s in enumerate(raw):
+        _object(s, f"--samples[{n}]")
+        try:
+            samples.append({k: Fraction(str(v)) for k, v in s.items()})
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecFileError(f"--samples[{n}]: {exc}") from exc
+    return samples
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,13 @@ squares/cubes.
 Basis conventions are fixed once and for all: the basis of A (x) B is ordered
 lexicographically, index(i, j) = i*dim(B) + j with 0-based indices, and a
 LinearMap stores entries[i][j] = coefficient of e_i in the image of e_j.
+
+Storage is dense, but `LinearMap.compose` and `tensor2` visit only the pairs
+of nonzero factors, in the order of the dense loops: every entry of a product
+is `zero + a1*b1 + a2*b2 + ...` with k increasing, and every Kronecker entry
+is one `a*b`.  So each output entry comes from the same scalar operations as
+a dense evaluation, which matters over Q(params), where the printed
+(unreduced) form of a rational function depends on that sequence.
 """
 
 from __future__ import annotations
@@ -118,18 +125,22 @@ class LinearMap:
         """self after other (matrix product self @ other)."""
         _check(self.cols == other.rows, "composition dims differ")
         zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return LinearMap(self.field, tuple(out))
+        by_col = [[] for _ in range(self.cols)]  # k -> [(i, a)], a != 0
+        for i, row in enumerate(self.entries):
+            for k, a in enumerate(row):
+                if not a.is_zero():
+                    by_col[k].append((i, a))
+        out = [[zero] * other.cols for _ in range(self.rows)]
+        for k, row in enumerate(other.entries):
+            col = by_col[k]
+            if not col:
+                continue
+            for j, b in enumerate(row):
+                if b.is_zero():
+                    continue
+                for i, a in col:
+                    out[i][j] = out[i][j] + a * b
+        return LinearMap(self.field, tuple(tuple(r) for r in out))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         _check(self.rows == other.rows and self.cols == other.cols, "sum dims differ")
@@ -176,16 +187,15 @@ def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
     zero = f.field.zero()
     rows, cols = f.rows * g.rows, f.cols * g.cols
     out = [[zero] * cols for _ in range(rows)]
-    for i1 in range(f.rows):
-        for j1 in range(f.cols):
-            a = f.entries[i1][j1]
+    g_nonzero = [(i2, j2, b) for i2, row in enumerate(g.entries)
+                 for j2, b in enumerate(row) if not b.is_zero()]
+    for i1, row in enumerate(f.entries):
+        for j1, a in enumerate(row):
             if a.is_zero():
                 continue
-            for i2 in range(g.rows):
-                for j2 in range(g.cols):
-                    b = g.entries[i2][j2]
-                    if not b.is_zero():
-                        out[i1 * g.rows + i2][j1 * g.cols + j2] = a * b
+            r0, c0 = i1 * g.rows, j1 * g.cols
+            for i2, j2, b in g_nonzero:
+                out[r0 + i2][c0 + j2] = a * b
     return LinearMap(f.field, tuple(tuple(row) for row in out))
 
 

@@ -70,6 +70,19 @@ def _table(field: FieldSpec, value, dl: int, dr: int, do: int,
     return StructureTable(field, tuple(out))
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, "must be an object")
+    return value
+
+
+def _positive_int(value, path: str) -> int:
+    # bool is an int subclass, but `true` is not a dimension
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        _fail(path, "must be a positive integer")
+    return value
+
+
 def _parse_field(value, path: str) -> FieldSpec:
     if not isinstance(value, dict) or "kind" not in value:
         _fail(path, "field block needs a 'kind'")
@@ -100,17 +113,16 @@ def parse_spec(text: str) -> dict:
         if key not in doc:
             _fail("document", f"missing required key {key!r}")
     field = _parse_field(doc["field"], "field")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        _fail("dim", "must be a positive integer")
+    dim = _positive_int(doc["dim"], "dim")
     kind = doc["kind"]
     if kind not in KIND_TABLES:
         _fail("kind", f"must be one of {sorted(KIND_TABLES)}")
+    doc_tables = _object(doc["tables"], "tables")
     tables = {}
     for name in KIND_TABLES[kind]:
-        if name not in doc["tables"]:
+        if name not in doc_tables:
             _fail("tables", f"kind {kind!r} needs table {name!r}")
-        tables[name] = _table(field, doc["tables"][name], dim, dim, dim,
+        tables[name] = _table(field, doc_tables[name], dim, dim, dim,
                               f"tables.{name}")
     alpha = _matrix(field, doc["alpha"], dim, dim, "alpha")
     beta = _matrix(field, doc["beta"], dim, dim, "beta")
@@ -118,12 +130,12 @@ def parse_spec(text: str) -> dict:
                                    alpha, beta)
     out = {"structure": structure}
     if "rota_baxter" in doc:
-        block = doc["rota_baxter"]
+        block = _object(doc["rota_baxter"], "rota_baxter")
         out["rota_baxter"] = RBOperator(
             _matrix(field, block.get("matrix"), dim, dim, "rota_baxter.matrix"),
             _scalar(field, block.get("weight", "0"), "rota_baxter.weight"))
     if "baxter" in doc:
-        block = doc["baxter"]
+        block = _object(doc["baxter"], "baxter")
         side = block.get("side")
         if side not in ("left", "right"):
             _fail("baxter.side", "must be 'left' or 'right'")
@@ -132,10 +144,8 @@ def parse_spec(text: str) -> dict:
     if "bimodule" in doc:
         if kind != "assoc":
             _fail("bimodule", "bimodules attach to an associative structure")
-        block = doc["bimodule"]
-        m = block.get("dim")
-        if not isinstance(m, int) or m < 1:
-            _fail("bimodule.dim", "must be a positive integer")
+        block = _object(doc["bimodule"], "bimodule")
+        m = _positive_int(block.get("dim"), "bimodule.dim")
         out["bimodule"] = BiHomBimodule(
             structure,
             _matrix(field, block.get("alpha_M"), m, m, "bimodule.alpha_M"),
@@ -148,7 +158,7 @@ def parse_spec(text: str) -> dict:
             out["grb"] = GRBOperator(
                 _matrix(field, block["grb"], dim, m, "bimodule.grb"))
     if "twistor" in doc:
-        block = doc["twistor"]
+        block = _object(doc["twistor"], "twistor")
         n2, n3 = dim * dim, dim ** 3
         out["twistor"] = WeakPseudotwistor(
             _matrix(field, block.get("T"), n2, n2, "twistor.T"),

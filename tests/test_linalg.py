@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from bihomalg import (FieldSpec, LinearMap, StructureTable, Vector,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bihomalg import (FieldSpec, LinearMap, Scalar, StructureTable, Vector,
                       apply_bilinear, block_diag, maps_commute, tensor2,
                       tensor3)
 from bihomalg.errors import DimensionMismatch
@@ -93,3 +96,148 @@ def test_rectangular_tables():
     assert (t.dim_left, t.dim_right, t.dim_out) == (1, 2, 2)
     with pytest.raises(DimensionMismatch):
         t.dim
+
+
+# -- sparse compose/tensor2 perform the dense loops' scalar operations -------
+
+QAB = FieldSpec.rational_function("a", "b")
+SPARSE_FIELDS = (Q, FieldSpec.prime(5), QAB)
+
+
+def dense_compose(f, g):
+    """The dense i-j-k product loop that compose must match term by term."""
+    zero = f.field.zero()
+    out = []
+    for i in range(f.rows):
+        row = []
+        for j in range(g.cols):
+            acc = zero
+            for k in range(f.cols):
+                a, b = f.entries[i][k], g.entries[k][j]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(tuple(row))
+    return LinearMap(f.field, tuple(out))
+
+
+def dense_tensor2(f, g):
+    """The dense Kronecker loop that tensor2 must match term by term."""
+    zero = f.field.zero()
+    out = [[zero] * (f.cols * g.cols) for _ in range(f.rows * g.rows)]
+    for i1 in range(f.rows):
+        for j1 in range(f.cols):
+            a = f.entries[i1][j1]
+            if a.is_zero():
+                continue
+            for i2 in range(g.rows):
+                for j2 in range(g.cols):
+                    b = g.entries[i2][j2]
+                    if not b.is_zero():
+                        out[i1 * g.rows + i2][j1 * g.cols + j2] = a * b
+    return LinearMap(f.field, tuple(tuple(row) for row in out))
+
+
+def entry_pool(field):
+    """Zeros (plain and computed) and nonzero entries, some with denominators."""
+    zero = field.zero()
+    if field.kind == "rational_function":
+        computed_zero = zero / field.parameter("a")
+        nonzero = ["a", "b", "-1", "1/2", "a*b - 3", "b/(a + 1)", "1/(a - b)"]
+    else:
+        computed_zero = field.from_int(2) - field.from_int(2)
+        nonzero = ["1", "2", "-1", "3"] + (["1/3", "-5/2"]
+                                           if field.kind == "rational" else [])
+    return [zero, computed_zero], [field.parse(x) for x in nonzero]
+
+
+@st.composite
+def sparse_matrix(draw, field, rows, cols):
+    zeros, nonzero = entry_pool(field)
+    entry = st.one_of(st.sampled_from(zeros), st.sampled_from(zeros),
+                      st.sampled_from(nonzero))
+    return LinearMap(field, tuple(
+        tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+
+
+@st.composite
+def compose_operands(draw):
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    n, m, p = (draw(st.integers(1, 5)) for _ in range(3))
+    return (draw(sparse_matrix(field, n, m)), draw(sparse_matrix(field, m, p)))
+
+
+@st.composite
+def tensor_operands(draw):
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    shapes = [draw(st.integers(1, 3)) for _ in range(4)]
+    return (draw(sparse_matrix(field, *shapes[:2])),
+            draw(sparse_matrix(field, *shapes[2:])))
+
+
+def counted(monkeypatch, fn, *args):
+    """fn(*args) and its (Scalar.__mul__, Scalar.__add__) call counts."""
+    counts = {"mul": 0, "add": 0}
+    mul, add = Scalar.__mul__, Scalar.__add__
+
+    def counting_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    def counting_add(x, y):
+        counts["add"] += 1
+        return add(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__mul__", counting_mul)
+        m.setattr(Scalar, "__add__", counting_add)
+        result = fn(*args)
+    return result, (counts["mul"], counts["add"])
+
+
+def assert_same_scalar_ops(monkeypatch, fn, reference, *args):
+    """fn(*args) gives reference(*args) entry for entry, with the same raw
+    values (numerator and denominator dicts, not just ==) and the same
+    numbers of scalar * and + calls; returns fn's result."""
+    got, got_ops = counted(monkeypatch, fn, *args)
+    want, want_ops = counted(monkeypatch, reference, *args)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [[x.value for x in row] for row in got.entries] == \
+        [[x.value for x in row] for row in want.entries]
+    assert got_ops == want_ops
+    return got
+
+
+@given(compose_operands())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_dense_loop_property(operands):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_scalar_ops(monkeypatch, LinearMap.compose, dense_compose,
+                               *operands)
+
+
+@given(tensor_operands())
+@settings(max_examples=150, deadline=None)
+def test_tensor2_matches_dense_loop_property(operands):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_scalar_ops(monkeypatch, tensor2, dense_tensor2, *operands)
+
+
+def test_compose_matches_dense_loop_at_quadri_dim9_shape(monkeypatch):
+    # A dim-9 axiom check composes a 9 x 729 matrix after a 729 x 729 one
+    # (a map on the tensor cube); both are mostly zero there.
+    rng = random.Random(9)
+    zeros, nonzero = entry_pool(Q)
+
+    def sparse(rows, cols, density):
+        return LinearMap(Q, tuple(
+            tuple(rng.choice(nonzero) if rng.random() < density
+                  else rng.choice(zeros) for _ in range(cols))
+            for _ in range(rows)))
+
+    outer = sparse(9, 729, 0.02)
+    cube_map = assert_same_scalar_ops(
+        monkeypatch, tensor3, lambda f, g, h: dense_tensor2(f, dense_tensor2(g, h)),
+        sparse(9, 9, 0.3), sparse(9, 9, 0.3), LinearMap.identity(Q, 9))
+    assert_same_scalar_ops(monkeypatch, LinearMap.compose, dense_compose,
+                           outer, cube_map)

@@ -252,3 +252,44 @@ def test_cli_verify_family(capsys):
     assert main(["verify-family", "w0f1", "--mode", "sampled",
                  "--samples", json.dumps([{"a": 0, "b": 3, "r": 5}])]) == 1
     assert main(["verify-family", "w0f1", "--mode", "sampled"]) == 2
+
+
+# top-level spec keys and a value of the wrong shape for each
+MALFORMED_SPECS = {"tables": "mu", "rota_baxter": [], "baxter": [],
+                   "bimodule": [], "twistor": "T", "dim": True}
+
+
+@pytest.mark.parametrize("case", [
+    *(f"spec:{key}" for key in MALFORMED_SPECS),
+    "trees-reduce-without-field", "atilde-not-a-matrix", "atilde-wrong-shape",
+    "samples-not-objects"])
+def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
+    if case.startswith("spec:"):
+        key = case[5:]
+        doc = json.loads(spec_text(qx2))
+        doc[key] = MALFORMED_SPECS[key]
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        argv, expected = ["check", str(spec)], f"{key}: must be"
+    elif case == "trees-reduce-without-field":
+        element = tmp_path / "elt.json"
+        element.write_text(json.dumps({"rank": 1, "terms": []}))
+        argv = ["trees", "reduce", str(element), "--max-leaves", "3",
+                "--max-ab", "1", "--max-r", "1"]
+        expected = "missing required key 'field'"
+    elif case == "atilde-not-a-matrix":
+        argv = ["derive", write_spec(tmp_path, "a.json", qx2), "--via", "yau",
+                "--atilde", "5", "--btilde", "5"]
+        expected = "--atilde"
+    elif case == "atilde-wrong-shape":
+        argv = ["derive", write_spec(tmp_path, "a.json", qx2), "--via", "yau",
+                "--atilde", "[[]]", "--btilde", "[[]]"]
+        expected = "atilde: expected a matrix with 2 rows"
+    else:
+        argv = ["verify-family", "w0f1", "--mode", "sampled",
+                "--samples", "[1]"]
+        expected = "--samples[0]"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert expected in err

@@ -15,7 +15,8 @@ from .errors import DimensionMismatch, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
-                         DEFAULT_VIOLATION_CAP, require, yau_twist)
+                         DEFAULT_VIOLATION_CAP, _commute_check, require,
+                         yau_twist)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
                       ("atildeM_betaM", atilde_M, M.beta_M),
                       ("btildeM_alphaM", btilde_M, M.alpha_M),
                       ("btildeM_betaM", btilde_M, M.beta_M)):
-        probe._compare(tag, f.compose(g), g.compose(f), (m,))
+        _commute_check(probe, tag, f, g)
     if not probe.passed:
         raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
     twisted_A = yau_twist(A, atilde_A, btilde_A)  # validates the algebra side

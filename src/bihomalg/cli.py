@@ -16,7 +16,8 @@ from .errors import BiHomAlgError, InputAxiomsFail, SpecFileError
 from .linalg import Vector
 from .scalars import scalar_to_str
 from .specfile import (KIND_TABLES, _fail, _matrix, _object, _parse_field,
-                       _scalar, _structure_kind, parse_spec, serialize)
+                       _positive_int, _scalar, _structure_kind, parse_spec,
+                       serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
 
@@ -156,7 +157,7 @@ def _need(parts: dict, key: str):
 
 def cmd_trees(args) -> int:
     if args.tree_cmd == "enumerate":
-        for t in trees.enumerate_trees(args.n):
+        for t in trees.enumerate_trees(_positive_int(args.n, "-n")):
             print(trees.serialize_tree(t))
         return 0
     if args.tree_cmd == "act":
@@ -257,8 +258,13 @@ def _samples_arg(text: str) -> list:
     if not isinstance(raw, list):
         _fail("--samples", "must be a JSON list of objects")
     samples = []
+    names = families.SYMBOLIC_FIELD.params
     for n, s in enumerate(raw):
         _object(s, f"--samples[{n}]")
+        for key in s:
+            if key not in names:
+                _fail(f"--samples[{n}]", f"unknown parameter {key!r}; "
+                      f"the families take {', '.join(names)}")
         try:
             samples.append({k: Fraction(str(v)) for k, v in s.items()})
         except (ValueError, ZeroDivisionError) as exc:

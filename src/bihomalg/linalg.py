@@ -12,6 +12,14 @@ is `zero + a1*b1 + a2*b2 + ...` with k increasing, and every Kronecker entry
 is one `a*b`.  So each output entry comes from the same scalar operations as
 a dense evaluation, which matters over Q(params), where the printed
 (unreduced) form of a rational function depends on that sequence.
+
+`LinearMap.apply` and the table ops `compose_left`, `compose_right`, `twist`
+and `postcompose` instead form linear combinations of whole columns through
+`_combine`: `zero + c1*v1 + c2*v2 + ...` coordinate by coordinate, in term
+order, skipping a term whose coefficient c is zero but not the zero
+coordinates of its v.  The products with those zeros stay because they
+reach the printed forms: over Q(params), `zero + c*0 + ...` keeps the
+denominators of c, e.g. `(a*a*a)/(a)` where a zero-skip would give `a*a`.
 """
 
 from __future__ import annotations
@@ -25,6 +33,16 @@ from .scalars import FieldSpec, Scalar
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise DimensionMismatch(msg)
+
+
+def _combine(zero: Scalar, n: int, terms) -> tuple[Scalar, ...]:
+    """zero + c1*v1 + c2*v2 + ... for (c, v) in terms, v of length n; terms
+    with c == 0 are skipped, zero coordinates of v are not."""
+    out = [zero] * n
+    for c, v in terms:
+        if not c.is_zero():
+            out = [acc + c * x for acc, x in zip(out, v)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -109,14 +127,8 @@ class LinearMap:
 
     def apply(self, v: Vector) -> Vector:
         _check(self.cols == v.dim, "map/vector dims differ")
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            for j in range(self.cols):
-                if not v.coords[j].is_zero():
-                    acc = acc + self.entries[i][j] * v.coords[j]
-            out.append(acc)
-        return Vector(self.field, tuple(out))
+        return Vector(self.field, _combine(self.field.zero(), self.rows,
+                                           zip(v.coords, zip(*self.entries))))
 
     def column(self, j: int) -> Vector:
         return Vector(self.field, tuple(self.entries[i][j] for i in range(self.rows)))
@@ -313,36 +325,19 @@ class StructureTable:
     def compose_left(self, f: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), y)."""
         _check(f.rows == self.dim_left, "compose_left dims differ")
-        out = []
-        for i in range(f.cols):
-            fi = f.column(i)
-            row = []
-            for j in range(self.dim_right):
-                acc = Vector.zero(self.field, self.dim_out)
-                for s in range(self.dim_left):
-                    c = fi.coords[s]
-                    if not c.is_zero():
-                        acc = acc + self.apply_basis(s, j).scale(c)
-                row.append(acc.coords)
-            out.append(tuple(row))
-        return StructureTable(self.field, tuple(out))
+        zero, consts = self.field.zero(), self.constants
+        return StructureTable(self.field, tuple(
+            tuple(_combine(zero, self.dim_out, zip(col, (r[j] for r in consts)))
+                  for j in range(self.dim_right))
+            for col in zip(*f.entries)))
 
     def compose_right(self, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(x, g(y))."""
         _check(g.rows == self.dim_right, "compose_right dims differ")
-        out = []
-        for i in range(self.dim_left):
-            row = []
-            for j in range(g.cols):
-                gj = g.column(j)
-                acc = Vector.zero(self.field, self.dim_out)
-                for s in range(self.dim_right):
-                    c = gj.coords[s]
-                    if not c.is_zero():
-                        acc = acc + self.apply_basis(i, s).scale(c)
-                row.append(acc.coords)
-            out.append(tuple(row))
-        return StructureTable(self.field, tuple(out))
+        zero, cols = self.field.zero(), tuple(zip(*g.entries))
+        return StructureTable(self.field, tuple(
+            tuple(_combine(zero, self.dim_out, zip(col, row)) for col in cols)
+            for row in self.constants))
 
     def twist(self, f: LinearMap, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), g(y))."""
@@ -351,13 +346,10 @@ class StructureTable:
     def postcompose(self, h: LinearMap) -> "StructureTable":
         """(x, y) |-> h(B(x, y))."""
         _check(h.cols == self.dim_out, "postcompose dims differ")
-        out = []
-        for i in range(self.dim_left):
-            row = []
-            for j in range(self.dim_right):
-                row.append(h.apply(self.apply_basis(i, j)).coords)
-            out.append(tuple(row))
-        return StructureTable(self.field, tuple(out))
+        zero, cols = self.field.zero(), tuple(zip(*h.entries))
+        return StructureTable(self.field, tuple(
+            tuple(_combine(zero, h.rows, zip(v, cols)) for v in row)
+            for row in self.constants))
 
     def as_matrix(self) -> LinearMap:
         """The operation as a map X (x) Y -> Z in the lexicographic basis."""

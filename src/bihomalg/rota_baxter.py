@@ -16,7 +16,7 @@ from .linalg import LinearMap, StructureTable, maps_commute
 from .scalars import Scalar
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                          BiHomTridendriform, CheckReport, DEFAULT_VIOLATION_CAP,
-                         check_dendriform, require, yau_twist)
+                         _commute_check, check_dendriform, require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,8 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
             .postcompose(R.map)
         rep._compare(f"rb_dendriform_{tag}", lhs.as_matrix(), rhs.as_matrix(),
                      (n, n))
-    rep._compare("commutes_alpha", R.map.compose(D.alpha),
-                 D.alpha.compose(R.map), (n,))
-    rep._compare("commutes_beta", R.map.compose(D.beta),
-                 D.beta.compose(R.map), (n,))
+    _commute_check(rep, "commutes_alpha", R.map, D.alpha)
+    _commute_check(rep, "commutes_beta", R.map, D.beta)
     return rep
 
 

@@ -93,7 +93,11 @@ def _parse_field(value, path: str) -> FieldSpec:
         if kind == "prime":
             return FieldSpec.prime(int(value["p"]))
         if kind == "rational_function":
-            return FieldSpec.rational_function(*value["params"])
+            params = value.get("params")
+            if not isinstance(params, list) or not all(
+                    isinstance(name, str) for name in params):
+                _fail(f"{path}.params", "must be a list of strings")
+            return FieldSpec.rational_function(*params)
     except (KeyError, TypeError, ValueError) as exc:
         _fail(path, str(exc))
     _fail(path, f"unknown field kind {kind!r}")

@@ -438,7 +438,7 @@ def _act(node, powers, vps, elements, A, rmap, i, v):
 # Truncated reduction modulo the associativity ideal
 # ---------------------------------------------------------------------------
 
-def _fits(tree: RBAugTree, word, bounds) -> bool:
+def _fits(tree: RBAugTree, bounds) -> bool:
     if tree.leaves > bounds["max_leaves"]:
         return False
     if any(a > bounds["max_ab_power"] or b > bounds["max_ab_power"]
@@ -448,7 +448,7 @@ def _fits(tree: RBAugTree, word, bounds) -> bool:
 
 
 def _element_fits(x: FreeElement, bounds) -> bool:
-    return all(_fits(tree, word, bounds) for tree, word, _ in x.terms.values())
+    return all(_fits(tree, bounds) for tree, _, _ in x.terms.values())
 
 
 def _bounded_generators(field, rank, n, bounds):
@@ -516,8 +516,10 @@ class TruncatedIdealReducer:
         self.field = field
         self.rank = rank
         max_leaves = bounds["max_leaves"]
+        # Seeds read n <= max_leaves - 2; closure reads n <= max_leaves - 3,
+        # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
-                     for n in range(1, max_leaves + 1)}
+                     for n in range(1, max_leaves - 1)}
         seeds = []
         for n1 in range(1, max_leaves - 1):
             for n2 in range(1, max_leaves - n1):

@@ -98,7 +98,8 @@ def test_rectangular_tables():
         t.dim
 
 
-# -- sparse compose/tensor2 perform the dense loops' scalar operations -------
+# -- compose/tensor2 and the column combinations perform the old loops' scalar
+#    operations --------------------------------------------------------------
 
 QAB = FieldSpec.rational_function("a", "b")
 SPARSE_FIELDS = (Q, FieldSpec.prime(5), QAB)
@@ -138,6 +139,60 @@ def dense_tensor2(f, g):
     return LinearMap(f.field, tuple(tuple(row) for row in out))
 
 
+def loop_apply(f, v):
+    """The row-by-row loop that LinearMap.apply must match term by term."""
+    out = []
+    for i in range(f.rows):
+        acc = f.field.zero()
+        for j in range(f.cols):
+            if not v.coords[j].is_zero():
+                acc = acc + f.entries[i][j] * v.coords[j]
+        out.append(acc)
+    return Vector(f.field, tuple(out))
+
+
+def loop_compose_left(t, f):
+    """The Vector loop that StructureTable.compose_left must match."""
+    out = []
+    for i in range(f.cols):
+        fi = f.column(i)
+        row = []
+        for j in range(t.dim_right):
+            acc = Vector.zero(t.field, t.dim_out)
+            for s in range(t.dim_left):
+                c = fi.coords[s]
+                if not c.is_zero():
+                    acc = acc + t.apply_basis(s, j).scale(c)
+            row.append(acc.coords)
+        out.append(tuple(row))
+    return StructureTable(t.field, tuple(out))
+
+
+def loop_compose_right(t, g):
+    """The Vector loop that StructureTable.compose_right must match."""
+    out = []
+    for i in range(t.dim_left):
+        row = []
+        for j in range(g.cols):
+            gj = g.column(j)
+            acc = Vector.zero(t.field, t.dim_out)
+            for s in range(t.dim_right):
+                c = gj.coords[s]
+                if not c.is_zero():
+                    acc = acc + t.apply_basis(i, s).scale(c)
+            row.append(acc.coords)
+        out.append(tuple(row))
+    return StructureTable(t.field, tuple(out))
+
+
+def loop_postcompose(t, h):
+    """The loop that StructureTable.postcompose must match."""
+    return StructureTable(t.field, tuple(
+        tuple(loop_apply(h, t.apply_basis(i, j)).coords
+              for j in range(t.dim_right))
+        for i in range(t.dim_left)))
+
+
 def entry_pool(field):
     """Zeros (plain and computed) and nonzero entries, some with denominators."""
     zero = field.zero()
@@ -175,6 +230,30 @@ def tensor_operands(draw):
             draw(sparse_matrix(field, *shapes[2:])))
 
 
+COLUMN_OPS = {
+    "apply": (LinearMap.apply, loop_apply),
+    "compose_left": (StructureTable.compose_left, loop_compose_left),
+    "compose_right": (StructureTable.compose_right, loop_compose_right),
+    "postcompose": (StructureTable.postcompose, loop_postcompose),
+}
+
+
+@st.composite
+def column_op_operands(draw, op):
+    """Operands of one COLUMN_OPS entry: a map and a vector for apply, else
+    a rectangular table and a map of the matching shape."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    left, right, out, k = (draw(st.integers(1, 4)) for _ in range(4))
+    if op == "apply":
+        return (draw(sparse_matrix(field, k, left)),
+                draw(sparse_matrix(field, left, 1)).column(0))
+    table = StructureTable.from_matrix(
+        field, draw(sparse_matrix(field, out, left * right)), left, right)
+    rows, cols = {"compose_left": (left, k), "compose_right": (right, k),
+                  "postcompose": (k, out)}[op]
+    return table, draw(sparse_matrix(field, rows, cols))
+
+
 def counted(monkeypatch, fn, *args):
     """fn(*args) and its (Scalar.__mul__, Scalar.__add__) call counts."""
     counts = {"mul": 0, "add": 0}
@@ -195,15 +274,23 @@ def counted(monkeypatch, fn, *args):
     return result, (counts["mul"], counts["add"])
 
 
+def raw_entries(x):
+    """The shape and raw entry values (numerator and denominator dicts, not
+    just ==) of a LinearMap, a StructureTable (as its matrix) or a Vector."""
+    if isinstance(x, Vector):
+        return x.dim, [c.value for c in x.coords]
+    if isinstance(x, StructureTable):
+        return (x.dim_left, x.dim_right), raw_entries(x.as_matrix())
+    return (x.rows, x.cols), [[c.value for c in row] for row in x.entries]
+
+
 def assert_same_scalar_ops(monkeypatch, fn, reference, *args):
     """fn(*args) gives reference(*args) entry for entry, with the same raw
-    values (numerator and denominator dicts, not just ==) and the same
-    numbers of scalar * and + calls; returns fn's result."""
+    values and the same numbers of scalar * and + calls; returns fn's
+    result."""
     got, got_ops = counted(monkeypatch, fn, *args)
     want, want_ops = counted(monkeypatch, reference, *args)
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert [[x.value for x in row] for row in got.entries] == \
-        [[x.value for x in row] for row in want.entries]
+    assert raw_entries(got) == raw_entries(want)
     assert got_ops == want_ops
     return got
 
@@ -221,6 +308,15 @@ def test_compose_matches_dense_loop_property(operands):
 def test_tensor2_matches_dense_loop_property(operands):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_same_scalar_ops(monkeypatch, tensor2, dense_tensor2, *operands)
+
+
+@pytest.mark.parametrize("op", sorted(COLUMN_OPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_column_ops_match_vector_loops_property(op, data):
+    operands = data.draw(column_op_operands(op))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_scalar_ops(monkeypatch, *COLUMN_OPS[op], *operands)
 
 
 def test_compose_matches_dense_loop_at_quadri_dim9_shape(monkeypatch):

@@ -261,8 +261,9 @@ MALFORMED_SPECS = {"tables": "mu", "rota_baxter": [], "baxter": [],
 
 @pytest.mark.parametrize("case", [
     *(f"spec:{key}" for key in MALFORMED_SPECS),
-    "trees-reduce-without-field", "atilde-not-a-matrix", "atilde-wrong-shape",
-    "samples-not-objects"])
+    "field-params-string", "trees-reduce-without-field", "trees-enumerate-n-0",
+    "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
+    "samples-not-objects", "samples-unknown-key"])
 def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
     if case.startswith("spec:"):
         key = case[5:]
@@ -271,6 +272,16 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
         argv, expected = ["check", str(spec)], f"{key}: must be"
+    elif case == "field-params-string":
+        # a string must not be read letter by letter as the field Q(a, b)
+        doc = json.loads(spec_text(qx2))
+        doc["field"] = {"kind": "rational_function", "params": "ab"}
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        argv, expected = ["check", str(spec)], "field.params: must be"
+    elif case.startswith("trees-enumerate-n-"):
+        n = "0" if case.endswith("0") else "-2"
+        argv, expected = ["trees", "enumerate", "-n", n], "-n: must be"
     elif case == "trees-reduce-without-field":
         element = tmp_path / "elt.json"
         element.write_text(json.dumps({"rank": 1, "terms": []}))
@@ -285,10 +296,15 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         argv = ["derive", write_spec(tmp_path, "a.json", qx2), "--via", "yau",
                 "--atilde", "[[]]", "--btilde", "[[]]"]
         expected = "atilde: expected a matrix with 2 rows"
-    else:
+    elif case == "samples-not-objects":
         argv = ["verify-family", "w0f1", "--mode", "sampled",
                 "--samples", "[1]"]
         expected = "--samples[0]"
+    else:
+        argv = ["verify-family", "w0f1", "--mode", "sampled", "--samples",
+                json.dumps([{"a": 1, "b": 1, "r": 1},
+                            {"a": 1, "b": 1, "r": 1, "zz": 1}])]
+        expected = "--samples[1]: unknown parameter 'zz'"
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
 def _json_arg(text: str, name: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"{name}: {exc}") from exc
 
 
@@ -163,10 +163,10 @@ def cmd_trees(args) -> int:
     if args.tree_cmd == "act":
         parts = _load(args.spec)
         A = parts["structure"]
-        t = trees.parse_tree(args.tree)
+        t = _tree_arg(args.tree, "tree")
         raw = _rows_arg(args.elements, "elements")
-        elements = [Vector(A.field, tuple(A.field.parse(str(x)) for x in coords))
-                    for coords in raw]
+        elements = [Vector(A.field, row) for row in
+                    _matrix(A.field, raw, len(raw), A.dim, "elements").entries]
         R = parts.get("rota_baxter") if isinstance(t, trees.RBAugTree) else None
         result = trees.action_eval(t, elements, A, R)
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
@@ -185,6 +185,13 @@ def cmd_trees(args) -> int:
         return 0
     print(f"unknown trees subcommand {args.tree_cmd!r}", file=sys.stderr)
     return 2
+
+
+def _tree_arg(text: str, path: str):
+    try:
+        return trees.parse_tree(text)
+    except (ValueError, RecursionError) as exc:
+        _fail(path, str(exc))
 
 
 def _load_element(path: str):
@@ -221,8 +228,11 @@ def _parse_element(doc) -> trees.FreeElement:
         if not isinstance(word, list) or not all(
                 isinstance(w, int) and not isinstance(w, bool) for w in word):
             _fail(f"{path}.word", "must be a list of integers")
+        tree = _tree_arg(term["tree"], f"{path}.tree")
+        if not isinstance(tree, trees.RBAugTree):
+            _fail(f"{path}.tree", "needs a power ;f on every leaf, {f} on every node")
         x = x + trees.FreeElement.generator(
-            field, rank, trees.parse_tree(term["tree"]), tuple(word),
+            field, rank, tree, tuple(word),
             _scalar(field, term.get("coeff"), f"{path}.coeff"))
     return x
 
@@ -231,7 +241,7 @@ def cmd_search(args) -> int:
     parts = _load(args.spec)
     A = parts["structure"]
     if args.what == "rb":
-        weight = A.field.parse(args.weight)
+        weight = _scalar(A.field, args.weight, "--weight")
         result = search.enumerate_rb(A, weight, jobs=args.jobs)
     else:
         result = search.enumerate_baxter(A, args.side, jobs=args.jobs)
@@ -348,7 +358,7 @@ def main(argv=None) -> int:
     except BiHomAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

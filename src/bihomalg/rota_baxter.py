@@ -110,7 +110,6 @@ def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
     for which R becomes multiplicative."""
     if check:
         _require_rb(A, R, "rb_double_product")
-        require(check_double_product_morphism(A, R), "rb_double_product")
     return BiHomAssociativeAlgebra(A.field, _double_product(A, R), A.alpha, A.beta)
 
 

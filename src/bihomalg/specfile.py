@@ -36,7 +36,7 @@ def _scalar(field: FieldSpec, value, path: str) -> Scalar:
         _fail(path, f"scalars must be literal strings, got {type(value).__name__}")
     try:
         return field.parse(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
         _fail(path, f"bad scalar literal {value!r}: {exc}")
 
 
@@ -91,14 +91,17 @@ def _parse_field(value, path: str) -> FieldSpec:
         if kind == "rational":
             return FieldSpec.rational()
         if kind == "prime":
-            return FieldSpec.prime(int(value["p"]))
+            p = value.get("p")
+            if not isinstance(p, int) or isinstance(p, bool):
+                _fail(f"{path}.p", "must be an integer")
+            return FieldSpec.prime(p)
         if kind == "rational_function":
             params = value.get("params")
             if not isinstance(params, list) or not all(
                     isinstance(name, str) for name in params):
                 _fail(f"{path}.params", "must be a list of strings")
             return FieldSpec.rational_function(*params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(path, str(exc))
     _fail(path, f"unknown field kind {kind!r}")
 

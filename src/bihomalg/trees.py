@@ -56,9 +56,9 @@ def enumerate_trees(n: int) -> list[PlanarBinaryTree]:
         return [LEAF]
     out = []
     for p in range(1, n):
+        rights = enumerate_trees(n - p)
         for t1 in enumerate_trees(p):
-            for t2 in enumerate_trees(n - p):
-                out.append(PlanarBinaryTree(t1, t2))
+            out.extend(PlanarBinaryTree(t1, t2) for t2 in rights)
     return out
 
 
@@ -103,65 +103,66 @@ class RBAugTree:
 AugTree = BAugTree | RBAugTree
 
 
+def _vertex_powers(t: AugTree) -> tuple[int, ...] | None:
+    """The vertex powers of an RB-augmented tree, None for a B-augmented one."""
+    if isinstance(t, RBAugTree):
+        return t.vertex_powers
+    if isinstance(t, BAugTree):
+        return None
+    raise WrongAugmentation(f"{type(t).__name__} is not an augmented tree")
+
+
+def _aug_tree(tree, leaf_powers, vertex_powers) -> AugTree:
+    """The B-augmented tree when vertex_powers is None, else the RB one."""
+    if vertex_powers is None:
+        return BAugTree(tree, leaf_powers)
+    return RBAugTree(tree, leaf_powers, vertex_powers)
+
+
 def graft(t1: AugTree | PlanarBinaryTree, t2) -> AugTree | PlanarBinaryTree:
     """Join the roots under a new root node; the new root's power is 0."""
-    if isinstance(t1, PlanarBinaryTree) and isinstance(t2, PlanarBinaryTree):
+    if type(t1) is not type(t2):
+        raise WrongAugmentation(
+            f"cannot graft {type(t1).__name__} with {type(t2).__name__}")
+    if isinstance(t1, PlanarBinaryTree):
         return PlanarBinaryTree(t1, t2)
-    if isinstance(t1, BAugTree) and isinstance(t2, BAugTree):
-        return BAugTree(PlanarBinaryTree(t1.tree, t2.tree),
-                        t1.leaf_powers + t2.leaf_powers)
-    if isinstance(t1, RBAugTree) and isinstance(t2, RBAugTree):
-        return RBAugTree(PlanarBinaryTree(t1.tree, t2.tree),
-                         t1.leaf_powers + t2.leaf_powers,
-                         (0,) + t1.vertex_powers + t2.vertex_powers)
-    raise WrongAugmentation(
-        f"cannot graft {type(t1).__name__} with {type(t2).__name__}")
+    vps = _vertex_powers(t1)
+    if vps is not None:
+        vps = (0,) + vps + t2.vertex_powers
+    return _aug_tree(PlanarBinaryTree(t1.tree, t2.tree),
+                     t1.leaf_powers + t2.leaf_powers, vps)
 
 
 def decompose(t):
     """Split at the root.  Returns (p, q, t1, t2) for plain and B-augmented
     trees, and (p, q, s, t1, t2) for RB-augmented trees where s is the root
     power (so tree_R applied s times to graft(t1, t2) reconstructs t)."""
-    if isinstance(t, PlanarBinaryTree):
-        if t.is_leaf:
-            raise Indecomposable("a single leaf has no root split")
-        return t.left.leaves, t.right.leaves, t.left, t.right
-    if isinstance(t, BAugTree):
-        if t.tree.is_leaf:
-            raise Indecomposable("a single leaf has no root split")
-        p = t.tree.left.leaves
-        q = t.tree.right.leaves
-        return (p, q,
-                BAugTree(t.tree.left, t.leaf_powers[:p]),
-                BAugTree(t.tree.right, t.leaf_powers[p:]))
-    if isinstance(t, RBAugTree):
-        if t.tree.is_leaf:
-            raise Indecomposable("a single leaf has no root split")
-        p = t.tree.left.leaves
-        q = t.tree.right.leaves
-        nv_left = t.tree.left.vertices
-        return (p, q, t.vertex_powers[0],
-                RBAugTree(t.tree.left, t.leaf_powers[:p],
-                          t.vertex_powers[1:1 + nv_left]),
-                RBAugTree(t.tree.right, t.leaf_powers[p:],
-                          t.vertex_powers[1 + nv_left:]))
-    raise WrongAugmentation(f"cannot decompose {type(t).__name__}")
+    plain = isinstance(t, PlanarBinaryTree)
+    vps = None if plain else _vertex_powers(t)
+    shape = t if plain else t.tree
+    if shape.is_leaf:
+        raise Indecomposable("a single leaf has no root split")
+    left, right = shape.left, shape.right
+    p, q = left.leaves, right.leaves
+    if plain:
+        return p, q, left, right
+    nv = 1 + left.vertices
+    lv, rv = (None, None) if vps is None else (vps[1:nv], vps[nv:])
+    t1 = _aug_tree(left, t.leaf_powers[:p], lv)
+    t2 = _aug_tree(right, t.leaf_powers[p:], rv)
+    return (p, q, t1, t2) if vps is None else (p, q, vps[0], t1, t2)
 
 
 def tree_alpha(t: AugTree) -> AugTree:
     """Add 1 to the first component of every leaf power pair."""
-    powers = tuple((a + 1, b) for a, b in t.leaf_powers)
-    if isinstance(t, BAugTree):
-        return BAugTree(t.tree, powers)
-    return RBAugTree(t.tree, powers, t.vertex_powers)
+    vps = _vertex_powers(t)
+    return _aug_tree(t.tree, tuple((a + 1, b) for a, b in t.leaf_powers), vps)
 
 
 def tree_beta(t: AugTree) -> AugTree:
     """Add 1 to the second component of every leaf power pair."""
-    powers = tuple((a, b + 1) for a, b in t.leaf_powers)
-    if isinstance(t, BAugTree):
-        return BAugTree(t.tree, powers)
-    return RBAugTree(t.tree, powers, t.vertex_powers)
+    vps = _vertex_powers(t)
+    return _aug_tree(t.tree, tuple((a, b + 1) for a, b in t.leaf_powers), vps)
 
 
 def tree_R(t: RBAugTree) -> RBAugTree:
@@ -181,35 +182,23 @@ def serialize_tree(t) -> str:
     """`L[a1,a2;f]` per leaf, `( .. .. ){f}` per node; B-augmented trees omit
     the `;f` / `{f}` parts; plain trees are `L` and `( .. .. )`."""
     if isinstance(t, PlanarBinaryTree):
-        if t.is_leaf:
+        return _ser(t, None, None)
+    vps = _vertex_powers(t)
+    return _ser(t.tree, iter(t.leaf_powers), None if vps is None else iter(vps))
+
+
+def _ser(node, powers, vps) -> str:
+    """One preorder walk: powers yields the leaf pairs left to right (None on
+    a plain tree), vps the vertex powers (None unless RB-augmented)."""
+    f = None if vps is None else next(vps)
+    if node.is_leaf:
+        if powers is None:
             return "L"
-        return f"({serialize_tree(t.left)} {serialize_tree(t.right)})"
-    if isinstance(t, BAugTree):
-        parts, _ = _ser_b(t.tree, t.leaf_powers, 0)
-        return parts
-    if isinstance(t, RBAugTree):
-        parts, _, _ = _ser_rb(t.tree, t.leaf_powers, t.vertex_powers, 0, 0)
-        return parts
-    raise WrongAugmentation(f"cannot serialize {type(t).__name__}")
-
-
-def _ser_b(node, powers, i):
-    if node.is_leaf:
-        a, b = powers[i]
-        return f"L[{a},{b}]", i + 1
-    left, i = _ser_b(node.left, powers, i)
-    right, i = _ser_b(node.right, powers, i)
-    return f"({left} {right})", i
-
-
-def _ser_rb(node, powers, vps, i, v):
-    f = vps[v]
-    if node.is_leaf:
-        a, b = powers[i]
-        return f"L[{a},{b};{f}]", i + 1, v + 1
-    left, i, v2 = _ser_rb(node.left, powers, vps, i, v + 1)
-    right, i, v3 = _ser_rb(node.right, powers, vps, i, v2)
-    return f"({left} {right}){{{f}}}", i, v3
+        a, b = next(powers)
+        return f"L[{a},{b}]" if f is None else f"L[{a},{b};{f}]"
+    left = _ser(node.left, powers, vps)
+    right = _ser(node.right, powers, vps)
+    return f"({left} {right})" if f is None else f"({left} {right}){{{f}}}"
 
 
 class _TreeParser:
@@ -276,10 +265,9 @@ class _TreeParser:
 
 
 def parse_tree(text: str):
-    """Inverse of serialize_tree.  A bare shape (no brackets anywhere) parses
-    as a B-augmented tree with zero powers unless it is plain `L`/`( )` with
-    no decorations at all, in which case the B-augmented reading still
-    applies; use .tree for the undecorated shape."""
+    """Inverse of serialize_tree on augmented trees.  Text without `;f` /
+    `{f}` parses as a B-augmented tree, a bare `L` meaning the powers (0, 0);
+    use .tree for the undecorated shape."""
     parser = _TreeParser(text)
     tree, lp, vp = parser.node()
     parser.skip_ws()
@@ -317,15 +305,14 @@ class FreeElement:
             raise ValueError("leaf word letter outside the basis range")
         c = field.one() if coeff is None else coeff
         x = FreeElement.zero(field, rank)
-        x._accumulate(tree, word, c)
+        x._accumulate(FreeElement.term_key(tree, word), tree, word, c)
         return x
 
     @staticmethod
     def term_key(tree: RBAugTree, word: tuple[int, ...]) -> str:
         return serialize_tree(tree) + "|" + ",".join(map(str, word))
 
-    def _accumulate(self, tree, word, coeff):
-        key = FreeElement.term_key(tree, word)
+    def _accumulate(self, key, tree, word, coeff):
         if key in self.terms:
             _, _, old = self.terms[key]
             coeff = old + coeff
@@ -339,20 +326,21 @@ class FreeElement:
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
         out = self.copy()
-        for tree, word, c in other.terms.values():
-            out._accumulate(tree, word, c)
+        for key, (tree, word, c) in other.terms.items():
+            out._accumulate(key, tree, word, c)
         return out
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + other.scale(-self.field.one())
 
     def scale(self, c: Scalar) -> "FreeElement":
-        out = FreeElement.zero(self.field, self.rank)
+        # stored coefficients are nonzero and a field has no zero divisors,
+        # so no product cancels and every key stays
         if c.is_zero():
-            return out
-        for tree, word, coeff in self.terms.values():
-            out._accumulate(tree, word, c * coeff)
-        return out
+            return FreeElement.zero(self.field, self.rank)
+        return FreeElement(self.field, self.rank, {
+            key: (tree, word, c * coeff)
+            for key, (tree, word, coeff) in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -366,7 +354,8 @@ class FreeElement:
         """Apply a tree map to every basis term, keeping words and coefficients."""
         out = FreeElement.zero(self.field, self.rank)
         for tree, word, coeff in self.terms.values():
-            out._accumulate(fn(tree), word, coeff)
+            tree = fn(tree)
+            out._accumulate(FreeElement.term_key(tree, word), tree, word, coeff)
         return out
 
 
@@ -377,7 +366,8 @@ def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
     out = FreeElement.zero(x.field, x.rank)
     for t1, w1, c1 in x.terms.values():
         for t2, w2, c2 in y.terms.values():
-            out._accumulate(graft(t1, t2), w1 + w2, c1 * c2)
+            t, w = graft(t1, t2), w1 + w2
+            out._accumulate(FreeElement.term_key(t, w), t, w, c1 * c2)
     return out
 
 
@@ -475,16 +465,12 @@ class _Eliminator:
         self.pivots = {}  # key -> FreeElement with coefficient 1 on key
 
     def reduce(self, x: FreeElement) -> FreeElement:
+        """Subtract at the smallest pivot key present until none is."""
         x = x.copy()
-        changed = True
-        while changed:
-            changed = False
-            for key in sorted(x.terms):
-                if key in self.pivots:
-                    _, _, c = x.terms[key]
-                    x = x - self.pivots[key].scale(c)
-                    changed = True
-                    break
+        pivots = self.pivots
+        while (key := min((k for k in x.terms if k in pivots),
+                          default=None)) is not None:
+            x = x - pivots[key].scale(x.terms[key][2])
         return x
 
     def insert(self, x: FreeElement) -> bool:

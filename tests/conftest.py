@@ -1,11 +1,11 @@
-"""Shared builders for concrete algebras used across the test modules."""
+"""Shared builders for concrete algebras used across the test modules, and\na scalar-operation counter."""
 
 from fractions import Fraction
 
 import pytest
 
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
-                      RBOperator, StructureTable)
+                      RBOperator, Scalar, StructureTable)
 
 
 def truncated_poly_algebra(field: FieldSpec, degree: int) -> BiHomAssociativeAlgebra:
@@ -66,3 +66,23 @@ def qx2_rb(qfield):
 
 def frac(n, d=1):
     return Fraction(n, d)
+
+
+def counted(monkeypatch, fn, *args):
+    """fn(*args) and its (Scalar.__mul__, Scalar.__add__) call counts."""
+    counts = {"mul": 0, "add": 0}
+    mul, add = Scalar.__mul__, Scalar.__add__
+
+    def counting_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    def counting_add(x, y):
+        counts["add"] += 1
+        return add(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__mul__", counting_mul)
+        m.setattr(Scalar, "__add__", counting_add)
+        result = fn(*args)
+    return result, (counts["mul"], counts["add"])

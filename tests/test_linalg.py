@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (FieldSpec, LinearMap, Scalar, StructureTable, Vector,
+from bihomalg import (FieldSpec, LinearMap, StructureTable, Vector,
                       apply_bilinear, block_diag, maps_commute, tensor2,
                       tensor3)
 from bihomalg.errors import DimensionMismatch
+from conftest import counted
 
 Q = FieldSpec.rational()
 
@@ -252,26 +253,6 @@ def column_op_operands(draw, op):
     rows, cols = {"compose_left": (left, k), "compose_right": (right, k),
                   "postcompose": (k, out)}[op]
     return table, draw(sparse_matrix(field, rows, cols))
-
-
-def counted(monkeypatch, fn, *args):
-    """fn(*args) and its (Scalar.__mul__, Scalar.__add__) call counts."""
-    counts = {"mul": 0, "add": 0}
-    mul, add = Scalar.__mul__, Scalar.__add__
-
-    def counting_mul(x, y):
-        counts["mul"] += 1
-        return mul(x, y)
-
-    def counting_add(x, y):
-        counts["add"] += 1
-        return add(x, y)
-
-    with monkeypatch.context() as m:
-        m.setattr(Scalar, "__mul__", counting_mul)
-        m.setattr(Scalar, "__add__", counting_add)
-        result = fn(*args)
-    return result, (counts["mul"], counts["add"])
 
 
 def raw_entries(x):

@@ -259,13 +259,58 @@ MALFORMED_SPECS = {"tables": "mu", "rota_baxter": [], "baxter": [],
                    "bimodule": [], "twistor": "T", "dim": True}
 
 
+MALFORMED_FIELD_P = {"field-p-float": 5.9, "field-p-string": "5"}
+
+# argv (SPEC stands for a written qx2 spec file) and the name the error gives
+DEEP = 3000
+MALFORMED_ARGS = {
+    "search-weight-1/0": (["search", "rb", "SPEC", "--weight", "1/0"],
+                          "--weight"),
+    "search-weight-nested": (["search", "rb", "SPEC", "--weight",
+                              "(" * DEEP + "1" + ")" * DEEP], "--weight"),
+    "trees-act-coordinate-1/0": (["trees", "act", "L[0,0]", "SPEC",
+                                  '[["1/0", "0"]]'], "elements[0][0]"),
+    "trees-act-coordinates-short": (["trees", "act", "L[0,0]", "SPEC",
+                                     '[["1"]]'], "elements[0]: expected 2"),
+    "trees-act-tree-nested": (["trees", "act", "(" * DEEP + "L" + " L)" * DEEP,
+                               "SPEC", '[["1", "0"]]'], "tree: "),
+    "trees-act-elements-nested": (["trees", "act", "L[0,0]", "SPEC",
+                                   "[" * DEEP + "]" * DEEP], "elements: "),
+}
+
+
 @pytest.mark.parametrize("case", [
     *(f"spec:{key}" for key in MALFORMED_SPECS),
     "field-params-string", "trees-reduce-without-field", "trees-enumerate-n-0",
     "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
-    "samples-not-objects", "samples-unknown-key"])
+    "samples-not-objects", "samples-unknown-key", *MALFORMED_FIELD_P,
+    *MALFORMED_ARGS, "trees-reduce-tree-without-powers", "spec-nested"])
 def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
-    if case.startswith("spec:"):
+    if case in MALFORMED_ARGS:
+        argv, expected = MALFORMED_ARGS[case]
+        argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a
+                for a in argv]
+    elif case in MALFORMED_FIELD_P:
+        # a float or a string must not be read as the prime p through int()
+        doc = json.loads(spec_text(qx2))
+        doc["field"] = {"kind": "prime", "p": MALFORMED_FIELD_P[case]}
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        argv, expected = ["check", str(spec)], "field.p: must be an integer"
+    elif case == "spec-nested":
+        # no parse site names this one; main still maps it to exit 2
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * DEEP + "]" * DEEP)
+        argv, expected = ["check", str(spec)], "maximum recursion depth"
+    elif case == "trees-reduce-tree-without-powers":
+        element = tmp_path / "elt.json"
+        element.write_text(json.dumps({
+            "field": {"kind": "rational"}, "rank": 1,
+            "terms": [{"tree": "L[0,0]", "word": [0], "coeff": "1"}]}))
+        argv = ["trees", "reduce", str(element), "--max-leaves", "3",
+                "--max-ab", "1", "--max-r", "1"]
+        expected = "terms[0].tree"
+    elif case.startswith("spec:"):
         key = case[5:]
         doc = json.loads(spec_text(qx2))
         doc[key] = MALFORMED_SPECS[key]

@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, RBAugTree,
-                      TruncatedIdealReducer, Vector, action_eval, decompose,
-                      enumerate_trees, free_alpha, free_beta, free_multiply,
-                      free_R, graft, parse_tree, serialize_tree, tree_R,
-                      tree_alpha, tree_beta)
+from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, PlanarBinaryTree,
+                      RBAugTree, TruncatedIdealReducer, Vector, action_eval,
+                      decompose, enumerate_trees, free_alpha, free_beta,
+                      free_multiply, free_R, graft, parse_tree, serialize_tree,
+                      tree_R, tree_alpha, tree_beta, trees)
 from bihomalg.errors import (BoundsExceeded, Indecomposable, InvalidArity,
                              WrongAugmentation)
+from conftest import counted
 
 Q = FieldSpec.rational()
 
@@ -203,3 +204,245 @@ def test_graft_decompose_inverse_property(t1, t2):
     t = graft(t1, t2)
     p, q, s, l, r = decompose(t)
     assert s == 0 and (l, r) == (t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# References the properties below compare against: separate plain, B and RB
+# serializers, FreeElement.scale/__add__ that re-derive every key, an
+# eliminator that re-sorts all keys after each subtraction, and an
+# enumeration that rebuilds the right subtrees for every left subtree.
+# ---------------------------------------------------------------------------
+
+def ref_serialize_tree(t) -> str:
+    if isinstance(t, PlanarBinaryTree):
+        if t.is_leaf:
+            return "L"
+        return f"({ref_serialize_tree(t.left)} {ref_serialize_tree(t.right)})"
+    if isinstance(t, BAugTree):
+        parts, _ = _ref_ser_b(t.tree, t.leaf_powers, 0)
+        return parts
+    if isinstance(t, RBAugTree):
+        parts, _, _ = _ref_ser_rb(t.tree, t.leaf_powers, t.vertex_powers, 0, 0)
+        return parts
+    raise WrongAugmentation(f"cannot serialize {type(t).__name__}")
+
+
+def _ref_ser_b(node, powers, i):
+    if node.is_leaf:
+        a, b = powers[i]
+        return f"L[{a},{b}]", i + 1
+    left, i = _ref_ser_b(node.left, powers, i)
+    right, i = _ref_ser_b(node.right, powers, i)
+    return f"({left} {right})", i
+
+
+def _ref_ser_rb(node, powers, vps, i, v):
+    f = vps[v]
+    if node.is_leaf:
+        a, b = powers[i]
+        return f"L[{a},{b};{f}]", i + 1, v + 1
+    left, i, v2 = _ref_ser_rb(node.left, powers, vps, i, v + 1)
+    right, i, v3 = _ref_ser_rb(node.right, powers, vps, i, v2)
+    return f"({left} {right}){{{f}}}", i, v3
+
+
+def ref_term_key(tree, word) -> str:
+    return ref_serialize_tree(tree) + "|" + ",".join(map(str, word))
+
+
+def _ref_accumulate(x, tree, word, coeff):
+    key = ref_term_key(tree, word)
+    if key in x.terms:
+        _, _, old = x.terms[key]
+        coeff = old + coeff
+    if coeff.is_zero():
+        x.terms.pop(key, None)
+    else:
+        x.terms[key] = (tree, word, coeff)
+
+
+def ref_add(x, other):
+    out = x.copy()
+    for tree, word, c in other.terms.values():
+        _ref_accumulate(out, tree, word, c)
+    return out
+
+
+def ref_scale(x, c):
+    out = FreeElement.zero(x.field, x.rank)
+    if c.is_zero():
+        return out
+    for tree, word, coeff in x.terms.values():
+        _ref_accumulate(out, tree, word, c * coeff)
+    return out
+
+
+def ref_reduce(elim, x):
+    x = x.copy()
+    changed = True
+    while changed:
+        changed = False
+        for key in sorted(x.terms):
+            if key in elim.pivots:
+                _, _, c = x.terms[key]
+                x = x - elim.pivots[key].scale(c)
+                changed = True
+                break
+    return x
+
+
+def ref_enumerate_trees(n):
+    if n == 1:
+        return [LEAF]
+    out = []
+    for p in range(1, n):
+        for t1 in ref_enumerate_trees(p):
+            for t2 in ref_enumerate_trees(n - p):
+                out.append(PlanarBinaryTree(t1, t2))
+    return out
+
+
+def raw_terms(x):
+    """Keys in term order with their trees, words and raw coefficient values."""
+    return [(key, tree, word, c.value) for key, (tree, word, c) in x.terms.items()]
+
+
+@st.composite
+def any_trees(draw, kind=None, max_leaves=4, max_power=3):
+    """A plain, B- or RB-augmented tree (kind None draws the kind)."""
+    kind = kind or draw(st.sampled_from(["plain", "b", "rb"]))
+    shape = draw(st.sampled_from(enumerate_trees(
+        draw(st.integers(1, max_leaves)))))
+    power = st.integers(0, max_power)
+    if kind == "plain":
+        return shape
+    lp = tuple(draw(st.tuples(power, power)) for _ in range(shape.leaves))
+    if kind == "b":
+        return BAugTree(shape, lp)
+    return RBAugTree(shape, lp, tuple(draw(power)
+                                      for _ in range(shape.vertices)))
+
+
+FIELDS = [Q, FieldSpec.prime(5), FieldSpec.rational_function("a")]
+
+
+@st.composite
+def free_elements(draw, field, rank=2, kind="rb", keys_from=None):
+    """A FreeElement with nonzero coefficients built straight from its terms
+    (no FreeElement arithmetic); with keys_from, some terms reuse that
+    element's keys, some with the negated coefficient so they cancel."""
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeffs = st.one_of(nonzero.map(field.from_int), st.tuples(nonzero, nonzero)
+                       .map(lambda q: field.from_int(q[0]) * field.from_int(q[1]).inverse()))
+    if field.kind == "rational_function":
+        coeffs = st.one_of(coeffs, st.sampled_from(["a", "1/a", "a+1", "-a"])
+                           .map(field.parse))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        tree = draw(any_trees(kind, max_leaves=3, max_power=2))
+        word = tuple(draw(st.integers(0, rank - 1)) for _ in range(tree.leaves))
+        terms[ref_term_key(tree, word)] = (tree, word, draw(coeffs))
+    if keys_from is not None:
+        for key, (tree, word, c) in keys_from.terms.items():
+            if draw(st.booleans()):
+                terms[key] = (tree, word, -c if draw(st.booleans()) else draw(coeffs))
+    return FreeElement(field, rank, terms)
+
+
+@given(any_trees())
+@settings(max_examples=200, deadline=None)
+def test_serialize_matches_reference_property(t):
+    text = serialize_tree(t)
+    assert text == ref_serialize_tree(t)
+    if not isinstance(t, PlanarBinaryTree):
+        assert parse_tree(text) == t
+
+
+@given(any_trees(), any_trees())
+@settings(max_examples=200, deadline=None)
+def test_tree_ops_one_branch_per_kind_property(t1, t2):
+    if type(t1) is not type(t2):
+        with pytest.raises(WrongAugmentation):
+            graft(t1, t2)
+        return
+    t = graft(t1, t2)
+    assert serialize_tree(t) == f"({serialize_tree(t1)} {serialize_tree(t2)})" \
+        + ("{0}" if isinstance(t, RBAugTree) else "")
+    parts = decompose(t)
+    assert parts == ((t1.leaves, t2.leaves, t1, t2) if not isinstance(t, RBAugTree)
+                     else (t1.leaves, t2.leaves, 0, t1, t2))
+    if isinstance(t, PlanarBinaryTree):
+        for op in (tree_alpha, tree_beta):
+            with pytest.raises(WrongAugmentation):
+                op(t)
+        return
+    for op, (da, db) in ((tree_alpha, (1, 0)), (tree_beta, (0, 1))):
+        image = op(t)
+        assert type(image) is type(t) and image.tree == t.tree
+        assert image.leaf_powers == tuple((a + da, b + db) for a, b in t.leaf_powers)
+        assert getattr(image, "vertex_powers", None) == getattr(t, "vertex_powers", None)
+
+
+def test_enumerate_trees_matches_reference():
+    for n in range(1, 8):
+        assert enumerate_trees(n) == ref_enumerate_trees(n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scale_and_add_match_reference_property(field, data):
+    kind = data.draw(st.sampled_from(["b", "rb"]))
+    x = data.draw(free_elements(field, kind=kind))
+    y = data.draw(free_elements(field, kind=kind, keys_from=x))
+    c = data.draw(st.sampled_from([field.zero(), field.one(), -field.one(),
+                                   field.from_int(3)]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for got_fn, want_fn, args in ((FreeElement.scale, ref_scale, (x, c)),
+                                      (FreeElement.__add__, ref_add, (x, y)),
+                                      (FreeElement.__add__, ref_add, (y, x))):
+            got, got_ops = counted(monkeypatch, got_fn, *args)
+            want, want_ops = counted(monkeypatch, want_fn, *args)
+            assert raw_terms(got) == raw_terms(want)
+            assert got_ops == want_ops
+            assert list(got.terms) == [ref_term_key(t, w)
+                                       for t, w, _ in got.terms.values()]
+
+
+@pytest.fixture(scope="module")
+def window_311():
+    return {"max_leaves": 3, "max_ab_power": 1, "max_r_power": 1}
+
+
+def test_reducer_pivots_match_reference_eliminator(window_311, monkeypatch):
+    got = TruncatedIdealReducer(Q, 1, window_311)
+
+    class RefEliminator(trees._Eliminator):
+        reduce = ref_reduce
+
+    monkeypatch.setattr(trees, "_Eliminator", RefEliminator)
+    monkeypatch.setattr(FreeElement, "scale", ref_scale)
+    monkeypatch.setattr(FreeElement, "__add__", ref_add)
+    want = TruncatedIdealReducer(Q, 1, window_311)
+    assert type(want._elim) is RefEliminator
+    assert len(got._elim.pivots) == 128
+    assert [(key, raw_terms(x)) for key, x in got._elim.pivots.items()] \
+        == [(key, raw_terms(x)) for key, x in want._elim.pivots.items()]
+
+
+@pytest.fixture(scope="module")
+def reducer_311(window_311):
+    return TruncatedIdealReducer(Q, 1, window_311)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_matches_reference_property(reducer_311, data):
+    elim = reducer_311._elim
+    support = {key: (tree, word) for x in elim.pivots.values()
+               for key, (tree, word, _) in x.terms.items()}
+    keys = data.draw(st.lists(st.sampled_from(sorted(support)), max_size=8,
+                              unique=True))
+    x = FreeElement(Q, 1, {key: (*support[key], Q.from_int(
+        data.draw(st.integers(-3, 3).filter(bool)))) for key in keys})
+    assert raw_terms(elim.reduce(x)) == raw_terms(ref_reduce(elim, x))

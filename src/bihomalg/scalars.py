@@ -5,12 +5,21 @@ Rational functions are deliberately *not* kept in GCD-reduced form; equality
 is decided by the cross-multiplied polynomial identity p1*q2 == p2*q1, which
 stays exact without multivariate GCDs.  All integer arithmetic is arbitrary
 precision (Python ints / Fraction).
+
+Because nothing cancels, the forms grow with every operation that combines
+them, and the printed and spec-file forms are these unreduced ones.  A Yau
+twist of a Q(params) structure by its own structure maps roughly doubles the
+size of its largest entry: on rb_derive of the symbolic two-parameter algebra
+with the w1f3 family, the larger of an entry's term count (numerator plus
+denominator) and its total degree goes 3, 5, 13, 29, 61 over 0 to 4 twists
+(tests/test_scalars.py pins 0 to 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import EvalSingular, FieldMismatch, IncompleteAssignment
 
@@ -19,25 +28,49 @@ PRIME = "prime"
 RATIONAL_FUNCTION = "rational_function"
 
 
+# Miller-Rabin with the first 13 prime bases is exact below _PRIME_LIMIT, the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86 (2017)).  The first 12 bases alone pass the composite
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; p >= _PRIME_LIMIT is refused."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"{p} is out of range: p must be below {_PRIME_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 # A polynomial is a dict mapping exponent tuples (one slot per parameter,
-# in FieldSpec order) to nonzero Fraction coefficients.  {} is the zero
-# polynomial.
+# in FieldSpec order) to nonzero coefficients: an int when integral, else a
+# Fraction.  Mixed int/Fraction arithmetic is exact, and int arithmetic is
+# several times cheaper than Fraction.  {} is the zero polynomial.
 
 def _poly_add(p, q):
     out = dict(p)
     for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c
+        s = out.get(mono, 0) + c
         if s:
             out[mono] = s
         else:
@@ -53,8 +86,8 @@ def _poly_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(mono, Fraction(0)) + c1 * c2
+            mono = tuple(map(add, m1, m2))
+            s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
             else:
@@ -131,8 +164,8 @@ class FieldSpec:
                 raise ZeroDivisionError("denominator vanishes mod p")
             return Scalar(self, (num * pow(den, -1, self.p)) % self.p)
         zero = (0,) * len(self.params)
-        num = {zero: Fraction(q)} if q else {}
-        return Scalar(self, (num, {zero: Fraction(1)}))
+        c = q.numerator if q.denominator == 1 else Fraction(q)
+        return Scalar(self, ({zero: c} if c else {}, {zero: 1}))
 
     def parameter(self, name: str) -> "Scalar":
         if self.kind != RATIONAL_FUNCTION:
@@ -142,7 +175,7 @@ class FieldSpec:
         i = self.params.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.params)))
         one = (0,) * len(self.params)
-        return Scalar(self, ({mono: Fraction(1)}, {one: Fraction(1)}))
+        return Scalar(self, ({mono: 1}, {one: 1}))
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(self, text)
@@ -394,6 +427,6 @@ def scalar_to_str(x: Scalar) -> str:
     num, den = x.value
     num_s = _poly_str(num, x.field.params)
     one = (0,) * len(x.field.params)
-    if den == {one: Fraction(1)}:
+    if den == {one: 1}:
         return f"({num_s})" if ("+" in num_s[1:] or "-" in num_s[1:]) else num_s
     return f"({num_s})/({_poly_str(den, x.field.params)})"

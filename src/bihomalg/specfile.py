@@ -31,13 +31,18 @@ def _fail(path: str, msg: str):
     raise SpecFileError(f"{path}: {msg}")
 
 
+def _clip(text: str) -> str:
+    """Shorten text echoed in an error message to 60 characters and '…'."""
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def _scalar(field: FieldSpec, value, path: str) -> Scalar:
     if not isinstance(value, str):
         _fail(path, f"scalars must be literal strings, got {type(value).__name__}")
     try:
         return field.parse(value)
     except (ValueError, ZeroDivisionError, RecursionError) as exc:
-        _fail(path, f"bad scalar literal {value!r}: {exc}")
+        _fail(path, f"bad scalar literal {_clip(repr(value))}: {_clip(str(exc))}")
 
 
 def _matrix(field: FieldSpec, value, rows: int, cols: int, path: str) -> LinearMap:
@@ -87,22 +92,25 @@ def _parse_field(value, path: str) -> FieldSpec:
     if not isinstance(value, dict) or "kind" not in value:
         _fail(path, "field block needs a 'kind'")
     kind = value["kind"]
-    try:
-        if kind == "rational":
-            return FieldSpec.rational()
-        if kind == "prime":
-            p = value.get("p")
-            if not isinstance(p, int) or isinstance(p, bool):
-                _fail(f"{path}.p", "must be an integer")
+    if kind == "rational":
+        return FieldSpec.rational()
+    if kind == "prime":
+        p = value.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            _fail(f"{path}.p", "must be an integer")
+        try:
             return FieldSpec.prime(p)
-        if kind == "rational_function":
-            params = value.get("params")
-            if not isinstance(params, list) or not all(
-                    isinstance(name, str) for name in params):
-                _fail(f"{path}.params", "must be a list of strings")
+        except ValueError as exc:
+            _fail(f"{path}.p", str(exc))
+    if kind == "rational_function":
+        params = value.get("params")
+        if not isinstance(params, list) or not all(
+                isinstance(name, str) for name in params):
+            _fail(f"{path}.params", "must be a list of strings")
+        try:
             return FieldSpec.rational_function(*params)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        except ValueError as exc:
+            _fail(f"{path}.params", str(exc))
     _fail(path, f"unknown field kind {kind!r}")
 
 

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bihomalg import FieldSpec, scalar_eq, scalar_to_str
+from bihomalg import (FieldSpec, Scalar, rb_derive, scalar_eq, scalar_to_str,
+                      symbolic_rb_family, symbolic_two_param_algebra, yau_twist)
 from bihomalg.errors import EvalSingular, FieldMismatch, IncompleteAssignment
+from bihomalg.scalars import _PRIME_LIMIT, _Parser, _is_prime, _tokenize
 
 
 def test_rational_arithmetic():
@@ -102,3 +105,179 @@ def test_ratfunc_sub_add_cancel(x, y):
     a = f.from_int(x) + t * f.from_int(y)
     b = t * t + f.from_int(y)
     assert (a + b) - b == a
+
+
+# -- int polynomial coefficients against the Fraction-coefficient reference ---
+#
+# A copy of the Fraction-coefficient polynomial arithmetic that Q(params) used
+# before integral coefficients were stored as int, driven through the same
+# (unchanged) literal parser.  Same operations in the same order, so the new
+# code must give the same monomial order, equal coefficients and equal text.
+
+def _ref_poly_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, Fraction(0)) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _ref_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            s = out.get(mono, Fraction(0)) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+class _RefScalar:
+    def __init__(self, value):
+        self.value = value
+
+    def __add__(self, other):
+        (p1, q1), (p2, q2) = self.value, other.value
+        num = _ref_poly_add(_ref_poly_mul(p1, q2), _ref_poly_mul(p2, q1))
+        return _RefScalar((num, _ref_poly_mul(q1, q2)))
+
+    def __neg__(self):
+        p, q = self.value
+        return _RefScalar(({mono: -c for mono, c in p.items()}, q))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        (p1, q1), (p2, q2) = self.value, other.value
+        return _RefScalar((_ref_poly_mul(p1, p2), _ref_poly_mul(q1, q2)))
+
+    def __truediv__(self, other):
+        p, q = other.value
+        if not p:
+            raise ZeroDivisionError("inverse of zero")
+        return self * _RefScalar((q, p))
+
+
+class _RefField:
+    def __init__(self, params):
+        self.params = params
+
+    def from_fraction(self, q):
+        zero = (0,) * len(self.params)
+        num = {zero: Fraction(q)} if q else {}
+        return _RefScalar((num, {zero: Fraction(1)}))
+
+    def from_int(self, n):
+        return self.from_fraction(Fraction(n))
+
+    def parameter(self, name):
+        i = self.params.index(name)
+        mono = tuple(1 if j == i else 0 for j in range(len(self.params)))
+        one = (0,) * len(self.params)
+        return _RefScalar(({mono: Fraction(1)}, {one: Fraction(1)}))
+
+
+def _q_ab_literals():
+    atom = st.one_of(st.integers(0, 9).map(str), st.sampled_from(["a", "b"]))
+    return st.recursive(atom, lambda sub: st.one_of(
+        sub.map(lambda x: f"-{x}"),
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})")), max_leaves=4)
+
+
+# An expression is a literal, a coefficient Fraction(n, d) built by
+# from_fraction (the parser only makes integers), or (op, lhs, rhs).
+_expressions = st.recursive(
+    st.one_of(_q_ab_literals(),
+              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))),
+    lambda sub: st.tuples(st.sampled_from("+-*/"), sub, sub), max_leaves=4)
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def _evaluate(field, expr):
+    if isinstance(expr, str):
+        return _Parser(field, _tokenize(expr)).expr()
+    if isinstance(expr, Fraction):
+        return field.from_fraction(expr)
+    op, lhs, rhs = expr
+    return _OPS[op](_evaluate(field, lhs), _evaluate(field, rhs))
+
+
+@given(_expressions)
+def test_int_coefficients_match_fraction_reference(expr):
+    f = FieldSpec.rational_function("a", "b")
+    try:
+        got = _evaluate(f, expr)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _evaluate(_RefField(f.params), expr)
+        return
+    want = _evaluate(_RefField(f.params), expr)
+    for g, w in zip(got.value, want.value):
+        assert list(g) == list(w)  # monomial key order
+        assert list(g.values()) == list(w.values())
+    assert scalar_to_str(got) == scalar_to_str(Scalar(f, want.value))
+
+
+def test_q_params_coefficients_are_int_when_integral():
+    f = FieldSpec.rational_function("a", "b")
+    num, den = f.parse("2*a").value
+    assert num == {(1, 0): 2} and den == {(0, 0): 1}
+    assert all(type(c) is int for c in [*num.values(), *den.values()])
+    (half,) = f.from_fraction(Fraction(1, 2)).value[0].values()
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def test_yau_twist_growth_is_bounded():
+    # Entries are unreduced, so each twist by the structure's own maps
+    # roughly doubles the largest entry (see the scalars module docstring).
+    def size(x):
+        num, den = x.value
+        degree = max(sum(mono) for mono in [*num, *den])
+        return max(len(num) + len(den), degree)
+
+    S = rb_derive(symbolic_two_param_algebra(), symbolic_rb_family("w1f3"))
+    sizes = []
+    for _ in range(4):
+        entries = [x for t in (S.prec, S.succ, S.dot) for row in t.constants
+                   for col in row for x in col]
+        entries += [x for m in (S.alpha, S.beta) for row in m.entries for x in row]
+        sizes.append(max(map(size, entries)))
+        S = yau_twist(S, S.alpha, S.beta)
+    assert sizes == [3, 5, 13, 29]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if _trial_division(n)]
+    assert _is_prime(2 ** 61 - 1)
+    # a strong pseudoprime to the 12 prime bases 2..37
+    assert not _is_prime(318665857834031151167461)
+
+
+def test_prime_field_refuses_large_p_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="is not prime"):
+        FieldSpec.prime(1000000007 * 1000000009)
+    assert time.perf_counter() - start < 1
+    assert FieldSpec.prime(2 ** 61 - 1).p == 2 ** 61 - 1
+    for p in (0, 1, 4, 6):
+        with pytest.raises(ValueError, match="is not prime"):
+            FieldSpec.prime(p)
+    with pytest.raises(ValueError, match="out of range"):
+        FieldSpec.prime(_PRIME_LIMIT)
+    with pytest.raises(ValueError, match="out of range"):
+        FieldSpec.prime(2 ** 89 - 1)  # a Mersenne prime, but too large

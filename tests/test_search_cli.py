@@ -259,7 +259,14 @@ MALFORMED_SPECS = {"tables": "mu", "rota_baxter": [], "baxter": [],
                    "bimodule": [], "twistor": "T", "dim": True}
 
 
-MALFORMED_FIELD_P = {"field-p-float": 5.9, "field-p-string": "5"}
+# a prime field's p and the refusal it gives
+MALFORMED_FIELD_P = {
+    "field-p-float": (5.9, "field.p: must be an integer"),
+    "field-p-string": ("5", "field.p: must be an integer"),
+    "field-p-not-prime": (4, "field.p: 4 is not prime"),
+    "field-p-out-of-range": (2 ** 89 - 1, "field.p: 618970019642690137449562111 "
+                                          "is out of range"),
+}
 
 # argv (SPEC stands for a written qx2 spec file) and the name the error gives
 DEEP = 3000
@@ -268,6 +275,8 @@ MALFORMED_ARGS = {
                           "--weight"),
     "search-weight-nested": (["search", "rb", "SPEC", "--weight",
                               "(" * DEEP + "1" + ")" * DEEP], "--weight"),
+    "search-weight-trailing": (["search", "rb", "SPEC", "--weight",
+                                "1" + " 1" * DEEP], "--weight"),
     "trees-act-coordinate-1/0": (["trees", "act", "L[0,0]", "SPEC",
                                   '[["1/0", "0"]]'], "elements[0][0]"),
     "trees-act-coordinates-short": (["trees", "act", "L[0,0]", "SPEC",
@@ -291,12 +300,13 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a
                 for a in argv]
     elif case in MALFORMED_FIELD_P:
-        # a float or a string must not be read as the prime p through int()
+        # p must be an integer (not read through int()) and a prime in range
+        p, expected = MALFORMED_FIELD_P[case]
         doc = json.loads(spec_text(qx2))
-        doc["field"] = {"kind": "prime", "p": MALFORMED_FIELD_P[case]}
+        doc["field"] = {"kind": "prime", "p": p}
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
-        argv, expected = ["check", str(spec)], "field.p: must be an integer"
+        argv = ["check", str(spec)]
     elif case == "spec-nested":
         # no parse site names this one; main still maps it to exit 2
         spec = tmp_path / "deep.json"
@@ -354,3 +364,5 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert expected in err
+    # a rejected literal is echoed only in part
+    assert all(len(line) < 200 for line in err.splitlines())

@@ -155,9 +155,19 @@ def _need(parts: dict, key: str):
     return parts[key]
 
 
+# `trees enumerate -n` refuses to list more trees than this
+TREES_LIMIT = 10 ** 6
+
+
 def cmd_trees(args) -> int:
     if args.tree_cmd == "enumerate":
-        for t in trees.enumerate_trees(_positive_int(args.n, "-n")):
+        n = _positive_int(args.n, "-n")
+        count = 1
+        for k in range(1, n):  # count becomes Catalan(n - 1), the number of trees
+            count = count * (4 * k - 2) // (k + 1)
+            if count > TREES_LIMIT:
+                _fail("-n", f"more than {TREES_LIMIT} trees have {n} leaves")
+        for t in trees.enumerate_trees(n):
             print(trees.serialize_tree(t))
         return 0
     if args.tree_cmd == "act":
@@ -238,13 +248,14 @@ def _parse_element(doc) -> trees.FreeElement:
 
 
 def cmd_search(args) -> int:
+    jobs = _positive_int(args.jobs, "--jobs")
     parts = _load(args.spec)
     A = parts["structure"]
     if args.what == "rb":
         weight = _scalar(A.field, args.weight, "--weight")
-        result = search.enumerate_rb(A, weight, jobs=args.jobs)
+        result = search.enumerate_rb(A, weight, jobs=jobs)
     else:
-        result = search.enumerate_baxter(A, args.side, jobs=args.jobs)
+        result = search.enumerate_baxter(A, args.side, jobs=jobs)
     for m in result.operators:
         print(json.dumps([[scalar_to_str(x) for x in row] for row in m.entries]))
     print(f"examined {result.examined}, found {result.found}, "

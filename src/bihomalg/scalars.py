@@ -36,6 +36,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3317044064679887385961981
 
 
+def _clip(text: str) -> str:
+    """Shorten text echoed in an error message to 60 characters and '…'."""
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test; p >= _PRIME_LIMIT is refused."""
     if p >= _PRIME_LIMIT:
@@ -116,7 +121,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind == PRIME:
-            if self.p is None or not _is_prime(self.p):
+            if not isinstance(self.p, int):
+                raise ValueError(f"p must be an integer, got {self.p!r}")
+            if not _is_prime(self.p):
                 raise ValueError(f"{self.p!r} is not prime")
         elif self.kind == RATIONAL_FUNCTION:
             if not self.params:
@@ -171,7 +178,7 @@ class FieldSpec:
         if self.kind != RATIONAL_FUNCTION:
             raise ValueError("parameters only exist in rational_function fields")
         if name not in self.params:
-            raise ValueError(f"unknown parameter {name!r}")
+            raise ValueError(f"unknown parameter {_clip(repr(name))}")
         i = self.params.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.params)))
         one = (0,) * len(self.params)
@@ -387,7 +394,7 @@ def parse_scalar(field: FieldSpec, text: str) -> Scalar:
     parser = _Parser(field, _tokenize(text))
     value = parser.expr()
     if parser.peek() != "end":
-        raise ValueError(f"trailing garbage in scalar literal {text!r}")
+        raise ValueError(f"trailing garbage in scalar literal {_clip(repr(text))}")
     return value
 
 

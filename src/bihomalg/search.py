@@ -4,7 +4,8 @@ algebras over prime fields.
 The candidate space is every n x n matrix over F_p, walked in row-major
 little-endian digit order (entry (0,0) is the least significant digit), so
 output order is machine-independent.  Every hit found during the walk is
-re-verified by a second, independent checker pass before being reported.
+checked again, by the same checker, before being reported.  jobs > 1 splits
+the walk across min(jobs, CPU count) worker processes.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def _range_hits(A, weight, side, start, stop):
 
 
 def _run_partitioned(worker, args, total, jobs):
+    # a fork-based pool starts all its workers at the first submit
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return worker(*args, 0, total)
     chunk = -(-total // jobs)

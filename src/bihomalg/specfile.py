@@ -14,7 +14,7 @@ from .errors import SpecFileError
 from .linalg import LinearMap, StructureTable
 from .pseudotwistors import WeakPseudotwistor
 from .rota_baxter import OneSidedBaxter, RBOperator
-from .scalars import FieldSpec, Scalar, scalar_to_str
+from .scalars import FieldSpec, Scalar, _clip, scalar_to_str
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform,
                          BiHomQuadri, BiHomTridendriform)
 
@@ -29,11 +29,6 @@ KIND_TABLES = {kind: cls.OPS for kind, cls in KIND_CLASSES.items()}
 
 def _fail(path: str, msg: str):
     raise SpecFileError(f"{path}: {msg}")
-
-
-def _clip(text: str) -> str:
-    """Shorten text echoed in an error message to 60 characters and '…'."""
-    return text if len(text) <= 60 else text[:60] + "…"
 
 
 def _scalar(field: FieldSpec, value, path: str) -> Scalar:

@@ -1,6 +1,8 @@
 """Algebra records for the BiHom structure kinds, their axiom checkers,
 Yau twists, and the structure-to-structure constructors.
 
+Each kind states its axioms as data next to its operations (MULTS, AXIOMS,
+in the paper's numbering), and one evaluator, _check_axioms, reads them.
 Checkers verify identities on basis tuples only (complete by linearity) and
 report *all* violations up to a cap, in a deterministic order.  Records never
 self-validate on construction; validation is always an explicit checker call.
@@ -10,6 +12,8 @@ Classical (unadorned) structures are the special case alpha = beta = id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from functools import reduce
+from operator import add
 
 from .errors import InputAxiomsFail, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, tensor2
@@ -78,10 +82,10 @@ def _decode(col: int, dims) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _mult_check(rep: CheckReport, tag: str, f: LinearMap, op: StructureTable) -> None:
-    """f(x op y) == f(x) op f(y) as a matrix identity on the tensor square."""
-    m = op.as_matrix()
-    n = op.dim
+def _mult_check(rep: CheckReport, tag: str, f: LinearMap, m: LinearMap) -> None:
+    """f(x op y) == f(x) op f(y) as a matrix identity on the tensor square,
+    for the operation op with matrix m."""
+    n = m.rows
     rep._compare(tag, f.compose(m), m.compose(tensor2(f, f)), (n, n))
 
 
@@ -101,6 +105,9 @@ class BiHomAssociativeAlgebra:
     beta: LinearMap
 
     OPS = ("mu",)
+    MULTS = (("alpha_multiplicative", "alpha", "mu"),
+             ("beta_multiplicative", "beta", "mu"))
+    AXIOMS = (("bihom_associativity", ("mu", "alpha", "mu"), ("mu", "mu", "beta")),)
 
     @property
     def dim(self) -> int:
@@ -121,6 +128,13 @@ class BiHomDendriform:
     beta: LinearMap
 
     OPS = ("prec", "succ")
+    MULTS = tuple((f"{f}_mult_{op}", f, op)
+                  for f in ("alpha", "beta") for op in ("prec", "succ"))
+    AXIOMS = (
+        ("dend_prec", ("prec", "prec", "beta"), ("prec", "alpha", "total")),
+        ("dend_mid", ("prec", "succ", "beta"), ("succ", "alpha", "prec")),
+        ("dend_succ", ("succ", "alpha", "succ"), ("succ", "total", "beta")),
+    )
 
     @property
     def dim(self) -> int:
@@ -137,6 +151,16 @@ class BiHomTridendriform:
     beta: LinearMap
 
     OPS = ("prec", "succ", "dot")
+    MULTS = tuple((f"{f}_mult_{op}", f, op) for op in OPS for f in ("alpha", "beta"))
+    AXIOMS = (
+        ("tridend_8", ("prec", "prec", "beta"), ("prec", "alpha", "total")),
+        ("tridend_9", ("prec", "succ", "beta"), ("succ", "alpha", "prec")),
+        ("tridend_10", ("succ", "alpha", "succ"), ("succ", "total", "beta")),
+        ("tridend_11", ("dot", "alpha", "succ"), ("dot", "prec", "beta")),
+        ("tridend_12", ("succ", "alpha", "dot"), ("dot", "succ", "beta")),
+        ("tridend_13", ("dot", "alpha", "prec"), ("prec", "dot", "beta")),
+        ("tridend_14", ("dot", "alpha", "dot"), ("dot", "dot", "beta")),
+    )
 
     @property
     def dim(self) -> int:
@@ -154,6 +178,18 @@ class BiHomQuadri:
     beta: LinearMap
 
     OPS = ("nw", "sw", "ne", "se")
+    MULTS = tuple((f"{f}_mult_{op}", f, op) for op in OPS for f in ("alpha", "beta"))
+    AXIOMS = (
+        ("quadri_11a", ("nw", "nw", "beta"), ("nw", "alpha", "total")),
+        ("quadri_11b", ("nw", "ne", "beta"), ("ne", "alpha", "prec")),
+        ("quadri_12a", ("ne", "wedge", "beta"), ("ne", "alpha", "succ")),
+        ("quadri_12b", ("nw", "sw", "beta"), ("sw", "alpha", "wedge")),
+        ("quadri_13a", ("nw", "se", "beta"), ("se", "alpha", "nw")),
+        ("quadri_13b", ("ne", "vee", "beta"), ("se", "alpha", "ne")),
+        ("quadri_14a", ("sw", "prec", "beta"), ("sw", "alpha", "vee")),
+        ("quadri_14b", ("sw", "succ", "beta"), ("se", "alpha", "sw")),
+        ("quadri_15", ("se", "total", "beta"), ("se", "alpha", "se")),
+    )
 
     @property
     def dim(self) -> int:
@@ -189,106 +225,54 @@ Structure = (BiHomAssociativeAlgebra | BiHomDendriform
 # Checkers
 # ---------------------------------------------------------------------------
 
+def _total(S: Structure) -> StructureTable:
+    """The sum of S's operations, left to right in OPS order."""
+    return reduce(add, (getattr(S, tag) for tag in S.OPS))
+
+
+def _check_axioms(S: Structure, cap: int) -> CheckReport:
+    """Check S against its kind's tables, in this order: alpha and beta
+    commute; each MULTS entry (id, map, op) says map is multiplicative for
+    op; each AXIOMS entry (id, lhs, rhs) says lhs == rhs on the tensor cube,
+    where a side (outer, left, right) is outer o (left (x) right).  A name
+    in a side is alpha, beta, an operation or derived operation of S, or
+    "total" (the sum of S.OPS); each name's matrix is built once."""
+    rep = CheckReport(cap=cap)
+    mats = {"alpha": S.alpha, "beta": S.beta}
+
+    def mat(name: str) -> LinearMap:
+        if name not in mats:
+            op = _total(S) if name == "total" else getattr(S, name)
+            mats[name] = op.as_matrix()
+        return mats[name]
+
+    _commute_check(rep, "alpha_beta_commute", S.alpha, S.beta)
+    for tag, f, op in S.MULTS:
+        _mult_check(rep, tag, mat(f), mat(op))
+    for tag, *sides in S.AXIOMS:
+        lhs, rhs = (mat(outer).compose(tensor2(mat(left), mat(right)))
+                    for outer, left, right in sides)
+        rep._compare(tag, lhs, rhs, (S.dim,) * 3)
+    return rep
+
+
 def check_bihom_associative(A: BiHomAssociativeAlgebra,
                             cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    rep = CheckReport(cap=cap)
-    n = A.dim
-    _commute_check(rep, "alpha_beta_commute", A.alpha, A.beta)
-    _mult_check(rep, "alpha_multiplicative", A.alpha, A.mu)
-    _mult_check(rep, "beta_multiplicative", A.beta, A.mu)
-    m = A.mu.as_matrix()
-    # alpha(x)(yz) == (xy)beta(z)
-    lhs = m.compose(tensor2(A.alpha, m))
-    rhs = m.compose(tensor2(m, A.beta))
-    rep._compare("bihom_associativity", lhs, rhs, (n, n, n))
-    return rep
+    return _check_axioms(A, cap)
 
 
 def check_dendriform(D: BiHomDendriform,
                      cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    rep = CheckReport(cap=cap)
-    n = D.dim
-    _commute_check(rep, "alpha_beta_commute", D.alpha, D.beta)
-    _mult_check(rep, "alpha_mult_prec", D.alpha, D.prec)
-    _mult_check(rep, "alpha_mult_succ", D.alpha, D.succ)
-    _mult_check(rep, "beta_mult_prec", D.beta, D.prec)
-    _mult_check(rep, "beta_mult_succ", D.beta, D.succ)
-    p, s = D.prec.as_matrix(), D.succ.as_matrix()
-    dims = (n, n, n)
-    # (x<y)<b(z) == a(x)<(y<z + y>z)
-    rep._compare("dend_prec", p.compose(tensor2(p, D.beta)),
-                 p.compose(tensor2(D.alpha, p + s)), dims)
-    # (x>y)<b(z) == a(x)>(y<z)
-    rep._compare("dend_mid", p.compose(tensor2(s, D.beta)),
-                 s.compose(tensor2(D.alpha, p)), dims)
-    # a(x)>(y>z) == (x<y + x>y)>b(z)
-    rep._compare("dend_succ", s.compose(tensor2(D.alpha, s)),
-                 s.compose(tensor2(p + s, D.beta)), dims)
-    return rep
+    return _check_axioms(D, cap)
 
 
 def check_tridendriform(T: BiHomTridendriform,
                         cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    rep = CheckReport(cap=cap)
-    n = T.dim
-    _commute_check(rep, "alpha_beta_commute", T.alpha, T.beta)
-    for tag, op in (("prec", T.prec), ("succ", T.succ), ("dot", T.dot)):
-        _mult_check(rep, f"alpha_mult_{tag}", T.alpha, op)
-        _mult_check(rep, f"beta_mult_{tag}", T.beta, op)
-    p, s, d = T.prec.as_matrix(), T.succ.as_matrix(), T.dot.as_matrix()
-    a, b = T.alpha, T.beta
-    dims = (n, n, n)
-    total = p + s + d
-    rep._compare("tridend_8", p.compose(tensor2(p, b)),
-                 p.compose(tensor2(a, total)), dims)
-    rep._compare("tridend_9", p.compose(tensor2(s, b)),
-                 s.compose(tensor2(a, p)), dims)
-    rep._compare("tridend_10", s.compose(tensor2(a, s)),
-                 s.compose(tensor2(total, b)), dims)
-    rep._compare("tridend_11", d.compose(tensor2(a, s)),
-                 d.compose(tensor2(p, b)), dims)
-    rep._compare("tridend_12", s.compose(tensor2(a, d)),
-                 d.compose(tensor2(s, b)), dims)
-    rep._compare("tridend_13", d.compose(tensor2(a, p)),
-                 p.compose(tensor2(d, b)), dims)
-    rep._compare("tridend_14", d.compose(tensor2(a, d)),
-                 d.compose(tensor2(d, b)), dims)
-    return rep
+    return _check_axioms(T, cap)
 
 
 def check_quadri(Q: BiHomQuadri, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    rep = CheckReport(cap=cap)
-    n = Q.dim
-    _commute_check(rep, "alpha_beta_commute", Q.alpha, Q.beta)
-    for tag in Q.OPS:
-        _mult_check(rep, f"alpha_mult_{tag}", Q.alpha, getattr(Q, tag))
-        _mult_check(rep, f"beta_mult_{tag}", Q.beta, getattr(Q, tag))
-    nw, sw = Q.nw.as_matrix(), Q.sw.as_matrix()
-    ne, se = Q.ne.as_matrix(), Q.se.as_matrix()
-    prec, succ = nw + sw, ne + se
-    vee, wedge = se + sw, ne + nw
-    star = nw + sw + ne + se
-    a, b = Q.alpha, Q.beta
-    dims = (n, n, n)
-    rep._compare("quadri_11a", nw.compose(tensor2(nw, b)),
-                 nw.compose(tensor2(a, star)), dims)
-    rep._compare("quadri_11b", nw.compose(tensor2(ne, b)),
-                 ne.compose(tensor2(a, prec)), dims)
-    rep._compare("quadri_12a", ne.compose(tensor2(wedge, b)),
-                 ne.compose(tensor2(a, succ)), dims)
-    rep._compare("quadri_12b", nw.compose(tensor2(sw, b)),
-                 sw.compose(tensor2(a, wedge)), dims)
-    rep._compare("quadri_13a", nw.compose(tensor2(se, b)),
-                 se.compose(tensor2(a, nw)), dims)
-    rep._compare("quadri_13b", ne.compose(tensor2(vee, b)),
-                 se.compose(tensor2(a, ne)), dims)
-    rep._compare("quadri_14a", sw.compose(tensor2(prec, b)),
-                 sw.compose(tensor2(a, vee)), dims)
-    rep._compare("quadri_14b", sw.compose(tensor2(succ, b)),
-                 se.compose(tensor2(a, sw)), dims)
-    rep._compare("quadri_15", se.compose(tensor2(star, b)),
-                 se.compose(tensor2(a, se)), dims)
-    return rep
+    return _check_axioms(Q, cap)
 
 
 def check_structure(S: Structure, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
@@ -314,9 +298,9 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
     commutation) are checked up front and violations refuse the twist."""
     probe = CheckReport(cap=1)
     for tag in S.OPS:
-        op = getattr(S, tag)
-        _mult_check(probe, f"atilde_mult_{tag}", atilde, op)
-        _mult_check(probe, f"btilde_mult_{tag}", btilde, op)
+        m = getattr(S, tag).as_matrix()
+        _mult_check(probe, f"atilde_mult_{tag}", atilde, m)
+        _mult_check(probe, f"btilde_mult_{tag}", btilde, m)
     _commute_check(probe, "atilde_btilde", atilde, btilde)
     _commute_check(probe, "atilde_alpha", atilde, S.alpha)
     _commute_check(probe, "atilde_beta", atilde, S.beta)
@@ -346,11 +330,7 @@ def total_product(S: Structure) -> BiHomAssociativeAlgebra:
     require(check_structure(S), "total_product")
     if isinstance(S, BiHomAssociativeAlgebra):
         return S
-    mu = None
-    for tag in S.OPS:
-        op = getattr(S, tag)
-        mu = op if mu is None else mu + op
-    return BiHomAssociativeAlgebra(S.field, mu, S.alpha, S.beta)
+    return BiHomAssociativeAlgebra(S.field, _total(S), S.alpha, S.beta)
 
 
 def quadri_projections(Q: BiHomQuadri) -> tuple[BiHomDendriform, BiHomDendriform]:

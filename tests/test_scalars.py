@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bihomalg import (FieldSpec, Scalar, rb_derive, scalar_eq, scalar_to_str,
-                      symbolic_rb_family, symbolic_two_param_algebra, yau_twist)
+from bihomalg import (FieldSpec, Scalar, parse_scalar, rb_derive, scalar_eq,
+                      scalar_to_str, symbolic_rb_family,
+                      symbolic_two_param_algebra, yau_twist)
 from bihomalg.errors import EvalSingular, FieldMismatch, IncompleteAssignment
 from bihomalg.scalars import _PRIME_LIMIT, _Parser, _is_prime, _tokenize
 
@@ -281,3 +282,19 @@ def test_prime_field_refuses_large_p_quickly():
         FieldSpec.prime(_PRIME_LIMIT)
     with pytest.raises(ValueError, match="out of range"):
         FieldSpec.prime(2 ** 89 - 1)  # a Mersenne prime, but too large
+
+
+@pytest.mark.parametrize("p", [5.0, 43.0])
+def test_prime_field_refuses_non_int_p(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        FieldSpec.prime(p)
+
+
+@pytest.mark.parametrize("field, text, message", [
+    (FieldSpec.rational(), "1" + " 1" * 3000, "trailing garbage"),
+    (FieldSpec.rational_function("a", "b"), "c" * 5000, "unknown parameter"),
+])
+def test_parse_scalar_clips_the_echoed_literal(field, text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        parse_scalar(field, text)
+    assert len(str(info.value)) < 200

@@ -1,11 +1,12 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, OneSidedBaxter,
                       RBOperator, StructureTable, check_one_sided_baxter,
                       check_rota_baxter, enumerate_rb, enumerate_baxter,
-                      index_to_matrix, parse_spec, serialize)
+                      index_to_matrix, parse_spec, search, serialize)
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded
 from bihomalg.families import two_param_algebra
@@ -69,6 +70,37 @@ def test_enumerate_rb_jobs_deterministic():
     single = enumerate_rb(A, A.field.zero(), jobs=1)
     multi = enumerate_rb(A, A.field.zero(), jobs=2)
     assert single.operators == multi.operators
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [4]), (None, [])])
+def test_search_jobs_capped_at_cpu_count(monkeypatch, cpus, workers):
+    created = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers and runs
+        each task at submit, so nothing forks."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    A = two_param_f(3, 2, 1)
+    single = enumerate_rb(A, A.field.zero(), jobs=1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    many = enumerate_rb(A, A.field.zero(), jobs=100000)
+    assert created == workers
+    assert many.operators == single.operators
 
 
 def test_enumerate_baxter():
@@ -285,6 +317,12 @@ MALFORMED_ARGS = {
                                "SPEC", '[["1", "0"]]'], "tree: "),
     "trees-act-elements-nested": (["trees", "act", "L[0,0]", "SPEC",
                                    "[" * DEEP + "]" * DEEP], "elements: "),
+    # Catalan(n - 1) trees: 2674440 for n = 15, past the limit of 10**6
+    "trees-enumerate-n-15": (["trees", "enumerate", "-n", "15"], "-n: more than"),
+    "trees-enumerate-n-40": (["trees", "enumerate", "-n", "40"], "-n: more than"),
+    "search-jobs-0": (["search", "rb", "SPEC", "--jobs", "0"], "--jobs: must be"),
+    "search-jobs-negative": (["search", "rb", "SPEC", "--jobs", "-3"],
+                             "--jobs: must be"),
 }
 
 

@@ -1,16 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, FieldSpec,
-                      LinearMap, StructureTable, Vector,
-                      check_bihom_associative, check_dendriform, check_quadri,
-                      check_tridendriform, embed_dend_in_tridend,
+from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
+                      BiHomTridendriform, FieldSpec, LinearMap, StructureTable,
+                      Vector, check_bihom_associative, check_dendriform,
+                      check_quadri, check_tridendriform, embed_dend_in_tridend,
                       evaluate_two_param_algebra, two_param_algebra,
-                      quadri_projections, rb_derive, tensor_quadri,
+                      quadri_projections, rb_derive, tensor2, tensor_quadri,
                       total_product, tridend_to_dend, yau_twist)
 from bihomalg.errors import InputAxiomsFail, TwistHypothesisViolated
-from conftest import truncated_poly_algebra
+from bihomalg.structures import (DEFAULT_VIOLATION_CAP, CheckReport,
+                                 _commute_check)
+from conftest import counted, truncated_poly_algebra
+from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
 
 Q = FieldSpec.rational()
 
@@ -174,3 +178,162 @@ def test_symbolic_two_param_algebra_passes():
     f = FieldSpec.rational_function("a", "b")
     A = two_param_algebra(f, f.parameter("a"), f.parameter("b"))
     assert check_bihom_associative(A).passed
+
+
+# -- the table-driven checkers find what the hand-written ones found ---------
+#    The four checkers below are the hand-written bodies that the MULTS and
+#    AXIOMS tables replaced, kept verbatim as the reference, with the helper
+#    _mult_check they called.
+
+def _mult_check(rep: CheckReport, tag: str, f: LinearMap, op: StructureTable) -> None:
+    """f(x op y) == f(x) op f(y) as a matrix identity on the tensor square."""
+    m = op.as_matrix()
+    n = op.dim
+    rep._compare(tag, f.compose(m), m.compose(tensor2(f, f)), (n, n))
+
+
+def ref_check_bihom_associative(A: BiHomAssociativeAlgebra,
+                                cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    rep = CheckReport(cap=cap)
+    n = A.dim
+    _commute_check(rep, "alpha_beta_commute", A.alpha, A.beta)
+    _mult_check(rep, "alpha_multiplicative", A.alpha, A.mu)
+    _mult_check(rep, "beta_multiplicative", A.beta, A.mu)
+    m = A.mu.as_matrix()
+    # alpha(x)(yz) == (xy)beta(z)
+    lhs = m.compose(tensor2(A.alpha, m))
+    rhs = m.compose(tensor2(m, A.beta))
+    rep._compare("bihom_associativity", lhs, rhs, (n, n, n))
+    return rep
+
+
+def ref_check_dendriform(D: BiHomDendriform,
+                         cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    rep = CheckReport(cap=cap)
+    n = D.dim
+    _commute_check(rep, "alpha_beta_commute", D.alpha, D.beta)
+    _mult_check(rep, "alpha_mult_prec", D.alpha, D.prec)
+    _mult_check(rep, "alpha_mult_succ", D.alpha, D.succ)
+    _mult_check(rep, "beta_mult_prec", D.beta, D.prec)
+    _mult_check(rep, "beta_mult_succ", D.beta, D.succ)
+    p, s = D.prec.as_matrix(), D.succ.as_matrix()
+    dims = (n, n, n)
+    # (x<y)<b(z) == a(x)<(y<z + y>z)
+    rep._compare("dend_prec", p.compose(tensor2(p, D.beta)),
+                 p.compose(tensor2(D.alpha, p + s)), dims)
+    # (x>y)<b(z) == a(x)>(y<z)
+    rep._compare("dend_mid", p.compose(tensor2(s, D.beta)),
+                 s.compose(tensor2(D.alpha, p)), dims)
+    # a(x)>(y>z) == (x<y + x>y)>b(z)
+    rep._compare("dend_succ", s.compose(tensor2(D.alpha, s)),
+                 s.compose(tensor2(p + s, D.beta)), dims)
+    return rep
+
+
+def ref_check_tridendriform(T: BiHomTridendriform,
+                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    rep = CheckReport(cap=cap)
+    n = T.dim
+    _commute_check(rep, "alpha_beta_commute", T.alpha, T.beta)
+    for tag, op in (("prec", T.prec), ("succ", T.succ), ("dot", T.dot)):
+        _mult_check(rep, f"alpha_mult_{tag}", T.alpha, op)
+        _mult_check(rep, f"beta_mult_{tag}", T.beta, op)
+    p, s, d = T.prec.as_matrix(), T.succ.as_matrix(), T.dot.as_matrix()
+    a, b = T.alpha, T.beta
+    dims = (n, n, n)
+    total = p + s + d
+    rep._compare("tridend_8", p.compose(tensor2(p, b)),
+                 p.compose(tensor2(a, total)), dims)
+    rep._compare("tridend_9", p.compose(tensor2(s, b)),
+                 s.compose(tensor2(a, p)), dims)
+    rep._compare("tridend_10", s.compose(tensor2(a, s)),
+                 s.compose(tensor2(total, b)), dims)
+    rep._compare("tridend_11", d.compose(tensor2(a, s)),
+                 d.compose(tensor2(p, b)), dims)
+    rep._compare("tridend_12", s.compose(tensor2(a, d)),
+                 d.compose(tensor2(s, b)), dims)
+    rep._compare("tridend_13", d.compose(tensor2(a, p)),
+                 p.compose(tensor2(d, b)), dims)
+    rep._compare("tridend_14", d.compose(tensor2(a, d)),
+                 d.compose(tensor2(d, b)), dims)
+    return rep
+
+
+def ref_check_quadri(Q: BiHomQuadri, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    rep = CheckReport(cap=cap)
+    n = Q.dim
+    _commute_check(rep, "alpha_beta_commute", Q.alpha, Q.beta)
+    for tag in Q.OPS:
+        _mult_check(rep, f"alpha_mult_{tag}", Q.alpha, getattr(Q, tag))
+        _mult_check(rep, f"beta_mult_{tag}", Q.beta, getattr(Q, tag))
+    nw, sw = Q.nw.as_matrix(), Q.sw.as_matrix()
+    ne, se = Q.ne.as_matrix(), Q.se.as_matrix()
+    prec, succ = nw + sw, ne + se
+    vee, wedge = se + sw, ne + nw
+    star = nw + sw + ne + se
+    a, b = Q.alpha, Q.beta
+    dims = (n, n, n)
+    rep._compare("quadri_11a", nw.compose(tensor2(nw, b)),
+                 nw.compose(tensor2(a, star)), dims)
+    rep._compare("quadri_11b", nw.compose(tensor2(ne, b)),
+                 ne.compose(tensor2(a, prec)), dims)
+    rep._compare("quadri_12a", ne.compose(tensor2(wedge, b)),
+                 ne.compose(tensor2(a, succ)), dims)
+    rep._compare("quadri_12b", nw.compose(tensor2(sw, b)),
+                 sw.compose(tensor2(a, wedge)), dims)
+    rep._compare("quadri_13a", nw.compose(tensor2(se, b)),
+                 se.compose(tensor2(a, nw)), dims)
+    rep._compare("quadri_13b", ne.compose(tensor2(vee, b)),
+                 se.compose(tensor2(a, ne)), dims)
+    rep._compare("quadri_14a", sw.compose(tensor2(prec, b)),
+                 sw.compose(tensor2(a, vee)), dims)
+    rep._compare("quadri_14b", sw.compose(tensor2(succ, b)),
+                 se.compose(tensor2(a, sw)), dims)
+    rep._compare("quadri_15", se.compose(tensor2(star, b)),
+                 se.compose(tensor2(a, se)), dims)
+    return rep
+
+
+CHECKERS = {
+    BiHomAssociativeAlgebra: (check_bihom_associative, ref_check_bihom_associative),
+    BiHomDendriform: (check_dendriform, ref_check_dendriform),
+    BiHomTridendriform: (check_tridendriform, ref_check_tridendriform),
+    BiHomQuadri: (check_quadri, ref_check_quadri),
+}
+
+
+@st.composite
+def random_structure(draw, kind):
+    """A structure of the given kind with sparse random operations; alpha and
+    beta are the identity or sparse random maps, so some axioms hold and
+    some fail.  Quadri over Q(a, b) stays at dim <= 2 to keep it fast."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    small = kind is BiHomQuadri and field == QAB
+    n = draw(st.integers(1, 2 if small else 3))
+    ident = LinearMap.identity(field, n)
+    alpha, beta = (draw(st.one_of(st.just(ident), sparse_matrix(field, n, n)))
+                   for _ in range(2))
+    ops = [StructureTable.from_matrix(field, draw(sparse_matrix(field, n, n * n)), n, n)
+           for _ in kind.OPS]
+    return kind(field, *ops, alpha, beta)
+
+
+def raw_violations(rep):
+    return [(axiom, idx, [x.value for x in lhs.coords], [x.value for x in rhs.coords])
+            for axiom, idx, lhs, rhs in rep.violations]
+
+
+@pytest.mark.parametrize("kind", list(CHECKERS), ids=lambda k: k.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_checkers_match_hand_written_property(kind, data):
+    S = data.draw(random_structure(kind))
+    cap = data.draw(st.sampled_from((16, 10 ** 6)))
+    check, reference = CHECKERS[kind]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, (got_mul, got_add) = counted(monkeypatch, check, S, cap)
+        want, (want_mul, want_add) = counted(monkeypatch, reference, S, cap)
+    assert raw_violations(got) == raw_violations(want)
+    assert got.cap == want.cap and got.sub_checks == want.sub_checks == {}
+    assert got_mul == want_mul
+    assert got_add <= want_add

@@ -105,24 +105,18 @@ def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """
     if check:
         require(check_bimodule(A, M), "split_null_extension")
-    n, m = A.dim, M.dim
-    d = n + m
-    zero = A.field.zero()
-    constants = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                constants[i][j][k] = A.mu.constants[i][j][k]
-    for i in range(n):          # a . m'
-        for j in range(m):
-            for k in range(m):
-                constants[i][n + j][n + k] = M.left_action.constants[i][j][k]
-    for i in range(m):          # m . a'
-        for j in range(n):
-            for k in range(m):
-                constants[n + i][j][n + k] = M.right_action.constants[i][j][k]
+    n, d, z = A.dim, A.dim + M.dim, A.field.zero()
+    zn, zm = (z,) * n, (z,) * M.dim
+    mu, L, R = A.mu.constants, M.left_action.constants, M.right_action.constants
+
+    def column(i, j):
+        """e_i e_j in A (+) M, where e_i lies in A when i < n."""
+        if i < n:
+            return mu[i][j] + zm if j < n else zn + L[i][j - n]
+        return zn + R[i - n][j] if j < n else zn + zm
+
     table = StructureTable(A.field, tuple(
-        tuple(tuple(col) for col in row) for row in constants))
+        tuple(column(i, j) for j in range(d)) for i in range(d)))
     return BiHomAssociativeAlgebra(A.field, table,
                                    block_diag(A.alpha, M.alpha_M),
                                    block_diag(A.beta, M.beta_M))
@@ -199,13 +193,11 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     Rota-Baxter identity."""
     require(check_bimodule(A, M), "grb_hat")
     n, m = A.dim, M.dim
-    d = n + m
-    zero = A.field.zero()
-    entries = [[zero] * d for _ in range(d)]
-    for i in range(n):
-        for j in range(m):
-            entries[i][n + j] = pi.map.entries[i][j]
-    return RBOperator(LinearMap(A.field, tuple(tuple(r) for r in entries)),
+    if (pi.map.rows, pi.map.cols) != (n, m):
+        raise DimensionMismatch("pi must map M into A")
+    z = A.field.zero()
+    top = tuple((z,) * n + row for row in pi.map.entries)  # (0 | pi)
+    return RBOperator(LinearMap(A.field, top + ((z,) * (n + m),) * m),
                       A.field.zero())
 
 

@@ -143,9 +143,6 @@ def cmd_derive(args) -> int:
         P = _need(_load(args.second), "rota_baxter")
         _emit({"structure": rota_baxter.commuting_pair_quadri(S, R, P)},
               args.output)
-    else:
-        print(f"unknown derivation {via!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -155,18 +152,24 @@ def _need(parts: dict, key: str):
     return parts[key]
 
 
-# `trees enumerate -n` refuses to list more trees than this
+# `trees enumerate -n` refuses to list more trees than this, and
+# `trees reduce` a truncation window with more basis terms
 TREES_LIMIT = 10 ** 6
+
+
+def _tree_counts(n: int):
+    """Catalan(k - 1), the number of trees with k leaves, for k = 1, .., n."""
+    count = 1
+    for k in range(1, n + 1):
+        yield count
+        count = count * (4 * k - 2) // (k + 1)
 
 
 def cmd_trees(args) -> int:
     if args.tree_cmd == "enumerate":
         n = _positive_int(args.n, "-n")
-        count = 1
-        for k in range(1, n):  # count becomes Catalan(n - 1), the number of trees
-            count = count * (4 * k - 2) // (k + 1)
-            if count > TREES_LIMIT:
-                _fail("-n", f"more than {TREES_LIMIT} trees have {n} leaves")
+        if any(count > TREES_LIMIT for count in _tree_counts(n)):
+            _fail("-n", f"more than {TREES_LIMIT} trees have {n} leaves")
         for t in trees.enumerate_trees(n):
             print(trees.serialize_tree(t))
         return 0
@@ -181,20 +184,32 @@ def cmd_trees(args) -> int:
         result = trees.action_eval(t, elements, A, R)
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0
-    if args.tree_cmd == "reduce":
-        doc, x = _load_element(args.element_file)
-        bounds = {"max_leaves": args.max_leaves, "max_ab_power": args.max_ab,
-                  "max_r_power": args.max_r}
-        reduced = trees.truncated_ideal_reduce(x, bounds)
-        out = [{"tree": trees.serialize_tree(tree), "word": list(word),
-                "coeff": scalar_to_str(c)}
-               for tree, word, c in
-               (reduced.terms[k] for k in sorted(reduced.terms))]
-        print(json.dumps({"field": doc["field"], "rank": doc["rank"],
-                          "terms": out}, indent=2))
-        return 0
-    print(f"unknown trees subcommand {args.tree_cmd!r}", file=sys.stderr)
-    return 2
+    # the required subparsers leave only "reduce"
+    leaves = _positive_int(args.max_leaves, "--max-leaves")
+    for flag, power in (("--max-ab", args.max_ab), ("--max-r", args.max_r)):
+        if power < 0:
+            _fail(flag, "must be a non-negative integer")
+    doc, x = _load_element(args.element_file)
+    # The window's basis: with n leaves, Catalan(n - 1) shapes, an (alpha,
+    # beta) power pair per leaf, an R power per vertex, a generator per leaf.
+    # The reducer walks the shapes and powers even at rank 0.
+    size = 0
+    for n, shapes in enumerate(_tree_counts(leaves), 1):
+        size += (shapes * (args.max_ab + 1) ** (2 * n)
+                 * (args.max_r + 1) ** (2 * n - 1) * max(x.rank, 1) ** n)
+        if size > TREES_LIMIT:
+            _fail("--max-leaves",
+                  f"the window spans more than {TREES_LIMIT} basis terms")
+    bounds = {"max_leaves": leaves, "max_ab_power": args.max_ab,
+              "max_r_power": args.max_r}
+    reduced = trees.truncated_ideal_reduce(x, bounds)
+    out = [{"tree": trees.serialize_tree(tree), "word": list(word),
+            "coeff": scalar_to_str(c)}
+           for tree, word, c in
+           (reduced.terms[k] for k in sorted(reduced.terms))]
+    print(json.dumps({"field": doc["field"], "rank": doc["rank"],
+                      "terms": out}, indent=2))
+    return 0
 
 
 def _tree_arg(text: str, path: str):

@@ -20,6 +20,9 @@ order, skipping a term whose coefficient c is zero but not the zero
 coordinates of its v.  The products with those zeros stay because they
 reach the printed forms: over Q(params), `zero + c*0 + ...` keeps the
 denominators of c, e.g. `(a*a*a)/(a)` where a zero-skip would give `a*a`.
+
+`StructureTable.as_matrix` and `from_matrix` are transposes: column
+i*dim_right + j of the matrix is the table's column c[i][j].
 """
 
 from __future__ import annotations
@@ -216,16 +219,9 @@ def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
 
 
 def block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
-    zero = f.field.zero()
-    rows, cols = f.rows + g.rows, f.cols + g.cols
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(f.rows):
-        for j in range(f.cols):
-            out[i][j] = f.entries[i][j]
-    for i in range(g.rows):
-        for j in range(g.cols):
-            out[f.rows + i][f.cols + j] = g.entries[i][j]
-    return LinearMap(f.field, tuple(tuple(row) for row in out))
+    z = f.field.zero()
+    return LinearMap(f.field, tuple(row + (z,) * g.cols for row in f.entries)
+                     + tuple((z,) * f.cols + row for row in g.entries))
 
 
 @dataclass(frozen=True)
@@ -261,10 +257,8 @@ class StructureTable:
              dim_out: int | None = None) -> "StructureTable":
         dim_right = dim_left if dim_right is None else dim_right
         dim_out = dim_left if dim_out is None else dim_out
-        z = field.zero()
-        return StructureTable(field, tuple(
-            tuple(tuple(z for _ in range(dim_out)) for _ in range(dim_right))
-            for _ in range(dim_left)))
+        return StructureTable(
+            field, (((field.zero(),) * dim_out,) * dim_right,) * dim_left)
 
     def apply_basis(self, i: int, j: int) -> Vector:
         return Vector(self.field, self.constants[i][j])
@@ -308,13 +302,7 @@ class StructureTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTable):
             return NotImplemented
-        if (self.dim_left, self.dim_right, self.dim_out) != \
-                (other.dim_left, other.dim_right, other.dim_out):
-            return False
-        return all(a == b
-                   for r1, r2 in zip(self.constants, other.constants)
-                   for k1, k2 in zip(r1, r2)
-                   for a, b in zip(k1, k2))
+        return self.constants == other.constants
 
     def __hash__(self):
         raise TypeError("StructureTable is unhashable")
@@ -353,27 +341,16 @@ class StructureTable:
 
     def as_matrix(self) -> LinearMap:
         """The operation as a map X (x) Y -> Z in the lexicographic basis."""
-        zero = self.field.zero()
-        cols = self.dim_left * self.dim_right
-        rows = [[zero] * cols for _ in range(self.dim_out)]
-        for i in range(self.dim_left):
-            for j in range(self.dim_right):
-                for k in range(self.dim_out):
-                    rows[k][i * self.dim_right + j] = self.constants[i][j][k]
-        return LinearMap(self.field, tuple(tuple(r) for r in rows))
+        return LinearMap(self.field, tuple(
+            zip(*(col for row in self.constants for col in row))))
 
     @staticmethod
     def from_matrix(field: FieldSpec, m: LinearMap, dim_left: int,
                     dim_right: int) -> "StructureTable":
         _check(m.cols == dim_left * dim_right, "matrix shape does not factor")
-        out = []
-        for i in range(dim_left):
-            row = []
-            for j in range(dim_right):
-                row.append(tuple(m.entries[k][i * dim_right + j]
-                                 for k in range(m.rows)))
-            out.append(tuple(row))
-        return StructureTable(field, tuple(out))
+        cols = tuple(zip(*m.entries))
+        return StructureTable(field, tuple(
+            cols[i * dim_right:(i + 1) * dim_right] for i in range(dim_left)))
 
 
 def apply_bilinear(op: StructureTable, u: Vector, v: Vector) -> Vector:

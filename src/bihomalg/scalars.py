@@ -132,7 +132,7 @@ class FieldSpec:
                 raise ValueError("parameter names must be distinct")
             for name in self.params:
                 if not name.isidentifier():
-                    raise ValueError(f"bad parameter name {name!r}")
+                    raise ValueError(f"bad parameter name {_clip(repr(name))}")
         elif self.kind != RATIONAL:
             raise ValueError(f"unknown field kind {self.kind!r}")
 

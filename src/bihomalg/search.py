@@ -19,7 +19,7 @@ from .errors import BudgetExceeded
 from .linalg import LinearMap
 from .rota_baxter import (OneSidedBaxter, RBOperator, check_one_sided_baxter,
                           check_rota_baxter)
-from .scalars import PRIME, FieldSpec, Scalar
+from .scalars import PRIME, FieldSpec, Scalar, _clip
 from .structures import BiHomAssociativeAlgebra
 
 BUDGET_ENV_VAR = "BIHOMALG_SEARCH_BUDGET"
@@ -39,8 +39,19 @@ class SearchResult:
 
 
 def search_budget() -> int:
+    """BIHOMALG_SEARCH_BUDGET, which must be a positive integer, or
+    DEFAULT_BUDGET when it is unset or empty."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # refused below, like any other value under 1
+    if budget < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, "
+                         f"got {_clip(repr(raw))}")
+    return budget
 
 
 def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:

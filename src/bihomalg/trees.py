@@ -16,7 +16,7 @@ from itertools import product
 
 from .errors import (BoundsExceeded, Indecomposable, InvalidArity,
                      WrongAugmentation)
-from .linalg import Vector, apply_bilinear
+from .linalg import Vector
 from .scalars import FieldSpec, Scalar
 
 
@@ -418,7 +418,7 @@ def _act(node, powers, vps, elements, A, rmap, i, v):
         return x, i + 1, v + 1
     lx, i, v2 = _act(node.left, powers, vps, elements, A, rmap, i, v + 1)
     rx, i, v3 = _act(node.right, powers, vps, elements, A, rmap, i, v2)
-    x = apply_bilinear(A.mu, lx, rx)
+    x = A.mu.apply(lx, rx)
     if f:
         x = rmap.power(f).apply(x)
     return x, i, v3

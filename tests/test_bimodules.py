@@ -131,6 +131,14 @@ def test_grb_hat_equivalence(qx3, qx3_rb):
     assert hat.map.compose(hat.map).is_zero()  # hat has square zero
 
 
+def test_grb_hat_rejects_a_misshapen_pi(qx3):
+    # pi maps the 2-dimensional module into A, so it must be 3 x 2
+    ident = LinearMap.identity(Q, 2)
+    M = BiHomBimodule.zero_actions(qx3, ident, ident)
+    with pytest.raises(DimensionMismatch, match="pi must map M into A"):
+        grb_hat(qx3, M, GRBOperator(LinearMap.identity(Q, 3)))
+
+
 def test_grb_to_dendriform(qx3, qx3_rb):
     M = BiHomBimodule.regular(qx3)
     pi = GRBOperator(qx3_rb.map)

@@ -3,10 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (FieldSpec, LinearMap, StructureTable, Vector,
-                      apply_bilinear, block_diag, maps_commute, tensor2,
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
+                      GRBOperator, LinearMap, RBOperator, StructureTable,
+                      Vector, apply_bilinear, block_diag, check_bimodule,
+                      grb_hat, maps_commute, split_null_extension, tensor2,
                       tensor3)
-from bihomalg.errors import DimensionMismatch
+from bihomalg.errors import BiHomAlgError, DimensionMismatch
+from bihomalg.linalg import _check
+from bihomalg.structures import require
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -318,3 +322,235 @@ def test_compose_matches_dense_loop_at_quadri_dim9_shape(monkeypatch):
         sparse(9, 9, 0.3), sparse(9, 9, 0.3), LinearMap.identity(Q, 9))
     assert_same_scalar_ops(monkeypatch, LinearMap.compose, dense_compose,
                            outer, cube_map)
+
+
+# -- the placements of scalars give what the index loops gave ----------------
+#    The seven bodies below are the zero-grid index loops that transposes and
+#    concatenations replaced, kept verbatim as the reference.
+
+def ref_as_matrix(self) -> LinearMap:
+    """The operation as a map X (x) Y -> Z in the lexicographic basis."""
+    zero = self.field.zero()
+    cols = self.dim_left * self.dim_right
+    rows = [[zero] * cols for _ in range(self.dim_out)]
+    for i in range(self.dim_left):
+        for j in range(self.dim_right):
+            for k in range(self.dim_out):
+                rows[k][i * self.dim_right + j] = self.constants[i][j][k]
+    return LinearMap(self.field, tuple(tuple(r) for r in rows))
+
+
+def ref_from_matrix(field: FieldSpec, m: LinearMap, dim_left: int,
+                    dim_right: int) -> "StructureTable":
+    _check(m.cols == dim_left * dim_right, "matrix shape does not factor")
+    out = []
+    for i in range(dim_left):
+        row = []
+        for j in range(dim_right):
+            row.append(tuple(m.entries[k][i * dim_right + j]
+                             for k in range(m.rows)))
+        out.append(tuple(row))
+    return StructureTable(field, tuple(out))
+
+
+def ref_zero(field: FieldSpec, dim_left: int, dim_right: int | None = None,
+             dim_out: int | None = None) -> "StructureTable":
+    dim_right = dim_left if dim_right is None else dim_right
+    dim_out = dim_left if dim_out is None else dim_out
+    z = field.zero()
+    return StructureTable(field, tuple(
+        tuple(tuple(z for _ in range(dim_out)) for _ in range(dim_right))
+        for _ in range(dim_left)))
+
+
+def ref_eq(self, other) -> bool:
+    if not isinstance(other, StructureTable):
+        return NotImplemented
+    if (self.dim_left, self.dim_right, self.dim_out) != \
+            (other.dim_left, other.dim_right, other.dim_out):
+        return False
+    return all(a == b
+               for r1, r2 in zip(self.constants, other.constants)
+               for k1, k2 in zip(r1, r2)
+               for a, b in zip(k1, k2))
+
+
+def ref_block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
+    zero = f.field.zero()
+    rows, cols = f.rows + g.rows, f.cols + g.cols
+    out = [[zero] * cols for _ in range(rows)]
+    for i in range(f.rows):
+        for j in range(f.cols):
+            out[i][j] = f.entries[i][j]
+    for i in range(g.rows):
+        for j in range(g.cols):
+            out[f.rows + i][f.cols + j] = g.entries[i][j]
+    return LinearMap(f.field, tuple(tuple(row) for row in out))
+
+
+def ref_split_null_extension(A, M, check=True):
+    if check:
+        require(check_bimodule(A, M), "split_null_extension")
+    n, m = A.dim, M.dim
+    d = n + m
+    zero = A.field.zero()
+    constants = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                constants[i][j][k] = A.mu.constants[i][j][k]
+    for i in range(n):          # a . m'
+        for j in range(m):
+            for k in range(m):
+                constants[i][n + j][n + k] = M.left_action.constants[i][j][k]
+    for i in range(m):          # m . a'
+        for j in range(n):
+            for k in range(m):
+                constants[n + i][j][n + k] = M.right_action.constants[i][j][k]
+    table = StructureTable(A.field, tuple(
+        tuple(tuple(col) for col in row) for row in constants))
+    return BiHomAssociativeAlgebra(A.field, table,
+                                   block_diag(A.alpha, M.alpha_M),
+                                   block_diag(A.beta, M.beta_M))
+
+
+def ref_grb_hat(A, M, pi):
+    require(check_bimodule(A, M), "grb_hat")
+    n, m = A.dim, M.dim
+    d = n + m
+    zero = A.field.zero()
+    entries = [[zero] * d for _ in range(d)]
+    for i in range(n):
+        for j in range(m):
+            entries[i][n + j] = pi.map.entries[i][j]
+    return RBOperator(LinearMap(A.field, tuple(tuple(r) for r in entries)),
+                      A.field.zero())
+
+
+@st.composite
+def sparse_nested(draw, field, shape):
+    """A nested tuple of the given shape, mostly of zeros."""
+    zeros, nonzero = entry_pool(field)
+    entry = st.one_of(st.sampled_from(zeros), st.sampled_from(zeros),
+                      st.sampled_from(nonzero))
+    if not shape:
+        return draw(entry)
+    return tuple(draw(sparse_nested(field, shape[1:])) for _ in range(shape[0]))
+
+
+def table_of(draw, field, shape):
+    return StructureTable(field, draw(sparse_nested(field, shape)))
+
+
+def map_of(draw, field, rows, cols):
+    return LinearMap(field, draw(sparse_nested(field, (rows, cols))))
+
+
+def equal_copy(t):
+    """t with every entry replaced by an equal scalar that is another object."""
+    return StructureTable(t.field, tuple(
+        tuple(tuple(x + t.field.zero() for x in col) for col in row)
+        for row in t.constants))
+
+
+def random_bimodule(draw, field):
+    """An algebra of dim 1-3 and a module of dim 1-3 over it, all random, so
+    the module axioms mostly fail, or zero actions with alpha_M = beta_M,
+    where they all hold."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = BiHomAssociativeAlgebra(field, table_of(draw, field, (n, n, n)),
+                                map_of(draw, field, n, n), map_of(draw, field, n, n))
+    alpha_M = map_of(draw, field, m, m)
+    if draw(st.booleans()):
+        return A, BiHomBimodule.zero_actions(A, alpha_M, alpha_M)
+    return A, BiHomBimodule(A, alpha_M, map_of(draw, field, m, m),
+                            table_of(draw, field, (n, m, m)),
+                            table_of(draw, field, (m, n, m)))
+
+
+@st.composite
+def placement_operands(draw, name):
+    """Arguments for one PLACEMENTS entry; dims 0-3 where a zero dimension
+    is possible, with square and rectangular shapes."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    dim = st.integers(0, 3)
+    if name == "as_matrix":
+        return (table_of(draw, field, [draw(dim) for _ in range(3)]),)
+    if name == "from_matrix":
+        rows, left, right = draw(dim), draw(dim), draw(dim)
+        # a matrix with no rows has no columns: then any left * right > 0
+        # is refused by both
+        return field, map_of(draw, field, rows, left * right), left, right
+    if name == "zero":
+        return (field, draw(dim), draw(st.one_of(st.none(), dim)),
+                draw(st.one_of(st.none(), dim)))
+    if name == "__eq__":
+        t = table_of(draw, field, [draw(dim) for _ in range(3)])
+        kind = draw(st.sampled_from(["equal", "drawn", "shape"]))
+        if kind == "equal":
+            return t, equal_copy(t)
+        shape = ((t.dim_left, t.dim_right, t.dim_out) if kind == "drawn"
+                 else [draw(dim) for _ in range(3)])
+        return t, table_of(draw, field, shape)
+    if name == "block_diag":
+        return tuple(map_of(draw, field, draw(dim), draw(dim)) for _ in range(2))
+    A, M = random_bimodule(draw, field)
+    if name == "split_null_extension":
+        return A, M, draw(st.booleans())
+    return A, M, GRBOperator(map_of(draw, field, A.dim, M.dim))
+
+
+PLACEMENTS = {
+    "as_matrix": (StructureTable.as_matrix, ref_as_matrix),
+    "from_matrix": (StructureTable.from_matrix, ref_from_matrix),
+    "zero": (StructureTable.zero, ref_zero),
+    "__eq__": (StructureTable.__eq__, ref_eq),
+    "block_diag": (block_diag, ref_block_diag),
+    "split_null_extension": (split_null_extension, ref_split_null_extension),
+    "grb_hat": (grb_hat, ref_grb_hat),
+}
+
+
+def raw_nested(x):
+    """Shape and raw entry values of a placement's result, nested as stored;
+    an exception counts as its type."""
+    if isinstance(x, BaseException):
+        return type(x)
+    if isinstance(x, StructureTable):
+        return [[[c.value for c in col] for col in row] for row in x.constants]
+    if isinstance(x, LinearMap):
+        return [[c.value for c in row] for row in x.entries]
+    if isinstance(x, BiHomAssociativeAlgebra):
+        return raw_nested(x.mu), raw_nested(x.alpha), raw_nested(x.beta)
+    if isinstance(x, RBOperator):
+        return raw_nested(x.map), x.weight.value
+    return x
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BiHomAlgError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", list(PLACEMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_placements_match_index_loops_property(name, data):
+    args = data.draw(placement_operands(name))
+    fn, reference = PLACEMENTS[name]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, outcome, fn, *args)
+        want, want_ops = counted(monkeypatch, outcome, reference, *args)
+        # grb_hat and a checked split_null_extension first run check_bimodule
+        checks = (counted(monkeypatch, check_bimodule, *args[:2])[1]
+                  if name == "grb_hat" or name == "split_null_extension" and args[2]
+                  else (0, 0))
+    assert raw_nested(got) == raw_nested(want)
+    assert got_ops == want_ops
+    if name != "__eq__":
+        assert got_ops == checks
+    if name == "as_matrix":
+        # one row per output coordinate, also for a table without columns
+        assert got.rows == args[0].dim_out

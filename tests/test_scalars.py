@@ -298,3 +298,9 @@ def test_parse_scalar_clips_the_echoed_literal(field, text, message):
     with pytest.raises(ValueError, match=message) as info:
         parse_scalar(field, text)
     assert len(str(info.value)) < 200
+
+
+def test_rational_function_field_clips_a_bad_parameter_name():
+    with pytest.raises(ValueError, match="bad parameter name") as info:
+        FieldSpec.rational_function("a b" * 3000)
+    assert len(str(info.value)) < 200

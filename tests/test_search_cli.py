@@ -3,10 +3,15 @@ from concurrent.futures import Future
 
 import pytest
 
-from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, OneSidedBaxter,
-                      RBOperator, StructureTable, check_one_sided_baxter,
-                      check_rota_baxter, enumerate_rb, enumerate_baxter,
-                      index_to_matrix, parse_spec, search, serialize)
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
+                      GRBOperator, LinearMap, OneSidedBaxter, RBOperator,
+                      StructureTable, WeakPseudotwistor, check_one_sided_baxter,
+                      check_rota_baxter, commuting_pair_quadri, enumerate_rb,
+                      enumerate_baxter, grb_to_dendriform, index_to_matrix,
+                      parse_spec, quadri_projections, rb_dendriform_to_quadri,
+                      rb_derive, rb_double_product, search, serialize,
+                      split_null_extension, tensor2, tensor_quadri,
+                      tridend_to_dend)
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded
 from bihomalg.families import two_param_algebra
@@ -143,12 +148,35 @@ def write_spec(tmp_path, name, A, extra=None):
     return str(path)
 
 
+def every_block(A, R):
+    """Spec parts with every optional block, built from A and a map R on it
+    (the blocks need not satisfy any axiom to round-trip)."""
+    return {"structure": A, "rota_baxter": R,
+            "baxter": OneSidedBaxter(R.map, "left"),
+            "bimodule": BiHomBimodule.regular(A), "grb": GRBOperator(R.map),
+            "twistor": WeakPseudotwistor(
+                tensor2(R.map, R.map), LinearMap.identity(A.field, A.dim ** 3),
+                A.alpha, A.beta)}
+
+
 def test_spec_round_trip(qx3, qx3_rb):
     text = spec_text(qx3, {"rota_baxter": qx3_rb})
     parts = parse_spec(text)
     assert parts["structure"] == qx3
     assert parts["rota_baxter"] == qx3_rb
     assert parse_spec(serialize(parts))["structure"] == qx3
+    # every optional block, over Q and over Q(a, b)
+    qab = FieldSpec.rational_function("a", "b")
+    a, b = qab.parameter("a"), qab.parameter("b")
+    R_ab = RBOperator(LinearMap(qab, ((a, qab.parse("1/(a - b)")),
+                                      (qab.zero(), b * b))), a)
+    for parts in (every_block(qx3, qx3_rb),
+                  every_block(two_param_algebra(qab, a, b), R_ab)):
+        text = serialize(parts)
+        back = parse_spec(text)
+        assert back.keys() == parts.keys()
+        assert all(back[key] == parts[key] for key in parts)
+        assert serialize(back) == text
 
 
 def test_spec_rejects_floats_and_bad_kind():
@@ -230,6 +258,48 @@ def test_cli_derive_rb_twistor_and_compose(tmp_path, capsys, qx3, qx3_rb):
                  "--mode", "commuting"]) == 0
 
 
+@pytest.mark.parametrize("via", ["rb-double", "tensor-quadri", "quadri-h",
+                                 "quadri-v", "split-null", "grb-dend",
+                                 "pair-quadri"])
+def test_cli_derive_emits_the_library_construction(via, tmp_path, capsys, qx2,
+                                                   qx2_rb, qx3, qx3_rb):
+    M, pi = BiHomBimodule.regular(qx3), GRBOperator(qx3_rb.map)
+    P = RBOperator(qx3_rb.map.compose(qx3_rb.map), Q.zero())
+    D = tridend_to_dend(rb_derive(qx2, qx2_rb))
+    Qd = rb_dendriform_to_quadri(D, qx2_rb)
+    full = {"structure": qx3, "rota_baxter": qx3_rb, "bimodule": M, "grb": pi}
+    first, second, build = {
+        "rb-double": (full, None, lambda: rb_double_product(qx3, qx3_rb)),
+        "tensor-quadri": ({"structure": D}, {"structure": D},
+                          lambda: tensor_quadri(D, D)),
+        "quadri-h": ({"structure": Qd}, None, lambda: quadri_projections(Qd)[0]),
+        "quadri-v": ({"structure": Qd}, None, lambda: quadri_projections(Qd)[1]),
+        "split-null": (full, None, lambda: split_null_extension(qx3, M)),
+        "grb-dend": (full, None, lambda: grb_to_dendriform(M, pi)),
+        "pair-quadri": (full, {"structure": qx3, "rota_baxter": P},
+                        lambda: commuting_pair_quadri(qx3, qx3_rb, P)),
+    }[via]
+    argv = ["derive", write_spec(tmp_path, "a.json", first["structure"], first),
+            "--via", via]
+    if second:
+        argv.insert(2, write_spec(tmp_path, "b.json", second["structure"], second))
+    assert main(argv) == 0
+    assert parse_spec(capsys.readouterr().out)["structure"] == build()
+
+
+@pytest.mark.parametrize("via, extra, message", [
+    ("tensor-quadri", [], "--via tensor-quadri needs a second spec file"),
+    ("compose-twistor", [], "--via compose-twistor needs a second spec file"),
+    ("pair-quadri", [], "--via pair-quadri needs a second spec file"),
+    ("yau", ["--atilde", '[["1", "0"], ["0", "1"]]'],
+     "--via yau needs --atilde and --btilde"),
+])
+def test_cli_derive_usage_exits_2(via, extra, message, tmp_path, capsys, qx2):
+    argv = ["derive", write_spec(tmp_path, "a.json", qx2), "--via", via, *extra]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_trees_enumerate(capsys):
     assert main(["trees", "enumerate", "-n", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -276,6 +346,20 @@ def test_cli_search_budget(tmp_path, capsys, monkeypatch):
     assert main(["search", "rb", src]) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0",
+                                   pytest.param("x" * 5000, id="long")])
+def test_search_budget_must_be_a_positive_integer(value, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(ValueError, match=BUDGET_ENV_VAR) as info:
+        search.search_budget()
+    assert len(str(info.value)) < 200
+    src = write_spec(tmp_path, "a.json", idempotent_line(3))
+    assert main(["search", "rb", src]) == 2
+    err = capsys.readouterr().err
+    assert BUDGET_ENV_VAR in err and len(err) < 200
+
+
 def test_cli_verify_family(capsys):
     assert main(["verify-family", "w1f3"]) == 0
     assert main(["verify-family", "w0f1", "--mode", "sampled",
@@ -298,6 +382,18 @@ MALFORMED_FIELD_P = {
     "field-p-not-prime": (4, "field.p: 4 is not prime"),
     "field-p-out-of-range": (2 ** 89 - 1, "field.p: 618970019642690137449562111 "
                                           "is out of range"),
+}
+
+# `trees reduce` bounds (--max-leaves, --max-ab, --max-r), the element's
+# rank and the refusal; (6, 1, 1) spans 359,829,640 basis terms at rank 1,
+# and at rank 0 the reducer would still walk the 178,405,157 tree shapes of
+# (20, 0, 0) with up to 18 leaves
+MALFORMED_WINDOWS = {
+    "trees-reduce-max-leaves-0": ((0, 1, 1), 1, "--max-leaves: must be"),
+    "trees-reduce-max-ab-negative": ((3, -1, 1), 1, "--max-ab: must be"),
+    "trees-reduce-max-r-negative": ((3, 1, -1), 1, "--max-r: must be"),
+    "trees-reduce-window-6-1-1": ((6, 1, 1), 1, "--max-leaves: the window"),
+    "trees-reduce-window-rank-0": ((20, 0, 0), 0, "--max-leaves: the window"),
 }
 
 # argv (SPEC stands for a written qx2 spec file) and the name the error gives
@@ -331,9 +427,18 @@ MALFORMED_ARGS = {
     "field-params-string", "trees-reduce-without-field", "trees-enumerate-n-0",
     "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
     "samples-not-objects", "samples-unknown-key", *MALFORMED_FIELD_P,
-    *MALFORMED_ARGS, "trees-reduce-tree-without-powers", "spec-nested"])
+    *MALFORMED_ARGS, "trees-reduce-tree-without-powers", "spec-nested",
+    "field-params-long-name", *MALFORMED_WINDOWS])
 def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
-    if case in MALFORMED_ARGS:
+    if case in MALFORMED_WINDOWS:
+        bounds, rank, expected = MALFORMED_WINDOWS[case]
+        element = tmp_path / "elt.json"
+        element.write_text(json.dumps(
+            {"field": {"kind": "rational"}, "rank": rank, "terms": []}))
+        argv = ["trees", "reduce", str(element)]
+        for flag, bound in zip(("--max-leaves", "--max-ab", "--max-r"), bounds):
+            argv += [flag, str(bound)]
+    elif case in MALFORMED_ARGS:
         argv, expected = MALFORMED_ARGS[case]
         argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a
                 for a in argv]
@@ -365,13 +470,19 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
         argv, expected = ["check", str(spec)], f"{key}: must be"
-    elif case == "field-params-string":
-        # a string must not be read letter by letter as the field Q(a, b)
+    elif case.startswith("field-params-"):
+        # a string must not be read letter by letter as the field Q(a, b),
+        # and a bad name is echoed only in part
+        params, expected = {
+            "field-params-string": ("ab", "field.params: must be"),
+            "field-params-long-name": (["a b" * 3000],
+                                       "field.params: bad parameter name"),
+        }[case]
         doc = json.loads(spec_text(qx2))
-        doc["field"] = {"kind": "rational_function", "params": "ab"}
+        doc["field"] = {"kind": "rational_function", "params": params}
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
-        argv, expected = ["check", str(spec)], "field.params: must be"
+        argv = ["check", str(spec)]
     elif case.startswith("trees-enumerate-n-"):
         n = "0" if case.endswith("0") else "-2"
         argv, expected = ["trees", "enumerate", "-n", n], "-n: must be"

@@ -10,13 +10,14 @@ left_action is A (x) M -> M and right_action is M (x) A -> M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DimensionMismatch, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
-                         DEFAULT_VIOLATION_CAP, _commute_check, require,
-                         yau_twist)
+                         DEFAULT_VIOLATION_CAP, _check_axioms, _commutes,
+                         _compatible, require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -63,36 +64,36 @@ class GRBOperator:
     map: LinearMap
 
 
+BIMODULE_AXIOMS = (
+    _commutes("alphaM_betaM_commute", "alpha_M", "beta_M"),
+    _compatible("alphaM_left_compat", "alpha_M", "L", "alpha", "alpha_M"),
+    _compatible("betaM_left_compat", "beta_M", "L", "beta", "beta_M"),
+    _compatible("alphaM_right_compat", "alpha_M", "R", "alpha_M", "alpha"),
+    _compatible("betaM_right_compat", "beta_M", "R", "beta_M", "beta"),
+    # alpha_A(a) . (a' . m) == (a a') . beta_M(m)
+    ("left_module", ("L", ("alpha", "L")), ("L", ("mu", "beta_M"))),
+    # alpha_M(m) . (a a') == (m . a) . beta_A(a')
+    ("right_module", ("R", ("alpha_M", "mu")), ("R", ("R", "beta"))),
+    # alpha_A(a) . (m . a') == (a . m) . beta_A(a')
+    ("bimodule_middle", ("L", ("alpha", "R")), ("R", ("L", "beta"))),
+)
+
+
+def _bimodule_mats(A: BiHomAssociativeAlgebra, M: BiHomBimodule) -> dict:
+    n, m = A.dim, M.dim
+    return {"alpha": (A.alpha, (n,)), "beta": (A.beta, (n,)),
+            "mu": (A.mu.as_matrix(), (n, n)),
+            "alpha_M": (M.alpha_M, (m,)), "beta_M": (M.beta_M, (m,)),
+            "L": (M.left_action.as_matrix(), (n, m)),
+            "R": (M.right_action.as_matrix(), (m, n))}
+
+
 def check_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
                    cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """All module axioms: commuting structure maps on M, the four alpha/beta
     compatibilities with the actions, the left and right module identities,
-    and the middle bimodule identity."""
-    rep = CheckReport(cap=cap)
-    n, m = A.dim, M.dim
-    L = M.left_action.as_matrix()    # m x (n*m)
-    R = M.right_action.as_matrix()   # m x (m*n)
-    mu = A.mu.as_matrix()
-    aA, bA, aM, bM = A.alpha, A.beta, M.alpha_M, M.beta_M
-    rep._compare("alphaM_betaM_commute", aM.compose(bM), bM.compose(aM), (m,))
-    rep._compare("alphaM_left_compat", aM.compose(L),
-                 L.compose(tensor2(aA, aM)), (n, m))
-    rep._compare("betaM_left_compat", bM.compose(L),
-                 L.compose(tensor2(bA, bM)), (n, m))
-    rep._compare("alphaM_right_compat", aM.compose(R),
-                 R.compose(tensor2(aM, aA)), (m, n))
-    rep._compare("betaM_right_compat", bM.compose(R),
-                 R.compose(tensor2(bM, bA)), (m, n))
-    # alpha_A(a) . (a' . m) == (a a') . beta_M(m)
-    rep._compare("left_module", L.compose(tensor2(aA, L)),
-                 L.compose(tensor2(mu, bM)), (n, n, m))
-    # alpha_M(m) . (a a') == (m . a) . beta_A(a')
-    rep._compare("right_module", R.compose(tensor2(aM, mu)),
-                 R.compose(tensor2(R, bA)), (m, n, n))
-    # alpha_A(a) . (m . a') == (a . m) . beta_A(a')
-    rep._compare("bimodule_middle", L.compose(tensor2(aA, R)),
-                 R.compose(tensor2(L, bA)), (n, m, n))
-    return rep
+    and the middle bimodule identity (the rows of BIMODULE_AXIOMS)."""
+    return _check_axioms(_bimodule_mats(A, M), BIMODULE_AXIOMS, CheckReport(cap=cap))
 
 
 def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
@@ -131,22 +132,16 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     The twist maps must be action-compatible endomorphisms that commute with
     each other and with the existing structure maps.
     """
-    L, R = M.left_action, M.right_action
-    probe = CheckReport(cap=1)
-    lm, rm = L.as_matrix(), R.as_matrix()
+    mats = _bimodule_mats(A, M)
     n, m = A.dim, M.dim
-    for tag, f_A, f_M in (("atilde", atilde_A, atilde_M),
-                          ("btilde", btilde_A, btilde_M)):
-        probe._compare(f"{tag}_left_compat", f_M.compose(lm),
-                       lm.compose(tensor2(f_A, f_M)), (n, m))
-        probe._compare(f"{tag}_right_compat", f_M.compose(rm),
-                       rm.compose(tensor2(f_M, f_A)), (m, n))
-    for tag, f, g in (("atildeM_btildeM", atilde_M, btilde_M),
-                      ("atildeM_alphaM", atilde_M, M.alpha_M),
-                      ("atildeM_betaM", atilde_M, M.beta_M),
-                      ("btildeM_alphaM", btilde_M, M.alpha_M),
-                      ("btildeM_betaM", btilde_M, M.beta_M)):
-        _commute_check(probe, tag, f, g)
+    mats.update(atilde_A=(atilde_A, (n,)), btilde_A=(btilde_A, (n,)),
+                atilde_M=(atilde_M, (m,)), btilde_M=(btilde_M, (m,)))
+    rows = [row for f in ("atilde", "btilde") for row in (
+        _compatible(f"{f}_left_compat", f"{f}_M", "L", f"{f}_A", f"{f}_M"),
+        _compatible(f"{f}_right_compat", f"{f}_M", "R", f"{f}_M", f"{f}_A"))]
+    rows += [_commutes(f"{f}M_{g}M", f"{f}_M", f"{g}_M") for f, g in
+             (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))]
+    probe = _check_axioms(mats, rows, CheckReport(cap=1))
     if not probe.passed:
         raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
     twisted_A = yau_twist(A, atilde_A, btilde_A)  # validates the algebra side
@@ -154,8 +149,8 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
         twisted_A,
         atilde_M.compose(M.alpha_M),
         btilde_M.compose(M.beta_M),
-        L.twist(atilde_A, btilde_M),
-        R.twist(atilde_M, btilde_A))
+        M.left_action.twist(atilde_A, btilde_M),
+        M.right_action.twist(atilde_M, btilde_A))
 
 
 def _grb_products(M: BiHomBimodule, pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
@@ -175,14 +170,14 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     n, m = A.dim, M.dim
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
-    rep = CheckReport(cap=cap)
-    lhs = A.mu.as_matrix().compose(tensor2(pi.map, pi.map))
     succ, prec = _grb_products(M, pi)
-    rep._compare("grb", lhs, pi.map.compose(succ + prec), (m, m))
-    rep.sub_checks["commutes_alpha"] = \
-        A.alpha.compose(pi.map) == pi.map.compose(M.alpha_M)
-    rep.sub_checks["commutes_beta"] = \
-        A.beta.compose(pi.map) == pi.map.compose(M.beta_M)
+    mats = _bimodule_mats(A, M)
+    mats.update(pi=(pi.map, (m,)), star=(succ + prec, (m, m)))
+    rep = _check_axioms(mats, [("grb", ("mu", ("pi", "pi")), ("pi", "star"))],
+                        CheckReport(cap=cap))
+    for f in ("alpha", "beta"):
+        row = (f"commutes_{f}", (f, "pi"), ("pi", f"{f}_M"))
+        rep.sub_checks[row[0]] = _check_axioms(mats, [row], CheckReport(cap=1)).passed
     return rep
 
 

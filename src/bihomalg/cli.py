@@ -12,9 +12,10 @@ import sys
 from fractions import Fraction
 
 from . import bimodules, families, pseudotwistors, rota_baxter, search, trees
-from .errors import BiHomAlgError, InputAxiomsFail, SpecFileError
+from .errors import (BiHomAlgError, EvalSingular, IncompleteAssignment,
+                     InputAxiomsFail, SpecFileError)
 from .linalg import Vector
-from .scalars import scalar_to_str
+from .scalars import _clip, scalar_to_str
 from .specfile import (KIND_TABLES, _fail, _matrix, _object, _parse_field,
                        _positive_int, _scalar, _structure_kind, parse_spec,
                        serialize)
@@ -284,12 +285,12 @@ def cmd_verify_family(args) -> int:
         if not args.samples:
             print("sampled mode needs --samples", file=sys.stderr)
             return 2
-        samples = _samples_arg(args.samples)
+        samples = _samples_arg(args.samples, args.family)
     rep = families.verify_parametric_family(args.family, args.mode, samples)
     return _print_report(rep)
 
 
-def _samples_arg(text: str) -> list:
+def _samples_arg(text: str, family: str) -> list:
     raw = _json_arg(text, "--samples")
     if not isinstance(raw, list):
         _fail("--samples", "must be a JSON list of objects")
@@ -299,11 +300,13 @@ def _samples_arg(text: str) -> list:
         _object(s, f"--samples[{n}]")
         for key in s:
             if key not in names:
-                _fail(f"--samples[{n}]", f"unknown parameter {key!r}; "
+                _fail(f"--samples[{n}]", f"unknown parameter {_clip(repr(key))}; "
                       f"the families take {', '.join(names)}")
         try:
             samples.append({k: Fraction(str(v)) for k, v in s.items()})
-        except (ValueError, ZeroDivisionError) as exc:
+            families.evaluate_two_param_algebra(samples[-1])
+            families.evaluate_rb_family(family, samples[-1])
+        except (ValueError, ZeroDivisionError, EvalSingular, IncompleteAssignment) as exc:
             raise SpecFileError(f"--samples[{n}]: {exc}") from exc
     return samples
 

@@ -2,8 +2,8 @@
 associative algebras, materialized as exact matrices on the tensor square
 (n^2 x n^2) and tensor cube (n^3 x n^3) in the lexicographic basis.
 
-Every defining identity is an exact matrix equality, so the checkers reduce
-to comparisons of composed Kronecker products.
+Every defining identity is an exact matrix equality of composed Kronecker
+products, a row read by the identity evaluator of bihomalg.structures.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .linalg import LinearMap, StructureTable, tensor2, tensor3
 from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
                           _require_rb)
 from .structures import (BiHomAssociativeAlgebra, CheckReport,
-                         DEFAULT_VIOLATION_CAP, require)
+                         DEFAULT_VIOLATION_CAP, _check_axioms, _commutes, require)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,28 @@ def _dims_ok(n: int, T: LinearMap, *cubes: LinearMap) -> None:
             raise DimensionMismatch("companion must act on the tensor cube")
 
 
-def _common_commutations(rep: CheckReport, A, W) -> None:
+T_COMMUTES = tuple(_commutes(f"T_commutes_{f}", "T", (f, f))
+                   for f in ("alpha", "beta", "atilde", "btilde"))
+
+WEAK_AXIOMS = (
+    ("weak_1", ("T", ("atilde_alpha", "mu_T")), (("alpha", "mu"), "companion")),
+    ("weak_2", ("T", ("mu_T", "btilde_beta")), (("mu", "beta"), "companion")),
+    *T_COMMUTES,
+)
+
+PSEUDOTWISTOR_AXIOMS = (
+    ("companion_1", ("T", ("alpha", "mu")), (("alpha", "mu"), "t_left")),
+    ("companion_2", ("T", ("mu", "beta")), (("mu", "beta"), "t_right")),
+    ("companion_3", ("t_left", ("atilde", "T")), ("t_right", ("T", "btilde"))),
+    *T_COMMUTES,
+)
+
+
+def _twistor_mats(A: BiHomAssociativeAlgebra, W) -> dict:
     n = A.dim
-    for tag, f in (("alpha", A.alpha), ("beta", A.beta),
-                   ("atilde", W.atilde), ("btilde", W.btilde)):
-        ff = tensor2(f, f)
-        rep._compare(f"T_commutes_{tag}", W.T.compose(ff), ff.compose(W.T),
-                     (n, n))
+    return {"alpha": (A.alpha, (n,)), "beta": (A.beta, (n,)),
+            "atilde": (W.atilde, (n,)), "btilde": (W.btilde, (n,)),
+            "mu": (A.mu.as_matrix(), (n, n)), "T": (W.T, (n, n))}
 
 
 def check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
@@ -66,18 +81,12 @@ def check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
     companion on both sides, and T must commute with the four squared maps."""
     n = A.dim
     _dims_ok(n, W.T, W.companion)
-    rep = CheckReport(cap=cap)
-    mu = A.mu.as_matrix()
-    mu_t = mu.compose(W.T)
-    dims = (n, n, n)
-    rep._compare("weak_1",
-                 W.T.compose(tensor2(W.atilde.compose(A.alpha), mu_t)),
-                 tensor2(A.alpha, mu).compose(W.companion), dims)
-    rep._compare("weak_2",
-                 W.T.compose(tensor2(mu_t, W.btilde.compose(A.beta))),
-                 tensor2(mu, A.beta).compose(W.companion), dims)
-    _common_commutations(rep, A, W)
-    return rep
+    mats = _twistor_mats(A, W)
+    mats.update(companion=(W.companion, (n, n, n)),
+                mu_T=(mats["mu"][0].compose(W.T), (n, n)),
+                atilde_alpha=(W.atilde.compose(A.alpha), (n,)),
+                btilde_beta=(W.btilde.compose(A.beta), (n,)))
+    return _check_axioms(mats, WEAK_AXIOMS, CheckReport(cap=cap))
 
 
 def induced_weak_companion(P: PseudotwistorWithCompanions) -> LinearMap:
@@ -97,20 +106,11 @@ def check_pseudotwistor(A: BiHomAssociativeAlgebra,
                         cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     n = A.dim
     _dims_ok(n, P.T, P.T1, P.T2)
-    rep = CheckReport(cap=cap)
-    mu = A.mu.as_matrix()
     ident = LinearMap.identity(A.field, n)
-    dims = (n, n, n)
-    t_left = P.T1.compose(tensor2(P.T, ident))
-    t_right = P.T2.compose(tensor2(ident, P.T))
-    rep._compare("companion_1", P.T.compose(tensor2(A.alpha, mu)),
-                 tensor2(A.alpha, mu).compose(t_left), dims)
-    rep._compare("companion_2", P.T.compose(tensor2(mu, A.beta)),
-                 tensor2(mu, A.beta).compose(t_right), dims)
-    rep._compare("companion_3", t_left.compose(tensor2(P.atilde, P.T)),
-                 t_right.compose(tensor2(P.T, P.btilde)), dims)
-    _common_commutations(rep, A, P)
-    return rep
+    mats = _twistor_mats(A, P)
+    mats.update(t_left=(P.T1.compose(tensor2(P.T, ident)), (n, n, n)),
+                t_right=(P.T2.compose(tensor2(ident, P.T)), (n, n, n)))
+    return _check_axioms(mats, PSEUDOTWISTOR_AXIOMS, CheckReport(cap=cap))
 
 
 def twisted_algebra(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
@@ -144,6 +144,24 @@ def rb_pseudotwistor(A: BiHomAssociativeAlgebra, R: RBOperator) -> WeakPseudotwi
     return WeakPseudotwistor(T, companion, ident, ident)
 
 
+# by mode; each id is the text of the HypothesisViolated it raises
+COMPOSE_HYPOTHESES = {
+    "general": (
+        ("rel1: D (alpha (x) mu T D) = (alpha (x) mu T) companion_D",
+         ("D", ("alpha", "mu_TD")), (("alpha", "mu_T"), "companion_D")),
+        ("rel2: D (mu T D (x) beta) = (mu T (x) beta) companion_D",
+         ("D", ("mu_TD", "beta")), (("mu_T", "beta"), "companion_D")),
+    ),
+    "commuting": (
+        ("correl1: mu T D = mu D T", ("mu", "T", "D"), ("mu", "D", "T")),
+        _commutes("correl2: companion_D commutes with id (x) T",
+                  "companion_D", ("id", "T")),
+        _commutes("correl3: companion_D commutes with T (x) id",
+                  "companion_D", ("T", "id")),
+    ),
+}
+
+
 def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
                            Dw: WeakPseudotwistor, mode: str) -> WeakPseudotwistor:
     """The composite (T D, companion_T companion_D, id, id).
@@ -153,7 +171,7 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
     identities of the corollary instead.  The hypotheses are never inferred;
     the caller picks the hypothesis set.
     """
-    if mode not in ("general", "commuting"):
+    if mode not in COMPOSE_HYPOTHESES:
         raise ValueError(f"mode must be 'general' or 'commuting', got {mode!r}")
     n = A.dim
     ident = LinearMap.identity(A.field, n)
@@ -161,25 +179,15 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
         if W.atilde != ident or W.btilde != ident:
             raise HypothesisViolated(
                 f"composition needs identity atilde/btilde on {name}")
-    mu = A.mu.as_matrix()
+    mats = _twistor_mats(A, Tw)
+    mats.update(id=(ident, (n,)), D=(Dw.T, (n, n)),
+                companion_D=(Dw.companion, (n, n, n)))
     if mode == "general":
-        mu_t = mu.compose(Tw.T)
-        mu_td = mu_t.compose(Dw.T)
-        if Dw.T.compose(tensor2(A.alpha, mu_td)) \
-                != tensor2(A.alpha, mu_t).compose(Dw.companion):
-            raise HypothesisViolated("rel1: D (alpha (x) mu T D) = (alpha (x) mu T) companion_D")
-        if Dw.T.compose(tensor2(mu_td, A.beta)) \
-                != tensor2(mu_t, A.beta).compose(Dw.companion):
-            raise HypothesisViolated("rel2: D (mu T D (x) beta) = (mu T (x) beta) companion_D")
-    else:
-        if mu.compose(Tw.T).compose(Dw.T) != mu.compose(Dw.T).compose(Tw.T):
-            raise HypothesisViolated("correl1: mu T D = mu D T")
-        id_t = tensor2(ident, Tw.T)
-        t_id = tensor2(Tw.T, ident)
-        if Dw.companion.compose(id_t) != id_t.compose(Dw.companion):
-            raise HypothesisViolated("correl2: companion_D commutes with id (x) T")
-        if Dw.companion.compose(t_id) != t_id.compose(Dw.companion):
-            raise HypothesisViolated("correl3: companion_D commutes with T (x) id")
+        mu_t = mats["mu"][0].compose(Tw.T)
+        mats.update(mu_T=(mu_t, (n, n)), mu_TD=(mu_t.compose(Dw.T), (n, n)))
+    probe = _check_axioms(mats, COMPOSE_HYPOTHESES[mode], CheckReport(cap=1))
+    if not probe.passed:
+        raise HypothesisViolated(probe.failed_axioms()[0])
     return WeakPseudotwistor(Tw.T.compose(Dw.T),
                              Tw.companion.compose(Dw.companion), ident, ident)
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InputAxiomsFail, NonzeroWeight
+from .errors import (DimensionMismatch, InputAxiomsFail, NonzeroWeight,
+                     TwistHypothesisViolated)
 from .linalg import LinearMap, StructureTable, maps_commute
 from .scalars import Scalar
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                          BiHomTridendriform, CheckReport, DEFAULT_VIOLATION_CAP,
-                         _commute_check, check_dendriform, require, yau_twist)
+                         _check_axioms, _commutes, check_dendriform, require,
+                         yau_twist)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,18 @@ def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable
         + A.mu.scale(R.weight)
 
 
+def _check_rb_type(rep: CheckReport, tag: str, op: StructureTable, P: LinearMap,
+                   rhs_table: StructureTable,
+                   sides=(("twisted",), ("image",))) -> CheckReport:
+    """Check the row (tag, *sides) over "twisted" = op(P(x), P(y)) and "image"
+    = P(rhs_table(x, y)) into rep.  Both are built by the table ops, whose
+    unreduced Q(params) forms are the ones a violation prints."""
+    n = P.rows
+    mats = {"twisted": (op.twist(P, P).as_matrix(), (n, n)),
+            "image": (rhs_table.postcompose(P).as_matrix(), (n, n))}
+    return _check_axioms(mats, [(tag, *sides)], rep)
+
+
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
                       cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x)R(y) == R( R(x)y + xR(y) + weight*xy ) on all basis pairs.
@@ -58,11 +72,8 @@ def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
     not count as a violation.
     """
     _match(A, R.map)
-    rep = CheckReport(cap=cap)
-    n = A.dim
-    lhs = A.mu.twist(R.map, R.map)
-    rhs = _double_product(A, R).postcompose(R.map)
-    rep._compare("rota_baxter", lhs.as_matrix(), rhs.as_matrix(), (n, n))
+    rep = _check_rb_type(CheckReport(cap=cap), "rota_baxter", A.mu, R.map,
+                         _double_product(A, R))
     rep.sub_checks["commutes_alpha"] = maps_commute(R.map, A.alpha)
     rep.sub_checks["commutes_beta"] = maps_commute(R.map, A.beta)
     return rep
@@ -96,12 +107,8 @@ def check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
                                   cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x * y) == R(x)R(y) where * is the Rota-Baxter double product."""
     _match(A, R.map)
-    rep = CheckReport(cap=cap)
-    lhs = _double_product(A, R).postcompose(R.map)
-    rhs = A.mu.twist(R.map, R.map)
-    rep._compare("double_product_morphism", lhs.as_matrix(), rhs.as_matrix(),
-                 (A.dim, A.dim))
-    return rep
+    return _check_rb_type(CheckReport(cap=cap), "double_product_morphism", A.mu,
+                          R.map, _double_product(A, R), (("image",), ("twisted",)))
 
 
 def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -122,16 +129,13 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
     if not R.weight.is_zero():
         raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
     rep = CheckReport(cap=cap)
-    n = D.dim
     for tag, op in (("succ", D.succ), ("prec", D.prec)):
-        lhs = op.twist(R.map, R.map)
-        rhs = (op.compose_right(R.map) + op.compose_left(R.map)) \
-            .postcompose(R.map)
-        rep._compare(f"rb_dendriform_{tag}", lhs.as_matrix(), rhs.as_matrix(),
-                     (n, n))
-    _commute_check(rep, "commutes_alpha", R.map, D.alpha)
-    _commute_check(rep, "commutes_beta", R.map, D.beta)
-    return rep
+        _check_rb_type(rep, f"rb_dendriform_{tag}", op, R.map,
+                       op.compose_right(R.map) + op.compose_left(R.map))
+    n = D.dim
+    mats = {"R": (R.map, (n,)), "alpha": (D.alpha, (n,)), "beta": (D.beta, (n,))}
+    return _check_axioms(mats, [_commutes("commutes_alpha", "R", "alpha"),
+                                _commutes("commutes_beta", "R", "beta")], rep)
 
 
 def rb_dendriform_to_quadri(D: BiHomDendriform, R: RBOperator) -> BiHomQuadri:
@@ -173,15 +177,9 @@ def check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """Right: P(a)P(b) == P(P(a)b).  Left: Q(a)Q(b) == Q(aQ(b))."""
     _match(A, B.map)
-    rep = CheckReport(cap=cap)
-    lhs = A.mu.twist(B.map, B.map)
-    if B.side == "right":
-        rhs = A.mu.compose_left(B.map).postcompose(B.map)
-    else:
-        rhs = A.mu.compose_right(B.map).postcompose(B.map)
-    rep._compare(f"{B.side}_baxter", lhs.as_matrix(), rhs.as_matrix(),
-                 (A.dim, A.dim))
-    return rep
+    inner = A.mu.compose_left if B.side == "right" else A.mu.compose_right
+    return _check_rb_type(CheckReport(cap=cap), f"{B.side}_baxter", A.mu, B.map,
+                          inner(B.map))
 
 
 def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
@@ -215,7 +213,6 @@ def rb_persists_under_twist(A: BiHomAssociativeAlgebra, R: RBOperator,
     The twist endomorphisms must also commute with R for the persistence
     statement to apply; that is validated alongside the usual twist
     hypotheses."""
-    from .errors import TwistHypothesisViolated
     if not maps_commute(atilde, R.map):
         raise TwistHypothesisViolated("atilde does not commute with R")
     if not maps_commute(btilde, R.map):

@@ -44,7 +44,7 @@ def _clip(text: str) -> str:
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test; p >= _PRIME_LIMIT is refused."""
     if p >= _PRIME_LIMIT:
-        raise ValueError(f"{p} is out of range: p must be below {_PRIME_LIMIT}")
+        raise ValueError(f"{_clip(str(p))} is out of range: p must be below {_PRIME_LIMIT}")
     if p < 2:
         return False
     for b in _MR_BASES:

@@ -106,7 +106,7 @@ def _parse_field(value, path: str) -> FieldSpec:
             return FieldSpec.rational_function(*params)
         except ValueError as exc:
             _fail(f"{path}.params", str(exc))
-    _fail(path, f"unknown field kind {kind!r}")
+    _fail(path, f"unknown field kind {_clip(repr(kind))}")
 
 
 def parse_spec(text: str) -> dict:

@@ -1,8 +1,14 @@
 """Algebra records for the BiHom structure kinds, their axiom checkers,
 Yau twists, and the structure-to-structure constructors.
 
-Each kind states its axioms as data next to its operations (MULTS, AXIOMS,
-in the paper's numbering), and one evaluator, _check_axioms, reads them.
+Every identity the package checks, here (MULTS, AXIOMS, in the paper's
+numbering) and in the other modules, is a row (id, lhs, rhs) read by one
+evaluator, _check_axioms.  A side is a chain of factors composed left to
+right, ((f1 o f2) o f3); a factor is a name, or a tuple of names meaning
+their Kronecker product, whose domain joins theirs.  Each name is a matrix
+with declared domain dims, e.g. (n, m) for an action A (x) M -> M, and a
+violation's basis tuple is decoded through the lhs's last factor's domain.
+
 Checkers verify identities on basis tuples only (complete by linearity) and
 report *all* violations up to a cap, in a deterministic order.  Records never
 self-validate on construction; validation is always an explicit checker call.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from functools import reduce
+from itertools import product
 from operator import add
 
 from .errors import InputAxiomsFail, TwistHypothesisViolated
@@ -46,19 +53,14 @@ class CheckReport:
                 seen.append(axiom)
         return seen
 
-    def _compare(self, axiom: str, lhs: LinearMap, rhs: LinearMap, dims) -> bool:
+    def _compare(self, axiom: str, lhs: LinearMap, rhs: LinearMap, dims) -> None:
         """Compare two matrices columnwise; log violating columns as basis
         tuples decoded through dims."""
-        ok = True
         for col in range(lhs.cols):
-            bad = any(lhs.entries[i][col] != rhs.entries[i][col]
-                      for i in range(lhs.rows))
-            if bad:
-                ok = False
-                if len(self.violations) < self.cap:
-                    self.violations.append(
-                        (axiom, _decode(col, dims), lhs.column(col), rhs.column(col)))
-        return ok
+            if any(lhs.entries[i][col] != rhs.entries[i][col]
+                   for i in range(lhs.rows)) and len(self.violations) < self.cap:
+                self.violations.append(
+                    (axiom, _decode(col, dims), lhs.column(col), rhs.column(col)))
 
 
 def require(rep: CheckReport, caller: str, sub_checks=(), suffix: str = "") -> None:
@@ -82,15 +84,29 @@ def _decode(col: int, dims) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _mult_check(rep: CheckReport, tag: str, f: LinearMap, m: LinearMap) -> None:
-    """f(x op y) == f(x) op f(y) as a matrix identity on the tensor square,
-    for the operation op with matrix m."""
-    n = m.rows
-    rep._compare(tag, f.compose(m), m.compose(tensor2(f, f)), (n, n))
+def _commutes(tag: str, f, g) -> tuple:
+    """The row f o g == g o f."""
+    return (tag, (f, g), (g, f))
 
 
-def _commute_check(rep: CheckReport, tag: str, f: LinearMap, g: LinearMap) -> None:
-    rep._compare(tag, f.compose(g), g.compose(f), (f.rows,))
+def _compatible(tag: str, f, op, left, right) -> tuple:
+    """The row f(x op y) == left(x) op right(y); f multiplicative if f = left = right."""
+    return (tag, (f, op), (op, (left, right)))
+
+
+def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
+    """Log the violations of rows into rep and return it; mats maps each name
+    to (matrix, domain dims).  A Kronecker factor is built once per row."""
+    for tag, lhs, rhs in rows:
+        factors = dict.fromkeys(lhs + rhs)
+        for f in factors:
+            factors[f] = mats[f] if isinstance(f, str) else (
+                reduce(tensor2, [mats[name][0] for name in f]),
+                sum((mats[name][1] for name in f), ()))
+        left, right = (reduce(LinearMap.compose, [factors[f][0] for f in side])
+                       for side in (lhs, rhs))
+        rep._compare(tag, left, right, factors[lhs[-1]][1])
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +121,10 @@ class BiHomAssociativeAlgebra:
     beta: LinearMap
 
     OPS = ("mu",)
-    MULTS = (("alpha_multiplicative", "alpha", "mu"),
-             ("beta_multiplicative", "beta", "mu"))
-    AXIOMS = (("bihom_associativity", ("mu", "alpha", "mu"), ("mu", "mu", "beta")),)
+    MULTS = (_compatible("alpha_multiplicative", "alpha", "mu", "alpha", "alpha"),
+             _compatible("beta_multiplicative", "beta", "mu", "beta", "beta"))
+    DERIVED = ()
+    AXIOMS = (("bihom_associativity", ("mu", ("alpha", "mu")), ("mu", ("mu", "beta"))),)
 
     @property
     def dim(self) -> int:
@@ -128,12 +145,13 @@ class BiHomDendriform:
     beta: LinearMap
 
     OPS = ("prec", "succ")
-    MULTS = tuple((f"{f}_mult_{op}", f, op)
+    MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
                   for f in ("alpha", "beta") for op in ("prec", "succ"))
+    DERIVED = ("total",)
     AXIOMS = (
-        ("dend_prec", ("prec", "prec", "beta"), ("prec", "alpha", "total")),
-        ("dend_mid", ("prec", "succ", "beta"), ("succ", "alpha", "prec")),
-        ("dend_succ", ("succ", "alpha", "succ"), ("succ", "total", "beta")),
+        ("dend_prec", ("prec", ("prec", "beta")), ("prec", ("alpha", "total"))),
+        ("dend_mid", ("prec", ("succ", "beta")), ("succ", ("alpha", "prec"))),
+        ("dend_succ", ("succ", ("alpha", "succ")), ("succ", ("total", "beta"))),
     )
 
     @property
@@ -151,15 +169,17 @@ class BiHomTridendriform:
     beta: LinearMap
 
     OPS = ("prec", "succ", "dot")
-    MULTS = tuple((f"{f}_mult_{op}", f, op) for op in OPS for f in ("alpha", "beta"))
+    MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
+                  for op in OPS for f in ("alpha", "beta"))
+    DERIVED = ("total",)
     AXIOMS = (
-        ("tridend_8", ("prec", "prec", "beta"), ("prec", "alpha", "total")),
-        ("tridend_9", ("prec", "succ", "beta"), ("succ", "alpha", "prec")),
-        ("tridend_10", ("succ", "alpha", "succ"), ("succ", "total", "beta")),
-        ("tridend_11", ("dot", "alpha", "succ"), ("dot", "prec", "beta")),
-        ("tridend_12", ("succ", "alpha", "dot"), ("dot", "succ", "beta")),
-        ("tridend_13", ("dot", "alpha", "prec"), ("prec", "dot", "beta")),
-        ("tridend_14", ("dot", "alpha", "dot"), ("dot", "dot", "beta")),
+        ("tridend_8", ("prec", ("prec", "beta")), ("prec", ("alpha", "total"))),
+        ("tridend_9", ("prec", ("succ", "beta")), ("succ", ("alpha", "prec"))),
+        ("tridend_10", ("succ", ("alpha", "succ")), ("succ", ("total", "beta"))),
+        ("tridend_11", ("dot", ("alpha", "succ")), ("dot", ("prec", "beta"))),
+        ("tridend_12", ("succ", ("alpha", "dot")), ("dot", ("succ", "beta"))),
+        ("tridend_13", ("dot", ("alpha", "prec")), ("prec", ("dot", "beta"))),
+        ("tridend_14", ("dot", ("alpha", "dot")), ("dot", ("dot", "beta"))),
     )
 
     @property
@@ -178,17 +198,19 @@ class BiHomQuadri:
     beta: LinearMap
 
     OPS = ("nw", "sw", "ne", "se")
-    MULTS = tuple((f"{f}_mult_{op}", f, op) for op in OPS for f in ("alpha", "beta"))
+    MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
+                  for op in OPS for f in ("alpha", "beta"))
+    DERIVED = ("prec", "succ", "vee", "wedge", "total")
     AXIOMS = (
-        ("quadri_11a", ("nw", "nw", "beta"), ("nw", "alpha", "total")),
-        ("quadri_11b", ("nw", "ne", "beta"), ("ne", "alpha", "prec")),
-        ("quadri_12a", ("ne", "wedge", "beta"), ("ne", "alpha", "succ")),
-        ("quadri_12b", ("nw", "sw", "beta"), ("sw", "alpha", "wedge")),
-        ("quadri_13a", ("nw", "se", "beta"), ("se", "alpha", "nw")),
-        ("quadri_13b", ("ne", "vee", "beta"), ("se", "alpha", "ne")),
-        ("quadri_14a", ("sw", "prec", "beta"), ("sw", "alpha", "vee")),
-        ("quadri_14b", ("sw", "succ", "beta"), ("se", "alpha", "sw")),
-        ("quadri_15", ("se", "total", "beta"), ("se", "alpha", "se")),
+        ("quadri_11a", ("nw", ("nw", "beta")), ("nw", ("alpha", "total"))),
+        ("quadri_11b", ("nw", ("ne", "beta")), ("ne", ("alpha", "prec"))),
+        ("quadri_12a", ("ne", ("wedge", "beta")), ("ne", ("alpha", "succ"))),
+        ("quadri_12b", ("nw", ("sw", "beta")), ("sw", ("alpha", "wedge"))),
+        ("quadri_13a", ("nw", ("se", "beta")), ("se", ("alpha", "nw"))),
+        ("quadri_13b", ("ne", ("vee", "beta")), ("se", ("alpha", "ne"))),
+        ("quadri_14a", ("sw", ("prec", "beta")), ("sw", ("alpha", "vee"))),
+        ("quadri_14b", ("sw", ("succ", "beta")), ("se", ("alpha", "sw"))),
+        ("quadri_15", ("se", ("total", "beta")), ("se", ("alpha", "se"))),
     )
 
     @property
@@ -230,62 +252,37 @@ def _total(S: Structure) -> StructureTable:
     return reduce(add, (getattr(S, tag) for tag in S.OPS))
 
 
-def _check_axioms(S: Structure, cap: int) -> CheckReport:
-    """Check S against its kind's tables, in this order: alpha and beta
-    commute; each MULTS entry (id, map, op) says map is multiplicative for
-    op; each AXIOMS entry (id, lhs, rhs) says lhs == rhs on the tensor cube,
-    where a side (outer, left, right) is outer o (left (x) right).  A name
-    in a side is alpha, beta, an operation or derived operation of S, or
-    "total" (the sum of S.OPS); each name's matrix is built once."""
-    rep = CheckReport(cap=cap)
-    mats = {"alpha": S.alpha, "beta": S.beta}
-
-    def mat(name: str) -> LinearMap:
-        if name not in mats:
-            op = _total(S) if name == "total" else getattr(S, name)
-            mats[name] = op.as_matrix()
-        return mats[name]
-
-    _commute_check(rep, "alpha_beta_commute", S.alpha, S.beta)
-    for tag, f, op in S.MULTS:
-        _mult_check(rep, tag, mat(f), mat(op))
-    for tag, *sides in S.AXIOMS:
-        lhs, rhs = (mat(outer).compose(tensor2(mat(left), mat(right)))
-                    for outer, left, right in sides)
-        rep._compare(tag, lhs, rhs, (S.dim,) * 3)
-    return rep
+def check_structure(S: Structure, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    """Check S against its kind's rows: alpha and beta commute, then MULTS
+    and AXIOMS over alpha, beta, OPS and DERIVED ("total" sums OPS)."""
+    if not isinstance(S, Structure):
+        raise TypeError(f"not a structure: {S!r}")
+    n = S.dim
+    mats = {"alpha": (S.alpha, (n,)), "beta": (S.beta, (n,))}
+    for name in S.OPS + S.DERIVED:
+        op = _total(S) if name == "total" else getattr(S, name)
+        mats[name] = (op.as_matrix(), (n, n))
+    rows = (_commutes("alpha_beta_commute", "alpha", "beta"), *S.MULTS, *S.AXIOMS)
+    return _check_axioms(mats, rows, CheckReport(cap=cap))
 
 
 def check_bihom_associative(A: BiHomAssociativeAlgebra,
                             cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    return _check_axioms(A, cap)
+    return check_structure(A, cap)
 
 
 def check_dendriform(D: BiHomDendriform,
                      cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    return _check_axioms(D, cap)
+    return check_structure(D, cap)
 
 
 def check_tridendriform(T: BiHomTridendriform,
                         cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    return _check_axioms(T, cap)
+    return check_structure(T, cap)
 
 
 def check_quadri(Q: BiHomQuadri, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    return _check_axioms(Q, cap)
-
-
-def check_structure(S: Structure, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
-    """Run the checker matching the structure kind."""
-    if isinstance(S, BiHomAssociativeAlgebra):
-        return check_bihom_associative(S, cap)
-    if isinstance(S, BiHomDendriform):
-        return check_dendriform(S, cap)
-    if isinstance(S, BiHomTridendriform):
-        return check_tridendriform(S, cap)
-    if isinstance(S, BiHomQuadri):
-        return check_quadri(S, cap)
-    raise TypeError(f"not a structure: {S!r}")
+    return check_structure(Q, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +293,15 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
     """Twist every operation to x <>' y = atilde(x) <> btilde(y) and compose
     the structure maps.  Hypotheses (multiplicativity and pairwise
     commutation) are checked up front and violations refuse the twist."""
-    probe = CheckReport(cap=1)
-    for tag in S.OPS:
-        m = getattr(S, tag).as_matrix()
-        _mult_check(probe, f"atilde_mult_{tag}", atilde, m)
-        _mult_check(probe, f"btilde_mult_{tag}", btilde, m)
-    _commute_check(probe, "atilde_btilde", atilde, btilde)
-    _commute_check(probe, "atilde_alpha", atilde, S.alpha)
-    _commute_check(probe, "atilde_beta", atilde, S.beta)
-    _commute_check(probe, "btilde_alpha", btilde, S.alpha)
-    _commute_check(probe, "btilde_beta", btilde, S.beta)
+    n = S.dim
+    mats = {"atilde": (atilde, (n,)), "btilde": (btilde, (n,)),
+            "alpha": (S.alpha, (n,)), "beta": (S.beta, (n,))}
+    mats.update((tag, (getattr(S, tag).as_matrix(), (n, n))) for tag in S.OPS)
+    rows = [_compatible(f"{f}_mult_{tag}", f, tag, f, f)
+            for tag in S.OPS for f in ("atilde", "btilde")]
+    rows += [_commutes(f"{f}_{g}", f, g) for f, g in
+             (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))]
+    probe = _check_axioms(mats, rows, CheckReport(cap=1))
     if not probe.passed:
         raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
     twisted = {tag: getattr(S, tag).twist(atilde, btilde) for tag in S.OPS}

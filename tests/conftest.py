@@ -6,6 +6,7 @@ import pytest
 
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
                       RBOperator, Scalar, StructureTable)
+from bihomalg.errors import BiHomAlgError
 
 
 def truncated_poly_algebra(field: FieldSpec, degree: int) -> BiHomAssociativeAlgebra:
@@ -86,3 +87,24 @@ def counted(monkeypatch, fn, *args):
         m.setattr(Scalar, "__add__", counting_add)
         result = fn(*args)
     return result, (counts["mul"], counts["add"])
+
+
+def raw_report(rep):
+    """A report's violations with raw scalar values, its sub-checks and cap."""
+    return ([(axiom, idx, [x.value for x in lhs.coords], [x.value for x in rhs.coords])
+             for axiom, idx, lhs, rhs in rep.violations], rep.sub_checks, rep.cap)
+
+
+def against_reference(fn, reference, *args):
+    """The outcomes of fn(*args) and reference(*args), each the result or the
+    (type, text) of the BiHomAlgError raised, and their (mul, add) counts."""
+    def outcome(f):
+        try:
+            return f(*args)
+        except BiHomAlgError as exc:
+            return type(exc), str(exc)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, outcome, fn)
+        want, want_ops = counted(monkeypatch, outcome, reference)
+    return got, want, got_ops, want_ops

@@ -2,15 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomBimodule, FieldSpec, GRBOperator, LinearMap,
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
+                      GRBOperator, LinearMap,
                       StructureTable, check_bihom_associative, check_bimodule,
                       check_dendriform, check_grb, check_rota_baxter,
                       evaluate_two_param_algebra, grb_hat, grb_to_dendriform,
-                      grb_transpose_actions, split_null_extension,
-                      yau_twist_bimodule)
+                      grb_transpose_actions, split_null_extension, tensor2,
+                      yau_twist, yau_twist_bimodule)
+from bihomalg.bimodules import _grb_products
 from bihomalg.errors import (DimensionMismatch, InputAxiomsFail,
                              TwistHypothesisViolated)
+from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
+from conftest import against_reference, raw_report
+from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
+from test_structures import _commute_check
 
 Q = FieldSpec.rational()
 
@@ -196,3 +203,162 @@ def test_randomized_zero_action_bimodules():
             hat = grb_hat(A, M, pi)
             E = split_null_extension(A, M)
             assert rep.passed == check_rota_baxter(E, hat).passed
+
+
+# -- the row tables find what the hand-written checkers found ---------------
+#    check_bimodule, check_grb and yau_twist_bimodule as they were written
+#    before BIMODULE_AXIOMS and the GRB and twist rows replaced them, kept
+#    verbatim as the reference.
+
+def ref_check_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
+                       cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    rep = CheckReport(cap=cap)
+    n, m = A.dim, M.dim
+    L = M.left_action.as_matrix()    # m x (n*m)
+    R = M.right_action.as_matrix()   # m x (m*n)
+    mu = A.mu.as_matrix()
+    aA, bA, aM, bM = A.alpha, A.beta, M.alpha_M, M.beta_M
+    rep._compare("alphaM_betaM_commute", aM.compose(bM), bM.compose(aM), (m,))
+    rep._compare("alphaM_left_compat", aM.compose(L),
+                 L.compose(tensor2(aA, aM)), (n, m))
+    rep._compare("betaM_left_compat", bM.compose(L),
+                 L.compose(tensor2(bA, bM)), (n, m))
+    rep._compare("alphaM_right_compat", aM.compose(R),
+                 R.compose(tensor2(aM, aA)), (m, n))
+    rep._compare("betaM_right_compat", bM.compose(R),
+                 R.compose(tensor2(bM, bA)), (m, n))
+    # alpha_A(a) . (a' . m) == (a a') . beta_M(m)
+    rep._compare("left_module", L.compose(tensor2(aA, L)),
+                 L.compose(tensor2(mu, bM)), (n, n, m))
+    # alpha_M(m) . (a a') == (m . a) . beta_A(a')
+    rep._compare("right_module", R.compose(tensor2(aM, mu)),
+                 R.compose(tensor2(R, bA)), (m, n, n))
+    # alpha_A(a) . (m . a') == (a . m) . beta_A(a')
+    rep._compare("bimodule_middle", L.compose(tensor2(aA, R)),
+                 R.compose(tensor2(L, bA)), (n, m, n))
+    return rep
+
+
+def ref_check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
+                  cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    n, m = A.dim, M.dim
+    if (pi.map.rows, pi.map.cols) != (n, m):
+        raise DimensionMismatch("pi must map M into A")
+    rep = CheckReport(cap=cap)
+    lhs = A.mu.as_matrix().compose(tensor2(pi.map, pi.map))
+    succ, prec = _grb_products(M, pi)
+    rep._compare("grb", lhs, pi.map.compose(succ + prec), (m, m))
+    rep.sub_checks["commutes_alpha"] = \
+        A.alpha.compose(pi.map) == pi.map.compose(M.alpha_M)
+    rep.sub_checks["commutes_beta"] = \
+        A.beta.compose(pi.map) == pi.map.compose(M.beta_M)
+    return rep
+
+
+def ref_yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
+                           atilde_A: LinearMap, btilde_A: LinearMap,
+                           atilde_M: LinearMap, btilde_M: LinearMap) -> BiHomBimodule:
+    L, R = M.left_action, M.right_action
+    probe = CheckReport(cap=1)
+    lm, rm = L.as_matrix(), R.as_matrix()
+    n, m = A.dim, M.dim
+    for tag, f_A, f_M in (("atilde", atilde_A, atilde_M),
+                          ("btilde", btilde_A, btilde_M)):
+        probe._compare(f"{tag}_left_compat", f_M.compose(lm),
+                       lm.compose(tensor2(f_A, f_M)), (n, m))
+        probe._compare(f"{tag}_right_compat", f_M.compose(rm),
+                       rm.compose(tensor2(f_M, f_A)), (m, n))
+    for tag, f, g in (("atildeM_btildeM", atilde_M, btilde_M),
+                      ("atildeM_alphaM", atilde_M, M.alpha_M),
+                      ("atildeM_betaM", atilde_M, M.beta_M),
+                      ("btildeM_alphaM", btilde_M, M.alpha_M),
+                      ("btildeM_betaM", btilde_M, M.beta_M)):
+        _commute_check(probe, tag, f, g)
+    if not probe.passed:
+        raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
+    twisted_A = yau_twist(A, atilde_A, btilde_A)  # validates the algebra side
+    return BiHomBimodule(
+        twisted_A,
+        atilde_M.compose(M.alpha_M),
+        btilde_M.compose(M.beta_M),
+        L.twist(atilde_A, btilde_M),
+        R.twist(atilde_M, btilde_A))
+
+
+def maybe_identity(field, n):
+    """The identity map, often, else a sparse random n x n map."""
+    return st.one_of(st.just(LinearMap.identity(field, n)), sparse_matrix(field, n, n))
+
+
+@st.composite
+def random_algebra(draw, field, n):
+    """A sparse random mu with alpha and beta the identity or sparse random."""
+    mu = StructureTable.from_matrix(field, draw(sparse_matrix(field, n, n * n)), n, n)
+    return BiHomAssociativeAlgebra(field, mu, draw(maybe_identity(field, n)),
+                                   draw(maybe_identity(field, n)))
+
+
+@st.composite
+def random_bimodule(draw):
+    """(A, M) over Q, F_5 or Q(a, b): the regular bimodule of a random
+    algebra, or random actions with identity or random structure maps, so
+    that some axioms hold and some fail.  Over Q(a, b) both dims are <= 2."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    top = 2 if field == QAB else 3
+    n, m = draw(st.integers(1, top)), draw(st.integers(1, top))
+    A = draw(random_algebra(field, n))
+    if draw(st.booleans()):
+        return A, BiHomBimodule.regular(A)
+    return A, BiHomBimodule(
+        A, draw(maybe_identity(field, m)), draw(maybe_identity(field, m)),
+        StructureTable.from_matrix(field, draw(sparse_matrix(field, m, n * m)), n, m),
+        StructureTable.from_matrix(field, draw(sparse_matrix(field, m, m * n)), m, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bimodule_rows_match_hand_written_property(data):
+    A, M = data.draw(random_bimodule())
+    cap = data.draw(st.sampled_from((16, 10 ** 6)))
+    got, want, got_ops, want_ops = against_reference(
+        check_bimodule, ref_check_bimodule, A, M, cap)
+    assert raw_report(got) == raw_report(want)
+    assert got_ops == want_ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grb_rows_match_hand_written_property(data):
+    A, M = data.draw(random_bimodule())
+    pi = GRBOperator(data.draw(sparse_matrix(A.field, A.dim, M.dim)))
+    got, want, got_ops, want_ops = against_reference(check_grb, ref_check_grb, A, M, pi)
+    assert raw_report(got) == raw_report(want)
+    assert got_ops == want_ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_yau_twist_bimodule_rows_match_hand_written_property(data):
+    """With zero actions every map is action-compatible, so the commutation
+    rows decide."""
+    A, M = data.draw(random_bimodule())
+    n, m, field = A.dim, M.dim, A.field
+    if data.draw(st.booleans()):
+        M = BiHomBimodule.zero_actions(A, M.alpha_M, M.beta_M)
+    twists = [data.draw(maybe_identity(field, k)) for k in (n, n, m, m)]
+    got, want, got_ops, want_ops = against_reference(
+        yau_twist_bimodule, ref_yau_twist_bimodule, A, M, *twists)
+    assert got == want
+    assert got_ops[0] <= want_ops[0] and got_ops[1] <= want_ops[1]
+
+
+def test_yau_twist_bimodule_names_the_first_failing_hypothesis(qx3):
+    # every map is compatible with zero actions, and atilde_M commutes with
+    # btilde_M = id but with neither alpha_M nor beta_M
+    o, z = Q.one(), Q.zero()
+    shear = LinearMap(Q, ((o, o), (z, o)))
+    M = BiHomBimodule.zero_actions(qx3, shear, shear)
+    ident = LinearMap.identity(Q, 3)
+    with pytest.raises(TwistHypothesisViolated, match="^atildeM_alphaM$"):
+        yau_twist_bimodule(qx3, M, ident, ident, LinearMap(Q, ((o, z), (o, o))),
+                           LinearMap.identity(Q, 2))

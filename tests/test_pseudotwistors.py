@@ -1,17 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bihomalg import (FieldSpec, LinearMap, OneSidedBaxter,
-                      PseudotwistorWithCompanions, RBOperator,
+from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
+                      OneSidedBaxter, PseudotwistorWithCompanions, RBOperator,
                       WeakPseudotwistor, as_weak, baxter_pair_pseudotwistor,
                       baxter_pair_product, check_bihom_associative,
                       check_pseudotwistor, check_weak_pseudotwistor,
                       compose_pseudotwistors, evaluate_two_param_algebra,
                       evaluate_rb_family, rb_double_product, rb_pseudotwistor,
-                      twisted_algebra)
+                      tensor2, twisted_algebra)
 from bihomalg.errors import (DimensionMismatch, HypothesisViolated,
                              InputAxiomsFail)
+from bihomalg.pseudotwistors import _dims_ok
+from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
+from conftest import against_reference, raw_report
+from test_bimodules import maybe_identity as maybe_identity_of, random_algebra
+from test_linalg import SPARSE_FIELDS
 
 Q = FieldSpec.rational()
 
@@ -157,3 +163,149 @@ def test_baxter_pair_pseudotwistor_rejects_wrong_sides(qx3):
     with pytest.raises(InputAxiomsFail):
         baxter_pair_pseudotwistor(qx3, OneSidedBaxter(ident, "left"),
                                   OneSidedBaxter(ident, "left"))
+
+
+# -- the row tables find what the hand-written checkers found ---------------
+#    check_weak_pseudotwistor, check_pseudotwistor with _common_commutations,
+#    and the hypothesis checks of compose_pseudotwistors as they were written
+#    before WEAK_AXIOMS, PSEUDOTWISTOR_AXIOMS and COMPOSE_HYPOTHESES replaced
+#    them, kept verbatim as the reference.
+
+def _common_commutations(rep: CheckReport, A, W) -> None:
+    n = A.dim
+    for tag, f in (("alpha", A.alpha), ("beta", A.beta),
+                   ("atilde", W.atilde), ("btilde", W.btilde)):
+        ff = tensor2(f, f)
+        rep._compare(f"T_commutes_{tag}", W.T.compose(ff), ff.compose(W.T),
+                     (n, n))
+
+
+def ref_check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
+                                 cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    n = A.dim
+    _dims_ok(n, W.T, W.companion)
+    rep = CheckReport(cap=cap)
+    mu = A.mu.as_matrix()
+    mu_t = mu.compose(W.T)
+    dims = (n, n, n)
+    rep._compare("weak_1",
+                 W.T.compose(tensor2(W.atilde.compose(A.alpha), mu_t)),
+                 tensor2(A.alpha, mu).compose(W.companion), dims)
+    rep._compare("weak_2",
+                 W.T.compose(tensor2(mu_t, W.btilde.compose(A.beta))),
+                 tensor2(mu, A.beta).compose(W.companion), dims)
+    _common_commutations(rep, A, W)
+    return rep
+
+
+def ref_check_pseudotwistor(A: BiHomAssociativeAlgebra,
+                            P: PseudotwistorWithCompanions,
+                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    n = A.dim
+    _dims_ok(n, P.T, P.T1, P.T2)
+    rep = CheckReport(cap=cap)
+    mu = A.mu.as_matrix()
+    ident = LinearMap.identity(A.field, n)
+    dims = (n, n, n)
+    t_left = P.T1.compose(tensor2(P.T, ident))
+    t_right = P.T2.compose(tensor2(ident, P.T))
+    rep._compare("companion_1", P.T.compose(tensor2(A.alpha, mu)),
+                 tensor2(A.alpha, mu).compose(t_left), dims)
+    rep._compare("companion_2", P.T.compose(tensor2(mu, A.beta)),
+                 tensor2(mu, A.beta).compose(t_right), dims)
+    rep._compare("companion_3", t_left.compose(tensor2(P.atilde, P.T)),
+                 t_right.compose(tensor2(P.T, P.btilde)), dims)
+    _common_commutations(rep, A, P)
+    return rep
+
+
+def ref_compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
+                               Dw: WeakPseudotwistor, mode: str) -> WeakPseudotwistor:
+    if mode not in ("general", "commuting"):
+        raise ValueError(f"mode must be 'general' or 'commuting', got {mode!r}")
+    n = A.dim
+    ident = LinearMap.identity(A.field, n)
+    for name, W in (("T", Tw), ("D", Dw)):
+        if W.atilde != ident or W.btilde != ident:
+            raise HypothesisViolated(
+                f"composition needs identity atilde/btilde on {name}")
+    mu = A.mu.as_matrix()
+    if mode == "general":
+        mu_t = mu.compose(Tw.T)
+        mu_td = mu_t.compose(Dw.T)
+        if Dw.T.compose(tensor2(A.alpha, mu_td)) \
+                != tensor2(A.alpha, mu_t).compose(Dw.companion):
+            raise HypothesisViolated("rel1: D (alpha (x) mu T D) = (alpha (x) mu T) companion_D")
+        if Dw.T.compose(tensor2(mu_td, A.beta)) \
+                != tensor2(mu_t, A.beta).compose(Dw.companion):
+            raise HypothesisViolated("rel2: D (mu T D (x) beta) = (mu T (x) beta) companion_D")
+    else:
+        if mu.compose(Tw.T).compose(Dw.T) != mu.compose(Dw.T).compose(Tw.T):
+            raise HypothesisViolated("correl1: mu T D = mu D T")
+        id_t = tensor2(ident, Tw.T)
+        t_id = tensor2(Tw.T, ident)
+        if Dw.companion.compose(id_t) != id_t.compose(Dw.companion):
+            raise HypothesisViolated("correl2: companion_D commutes with id (x) T")
+        if Dw.companion.compose(t_id) != t_id.compose(Dw.companion):
+            raise HypothesisViolated("correl3: companion_D commutes with T (x) id")
+    return WeakPseudotwistor(Tw.T.compose(Dw.T),
+                             Tw.companion.compose(Dw.companion), ident, ident)
+
+
+@st.composite
+def twistor_args(draw, kind):
+    """A random algebra of dim 1 or 2 over Q, F_5 or Q(a, b) and a random
+    twistor of the kind: each map is the identity or sparse random, so some
+    identities hold and some fail.  For compose_pseudotwistors, a pair of
+    weak twistors with identity atilde and btilde, so that the hypotheses
+    are reached, and a mode."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    n = draw(st.integers(1, 2))
+    A = draw(random_algebra(field, n))
+
+    def maybe_identity(size):
+        return draw(maybe_identity_of(field, size))
+
+    if kind == "weak":
+        return A, WeakPseudotwistor(maybe_identity(n * n), maybe_identity(n ** 3),
+                                    maybe_identity(n), maybe_identity(n))
+    if kind == "full":
+        return A, PseudotwistorWithCompanions(
+            maybe_identity(n * n), maybe_identity(n ** 3), maybe_identity(n ** 3),
+            maybe_identity(n), maybe_identity(n))
+    ident = LinearMap.identity(field, n)
+    Tw, Dw = (WeakPseudotwistor(maybe_identity(n * n), maybe_identity(n ** 3), ident, ident)
+              for _ in range(2))
+    return A, Tw, Dw, draw(st.sampled_from(("general", "commuting")))
+
+
+TWISTOR_CHECKERS = {
+    "weak": (check_weak_pseudotwistor, ref_check_weak_pseudotwistor),
+    "full": (check_pseudotwistor, ref_check_pseudotwistor),
+}
+
+
+@pytest.mark.parametrize("kind", list(TWISTOR_CHECKERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_twistor_rows_match_hand_written_property(kind, data):
+    A, W = data.draw(twistor_args(kind))
+    cap = data.draw(st.sampled_from((16, 10 ** 6)))
+    check, reference = TWISTOR_CHECKERS[kind]
+    got, want, got_ops, want_ops = against_reference(check, reference, A, W, cap)
+    assert raw_report(got) == raw_report(want)
+    assert got_ops[0] <= want_ops[0] and got_ops[1] <= want_ops[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_hypotheses_match_hand_written_property(data):
+    """Same composite or the same HypothesisViolated text; when every
+    hypothesis holds, the same scalar operations.  (A failing hypothesis no
+    longer stops the ones after it from being computed.)"""
+    args = data.draw(twistor_args("compose"))
+    got, want, got_ops, want_ops = against_reference(
+        compose_pseudotwistors, ref_compose_pseudotwistors, *args)
+    assert got == want
+    if isinstance(want, WeakPseudotwistor):
+        assert got_ops == want_ops

@@ -1,5 +1,7 @@
 import json
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,12 @@ from bihomalg.errors import BudgetExceeded
 from bihomalg.families import two_param_algebra
 from bihomalg.search import BUDGET_ENV_VAR
 from conftest import truncated_poly_algebra
+
+# The benchmark's CLI cases on its committed Q(params) spec files, and the
+# stdout each printed when its golden was captured; perfbench is only read.
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.append(str(BENCH))
+import wl_symbolic  # noqa: E402
 
 Q = FieldSpec.rational()
 
@@ -364,9 +372,9 @@ def test_cli_verify_family(capsys):
     assert main(["verify-family", "w1f3"]) == 0
     assert main(["verify-family", "w0f1", "--mode", "sampled",
                  "--samples", json.dumps([{"a": 2, "b": 3, "r": 5}])]) == 0
-    # a = 0 is outside the family's domain: evaluation error, exit 1
+    # a = 0 is outside the family's domain: a malformed sample, exit 2
     assert main(["verify-family", "w0f1", "--mode", "sampled",
-                 "--samples", json.dumps([{"a": 0, "b": 3, "r": 5}])]) == 1
+                 "--samples", json.dumps([{"a": 0, "b": 3, "r": 5}])]) == 2
     assert main(["verify-family", "w0f1", "--mode", "sampled"]) == 2
 
 
@@ -382,6 +390,19 @@ MALFORMED_FIELD_P = {
     "field-p-not-prime": (4, "field.p: 4 is not prime"),
     "field-p-out-of-range": (2 ** 89 - 1, "field.p: 618970019642690137449562111 "
                                           "is out of range"),
+}
+
+# --samples of verify-family (family, samples) and the refusal: a point
+# outside a family's domain or one missing a parameter is malformed input
+MALFORMED_SAMPLES = {
+    "samples-a-zero": ("w0f1", [{"a": 0, "b": 3, "r": 5}],
+                       "--samples[0]: denominator evaluates to zero"),
+    "samples-r2-zero": ("w0f2", [{"a": 2, "b": 3, "r1": 1, "r2": 0}],
+                        "--samples[0]: denominator evaluates to zero"),
+    "samples-missing-r": ("w0f1", [{"a": 2, "b": 3, "r": 1}, {"a": 2, "b": 3}],
+                          "--samples[1]: no value for parameter 'r'"),
+    "samples-unknown-key-long": ("w0f1", [{"z" * 5000: 1}],
+                                 "--samples[0]: unknown parameter 'zzz"),
 }
 
 # `trees reduce` bounds (--max-leaves, --max-ab, --max-r), the element's
@@ -428,8 +449,10 @@ MALFORMED_ARGS = {
     "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
     "samples-not-objects", "samples-unknown-key", *MALFORMED_FIELD_P,
     *MALFORMED_ARGS, "trees-reduce-tree-without-powers", "spec-nested",
-    "field-params-long-name", *MALFORMED_WINDOWS])
-def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
+    "field-params-long-name", "field-kind-long", "field-p-4001-digits",
+    *MALFORMED_WINDOWS, *MALFORMED_SAMPLES])
+def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
+                                               monkeypatch):
     if case in MALFORMED_WINDOWS:
         bounds, rank, expected = MALFORMED_WINDOWS[case]
         element = tmp_path / "elt.json"
@@ -442,6 +465,10 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         argv, expected = MALFORMED_ARGS[case]
         argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a
                 for a in argv]
+    elif case in MALFORMED_SAMPLES:
+        family, samples, expected = MALFORMED_SAMPLES[case]
+        argv = ["verify-family", family, "--mode", "sampled",
+                "--samples", json.dumps(samples)]
     elif case in MALFORMED_FIELD_P:
         # p must be an integer (not read through int()) and a prime in range
         p, expected = MALFORMED_FIELD_P[case]
@@ -470,6 +497,21 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
         argv, expected = ["check", str(spec)], f"{key}: must be"
+    elif case == "field-p-4001-digits":
+        # p is echoed in part; a relative spec path keeps the rest of the
+        # line, the path and the limit on p, short
+        doc = json.loads(spec_text(qx2))
+        doc["field"] = {"kind": "prime", "p": 10 ** 4000}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", "bad.json"]
+        expected = "field.p: 1" + "0" * 59 + "… is out of range"
+    elif case == "field-kind-long":
+        doc = json.loads(spec_text(qx2))
+        doc["field"] = {"kind": "x" * 9000}
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        argv, expected = ["check", str(spec)], "field: unknown field kind 'xxx"
     elif case.startswith("field-params-"):
         # a string must not be read letter by letter as the field Q(a, b),
         # and a bad name is echoed only in part
@@ -515,3 +557,10 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2):
     assert expected in err
     # a rejected literal is echoed only in part
     assert all(len(line) < 200 for line in err.splitlines())
+
+
+@pytest.mark.parametrize("name, argv", wl_symbolic.cli_cases(),
+                         ids=[name for name, _ in wl_symbolic.cli_cases()])
+def test_cli_replays_the_benchmark_goldens(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (BENCH / "golden" / f"cli_{name}.out").read_text()

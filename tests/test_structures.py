@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,8 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                       quadri_projections, rb_derive, tensor2, tensor_quadri,
                       total_product, tridend_to_dend, yau_twist)
 from bihomalg.errors import InputAxiomsFail, TwistHypothesisViolated
-from bihomalg.structures import (DEFAULT_VIOLATION_CAP, CheckReport,
-                                 _commute_check)
-from conftest import counted, truncated_poly_algebra
+from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
+from conftest import against_reference, counted, truncated_poly_algebra
 from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
 
 Q = FieldSpec.rational()
@@ -182,14 +182,18 @@ def test_symbolic_two_param_algebra_passes():
 
 # -- the table-driven checkers find what the hand-written ones found ---------
 #    The four checkers below are the hand-written bodies that the MULTS and
-#    AXIOMS tables replaced, kept verbatim as the reference, with the helper
-#    _mult_check they called.
+#    AXIOMS tables replaced, kept verbatim as the reference, with the helpers
+#    _mult_check and _commute_check they called.
 
 def _mult_check(rep: CheckReport, tag: str, f: LinearMap, op: StructureTable) -> None:
     """f(x op y) == f(x) op f(y) as a matrix identity on the tensor square."""
     m = op.as_matrix()
     n = op.dim
     rep._compare(tag, f.compose(m), m.compose(tensor2(f, f)), (n, n))
+
+
+def _commute_check(rep: CheckReport, tag: str, f: LinearMap, g: LinearMap) -> None:
+    rep._compare(tag, f.compose(g), g.compose(f), (f.rows,))
 
 
 def ref_check_bihom_associative(A: BiHomAssociativeAlgebra,
@@ -337,3 +341,55 @@ def test_table_checkers_match_hand_written_property(kind, data):
     assert got.cap == want.cap and got.sub_checks == want.sub_checks == {}
     assert got_mul == want_mul
     assert got_add <= want_add
+
+
+# -- yau_twist's hypothesis rows refuse what the hand-written probe refused --
+#    yau_twist as it was written before its probe became rows, kept as the
+#    reference; its one change is that the probe hands each operation itself,
+#    not its matrix, to the _mult_check above.
+
+def ref_yau_twist(S, atilde: LinearMap, btilde: LinearMap):
+    probe = CheckReport(cap=1)
+    for tag in S.OPS:
+        op = getattr(S, tag)
+        _mult_check(probe, f"atilde_mult_{tag}", atilde, op)
+        _mult_check(probe, f"btilde_mult_{tag}", btilde, op)
+    _commute_check(probe, "atilde_btilde", atilde, btilde)
+    _commute_check(probe, "atilde_alpha", atilde, S.alpha)
+    _commute_check(probe, "atilde_beta", atilde, S.beta)
+    _commute_check(probe, "btilde_alpha", btilde, S.alpha)
+    _commute_check(probe, "btilde_beta", btilde, S.beta)
+    if not probe.passed:
+        raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
+    twisted = {tag: getattr(S, tag).twist(atilde, btilde) for tag in S.OPS}
+    return replace(S, alpha=atilde.compose(S.alpha), beta=btilde.compose(S.beta),
+                   **twisted)
+
+
+@pytest.mark.parametrize("kind", list(CHECKERS), ids=lambda k: k.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_yau_twist_rows_match_hand_written_property(kind, data):
+    """With zero operations every map is multiplicative, so the commutation
+    rows decide."""
+    S = data.draw(random_structure(kind))
+    if data.draw(st.booleans()):
+        S = replace(S, **{tag: StructureTable.zero(S.field, S.dim) for tag in S.OPS})
+    ident = LinearMap.identity(S.field, S.dim)
+    atilde, btilde = (data.draw(st.one_of(
+        st.just(ident), st.just(ident), st.just(S.alpha), st.just(S.beta),
+        sparse_matrix(S.field, S.dim, S.dim))) for _ in range(2))
+    got, want, got_ops, want_ops = against_reference(yau_twist, ref_yau_twist,
+                                                     S, atilde, btilde)
+    assert got == want
+    assert got_ops == want_ops
+
+
+def test_yau_twist_names_the_first_failing_hypothesis():
+    # every map is multiplicative for the zero operation, and atilde
+    # commutes with btilde = id but with neither alpha nor beta
+    o, z = Q.one(), Q.zero()
+    shear = LinearMap(Q, ((o, o), (z, o)))
+    A = BiHomAssociativeAlgebra(Q, StructureTable.zero(Q, 2), shear, shear)
+    with pytest.raises(TwistHypothesisViolated, match="^atilde_alpha$"):
+        yau_twist(A, LinearMap(Q, ((o, z), (o, o))), LinearMap.identity(Q, 2))

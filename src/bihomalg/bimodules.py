@@ -153,11 +153,12 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
         M.right_action.twist(atilde_M, btilde_A))
 
 
-def _grb_products(M: BiHomBimodule, pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
-    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M."""
-    ident = LinearMap.identity(pi.map.field, M.dim)
-    return (M.left_action.as_matrix().compose(tensor2(pi.map, ident)),
-            M.right_action.as_matrix().compose(tensor2(ident, pi.map)))
+def _grb_products(L: LinearMap, R: LinearMap,
+                  pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
+    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M, from the
+    matrices L: A (x) M -> M and R: M (x) A -> M of the actions."""
+    ident = LinearMap.identity(pi.map.field, L.rows)
+    return L.compose(tensor2(pi.map, ident)), R.compose(tensor2(ident, pi.map))
 
 
 def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
@@ -170,8 +171,8 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     n, m = A.dim, M.dim
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
-    succ, prec = _grb_products(M, pi)
     mats = _bimodule_mats(A, M)
+    succ, prec = _grb_products(mats["L"][0], mats["R"][0], pi)
     mats.update(pi=(pi.map, (m,)), star=(succ + prec, (m, m)))
     rep = _check_axioms(mats, [("grb", ("mu", ("pi", "pi")), ("pi", "star"))],
                         CheckReport(cap=cap))
@@ -206,7 +207,8 @@ def grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator,
     A = M.algebra
     if check:
         _require_grb(A, M, pi, "grb_to_dendriform")
-    succ, prec = _grb_products(M, pi)
+    succ, prec = _grb_products(M.left_action.as_matrix(),
+                               M.right_action.as_matrix(), pi)
     return BiHomDendriform(A.field,
                            StructureTable.from_matrix(A.field, prec, M.dim, M.dim),
                            StructureTable.from_matrix(A.field, succ, M.dim, M.dim),
@@ -221,18 +223,18 @@ def grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     _require_grb(A, M, pi, "grb_transpose_actions")
     n, m = A.dim, M.dim
     field = A.field
-    mu = A.mu.as_matrix()
+    mu, L, R = A.mu.as_matrix(), M.left_action.as_matrix(), M.right_action.as_matrix()
     id_n = LinearMap.identity(field, n)
-    succ, prec = _grb_products(M, pi)
+    succ, prec = _grb_products(L, R, pi)
     star = StructureTable.from_matrix(field, succ + prec, m, m)
     base = BiHomAssociativeAlgebra(field, star, M.alpha_M, M.beta_M)
     # left: M (x) A -> A, m ._pi a
     left = StructureTable.from_matrix(
         field, mu.compose(tensor2(pi.map, id_n))
-        - pi.map.compose(M.right_action.as_matrix()), m, n)
+        - pi.map.compose(R), m, n)
     # right: A (x) M -> A, a ._pi m
     right = StructureTable.from_matrix(
         field, mu.compose(tensor2(id_n, pi.map))
-        - pi.map.compose(M.left_action.as_matrix()), n, m)
+        - pi.map.compose(L), n, m)
     module = BiHomBimodule(base, A.alpha, A.beta, left, right)
     return module, split_null_extension(base, module)

@@ -2,6 +2,8 @@
 
 Exit codes: 0 = all requested checks passed / operation succeeded,
 1 = an axiom check failed (violations are printed), 2 = usage or parse error.
+Every JSON input, file or argument, is read by `specfile._read_json`, so a
+malformed one exits 2 with a message naming the file or argument.
 """
 
 from __future__ import annotations
@@ -17,22 +19,25 @@ from .errors import (BiHomAlgError, EvalSingular, IncompleteAssignment,
 from .linalg import Vector
 from .scalars import _clip, scalar_to_str
 from .specfile import (KIND_TABLES, _fail, _matrix, _object, _parse_field,
-                       _positive_int, _scalar, _structure_kind, parse_spec,
-                       serialize)
+                       _positive_int, _read_json, _scalar, _structure_kind,
+                       parse_spec, serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
 
 
-def _load(path: str) -> dict:
+def _load(path: str, parse):
+    """parse(text) on the file at path; a refusal names the file."""
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse(fh.read())
+    except (OSError, SpecFileError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
-    try:
-        return parse_spec(text)
-    except SpecFileError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
+
+
+def _refuse(msg: str) -> int:
+    """A usage refusal: the message alone on stderr, exit code 2."""
+    print(msg, file=sys.stderr)
+    return 2
 
 
 def _print_report(rep) -> int:
@@ -60,25 +65,15 @@ def _emit(parts: dict, out_path: str | None) -> None:
 
 
 def cmd_check(args) -> int:
-    parts = _load(args.spec)
-    structure = parts["structure"]
-    if args.kind:
-        if _structure_kind(structure) != args.kind:
-            print(f"spec file holds a {_structure_kind(structure)} structure, "
-                  f"not {args.kind}", file=sys.stderr)
-            return 2
+    structure = _load(args.spec, parse_spec)["structure"]
+    kind = _structure_kind(structure)
+    if args.kind and kind != args.kind:
+        return _refuse(f"spec file holds a {kind} structure, not {args.kind}")
     return _print_report(check_structure(structure))
 
 
-def _json_arg(text: str, name: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SpecFileError(f"{name}: {exc}") from exc
-
-
 def _rows_arg(text: str, name: str) -> list:
-    rows = _json_arg(text, name)
+    rows = _read_json(text, name)
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         _fail(name, "must be a JSON list of lists")
     return rows
@@ -89,9 +84,13 @@ def _matrix_arg(field, text, name, dim):
 
 
 def cmd_derive(args) -> int:
-    parts = _load(args.spec)
+    parts = _load(args.spec, parse_spec)
     S = parts["structure"]
     via = args.via
+    if via in ("tensor-quadri", "compose-twistor", "pair-quadri"):
+        if not args.second:
+            return _refuse(f"--via {via} needs a second spec file")
+        second = _load(args.second, parse_spec)
     if via == "rb-tridend":
         R = _need(parts, "rota_baxter")
         _emit({"structure": rota_baxter.rb_derive(S, R)}, args.output)
@@ -100,17 +99,12 @@ def cmd_derive(args) -> int:
         _emit({"structure": rota_baxter.rb_double_product(S, R)}, args.output)
     elif via == "yau":
         if not args.atilde or not args.btilde:
-            print("--via yau needs --atilde and --btilde", file=sys.stderr)
-            return 2
+            return _refuse("--via yau needs --atilde and --btilde")
         at = _matrix_arg(S.field, args.atilde, "atilde", S.dim)
         bt = _matrix_arg(S.field, args.btilde, "btilde", S.dim)
         _emit({"structure": yau_twist(S, at, bt)}, args.output)
     elif via == "tensor-quadri":
-        if not args.second:
-            print("--via tensor-quadri needs a second spec file", file=sys.stderr)
-            return 2
-        other = _load(args.second)["structure"]
-        _emit({"structure": tensor_quadri(S, other)}, args.output)
+        _emit({"structure": tensor_quadri(S, second["structure"])}, args.output)
     elif via in ("quadri-h", "quadri-v"):
         horizontal, vertical = quadri_projections(S)
         _emit({"structure": horizontal if via == "quadri-h" else vertical},
@@ -128,20 +122,14 @@ def cmd_derive(args) -> int:
         _emit({"structure": pseudotwistors.twisted_algebra(S, W),
                "twistor": W}, args.output)
     elif via == "compose-twistor":
-        if not args.second:
-            print("--via compose-twistor needs a second spec file", file=sys.stderr)
-            return 2
         W1 = _need(parts, "twistor")
-        W2 = _need(_load(args.second), "twistor")
+        W2 = _need(second, "twistor")
         composite = pseudotwistors.compose_pseudotwistors(S, W1, W2, args.mode)
         _emit({"structure": pseudotwistors.twisted_algebra(S, composite),
                "twistor": composite}, args.output)
     elif via == "pair-quadri":
-        if not args.second:
-            print("--via pair-quadri needs a second spec file", file=sys.stderr)
-            return 2
         R = _need(parts, "rota_baxter")
-        P = _need(_load(args.second), "rota_baxter")
+        P = _need(second, "rota_baxter")
         _emit({"structure": rota_baxter.commuting_pair_quadri(S, R, P)},
               args.output)
     return 0
@@ -175,13 +163,13 @@ def cmd_trees(args) -> int:
             print(trees.serialize_tree(t))
         return 0
     if args.tree_cmd == "act":
-        parts = _load(args.spec)
+        parts = _load(args.spec, parse_spec)
         A = parts["structure"]
         t = _tree_arg(args.tree, "tree")
         raw = _rows_arg(args.elements, "elements")
         elements = [Vector(A.field, row) for row in
-                    _matrix(A.field, raw, len(raw), A.dim, "elements").entries]
-        R = parts.get("rota_baxter") if isinstance(t, trees.RBAugTree) else None
+                    _matrix(A.field, raw, t.leaves, A.dim, "elements").entries]
+        R = _need(parts, "rota_baxter") if isinstance(t, trees.RBAugTree) else None
         result = trees.action_eval(t, elements, A, R)
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0
@@ -190,7 +178,7 @@ def cmd_trees(args) -> int:
     for flag, power in (("--max-ab", args.max_ab), ("--max-r", args.max_r)):
         if power < 0:
             _fail(flag, "must be a non-negative integer")
-    doc, x = _load_element(args.element_file)
+    doc, x = _load(args.element_file, _parse_element)
     # The window's basis: with n leaves, Catalan(n - 1) shapes, an (alpha,
     # beta) power pair per leaf, an R power per vertex, a generator per leaf.
     # The reducer walks the shapes and powers even at rank 0.
@@ -220,21 +208,9 @@ def _tree_arg(text: str, path: str):
         _fail(path, str(exc))
 
 
-def _load_element(path: str):
+def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
     """The JSON document of a `trees reduce` element file and its element."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
-    try:
-        return doc, _parse_element(doc)
-    except SpecFileError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
-
-
-def _parse_element(doc) -> trees.FreeElement:
-    _object(doc, "document")
+    doc = _object(_read_json(text), "document")
     for key in ("field", "rank", "terms"):
         if key not in doc:
             _fail("document", f"missing required key {key!r}")
@@ -260,13 +236,12 @@ def _parse_element(doc) -> trees.FreeElement:
         x = x + trees.FreeElement.generator(
             field, rank, tree, tuple(word),
             _scalar(field, term.get("coeff"), f"{path}.coeff"))
-    return x
+    return doc, x
 
 
 def cmd_search(args) -> int:
     jobs = _positive_int(args.jobs, "--jobs")
-    parts = _load(args.spec)
-    A = parts["structure"]
+    A = _load(args.spec, parse_spec)["structure"]
     if args.what == "rb":
         weight = _scalar(A.field, args.weight, "--weight")
         result = search.enumerate_rb(A, weight, jobs=jobs)
@@ -283,15 +258,14 @@ def cmd_verify_family(args) -> int:
     samples = None
     if args.mode == "sampled":
         if not args.samples:
-            print("sampled mode needs --samples", file=sys.stderr)
-            return 2
+            return _refuse("sampled mode needs --samples")
         samples = _samples_arg(args.samples, args.family)
     rep = families.verify_parametric_family(args.family, args.mode, samples)
     return _print_report(rep)
 
 
 def _samples_arg(text: str, family: str) -> list:
-    raw = _json_arg(text, "--samples")
+    raw = _read_json(text, "--samples")
     if not isinstance(raw, list):
         _fail("--samples", "must be a JSON list of objects")
     samples = []
@@ -376,20 +350,17 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputAxiomsFail as exc:
         print(f"axiom failure: {exc}", file=sys.stderr)
         if exc.report is not None:
             _print_report(exc.report)
         return 1
+    except (SpecFileError, ValueError, OSError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BiHomAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,18 @@ def _fail(path: str, msg: str):
     raise SpecFileError(f"{path}: {msg}")
 
 
+def _read_json(text: str, name: str | None = None):
+    """The JSON document in text.  Malformed JSON, an integer past Python's
+    digit limit and nesting past the recursion limit are a SpecFileError,
+    named name when given; a file's loader names it by the file's path."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        msg = (f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+               if isinstance(exc, json.JSONDecodeError) else _clip(str(exc)))
+        raise SpecFileError(f"{name}: {msg}" if name else msg) from exc
+
+
 def _scalar(field: FieldSpec, value, path: str) -> Scalar:
     if not isinstance(value, str):
         _fail(path, f"scalars must be literal strings, got {type(value).__name__}")
@@ -112,11 +124,7 @@ def _parse_field(value, path: str) -> FieldSpec:
 def parse_spec(text: str) -> dict:
     """Parse a spec document.  Returns a dict with key "structure" and any of
     the optional keys "rota_baxter", "baxter", "bimodule", "grb", "twistor"."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _read_json(text)
     if not isinstance(doc, dict):
         _fail("document", "top level must be an object")
     for key in ("field", "dim", "kind", "tables", "alpha", "beta"):

@@ -11,7 +11,6 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       evaluate_two_param_algebra, grb_hat, grb_to_dendriform,
                       grb_transpose_actions, split_null_extension, tensor2,
                       yau_twist, yau_twist_bimodule)
-from bihomalg.bimodules import _grb_products
 from bihomalg.errors import (DimensionMismatch, InputAxiomsFail,
                              TwistHypothesisViolated)
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
@@ -237,6 +236,13 @@ def ref_check_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     rep._compare("bimodule_middle", L.compose(tensor2(aA, R)),
                  R.compose(tensor2(L, bA)), (n, m, n))
     return rep
+
+
+def _grb_products(M: BiHomBimodule, pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
+    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M."""
+    ident = LinearMap.identity(pi.map.field, M.dim)
+    return (M.left_action.as_matrix().compose(tensor2(pi.map, ident)),
+            M.right_action.as_matrix().compose(tensor2(ident, pi.map)))
 
 
 def ref_check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,

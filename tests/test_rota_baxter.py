@@ -15,8 +15,10 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, FieldSpec,
                       quadri_projections, rb_dendriform_to_quadri, rb_derive,
                       rb_double_product, rb_persists_under_twist,
                       total_product, tridend_to_dend, verify_parametric_family)
-from bihomalg.errors import (InputAxiomsFail, NonzeroWeight,
+from bihomalg.errors import (EvalSingular, IncompleteAssignment,
+                             InputAxiomsFail, NonzeroWeight,
                              TwistHypothesisViolated)
+from bihomalg.families import FAMILY_IDS
 from bihomalg.cli import main
 from bihomalg.linalg import maps_commute
 from bihomalg.rota_baxter import (_double_product, _match,
@@ -68,10 +70,20 @@ def test_family_sampled_mode():
     rep = verify_parametric_family(
         "w1f3", "sampled", [{"a": 2, "b": 3}])
     assert rep.passed
-    from bihomalg.errors import EvalSingular
     with pytest.raises(EvalSingular):
         verify_parametric_family(
             "w0f2", "sampled", [{"a": 2, "b": 3, "r1": 1, "r2": 0}])
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_family_sampled_mode_refuses_a_zero_or_missing(fid):
+    # the algebra's evaluation refuses both, as it does for the family's own
+    # parameters: a = 0 is singular, a missing is an incomplete assignment
+    params = {"b": 3, "r": 5, "r1": 1, "r2": 2}
+    with pytest.raises(EvalSingular):
+        verify_parametric_family(fid, "sampled", [{"a": 0, **params}])
+    with pytest.raises(IncompleteAssignment):
+        verify_parametric_family(fid, "sampled", [params])
 
 
 def test_rb_derive_tables_without_commutation():

@@ -417,8 +417,10 @@ MALFORMED_WINDOWS = {
     "trees-reduce-window-rank-0": ((20, 0, 0), 0, "--max-leaves: the window"),
 }
 
-# argv (SPEC stands for a written qx2 spec file) and the name the error gives
+# argv (SPEC stands for a written qx2 spec file) and the name the error gives;
+# HUGE is past Python's limit of 4,300 digits for reading an integer
 DEEP = 3000
+HUGE = "1" * 5000
 MALFORMED_ARGS = {
     "search-weight-1/0": (["search", "rb", "SPEC", "--weight", "1/0"],
                           "--weight"),
@@ -434,6 +436,20 @@ MALFORMED_ARGS = {
                                "SPEC", '[["1", "0"]]'], "tree: "),
     "trees-act-elements-nested": (["trees", "act", "L[0,0]", "SPEC",
                                    "[" * DEEP + "]" * DEEP], "elements: "),
+    "trees-act-elements-5000-digits": (["trees", "act", "L[0,0]", "SPEC",
+                                        f"[[{HUGE}]]"],
+                                       "elements: Exceeds the limit"),
+    "trees-act-element-count": (["trees", "act", "L[0,0]", "SPEC",
+                                 '[["1", "0"], ["0", "1"]]'],
+                                "elements: expected a matrix with 1 rows"),
+    "trees-act-rb-tree-without-operator": (["trees", "act", "L[0,0;0]", "SPEC",
+                                            '[["1", "0"]]'], "'rota_baxter'"),
+    "samples-5000-digits": (["verify-family", "w0f1", "--mode", "sampled",
+                             "--samples", f'[{{"a": {HUGE}}}]'],
+                            "--samples: Exceeds the limit"),
+    "atilde-5000-digits": (["derive", "SPEC", "--via", "yau", "--atilde",
+                            f"[[{HUGE}]]", "--btilde", '[["1", "0"], ["0", "1"]]'],
+                           "--atilde: Exceeds the limit"),
     # Catalan(n - 1) trees: 2674440 for n = 15, past the limit of 10**6
     "trees-enumerate-n-15": (["trees", "enumerate", "-n", "15"], "-n: more than"),
     "trees-enumerate-n-40": (["trees", "enumerate", "-n", "40"], "-n: more than"),
@@ -443,12 +459,28 @@ MALFORMED_ARGS = {
 }
 
 
+# a file argument the CLI reads as JSON (argv, FILE standing for its path),
+# the file's text and the refusal, which follows the file's path
+REDUCE = ["trees", "reduce", "FILE", "--max-leaves", "3", "--max-ab", "1",
+          "--max-r", "1"]
+MALFORMED_JSON_FILES = {
+    "spec-nested": (["check", "FILE"], "[" * DEEP + "]" * DEEP,
+                    "maximum recursion depth"),
+    "spec-5000-digits": (["check", "FILE"], f'{{"dim": {HUGE}}}',
+                         "Exceeds the limit"),
+    "trees-reduce-element-nested": (REDUCE, "[" * DEEP + "]" * DEEP,
+                                    "maximum recursion depth"),
+    "trees-reduce-element-5000-digits": (REDUCE, f'{{"rank": {HUGE}}}',
+                                         "Exceeds the limit"),
+}
+
+
 @pytest.mark.parametrize("case", [
-    *(f"spec:{key}" for key in MALFORMED_SPECS),
+    *(f"spec:{key}" for key in MALFORMED_SPECS), *MALFORMED_JSON_FILES,
     "field-params-string", "trees-reduce-without-field", "trees-enumerate-n-0",
     "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
     "samples-not-objects", "samples-unknown-key", *MALFORMED_FIELD_P,
-    *MALFORMED_ARGS, "trees-reduce-tree-without-powers", "spec-nested",
+    *MALFORMED_ARGS, "trees-reduce-tree-without-powers",
     "field-params-long-name", "field-kind-long", "field-p-4001-digits",
     *MALFORMED_WINDOWS, *MALFORMED_SAMPLES])
 def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
@@ -477,11 +509,12 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
         argv = ["check", str(spec)]
-    elif case == "spec-nested":
-        # no parse site names this one; main still maps it to exit 2
-        spec = tmp_path / "deep.json"
-        spec.write_text("[" * DEEP + "]" * DEEP)
-        argv, expected = ["check", str(spec)], "maximum recursion depth"
+    elif case in MALFORMED_JSON_FILES:
+        argv, text, expected = MALFORMED_JSON_FILES[case]
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        expected = f"{path}: {expected}"
     elif case == "trees-reduce-tree-without-powers":
         element = tmp_path / "elt.json"
         element.write_text(json.dumps({

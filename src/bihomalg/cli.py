@@ -83,19 +83,25 @@ def _matrix_arg(field, text, name, dim):
     return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name)
 
 
+# the --via constructions that read a second spec file
+TWO_FILE_VIAS = ("tensor-quadri", "compose-twistor", "pair-quadri")
+
+
 def cmd_derive(args) -> int:
+    via = args.via
+    if via in TWO_FILE_VIAS and not args.second:
+        return _refuse(f"--via {via} needs a second spec file")
+    if args.second and via not in TWO_FILE_VIAS:
+        return _refuse(f"--via {via} takes no second spec file")
     parts = _load(args.spec, parse_spec)
     S = parts["structure"]
-    via = args.via
-    if via in ("tensor-quadri", "compose-twistor", "pair-quadri"):
-        if not args.second:
-            return _refuse(f"--via {via} needs a second spec file")
+    if args.second:
         second = _load(args.second, parse_spec)
     if via == "rb-tridend":
-        R = _need(parts, "rota_baxter")
+        R = _need(parts, "rota_baxter", args.spec)
         _emit({"structure": rota_baxter.rb_derive(S, R)}, args.output)
     elif via == "rb-double":
-        R = _need(parts, "rota_baxter")
+        R = _need(parts, "rota_baxter", args.spec)
         _emit({"structure": rota_baxter.rb_double_product(S, R)}, args.output)
     elif via == "yau":
         if not args.atilde or not args.btilde:
@@ -110,34 +116,35 @@ def cmd_derive(args) -> int:
         _emit({"structure": horizontal if via == "quadri-h" else vertical},
               args.output)
     elif via == "split-null":
-        M = _need(parts, "bimodule")
+        M = _need(parts, "bimodule", args.spec)
         _emit({"structure": bimodules.split_null_extension(S, M)}, args.output)
     elif via == "grb-dend":
-        M = _need(parts, "bimodule")
-        pi = _need(parts, "grb")
+        M = _need(parts, "bimodule", args.spec)
+        pi = _need(parts, "grb", args.spec)
         _emit({"structure": bimodules.grb_to_dendriform(M, pi)}, args.output)
     elif via == "rb-twistor":
-        R = _need(parts, "rota_baxter")
+        R = _need(parts, "rota_baxter", args.spec)
         W = pseudotwistors.rb_pseudotwistor(S, R)
         _emit({"structure": pseudotwistors.twisted_algebra(S, W),
                "twistor": W}, args.output)
     elif via == "compose-twistor":
-        W1 = _need(parts, "twistor")
-        W2 = _need(second, "twistor")
+        W1 = _need(parts, "twistor", args.spec)
+        W2 = _need(second, "twistor", args.second)
         composite = pseudotwistors.compose_pseudotwistors(S, W1, W2, args.mode)
         _emit({"structure": pseudotwistors.twisted_algebra(S, composite),
                "twistor": composite}, args.output)
     elif via == "pair-quadri":
-        R = _need(parts, "rota_baxter")
-        P = _need(second, "rota_baxter")
+        R = _need(parts, "rota_baxter", args.spec)
+        P = _need(second, "rota_baxter", args.second)
         _emit({"structure": rota_baxter.commuting_pair_quadri(S, R, P)},
               args.output)
     return 0
 
 
-def _need(parts: dict, key: str):
+def _need(parts: dict, key: str, path: str):
+    """The key block of parts, read from the spec file at path."""
     if key not in parts:
-        raise SpecFileError(f"spec file lacks the required {key!r} block")
+        raise SpecFileError(f"{path}: spec file lacks the required {key!r} block")
     return parts[key]
 
 
@@ -169,7 +176,8 @@ def cmd_trees(args) -> int:
         raw = _rows_arg(args.elements, "elements")
         elements = [Vector(A.field, row) for row in
                     _matrix(A.field, raw, t.leaves, A.dim, "elements").entries]
-        R = _need(parts, "rota_baxter") if isinstance(t, trees.RBAugTree) else None
+        R = (_need(parts, "rota_baxter", args.spec)
+             if isinstance(t, trees.RBAugTree) else None)
         result = trees.action_eval(t, elements, A, R)
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0

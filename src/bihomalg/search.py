@@ -3,9 +3,13 @@ algebras over prime fields.
 
 The candidate space is every n x n matrix over F_p, walked in row-major
 little-endian digit order (entry (0,0) is the least significant digit), so
-output order is machine-independent.  Every hit found during the walk is
-checked again, by the same checker, before being reported.  jobs > 1 splits
-the walk across min(jobs, CPU count) worker processes.
+output order is machine-independent.  The walk tests each candidate with an
+elementwise evaluator on plain ints mod p that stops at the first differing
+component, and builds no LinearMap or Scalar.  Every hit it finds is then
+verified a second time, by an independent method: the library's matrix
+checker (check_rota_baxter or check_one_sided_baxter), which shares no code
+with the walk.  jobs > 1 splits the walk across min(jobs, CPU count) worker
+processes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FieldMismatch
 from .linalg import LinearMap
 from .rota_baxter import (OneSidedBaxter, RBOperator, check_one_sided_baxter,
                           check_rota_baxter)
@@ -78,17 +82,71 @@ def _space_size(A: BiHomAssociativeAlgebra) -> int:
 
 
 def _passes(A, m, weight, side) -> bool:
-    """Check candidate m as a Rota-Baxter operator of the given weight, or as
-    a one-sided Baxter operator when side is set.  The checkers are looked
-    up as module globals on each call, so rebinding them takes effect."""
+    """The second verification of a hit m: the library's matrix checker,
+    check_rota_baxter at the given weight, or check_one_sided_baxter when
+    side is set.  It shares no code with the walk's elementwise test.  The
+    checkers are looked up as module globals on each call, so rebinding them
+    takes effect."""
     if side is None:
         return check_rota_baxter(A, RBOperator(m, weight)).passed
     return check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed
 
 
+def _raw_test(A, weight, side):
+    """The walk's test of the k-th candidate r, as a function of k.
+
+    On every basis pair (i, j) it compares, elementwise on ints mod p,
+    R(e_i)R(e_j) with R(R(e_i)e_j + e_iR(e_j) + weight e_ie_j); a right
+    Baxter test keeps only the R(e_i)e_j term, a left one only e_iR(e_j).
+    It returns False at the first component that differs.  The structure
+    constants and the weight are read as ints once, here.
+    """
+    n, p = A.dim, A.field.p
+    c = [[[x.value for x in col] for col in row] for row in A.mu.constants]
+    w = weight.value if side is None else 0
+    # r is the candidate's digit list: entry (a, b) is r[a*n + b], so
+    # coordinate a of R(e_i) is r[a*n + i].  Per pair (i, j): the terms of
+    # R(e_i)R(e_j) as (index of R(e_i)_a, index of R(e_j)_b, k, c_ab^k), those
+    # of the argument of R as (index, m, coefficient), and its constant part
+    # weight * e_ie_j.
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            lhs = [(a * n + i, b * n + j, k, c[a][b][k]) for a in range(n)
+                   for b in range(n) for k in range(n) if c[a][b][k]]
+            inner = []
+            if side != "left":
+                inner += [(a * n + i, m, c[a][j][m]) for a in range(n)
+                          for m in range(n) if c[a][j][m]]
+            if side != "right":
+                inner += [(b * n + j, m, c[i][b][m]) for b in range(n)
+                          for m in range(n) if c[i][b][m]]
+            pairs.append((lhs, inner, [w * x for x in c[i][j]]))
+    rows = [range(k * n, k * n + n) for k in range(n)]
+    nn = n * n
+
+    def test(k: int) -> bool:
+        r = []
+        for _ in range(nn):
+            k, d = divmod(k, p)
+            r.append(d)
+        for lhs, inner, const in pairs:
+            out = [0] * n
+            for fa, fb, t, x in lhs:
+                out[t] += r[fa] * r[fb] * x
+            arg = const[:]
+            for f, m, x in inner:
+                arg[m] += r[f] * x
+            for t, row in enumerate(rows):
+                if (out[t] - sum(r[f] * y for f, y in zip(row, arg))) % p:
+                    return False
+        return True
+    return test
+
+
 def _range_hits(A, weight, side, start, stop):
-    return [k for k in range(start, stop)
-            if _passes(A, index_to_matrix(A.field, A.dim, k), weight, side)]
+    test = _raw_test(A, weight, side)
+    return [k for k in range(start, stop) if test(k)]
 
 
 def _run_partitioned(worker, args, total, jobs):
@@ -108,6 +166,9 @@ def _run_partitioned(worker, args, total, jobs):
 
 def _enumerate(A, weight, side, jobs) -> SearchResult:
     total = _space_size(A)
+    if side is None and (not isinstance(weight, Scalar) or weight.field != A.field):
+        raise FieldMismatch(f"the weight {_clip(repr(weight))} is not in "
+                            f"the algebra's field {A.field}")
     start = time.monotonic()
     hits = _run_partitioned(_range_hits, (A, weight, side), total, jobs)
     hits.sort()
@@ -115,7 +176,8 @@ def _enumerate(A, weight, side, jobs) -> SearchResult:
     for k in hits:
         m = index_to_matrix(A.field, A.dim, k)
         if not _passes(A, m, weight, side):
-            raise AssertionError("second verification pass disagreed")
+            raise AssertionError(f"the matrix checker rejects candidate {k}, "
+                                 f"a hit of the elementwise walk")
         operators.append(m)
     return SearchResult(operators, A.field, A.dim, weight, total,
                         len(operators), time.monotonic() - start, side=side)

@@ -4,6 +4,7 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       GRBOperator, LinearMap, OneSidedBaxter, RBOperator,
@@ -15,8 +16,8 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       split_null_extension, tensor2, tensor_quadri,
                       tridend_to_dend)
 from bihomalg.cli import main
-from bihomalg.errors import BudgetExceeded
-from bihomalg.families import two_param_algebra
+from bihomalg.errors import BudgetExceeded, FieldMismatch
+from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
 from bihomalg.search import BUDGET_ENV_VAR
 from conftest import truncated_poly_algebra
 
@@ -126,6 +127,107 @@ def test_enumerate_baxter():
     assert 0 in values and 1 in values
     with pytest.raises(ValueError):
         enumerate_baxter(A, "middle")
+
+
+def assert_walk_agrees_with_matrix_checker(A, w):
+    """The walk's elementwise test and the matrix checker give the same
+    verdict on every candidate, at weight 0, at weight w and on both sides."""
+    f, n = A.field, A.dim
+    for weight, side in ((f.zero(), None), (f.from_int(w), None),
+                         (None, "left"), (None, "right")):
+        test = search._raw_test(A, weight, side)
+        for k in range(f.p ** (n * n)):
+            want = search._passes(A, index_to_matrix(f, n, k), weight, side)
+            assert test(k) == want, (weight, side, k)
+
+
+@st.composite
+def prime_algebras(draw):
+    """A structure table over F_2, F_3 or F_5 at dim 1 or 2, associative or
+    not, with a random zero pattern, and a nonzero weight."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    f = FieldSpec.prime(p)
+    entries = iter(draw(st.lists(st.integers(1, p - 1), min_size=n ** 3,
+                                 max_size=n ** 3)))
+    mask = iter(draw(st.lists(st.booleans(), min_size=n ** 3, max_size=n ** 3)))
+    table = StructureTable(f, tuple(tuple(tuple(
+        f.from_int(next(entries) if next(mask) else 0) for _ in range(n))
+        for _ in range(n)) for _ in range(n)))
+    return BiHomAssociativeAlgebra.associative(f, table), draw(st.integers(1, p - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(prime_algebras())
+def test_walk_test_agrees_with_matrix_checker(case):
+    assert_walk_agrees_with_matrix_checker(*case)
+
+
+def test_walk_test_agrees_with_matrix_checker_dim3():
+    assert_walk_agrees_with_matrix_checker(prime_truncated(2, 3), 1)
+
+
+def test_second_pass_names_the_first_disagreeing_candidate(monkeypatch):
+    A = idempotent_line(3)  # at weight 1 the hits are 0 and 2
+    monkeypatch.setattr(search, "_raw_test", lambda A, weight, side: lambda k: True)
+    with pytest.raises(AssertionError, match=r"candidate 1\b"):
+        enumerate_rb(A, A.field.one())
+
+
+def test_weight_from_another_field_is_refused_before_the_walk(monkeypatch):
+    A = idempotent_line(3)
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(search, "_raw_test", no_walk)
+    for weight in (FieldSpec.prime(5).one(), FieldSpec.prime(5).zero(), Q.one()):
+        with pytest.raises(FieldMismatch):
+            enumerate_rb(A, weight)
+
+
+def family_members(f):
+    """The matrices of the six families over f, by weight, with r, r1 in f
+    and r2 in f^x."""
+    values = [f.from_int(x) for x in range(f.p)]
+    points = {"w0f2": [{"r1": r1, "r2": r2} for r1 in values for r2 in values[1:]],
+              "w1f3": [{}]}
+    points["w1f4"] = points["w0f2"]
+    members = {0: [], 1: []}
+    for family in FAMILY_IDS:
+        for point in points.get(family, [{"r": r} for r in values]):
+            R = rb_family(family, f, **point)
+            members[R.weight.value].append(matrix_values(R.map))
+    return members
+
+
+def matrix_values(m):
+    return tuple(tuple(x.value for x in row) for row in m.entries)
+
+
+# R = 0 is a Rota-Baxter operator of every weight; at weight 0 it is the
+# member r = 0 of w0f1, at weight 1 it lies in no family
+TRIVIAL_WEIGHT_1 = ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("p, counts", [(3, [54, 84]), (5, [500, 640])])
+def test_two_param_rb_operators_are_the_families(p, counts):
+    """On two_param_algebra(F_p, a, b), a != 0, the weight-0 and weight-1
+    Rota-Baxter operators are exactly the family members of that weight and,
+    at weight 1, the trivial operator."""
+    f = FieldSpec.prime(p)
+    members = family_members(f)
+    members[1].append(TRIVIAL_WEIGHT_1)
+    found = [0, 0]
+    for a in range(1, p):
+        for b in range(p):
+            A = two_param_f(p, a, b)
+            for w in (0, 1):
+                hits = [matrix_values(m)
+                        for m in enumerate_rb(A, f.from_int(w)).operators]
+                assert sorted(hits) == sorted(members[w]), (a, b, w)
+                found[w] += len(hits)
+    assert found == counts
 
 
 def test_budget_enforced(monkeypatch):
@@ -306,6 +408,29 @@ def test_cli_derive_usage_exits_2(via, extra, message, tmp_path, capsys, qx2):
     argv = ["derive", write_spec(tmp_path, "a.json", qx2), "--via", via, *extra]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["rb-tridend", "rb-double", "yau", "quadri-h",
+                                 "quadri-v", "split-null", "grb-dend",
+                                 "rb-twistor"])
+def test_cli_derive_refuses_a_stray_second_spec_file(via, tmp_path, capsys, qx2):
+    # b.json does not exist: the refusal comes before any file is opened
+    argv = ["derive", write_spec(tmp_path, "a.json", qx2),
+            str(tmp_path / "b.json"), "--via", via]
+    assert main(argv) == 2
+    assert f"--via {via} takes no second spec file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lacking", ["a.json", "b.json"])
+def test_cli_missing_block_names_the_spec_file(lacking, tmp_path, capsys, qx3,
+                                               qx3_rb):
+    paths = {name: write_spec(tmp_path, name, qx3,
+                              None if name == lacking else {"rota_baxter": qx3_rb})
+             for name in ("a.json", "b.json")}
+    assert main(["derive", paths["a.json"], paths["b.json"],
+                 "--via", "pair-quadri"]) == 2
+    assert (f"{paths[lacking]}: spec file lacks the required 'rota_baxter' block"
+            in capsys.readouterr().err)
 
 
 def test_cli_trees_enumerate(capsys):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, TwistHypothesisViolated
-from .linalg import LinearMap, StructureTable, block_diag, tensor2
+from .linalg import LinearMap, StructureTable, _join, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
                          DEFAULT_VIOLATION_CAP, _check_axioms, _commutes,
@@ -106,9 +106,9 @@ def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """
     if check:
         require(check_bimodule(A, M), "split_null_extension")
-    n, d, z = A.dim, A.dim + M.dim, A.field.zero()
+    n, d, z = A.dim, A.dim + M.dim, A.field.ops.zero
     zn, zm = (z,) * n, (z,) * M.dim
-    mu, L, R = A.mu.constants, M.left_action.constants, M.right_action.constants
+    mu, L, R = A.mu._d, M.left_action._d, M.right_action._d
 
     def column(i, j):
         """e_i e_j in A (+) M, where e_i lies in A when i < n."""
@@ -116,7 +116,7 @@ def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
             return mu[i][j] + zm if j < n else zn + L[i][j - n]
         return zn + R[i - n][j] if j < n else zn + zm
 
-    table = StructureTable(A.field, tuple(
+    table = StructureTable._of(A.field, tuple(
         tuple(column(i, j) for j in range(d)) for i in range(d)))
     return BiHomAssociativeAlgebra(A.field, table,
                                    block_diag(A.alpha, M.alpha_M),
@@ -191,9 +191,10 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     n, m = A.dim, M.dim
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
-    z = A.field.zero()
-    top = tuple((z,) * n + row for row in pi.map.entries)  # (0 | pi)
-    return RBOperator(LinearMap(A.field, top + ((z,) * (n + m),) * m),
+    _join(A.field, pi.map.field)
+    z = A.field.ops.zero
+    top = tuple((z,) * n + row for row in pi.map._d)  # (0 | pi)
+    return RBOperator(LinearMap._of(A.field, top + ((z,) * (n + m),) * m),
                       A.field.zero())
 
 

@@ -18,9 +18,9 @@ from .errors import (BiHomAlgError, EvalSingular, IncompleteAssignment,
                      InputAxiomsFail, SpecFileError)
 from .linalg import Vector
 from .scalars import _clip, scalar_to_str
-from .specfile import (KIND_TABLES, _fail, _matrix, _object, _parse_field,
-                       _positive_int, _read_json, _scalar, _structure_kind,
-                       parse_spec, serialize)
+from .specfile import (KIND_TABLES, _block, _fail, _matrix, _object,
+                       _parse_field, _positive_int, _read_json, _scalar,
+                       _structure_kind, parse_spec, serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
 
@@ -256,7 +256,7 @@ def cmd_search(args) -> int:
     else:
         result = search.enumerate_baxter(A, args.side, jobs=jobs)
     for m in result.operators:
-        print(json.dumps([[scalar_to_str(x) for x in row] for row in m.entries]))
+        print(json.dumps(_block(m)))
     print(f"examined {result.examined}, found {result.found}, "
           f"elapsed {result.elapsed:.3f}s", file=sys.stderr)
     return 0

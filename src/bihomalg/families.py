@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import LinearMap, StructureTable
+from .linalg import LinearMap, StructureTable, _nest
 from .rota_baxter import RBOperator, check_rota_baxter
 from .scalars import FieldSpec, Scalar
 from .structures import BiHomAssociativeAlgebra, CheckReport
@@ -82,33 +82,28 @@ def symbolic_rb_family(family_id: str) -> RBOperator:
                      r1=f.parameter("r1"), r2=f.parameter("r2"))
 
 
-def _evaluate_map(m: LinearMap, assignment: dict[str, Fraction]) -> LinearMap:
-    q = FieldSpec.rational()
-    return LinearMap(q, tuple(tuple(x.evaluate(assignment) for x in row)
-                              for row in m.entries))
-
-
-def _evaluate_table(t: StructureTable, assignment) -> StructureTable:
-    q = FieldSpec.rational()
-    return StructureTable(q, tuple(
-        tuple(tuple(x.evaluate(assignment) for x in col) for col in row)
-        for row in t.constants))
+def _evaluated(x, assignment: dict[str, Fraction]):
+    """The LinearMap or StructureTable x over Q(params), evaluated at the
+    assignment, over Q."""
+    q, f = FieldSpec.rational(), x.field
+    return type(x)._of(q, _nest(lambda v: q.ops.unbox(
+        Scalar(f, f.ops.box(v)).evaluate(assignment).value), x._depth, x._d))
 
 
 def evaluate_two_param_algebra(assignment: dict[str, Fraction]) -> BiHomAssociativeAlgebra:
     """The symbolic algebra evaluated at rational parameter values."""
     A = symbolic_two_param_algebra()
     return BiHomAssociativeAlgebra(FieldSpec.rational(),
-                                   _evaluate_table(A.mu, assignment),
-                                   _evaluate_map(A.alpha, assignment),
-                                   _evaluate_map(A.beta, assignment))
+                                   _evaluated(A.mu, assignment),
+                                   _evaluated(A.alpha, assignment),
+                                   _evaluated(A.beta, assignment))
 
 
 def evaluate_rb_family(family_id: str, assignment: dict[str, Fraction]) -> RBOperator:
     R = symbolic_rb_family(family_id)
     weight = R.weight.evaluate(assignment) if not R.weight.is_zero() \
         else FieldSpec.rational().zero()
-    return RBOperator(_evaluate_map(R.map, assignment), weight)
+    return RBOperator(_evaluated(R.map, assignment), weight)
 
 
 def verify_parametric_family(family_id: str, mode: str = "symbolic",

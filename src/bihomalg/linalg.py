@@ -6,11 +6,21 @@ Basis conventions are fixed once and for all: the basis of A (x) B is ordered
 lexicographically, index(i, j) = i*dim(B) + j with 0-based indices, and a
 LinearMap stores entries[i][j] = coefficient of e_i in the image of e_j.
 
-Storage is dense, but `LinearMap.compose` and `tensor2` visit only the pairs
-of nonzero factors, in the order of the dense loops: every entry of a product
-is `zero + a1*b1 + a2*b2 + ...` with k increasing, and every Kronecker entry
-is one `a*b`.  So each output entry comes from the same scalar operations as
-a dense evaluation, which matters over Q(params), where the printed
+Storage is dense and raw: a Vector, LinearMap or StructureTable holds its
+field and the raw values of its entries in `_d` (an int or Fraction over Q,
+an int over F_p, a numerator/denominator pair of polynomials over Q(params);
+see scalars), and every kernel computes on them through the field's ops
+table, `field.ops`.  Scalar stays the public boundary: the constructors take
+Scalars of the container's field (FieldMismatch refuses any other) and unbox
+them, and `coords`, `entries` and `constants` box the raw values on each
+read.  The kernels build no Scalar; a checker boxes only the columns of the
+violations it logs.
+
+`LinearMap.compose` and `tensor2` visit only the pairs of nonzero factors,
+in the order of the dense loops: every entry of a product is
+`zero + a1*b1 + a2*b2 + ...` with k increasing, and every Kronecker entry is
+one `a*b`.  So each output entry comes from the same field operations as a
+dense evaluation, which matters over Q(params), where the printed
 (unreduced) form of a rational function depends on that sequence.
 
 `LinearMap.apply` and the table ops `compose_left`, `compose_right`, `twist`
@@ -27,148 +37,200 @@ i*dim_right + j of the matrix is the table's column c[i][j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import chain
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FieldMismatch
 from .scalars import FieldSpec, Scalar
 
 
-def _check(cond: bool, msg: str) -> None:
+def _join(*fields: FieldSpec) -> None:
+    """Refuse values over different fields."""
+    for other in fields[1:]:
+        if other is not fields[0] and other != fields[0]:
+            raise FieldMismatch(f"cannot combine values over {fields[0]} and {other}")
+
+
+def _check(cond: bool, msg: str, *operands) -> None:
+    """Refuse operands of the wrong dims, or over different fields."""
     if not cond:
         raise DimensionMismatch(msg)
+    _join(*(x.field for x in operands))
 
 
-def _combine(zero: Scalar, n: int, terms) -> tuple[Scalar, ...]:
+def _raw(field: FieldSpec, x) -> object:
+    """The raw value of x, which must be a Scalar of field."""
+    if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
+        raise FieldMismatch(f"{x!r} is not a Scalar of {field}")
+    return field.ops.unbox(x.value)
+
+
+def _nest(fn, depth: int, *data) -> tuple:
+    """fn mapped over the entries of equally shaped nested tuples of the
+    given depth, in row-major order."""
+    if depth == 1:
+        return tuple(map(fn, *data))
+    return tuple(_nest(fn, depth - 1, *parts) for parts in zip(*data))
+
+
+def _combine(ops, n: int, terms) -> tuple:
     """zero + c1*v1 + c2*v2 + ... for (c, v) in terms, v of length n; terms
     with c == 0 are skipped, zero coordinates of v are not."""
-    out = [zero] * n
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    out = [ops.zero] * n
     for c, v in terms:
-        if not c.is_zero():
-            out = [acc + c * x for acc, x in zip(out, v)]
+        if not is_zero(c):
+            out = [add(acc, mul(c, x)) for acc, x in zip(out, v)]
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Vector:
-    field: FieldSpec
-    coords: tuple[Scalar, ...]
+class _Raw:
+    """A field and raw values _d, nested _depth deep.  The constructor
+    unboxes Scalars; _of takes raw values."""
+
+    __slots__ = ("field", "_d")
+
+    def __init__(self, field: FieldSpec, scalars):
+        self.field, self._d = field, _nest(partial(_raw, field), self._depth, scalars)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, data):
+        obj = object.__new__(cls)
+        obj.field, obj._d = field, data
+        return obj
+
+    def _boxed(self):
+        return _nest(lambda x: Scalar(self.field, self.field.ops.box(x)), self._depth, self._d)
+
+    def _map(self, fn, *others):
+        return self._of(self.field, _nest(fn, self._depth, self._d,
+                                          *(other._d for other in others)))
+
+    def _flat(self):
+        return reduce(lambda flat, _: chain.from_iterable(flat),
+                      range(self._depth - 1), self._d)
+
+    def __add__(self, other):
+        _check(self._shape() == other._shape(), self._sum_dims, self, other)
+        return self._map(self.field.ops.add, other)
+
+    def __sub__(self, other):
+        return self + other.scale(-self.field.one())
+
+    def scale(self, c: Scalar):
+        c, mul = _raw(self.field, c), self.field.ops.mul
+        return self._map(lambda a: mul(c, a))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return ((other.field is self.field or other.field == self.field)
+                and self._shape() == other._shape()
+                and all(map(self.field.ops.eq, self._flat(), other._flat())))
+
+    def is_zero(self) -> bool:
+        return all(map(self.field.ops.is_zero, self._flat()))
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is unhashable")
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(field={self.field!r}, "
+                f"{self._public}={self._boxed()!r})")
+
+
+class Vector(_Raw):
+    __slots__ = ()
+    _depth, _public, _sum_dims = 1, "coords", "vector dims differ"
+    coords = property(_Raw._boxed)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self._d)
+
+    _shape = dim.fget
 
     @staticmethod
     def zero(field: FieldSpec, n: int) -> "Vector":
-        return Vector(field, tuple(field.zero() for _ in range(n)))
+        return Vector._of(field, (field.ops.zero,) * n)
 
     @staticmethod
     def basis(field: FieldSpec, n: int, i: int) -> "Vector":
-        return Vector(field, tuple(field.one() if j == i else field.zero()
-                                   for j in range(n)))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        _check(self.dim == other.dim, "vector dims differ")
-        return Vector(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return LinearMap.identity(field, n).column(i)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        _check(self.dim == other.dim, "vector dims differ")
-        return Vector(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + (-other)
 
     def __neg__(self) -> "Vector":
-        return Vector(self.field, tuple(-a for a in self.coords))
-
-    def scale(self, c: Scalar) -> "Vector":
-        return Vector(self.field, tuple(c * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            a == b for a, b in zip(self.coords, other.coords))
-
-    def __hash__(self):
-        raise TypeError("Vector is unhashable")
+        return self._map(self.field.ops.neg)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Raw):
     """A rows x cols matrix; column j is the image of basis vector e_j."""
 
-    field: FieldSpec
-    entries: tuple[tuple[Scalar, ...], ...]  # entries[i][j]
+    __slots__ = ()
+    _depth, _public, _sum_dims = 2, "entries", "sum dims differ"
+    entries = property(_Raw._boxed)  # entries[i][j]
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+    def __init__(self, field: FieldSpec, entries):
+        super().__init__(field, entries)
+        if len({len(row) for row in self._d}) > 1:
             raise DimensionMismatch("ragged matrix")
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._d)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self._d[0]) if self._d else 0
+
+    def _shape(self):
+        return self.rows, self.cols
 
     @staticmethod
     def from_rows(field: FieldSpec, rows) -> "LinearMap":
-        return LinearMap(field, tuple(tuple(row) for row in rows))
+        return LinearMap(field, rows)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "LinearMap":
-        one, zero = field.one(), field.zero()
-        return LinearMap(field, tuple(
+        one, zero = field.ops.one, field.ops.zero
+        return LinearMap._of(field, tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero_map(field: FieldSpec, rows: int, cols: int) -> "LinearMap":
-        z = field.zero()
-        return LinearMap(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return LinearMap._of(field, ((field.ops.zero,) * cols,) * rows)
 
     def apply(self, v: Vector) -> Vector:
-        _check(self.cols == v.dim, "map/vector dims differ")
-        return Vector(self.field, _combine(self.field.zero(), self.rows,
-                                           zip(v.coords, zip(*self.entries))))
+        _check(self.cols == v.dim, "map/vector dims differ", self, v)
+        return Vector._of(self.field, _combine(self.field.ops, self.rows,
+                                               zip(v._d, zip(*self._d))))
 
     def column(self, j: int) -> Vector:
-        return Vector(self.field, tuple(self.entries[i][j] for i in range(self.rows)))
+        return Vector._of(self.field, tuple(row[j] for row in self._d))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other)."""
-        _check(self.cols == other.rows, "composition dims differ")
-        zero = self.field.zero()
+        _check(self.cols == other.rows, "composition dims differ", self, other)
+        ops = self.field.ops
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
         by_col = [[] for _ in range(self.cols)]  # k -> [(i, a)], a != 0
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(self._d):
             for k, a in enumerate(row):
-                if not a.is_zero():
+                if not is_zero(a):
                     by_col[k].append((i, a))
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for k, row in enumerate(other.entries):
+        out = [[ops.zero] * other.cols for _ in range(self.rows)]
+        for k, row in enumerate(other._d):
             col = by_col[k]
             if not col:
                 continue
             for j, b in enumerate(row):
-                if b.is_zero():
+                if is_zero(b):
                     continue
                 for i, a in col:
-                    out[i][j] = out[i][j] + a * b
-        return LinearMap(self.field, tuple(tuple(r) for r in out))
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        _check(self.rows == other.rows and self.cols == other.cols, "sum dims differ")
-        return LinearMap(self.field, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scale(-self.field.one())
-
-    def scale(self, c: Scalar) -> "LinearMap":
-        return LinearMap(self.field, tuple(tuple(c * a for a in row)
-                                           for row in self.entries))
+                    out[i][j] = add(out[i][j], mul(a, b))
+        return LinearMap._of(self.field, tuple(map(tuple, out)))
 
     def power(self, k: int) -> "LinearMap":
         _check(self.rows == self.cols, "power of a non-square map")
@@ -176,20 +238,6 @@ class LinearMap:
         for _ in range(k):
             out = out.compose(self)
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(a == b for r1, r2 in zip(self.entries, other.entries)
-                   for a, b in zip(r1, r2))
-
-    def __hash__(self):
-        raise TypeError("LinearMap is unhashable")
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
 
 
 def maps_commute(f: LinearMap, g: LinearMap) -> bool:
@@ -199,19 +247,21 @@ def maps_commute(f: LinearMap, g: LinearMap) -> bool:
 
 def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product f (x) g in the lexicographic basis order."""
-    zero = f.field.zero()
+    _join(f.field, g.field)
+    ops = f.field.ops
+    mul, is_zero = ops.mul, ops.is_zero
     rows, cols = f.rows * g.rows, f.cols * g.cols
-    out = [[zero] * cols for _ in range(rows)]
-    g_nonzero = [(i2, j2, b) for i2, row in enumerate(g.entries)
-                 for j2, b in enumerate(row) if not b.is_zero()]
-    for i1, row in enumerate(f.entries):
+    out = [[ops.zero] * cols for _ in range(rows)]
+    g_nonzero = [(i2, j2, b) for i2, row in enumerate(g._d)
+                 for j2, b in enumerate(row) if not is_zero(b)]
+    for i1, row in enumerate(f._d):
         for j1, a in enumerate(row):
-            if a.is_zero():
+            if is_zero(a):
                 continue
             r0, c0 = i1 * g.rows, j1 * g.cols
             for i2, j2, b in g_nonzero:
-                out[r0 + i2][c0 + j2] = a * b
-    return LinearMap(f.field, tuple(tuple(row) for row in out))
+                out[r0 + i2][c0 + j2] = mul(a, b)
+    return LinearMap._of(f.field, tuple(map(tuple, out)))
 
 
 def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
@@ -219,32 +269,37 @@ def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
 
 
 def block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
-    z = f.field.zero()
-    return LinearMap(f.field, tuple(row + (z,) * g.cols for row in f.entries)
-                     + tuple((z,) * f.cols + row for row in g.entries))
+    _join(f.field, g.field)
+    z = f.field.ops.zero
+    return LinearMap._of(f.field, tuple(row + (z,) * g.cols for row in f._d)
+                         + tuple((z,) * f.cols + row for row in g._d))
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(_Raw):
     """A bilinear operation X x Y -> Z as structure constants c[i][j][k],
     meaning (e_i, e_j) |-> sum_k c[i][j][k] e_k.  Square algebra tables have
     dim_left == dim_right == dim_out; bimodule actions are rectangular.
     """
 
-    field: FieldSpec
-    constants: tuple[tuple[tuple[Scalar, ...], ...], ...]  # c[i][j][k]
+    __slots__ = ()
+    _depth, _public, _sum_dims = 3, "constants", "table sum dims differ"
+    constants = property(_Raw._boxed)  # c[i][j][k]
+    __add__, scale = _Raw.__add__, _Raw.scale  # the table ops are all its own
 
     @property
     def dim_left(self) -> int:
-        return len(self.constants)
+        return len(self._d)
 
     @property
     def dim_right(self) -> int:
-        return len(self.constants[0]) if self.constants else 0
+        return len(self._d[0]) if self._d else 0
 
     @property
     def dim_out(self) -> int:
-        return len(self.constants[0][0]) if self.constants and self.constants[0] else 0
+        return len(self._d[0][0]) if self._d and self._d[0] else 0
+
+    def _shape(self):
+        return self.dim_left, self.dim_right, self.dim_out
 
     @property
     def dim(self) -> int:
@@ -257,75 +312,49 @@ class StructureTable:
              dim_out: int | None = None) -> "StructureTable":
         dim_right = dim_left if dim_right is None else dim_right
         dim_out = dim_left if dim_out is None else dim_out
-        return StructureTable(
-            field, (((field.zero(),) * dim_out,) * dim_right,) * dim_left)
+        return StructureTable._of(
+            field, (((field.ops.zero,) * dim_out,) * dim_right,) * dim_left)
 
     def apply_basis(self, i: int, j: int) -> Vector:
-        return Vector(self.field, self.constants[i][j])
+        return Vector._of(self.field, self._d[i][j])
 
     def apply(self, u: Vector, v: Vector) -> Vector:
         _check(u.dim == self.dim_left and v.dim == self.dim_right,
-               "bilinear operand dims differ")
-        out = [self.field.zero()] * self.dim_out
+               "bilinear operand dims differ", self, u, v)
+        ops = self.field.ops
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+        out = [ops.zero] * self.dim_out
         for i in range(self.dim_left):
-            a = u.coords[i]
-            if a.is_zero():
+            a = u._d[i]
+            if is_zero(a):
                 continue
             for j in range(self.dim_right):
-                b = v.coords[j]
-                if b.is_zero():
+                b = v._d[j]
+                if is_zero(b):
                     continue
-                ab = a * b
-                row = self.constants[i][j]
+                ab = mul(a, b)
+                row = self._d[i][j]
                 for k in range(self.dim_out):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + ab * row[k]
-        return Vector(self.field, tuple(out))
-
-    def __add__(self, other: "StructureTable") -> "StructureTable":
-        _check((self.dim_left, self.dim_right, self.dim_out)
-               == (other.dim_left, other.dim_right, other.dim_out),
-               "table sum dims differ")
-        return StructureTable(self.field, tuple(
-            tuple(tuple(a + b for a, b in zip(k1, k2))
-                  for k1, k2 in zip(r1, r2))
-            for r1, r2 in zip(self.constants, other.constants)))
-
-    def __sub__(self, other: "StructureTable") -> "StructureTable":
-        return self + other.scale(-self.field.one())
-
-    def scale(self, c: Scalar) -> "StructureTable":
-        return StructureTable(self.field, tuple(
-            tuple(tuple(c * a for a in col) for col in row)
-            for row in self.constants))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureTable):
-            return NotImplemented
-        return self.constants == other.constants
-
-    def __hash__(self):
-        raise TypeError("StructureTable is unhashable")
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.constants for col in row for a in col)
+                    if not is_zero(row[k]):
+                        out[k] = add(out[k], mul(ab, row[k]))
+        return Vector._of(self.field, tuple(out))
 
     def compose_left(self, f: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), y)."""
-        _check(f.rows == self.dim_left, "compose_left dims differ")
-        zero, consts = self.field.zero(), self.constants
-        return StructureTable(self.field, tuple(
-            tuple(_combine(zero, self.dim_out, zip(col, (r[j] for r in consts)))
+        _check(f.rows == self.dim_left, "compose_left dims differ", self, f)
+        ops, consts = self.field.ops, self._d
+        return StructureTable._of(self.field, tuple(
+            tuple(_combine(ops, self.dim_out, zip(col, (r[j] for r in consts)))
                   for j in range(self.dim_right))
-            for col in zip(*f.entries)))
+            for col in zip(*f._d)))
 
     def compose_right(self, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(x, g(y))."""
-        _check(g.rows == self.dim_right, "compose_right dims differ")
-        zero, cols = self.field.zero(), tuple(zip(*g.entries))
-        return StructureTable(self.field, tuple(
-            tuple(_combine(zero, self.dim_out, zip(col, row)) for col in cols)
-            for row in self.constants))
+        _check(g.rows == self.dim_right, "compose_right dims differ", self, g)
+        ops, cols = self.field.ops, tuple(zip(*g._d))
+        return StructureTable._of(self.field, tuple(
+            tuple(_combine(ops, self.dim_out, zip(col, row)) for col in cols)
+            for row in self._d))
 
     def twist(self, f: LinearMap, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), g(y))."""
@@ -333,23 +362,24 @@ class StructureTable:
 
     def postcompose(self, h: LinearMap) -> "StructureTable":
         """(x, y) |-> h(B(x, y))."""
-        _check(h.cols == self.dim_out, "postcompose dims differ")
-        zero, cols = self.field.zero(), tuple(zip(*h.entries))
-        return StructureTable(self.field, tuple(
-            tuple(_combine(zero, h.rows, zip(v, cols)) for v in row)
-            for row in self.constants))
+        _check(h.cols == self.dim_out, "postcompose dims differ", self, h)
+        ops, cols = self.field.ops, tuple(zip(*h._d))
+        return StructureTable._of(self.field, tuple(
+            tuple(_combine(ops, h.rows, zip(v, cols)) for v in row)
+            for row in self._d))
 
     def as_matrix(self) -> LinearMap:
         """The operation as a map X (x) Y -> Z in the lexicographic basis."""
-        return LinearMap(self.field, tuple(
-            zip(*(col for row in self.constants for col in row))))
+        return LinearMap._of(self.field, tuple(
+            zip(*(col for row in self._d for col in row))))
 
     @staticmethod
     def from_matrix(field: FieldSpec, m: LinearMap, dim_left: int,
                     dim_right: int) -> "StructureTable":
         _check(m.cols == dim_left * dim_right, "matrix shape does not factor")
-        cols = tuple(zip(*m.entries))
-        return StructureTable(field, tuple(
+        _join(field, m.field)
+        cols = tuple(zip(*m._d))
+        return StructureTable._of(field, tuple(
             cols[i * dim_right:(i + 1) * dim_right] for i in range(dim_left)))
 
 

@@ -64,6 +64,13 @@ def _check_rb_type(rep: CheckReport, tag: str, op: StructureTable, P: LinearMap,
     return _check_axioms(mats, [(tag, *sides)], rep)
 
 
+def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP) -> CheckReport:
+    """The Rota-Baxter identity part of check_rota_baxter."""
+    _match(A, R.map)
+    return _check_rb_type(CheckReport(cap=cap), "rota_baxter", A.mu, R.map,
+                          _double_product(A, R))
+
+
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
                       cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x)R(y) == R( R(x)y + xR(y) + weight*xy ) on all basis pairs.
@@ -71,9 +78,7 @@ def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
     Whether R commutes with alpha and beta is recorded in sub_checks but does
     not count as a violation.
     """
-    _match(A, R.map)
-    rep = _check_rb_type(CheckReport(cap=cap), "rota_baxter", A.mu, R.map,
-                         _double_product(A, R))
+    rep = _check_rb_identity(A, R, cap)
     rep.sub_checks["commutes_alpha"] = maps_commute(R.map, A.alpha)
     rep.sub_checks["commutes_beta"] = maps_commute(R.map, A.beta)
     return rep

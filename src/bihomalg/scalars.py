@@ -13,13 +13,27 @@ size of its largest entry: on rb_derive of the symbolic two-parameter algebra
 with the w1f3 family, the larger of an entry's term count (numerator plus
 denominator) and its total degree goes 3, 5, 13, 29, 61 over 0 to 4 twists
 (tests/test_scalars.py pins 0 to 3).
+
+Each field's arithmetic is defined once, in its ops table `FieldSpec.ops`
+(an instance of a class in OPS_CLASSES): zero and one, add, mul, neg, inv,
+is_zero and eq on raw values, and the conversions unbox (a Scalar's value
+to its raw value), box (back) and from_fraction.  A raw value is an int or
+a Fraction over Q (an int when integral), an int in 0..p-1 over F_p, and a
+(numerator, denominator) pair of polynomial dicts over Q(params).  Scalar
+arithmetic goes through the table, and so do the kernels of linalg, which
+keep raw values and box them into Scalars only where they are read.  Over
+F_p and Q(params) a raw value is a Scalar's value; over Q the Scalar holds
+the equal Fraction.  The ops classes live at module level, so a pickled
+FieldSpec (as search --jobs sends its workers) carries its table; the table
+is not a dataclass field, so FieldSpec equality, hash and repr ignore it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import partial
 
 from .errors import EvalSingular, FieldMismatch, IncompleteAssignment
 
@@ -39,6 +53,10 @@ _PRIME_LIMIT = 3317044064679887385961981
 def _clip(text: str) -> str:
     """Shorten text echoed in an error message to 60 characters and '…'."""
     return text if len(text) <= 60 else text[:60] + "…"
+
+
+def _frac_str(q: Fraction | int) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _is_prime(p: int) -> bool:
@@ -83,15 +101,11 @@ def _poly_add(p, q):
     return out
 
 
-def _poly_neg(p):
-    return {mono: -c for mono, c in p.items()}
-
-
 def _poly_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono = tuple(map(add, m1, m2))
+            mono = tuple(map(operator.add, m1, m2))
             s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
@@ -111,9 +125,109 @@ def _poly_eval(p, values):
     return total
 
 
+class _Ops:
+    """One field's arithmetic on raw values (see the module docstring).  The
+    defaults are those of Q and F_p, whose raw values are plain numbers."""
+
+    zero, one = 0, 1
+    is_zero, eq = staticmethod(operator.not_), staticmethod(operator.eq)
+    to_str = str  # the literal of a raw value
+
+    def __init__(self, field: "FieldSpec"):
+        self.p = field.p  # None over Q
+
+    @staticmethod
+    def unbox(value):
+        return value
+
+    box = unbox
+
+
+class _RationalOps(_Ops):
+    """Q: an int, or a Fraction when not integral; a Scalar holds a Fraction."""
+
+    add, mul, neg = map(staticmethod, (operator.add, operator.mul, operator.neg))
+    box = from_fraction = Fraction
+    inv = partial(Fraction, 1)  # Fraction(1, a)
+    to_str = staticmethod(_frac_str)
+
+    @staticmethod
+    def unbox(value):
+        return value.numerator if value.denominator == 1 else value
+
+
+class _PrimeOps(_Ops):
+    """F_p: an int in 0..p-1."""
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def from_fraction(self, q):
+        num, den = q.numerator % self.p, q.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes mod p")
+        return (num * pow(den, -1, self.p)) % self.p
+
+
+class _RationalFunctionOps(_Ops):
+    """Q(params): a (numerator, denominator) pair of polynomials, unreduced.
+    Equality cross-multiplies without counting as a mul."""
+
+    def __init__(self, field: "FieldSpec"):
+        self.params, self.mono = field.params, (0,) * len(field.params)
+        self.zero, self.one = ({}, {self.mono: 1}), ({self.mono: 1}, {self.mono: 1})
+
+    @staticmethod
+    def add(a, b):
+        (p1, q1), (p2, q2) = a, b
+        return _poly_add(_poly_mul(p1, q2), _poly_mul(p2, q1)), _poly_mul(q1, q2)
+
+    @staticmethod
+    def mul(a, b):
+        return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
+
+    @staticmethod
+    def neg(a):
+        return {mono: -c for mono, c in a[0].items()}, a[1]
+
+    inv = operator.itemgetter(1, 0)  # (denominator, numerator)
+
+    @staticmethod
+    def is_zero(a):
+        return not a[0]
+
+    @staticmethod
+    def eq(a, b):
+        return _poly_mul(a[0], b[1]) == _poly_mul(b[0], a[1])
+
+    def from_fraction(self, q):
+        c = q.numerator if q.denominator == 1 else Fraction(q)
+        return {self.mono: c} if c else {}, {self.mono: 1}
+
+    def to_str(self, value):
+        num_s = _poly_str(value[0], self.params)
+        if value[1] == {self.mono: 1}:
+            return f"({num_s})" if ("+" in num_s[1:] or "-" in num_s[1:]) else num_s
+        return f"({num_s})/({_poly_str(value[1], self.params)})"
+
+
+OPS_CLASSES = {RATIONAL: _RationalOps, PRIME: _PrimeOps,
+               RATIONAL_FUNCTION: _RationalFunctionOps}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Names an exact field: Q, F_p, or Q(params)."""
+    """Names an exact field: Q, F_p, or Q(params).  Its ops table, `ops`, is
+    not a dataclass field, so equality, hash and repr do not see it."""
 
     kind: str
     p: int | None = None
@@ -135,6 +249,7 @@ class FieldSpec:
                     raise ValueError(f"bad parameter name {_clip(repr(name))}")
         elif self.kind != RATIONAL:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "ops", OPS_CLASSES[self.kind](self))
 
     # -- constructors ------------------------------------------------------
 
@@ -162,17 +277,7 @@ class FieldSpec:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q: Fraction) -> "Scalar":
-        if self.kind == RATIONAL:
-            return Scalar(self, Fraction(q))
-        if self.kind == PRIME:
-            num = q.numerator % self.p
-            den = q.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes mod p")
-            return Scalar(self, (num * pow(den, -1, self.p)) % self.p)
-        zero = (0,) * len(self.params)
-        c = q.numerator if q.denominator == 1 else Fraction(q)
-        return Scalar(self, ({zero: c} if c else {}, {zero: 1}))
+        return Scalar(self, self.ops.from_fraction(q))
 
     def parameter(self, name: str) -> "Scalar":
         if self.kind != RATIONAL_FUNCTION:
@@ -181,8 +286,7 @@ class FieldSpec:
             raise ValueError(f"unknown parameter {_clip(repr(name))}")
         i = self.params.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.params)))
-        one = (0,) * len(self.params)
-        return Scalar(self, ({mono: 1}, {one: 1}))
+        return Scalar(self, ({mono: 1}, {self.ops.mono: 1}))
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(self, text)
@@ -191,9 +295,10 @@ class FieldSpec:
 class Scalar:
     """An exact element of the field named by its FieldSpec.
 
-    Immutable by convention; all arithmetic returns fresh values.  For
-    rational_function fields the value is a (numerator, denominator) pair of
-    sparse polynomials, not necessarily reduced.
+    Immutable by convention; all arithmetic returns fresh values, computed by
+    the field's ops table.  The value is a Fraction over Q, an int over F_p,
+    and a (numerator, denominator) pair of sparse polynomials, not
+    necessarily reduced, over Q(params).
     """
 
     __slots__ = ("field", "value")
@@ -204,73 +309,45 @@ class Scalar:
 
     # -- helpers -----------------------------------------------------------
 
+    def _joins(self, other) -> bool:
+        return isinstance(other, Scalar) and (
+            other.field is self.field or other.field == self.field)
+
     def _join(self, other: "Scalar") -> None:
-        if not isinstance(other, Scalar) or other.field != self.field:
+        if not self._joins(other):
             raise FieldMismatch(f"cannot combine {self!r} and {other!r}")
 
     def is_zero(self) -> bool:
-        if self.field.kind == RATIONAL_FUNCTION:
-            return not self.value[0]
-        return self.value == 0
+        return self.field.ops.is_zero(self.value)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._join(other)
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, self.value + other.value)
-        if k == PRIME:
-            return Scalar(self.field, (self.value + other.value) % self.field.p)
-        p1, q1 = self.value
-        p2, q2 = other.value
-        num = _poly_add(_poly_mul(p1, q2), _poly_mul(p2, q1))
-        return Scalar(self.field, (num, _poly_mul(q1, q2)))
+        return Scalar(self.field, self.field.ops.add(self.value, other.value))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, -self.value)
-        if k == PRIME:
-            return Scalar(self.field, (-self.value) % self.field.p)
-        return Scalar(self.field, (_poly_neg(self.value[0]), self.value[1]))
+        return Scalar(self.field, self.field.ops.neg(self.value))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._join(other)
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, self.value * other.value)
-        if k == PRIME:
-            return Scalar(self.field, (self.value * other.value) % self.field.p)
-        p1, q1 = self.value
-        p2, q2 = other.value
-        return Scalar(self.field, (_poly_mul(p1, p2), _poly_mul(q1, q2)))
+        return Scalar(self.field, self.field.ops.mul(self.value, other.value))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, 1 / self.value)
-        if k == PRIME:
-            return Scalar(self.field, pow(self.value, -1, self.field.p))
-        p, q = self.value
-        return Scalar(self.field, (q, p))
+        return Scalar(self.field, self.field.ops.inv(self.value))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar) or other.field != self.field:
+        if not self._joins(other):
             return NotImplemented
-        if self.field.kind == RATIONAL_FUNCTION:
-            p1, q1 = self.value
-            p2, q2 = other.value
-            return _poly_mul(p1, q2) == _poly_mul(p2, q1)
-        return self.value == other.value
+        return self.field.ops.eq(self.value, other.value)
 
     def __hash__(self):
         raise TypeError("Scalar is unhashable (rational functions lack canonical form)")
@@ -286,9 +363,8 @@ class Scalar:
             raise ValueError("evaluate only applies to rational_function scalars")
         values = []
         for name in self.field.params:
-            if self._uses(name):
-                if name not in assignment:
-                    raise IncompleteAssignment(f"no value for parameter {name!r}")
+            if self._uses(name) and name not in assignment:
+                raise IncompleteAssignment(f"no value for parameter {name!r}")
             values.append(Fraction(assignment.get(name, 0)))
         num, den = self.value
         d = _poly_eval(den, values)
@@ -398,10 +474,6 @@ def parse_scalar(field: FieldSpec, text: str) -> Scalar:
     return value
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _poly_str(p, params) -> str:
     if not p:
         return "0"
@@ -427,13 +499,4 @@ def _poly_str(p, params) -> str:
 
 def scalar_to_str(x: Scalar) -> str:
     """Serialize back into the literal grammar (round-trips through parse)."""
-    if x.field.kind == RATIONAL:
-        return _frac_str(x.value)
-    if x.field.kind == PRIME:
-        return str(x.value)
-    num, den = x.value
-    num_s = _poly_str(num, x.field.params)
-    one = (0,) * len(x.field.params)
-    if den == {one: 1}:
-        return f"({num_s})" if ("+" in num_s[1:] or "-" in num_s[1:]) else num_s
-    return f"({num_s})/({_poly_str(den, x.field.params)})"
+    return x.field.ops.to_str(x.value)

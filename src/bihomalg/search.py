@@ -7,9 +7,9 @@ output order is machine-independent.  The walk tests each candidate with an
 elementwise evaluator on plain ints mod p that stops at the first differing
 component, and builds no LinearMap or Scalar.  Every hit it finds is then
 verified a second time, by an independent method: the library's matrix
-checker (check_rota_baxter or check_one_sided_baxter), which shares no code
-with the walk.  jobs > 1 splits the walk across min(jobs, CPU count) worker
-processes.
+checker (the identity part of check_rota_baxter, or check_one_sided_baxter),
+which shares no code with the walk.  jobs > 1 splits the walk across
+min(jobs, CPU count) worker processes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FieldMismatch
 from .linalg import LinearMap
-from .rota_baxter import (OneSidedBaxter, RBOperator, check_one_sided_baxter,
-                          check_rota_baxter)
+from .rota_baxter import (OneSidedBaxter, RBOperator, _check_rb_identity,
+                          check_one_sided_baxter)
 from .scalars import PRIME, FieldSpec, Scalar, _clip
 from .structures import BiHomAssociativeAlgebra
 
@@ -61,13 +61,8 @@ def search_budget() -> int:
 def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
     """Decode the k-th matrix: base-p digits of k fill entries row-major,
     least significant digit first."""
-    p = field.p
-    flat = []
-    for _ in range(n * n):
-        k, d = divmod(k, p)
-        flat.append(Scalar(field, d))
-    rows = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-    return LinearMap(field, rows)
+    flat = [k // field.p ** e % field.p for e in range(n * n)]
+    return LinearMap._of(field, tuple(tuple(flat[i * n:i * n + n]) for i in range(n)))
 
 
 def _space_size(A: BiHomAssociativeAlgebra) -> int:
@@ -82,13 +77,14 @@ def _space_size(A: BiHomAssociativeAlgebra) -> int:
 
 
 def _passes(A, m, weight, side) -> bool:
-    """The second verification of a hit m: the library's matrix checker,
-    check_rota_baxter at the given weight, or check_one_sided_baxter when
-    side is set.  It shares no code with the walk's elementwise test.  The
-    checkers are looked up as module globals on each call, so rebinding them
-    takes effect."""
+    """The second verification of a hit m: the library's matrix checker of
+    the Rota-Baxter identity at the given weight (the identity part of
+    check_rota_baxter, without its commutation sub-checks), or
+    check_one_sided_baxter when side is set.  It shares no code with the
+    walk's elementwise test.  The checkers are looked up as module globals
+    on each call, so rebinding them takes effect."""
     if side is None:
-        return check_rota_baxter(A, RBOperator(m, weight)).passed
+        return _check_rb_identity(A, RBOperator(m, weight)).passed
     return check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed
 
 
@@ -99,10 +95,10 @@ def _raw_test(A, weight, side):
     R(e_i)R(e_j) with R(R(e_i)e_j + e_iR(e_j) + weight e_ie_j); a right
     Baxter test keeps only the R(e_i)e_j term, a left one only e_iR(e_j).
     It returns False at the first component that differs.  The structure
-    constants and the weight are read as ints once, here.
+    constants are the table's raw ints; the weight is read once, here.
     """
     n, p = A.dim, A.field.p
-    c = [[[x.value for x in col] for col in row] for row in A.mu.constants]
+    c = A.mu._d
     w = weight.value if side is None else 0
     # r is the candidate's digit list: entry (a, b) is r[a*n + b], so
     # coordinate a of R(e_i) is r[a*n + i].  Per pair (i, j): the terms of

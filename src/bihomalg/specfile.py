@@ -11,7 +11,7 @@ import json
 
 from .bimodules import BiHomBimodule, GRBOperator
 from .errors import SpecFileError
-from .linalg import LinearMap, StructureTable
+from .linalg import LinearMap, StructureTable, _nest
 from .pseudotwistors import WeakPseudotwistor
 from .rota_baxter import OneSidedBaxter, RBOperator
 from .scalars import FieldSpec, Scalar, _clip, scalar_to_str
@@ -52,34 +52,27 @@ def _scalar(field: FieldSpec, value, path: str) -> Scalar:
         _fail(path, f"bad scalar literal {_clip(repr(value))}: {_clip(str(exc))}")
 
 
+def _nested(field: FieldSpec, value, path: str, shape) -> tuple:
+    """value as nested tuples of Scalars; shape holds one (length, refusal)
+    pair per level, outermost first."""
+    if not shape:
+        return _scalar(field, value, path)
+    (n, msg), rest = shape[0], shape[1:]
+    if not isinstance(value, list) or len(value) != n:
+        _fail(path, msg)
+    return tuple(_nested(field, x, f"{path}[{i}]", rest) for i, x in enumerate(value))
+
+
 def _matrix(field: FieldSpec, value, rows: int, cols: int, path: str) -> LinearMap:
-    if not isinstance(value, list) or len(value) != rows:
-        _fail(path, f"expected a matrix with {rows} rows")
-    out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            _fail(f"{path}[{i}]", f"expected {cols} entries")
-        out.append(tuple(_scalar(field, x, f"{path}[{i}][{j}]")
-                         for j, x in enumerate(row)))
-    return LinearMap(field, tuple(out))
+    return LinearMap(field, _nested(field, value, path, (
+        (rows, f"expected a matrix with {rows} rows"), (cols, f"expected {cols} entries"))))
 
 
 def _table(field: FieldSpec, value, dl: int, dr: int, do: int,
            path: str) -> StructureTable:
-    if not isinstance(value, list) or len(value) != dl:
-        _fail(path, f"expected {dl} rows of structure constants")
-    out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dr:
-            _fail(f"{path}[{i}]", f"expected {dr} columns")
-        cols = []
-        for j, col in enumerate(row):
-            if not isinstance(col, list) or len(col) != do:
-                _fail(f"{path}[{i}][{j}]", f"expected {do} coefficients")
-            cols.append(tuple(_scalar(field, x, f"{path}[{i}][{j}][{k}]")
-                              for k, x in enumerate(col)))
-        out.append(tuple(cols))
-    return StructureTable(field, tuple(out))
+    return StructureTable(field, _nested(field, value, path, (
+        (dl, f"expected {dl} rows of structure constants"),
+        (dr, f"expected {dr} columns"), (do, f"expected {do} coefficients"))))
 
 
 def _object(value, path: str) -> dict:
@@ -194,13 +187,9 @@ def _field_block(field: FieldSpec):
     return {"kind": "rational_function", "params": list(field.params)}
 
 
-def _matrix_block(m: LinearMap):
-    return [[scalar_to_str(x) for x in row] for row in m.entries]
-
-
-def _table_block(t: StructureTable):
-    return [[[scalar_to_str(x) for x in col] for col in row]
-            for row in t.constants]
+def _block(x: LinearMap | StructureTable):
+    """The literals of a matrix's or table's entries, nested as stored."""
+    return _nest(x.field.ops.to_str, x._depth, x._d)
 
 
 def _structure_kind(structure) -> str:
@@ -218,32 +207,32 @@ def serialize(parts: dict) -> str:
         "field": _field_block(structure.field),
         "dim": structure.dim,
         "kind": kind,
-        "tables": {name: _table_block(getattr(structure, name))
+        "tables": {name: _block(getattr(structure, name))
                    for name in KIND_TABLES[kind]},
-        "alpha": _matrix_block(structure.alpha),
-        "beta": _matrix_block(structure.beta),
+        "alpha": _block(structure.alpha),
+        "beta": _block(structure.beta),
     }
     if "rota_baxter" in parts:
         R = parts["rota_baxter"]
-        doc["rota_baxter"] = {"matrix": _matrix_block(R.map),
+        doc["rota_baxter"] = {"matrix": _block(R.map),
                               "weight": scalar_to_str(R.weight)}
     if "baxter" in parts:
         B = parts["baxter"]
-        doc["baxter"] = {"matrix": _matrix_block(B.map), "side": B.side}
+        doc["baxter"] = {"matrix": _block(B.map), "side": B.side}
     if "bimodule" in parts:
         M = parts["bimodule"]
         block = {"dim": M.dim,
-                 "alpha_M": _matrix_block(M.alpha_M),
-                 "beta_M": _matrix_block(M.beta_M),
-                 "left_action": _table_block(M.left_action),
-                 "right_action": _table_block(M.right_action)}
+                 "alpha_M": _block(M.alpha_M),
+                 "beta_M": _block(M.beta_M),
+                 "left_action": _block(M.left_action),
+                 "right_action": _block(M.right_action)}
         if "grb" in parts:
-            block["grb"] = _matrix_block(parts["grb"].map)
+            block["grb"] = _block(parts["grb"].map)
         doc["bimodule"] = block
     if "twistor" in parts:
         W = parts["twistor"]
-        doc["twistor"] = {"T": _matrix_block(W.T),
-                          "companion": _matrix_block(W.companion),
-                          "atilde": _matrix_block(W.atilde),
-                          "btilde": _matrix_block(W.btilde)}
+        doc["twistor"] = {"T": _block(W.T),
+                          "companion": _block(W.companion),
+                          "atilde": _block(W.atilde),
+                          "btilde": _block(W.btilde)}
     return json.dumps(doc, indent=2)

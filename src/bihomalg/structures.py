@@ -56,9 +56,8 @@ class CheckReport:
     def _compare(self, axiom: str, lhs: LinearMap, rhs: LinearMap, dims) -> None:
         """Compare two matrices columnwise; log violating columns as basis
         tuples decoded through dims."""
-        for col in range(lhs.cols):
-            if any(lhs.entries[i][col] != rhs.entries[i][col]
-                   for i in range(lhs.rows)) and len(self.violations) < self.cap:
+        for col, (a, b) in enumerate(zip(zip(*lhs._d), zip(*rhs._d))):
+            if not all(map(lhs.field.ops.eq, a, b)) and len(self.violations) < self.cap:
                 self.violations.append(
                     (axiom, _decode(col, dims), lhs.column(col), rhs.column(col)))
 
@@ -341,10 +340,11 @@ def _tensor_tables(ta: StructureTable, tb: StructureTable) -> StructureTable:
     """Componentwise tensor: (a1 (x) b1, a2 (x) b2) -> ta(a1,a2) (x) tb(b1,b2).
     A product with a zero factor is the field's zero, not a computed 0*x,
     which over Q(params) would serialize as (0)/(..)."""
-    zero = ta.field.zero()
-    return StructureTable(ta.field, tuple(
-        tuple(tuple(zero if a.is_zero() or b.is_zero() else a * b
-                    for a in ta.constants[i1][i2] for b in tb.constants[j1][j2])
+    ops = ta.field.ops
+    mul, is_zero, zero = ops.mul, ops.is_zero, ops.zero
+    return StructureTable._of(ta.field, tuple(
+        tuple(tuple(zero if is_zero(a) or is_zero(b) else mul(a, b)
+                    for a in ta._d[i1][i2] for b in tb._d[j1][j2])
               for i2 in range(ta.dim) for j2 in range(tb.dim))
         for i1 in range(ta.dim) for j1 in range(tb.dim)))
 

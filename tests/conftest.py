@@ -1,4 +1,5 @@
-"""Shared builders for concrete algebras used across the test modules, and\na scalar-operation counter."""
+"""Shared builders for concrete algebras used across the test modules, and
+a field-operation counter."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
                       RBOperator, Scalar, StructureTable)
 from bihomalg.errors import BiHomAlgError
+from bihomalg.scalars import OPS_CLASSES
 
 
 def truncated_poly_algebra(field: FieldSpec, degree: int) -> BiHomAssociativeAlgebra:
@@ -70,21 +72,24 @@ def frac(n, d=1):
 
 
 def counted(monkeypatch, fn, *args):
-    """fn(*args) and its (Scalar.__mul__, Scalar.__add__) call counts."""
+    """fn(*args) and its (mul, add) call counts at the fields' ops tables,
+    which count a raw kernel's operations and a Scalar's alike."""
     counts = {"mul": 0, "add": 0}
-    mul, add = Scalar.__mul__, Scalar.__add__
 
-    def counting_mul(x, y):
-        counts["mul"] += 1
-        return mul(x, y)
-
-    def counting_add(x, y):
-        counts["add"] += 1
-        return add(x, y)
+    def counting(name, op):
+        def wrapper(*xs):
+            counts[name] += 1
+            return op(*xs)
+        return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(Scalar, "__mul__", counting_mul)
-        m.setattr(Scalar, "__add__", counting_add)
+        for cls in OPS_CLASSES.values():
+            for name in counts:
+                raw = cls.__dict__[name]
+                if isinstance(raw, staticmethod):
+                    m.setattr(cls, name, staticmethod(counting(name, raw.__func__)))
+                else:
+                    m.setattr(cls, name, counting(name, raw))
         result = fn(*args)
     return result, (counts["mul"], counts["add"])
 

@@ -1,16 +1,19 @@
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
-                      GRBOperator, LinearMap, RBOperator, StructureTable,
-                      Vector, apply_bilinear, block_diag, check_bimodule,
-                      grb_hat, maps_commute, split_null_extension, tensor2,
-                      tensor3)
-from bihomalg.errors import BiHomAlgError, DimensionMismatch
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, CheckReport,
+                      FieldSpec, GRBOperator, LinearMap, RBOperator, Scalar,
+                      StructureTable, Vector, apply_bilinear, block_diag,
+                      check_bimodule, grb_hat, index_to_matrix, maps_commute,
+                      split_null_extension, tensor2, tensor3)
+from bihomalg.errors import BiHomAlgError, DimensionMismatch, FieldMismatch
+from bihomalg.families import _evaluated
 from bihomalg.linalg import _check
-from bihomalg.structures import require
+from bihomalg.structures import _decode, _tensor_tables, require
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -113,13 +116,14 @@ SPARSE_FIELDS = (Q, FieldSpec.prime(5), QAB)
 def dense_compose(f, g):
     """The dense i-j-k product loop that compose must match term by term."""
     zero = f.field.zero()
+    fe, ge = f.entries, g.entries  # boxed once: each read boxes anew
     out = []
     for i in range(f.rows):
         row = []
         for j in range(g.cols):
             acc = zero
             for k in range(f.cols):
-                a, b = f.entries[i][k], g.entries[k][j]
+                a, b = fe[i][k], ge[k][j]
                 if not (a.is_zero() or b.is_zero()):
                     acc = acc + a * b
             row.append(acc)
@@ -130,15 +134,16 @@ def dense_compose(f, g):
 def dense_tensor2(f, g):
     """The dense Kronecker loop that tensor2 must match term by term."""
     zero = f.field.zero()
+    fe, ge = f.entries, g.entries  # boxed once: each read boxes anew
     out = [[zero] * (f.cols * g.cols) for _ in range(f.rows * g.rows)]
     for i1 in range(f.rows):
         for j1 in range(f.cols):
-            a = f.entries[i1][j1]
+            a = fe[i1][j1]
             if a.is_zero():
                 continue
             for i2 in range(g.rows):
                 for j2 in range(g.cols):
-                    b = g.entries[i2][j2]
+                    b = ge[i2][j2]
                     if not b.is_zero():
                         out[i1 * g.rows + i2][j1 * g.cols + j2] = a * b
     return LinearMap(f.field, tuple(tuple(row) for row in out))
@@ -554,3 +559,391 @@ def test_placements_match_index_loops_property(name, data):
     if name == "as_matrix":
         # one row per output coordinate, also for a table without columns
         assert got.rows == args[0].dim_out
+
+
+# -- raw storage: every kernel that computes on raw values gives what the
+#    boxed bodies it replaced gave, value, type and dict order of each entry,
+#    and with the same numbers of field mul and add calls.  The old_* bodies
+#    are the Scalar-loop methods kept verbatim as the reference.
+
+def old_combine(zero, n, terms):
+    out = [zero] * n
+    for c, v in terms:
+        if not c.is_zero():
+            out = [acc + c * x for acc, x in zip(out, v)]
+    return tuple(out)
+
+
+def old_vector_add(self, other):
+    _check(self.dim == other.dim, "vector dims differ")
+    return Vector(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+
+def old_vector_sub(self, other):
+    _check(self.dim == other.dim, "vector dims differ")
+    return Vector(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+
+def old_vector_neg(self):
+    return Vector(self.field, tuple(-a for a in self.coords))
+
+
+def old_vector_scale(self, c):
+    return Vector(self.field, tuple(c * a for a in self.coords))
+
+
+def old_vector_is_zero(self):
+    return all(a.is_zero() for a in self.coords)
+
+
+def old_vector_eq(self, other):
+    return self.dim == other.dim and all(
+        a == b for a, b in zip(self.coords, other.coords))
+
+
+def old_apply(self, v):
+    _check(self.cols == v.dim, "map/vector dims differ")
+    return Vector(self.field, old_combine(self.field.zero(), self.rows,
+                                          zip(v.coords, zip(*self.entries))))
+
+
+def old_column(self, j):
+    return Vector(self.field, tuple(self.entries[i][j] for i in range(self.rows)))
+
+
+def old_compose(self, other):
+    _check(self.cols == other.rows, "composition dims differ")
+    zero = self.field.zero()
+    by_col = [[] for _ in range(self.cols)]  # k -> [(i, a)], a != 0
+    for i, row in enumerate(self.entries):
+        for k, a in enumerate(row):
+            if not a.is_zero():
+                by_col[k].append((i, a))
+    out = [[zero] * other.cols for _ in range(self.rows)]
+    for k, row in enumerate(other.entries):
+        col = by_col[k]
+        if not col:
+            continue
+        for j, b in enumerate(row):
+            if b.is_zero():
+                continue
+            for i, a in col:
+                out[i][j] = out[i][j] + a * b
+    return LinearMap(self.field, tuple(tuple(r) for r in out))
+
+
+def old_map_add(self, other):
+    _check(self.rows == other.rows and self.cols == other.cols, "sum dims differ")
+    return LinearMap(self.field, tuple(
+        tuple(a + b for a, b in zip(r1, r2))
+        for r1, r2 in zip(self.entries, other.entries)))
+
+
+def old_map_scale(self, c):
+    return LinearMap(self.field, tuple(tuple(c * a for a in row)
+                                       for row in self.entries))
+
+
+def old_map_sub(self, other):
+    return old_map_add(self, old_map_scale(other, -self.field.one()))
+
+
+def old_power(self, k):
+    _check(self.rows == self.cols, "power of a non-square map")
+    out = LinearMap.identity(self.field, self.rows)
+    for _ in range(k):
+        out = old_compose(out, self)
+    return out
+
+
+def old_map_eq(self, other):
+    if self.rows != other.rows or self.cols != other.cols:
+        return False
+    return all(a == b for r1, r2 in zip(self.entries, other.entries)
+               for a, b in zip(r1, r2))
+
+
+def old_map_is_zero(self):
+    return all(a.is_zero() for row in self.entries for a in row)
+
+
+def old_table_apply(self, u, v):
+    _check(u.dim == self.dim_left and v.dim == self.dim_right,
+           "bilinear operand dims differ")
+    out = [self.field.zero()] * self.dim_out
+    for i in range(self.dim_left):
+        a = u.coords[i]
+        if a.is_zero():
+            continue
+        for j in range(self.dim_right):
+            b = v.coords[j]
+            if b.is_zero():
+                continue
+            ab = a * b
+            row = self.constants[i][j]
+            for k in range(self.dim_out):
+                if not row[k].is_zero():
+                    out[k] = out[k] + ab * row[k]
+    return Vector(self.field, tuple(out))
+
+
+def old_table_add(self, other):
+    _check((self.dim_left, self.dim_right, self.dim_out)
+           == (other.dim_left, other.dim_right, other.dim_out),
+           "table sum dims differ")
+    return StructureTable(self.field, tuple(
+        tuple(tuple(a + b for a, b in zip(k1, k2))
+              for k1, k2 in zip(r1, r2))
+        for r1, r2 in zip(self.constants, other.constants)))
+
+
+def old_table_scale(self, c):
+    return StructureTable(self.field, tuple(
+        tuple(tuple(c * a for a in col) for col in row)
+        for row in self.constants))
+
+
+def old_table_is_zero(self):
+    return all(a.is_zero() for row in self.constants for col in row for a in col)
+
+
+def old_compose_left(self, f):
+    _check(f.rows == self.dim_left, "compose_left dims differ")
+    zero, consts = self.field.zero(), self.constants
+    return StructureTable(self.field, tuple(
+        tuple(old_combine(zero, self.dim_out, zip(col, (r[j] for r in consts)))
+              for j in range(self.dim_right))
+        for col in zip(*f.entries)))
+
+
+def old_compose_right(self, g):
+    _check(g.rows == self.dim_right, "compose_right dims differ")
+    zero, cols = self.field.zero(), tuple(zip(*g.entries))
+    return StructureTable(self.field, tuple(
+        tuple(old_combine(zero, self.dim_out, zip(col, row)) for col in cols)
+        for row in self.constants))
+
+
+def old_twist(self, f, g):
+    return old_compose_right(old_compose_left(self, f), g)
+
+
+def old_postcompose(self, h):
+    _check(h.cols == self.dim_out, "postcompose dims differ")
+    zero, cols = self.field.zero(), tuple(zip(*h.entries))
+    return StructureTable(self.field, tuple(
+        tuple(old_combine(zero, h.rows, zip(v, cols)) for v in row)
+        for row in self.constants))
+
+
+def old_tensor2(f, g):
+    zero = f.field.zero()
+    rows, cols = f.rows * g.rows, f.cols * g.cols
+    out = [[zero] * cols for _ in range(rows)]
+    g_nonzero = [(i2, j2, b) for i2, row in enumerate(g.entries)
+                 for j2, b in enumerate(row) if not b.is_zero()]
+    for i1, row in enumerate(f.entries):
+        for j1, a in enumerate(row):
+            if a.is_zero():
+                continue
+            r0, c0 = i1 * g.rows, j1 * g.cols
+            for i2, j2, b in g_nonzero:
+                out[r0 + i2][c0 + j2] = a * b
+    return LinearMap(f.field, tuple(tuple(row) for row in out))
+
+
+def old_compare(self, axiom, lhs, rhs, dims):
+    for col in range(lhs.cols):
+        if any(lhs.entries[i][col] != rhs.entries[i][col]
+               for i in range(lhs.rows)) and len(self.violations) < self.cap:
+            self.violations.append(
+                (axiom, _decode(col, dims), lhs.column(col), rhs.column(col)))
+
+
+def old_tensor_tables(ta, tb):
+    zero = ta.field.zero()
+    return StructureTable(ta.field, tuple(
+        tuple(tuple(zero if a.is_zero() or b.is_zero() else a * b
+                    for a in ta.constants[i1][i2] for b in tb.constants[j1][j2])
+              for i2 in range(ta.dim) for j2 in range(tb.dim))
+        for i1 in range(ta.dim) for j1 in range(tb.dim)))
+
+
+def old_index_to_matrix(field, n, k):
+    p = field.p
+    flat = []
+    for _ in range(n * n):
+        k, d = divmod(k, p)
+        flat.append(Scalar(field, d))
+    rows = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+    return LinearMap(field, rows)
+
+
+def old_evaluate_map(m, assignment):
+    q = FieldSpec.rational()
+    return LinearMap(q, tuple(tuple(x.evaluate(assignment) for x in row)
+                              for row in m.entries))
+
+
+def old_evaluate_table(t, assignment):
+    q = FieldSpec.rational()
+    return StructureTable(q, tuple(
+        tuple(tuple(x.evaluate(assignment) for x in col) for col in row)
+        for row in t.constants))
+
+
+def compare_columns(compare):
+    """A report's violations after compare(report, "ax", lhs, rhs, dims)."""
+    def run(lhs, rhs, dims, cap):
+        rep = CheckReport(cap=cap)
+        compare(rep, "ax", lhs, rhs, dims)
+        return rep.violations
+    return run
+
+
+F5 = FieldSpec.prime(5)
+RAW_KERNELS = {
+    "Vector.__add__": (Vector.__add__, old_vector_add, "vv"),
+    "Vector.__sub__": (Vector.__sub__, old_vector_sub, "vv"),
+    "Vector.__neg__": (Vector.__neg__, old_vector_neg, "v"),
+    "Vector.scale": (Vector.scale, old_vector_scale, "vc"),
+    "Vector.is_zero": (Vector.is_zero, old_vector_is_zero, "v"),
+    "Vector.__eq__": (Vector.__eq__, old_vector_eq, "vv"),
+    "LinearMap.apply": (LinearMap.apply, old_apply, "mv"),
+    "LinearMap.column": (LinearMap.column, old_column, "mj"),
+    "LinearMap.compose": (LinearMap.compose, old_compose, "mm"),
+    "LinearMap.__add__": (LinearMap.__add__, old_map_add, "m+"),
+    "LinearMap.__sub__": (LinearMap.__sub__, old_map_sub, "m+"),
+    "LinearMap.scale": (LinearMap.scale, old_map_scale, "mc"),
+    "LinearMap.power": (LinearMap.power, old_power, "sk"),
+    "LinearMap.__eq__": (LinearMap.__eq__, old_map_eq, "m+"),
+    "LinearMap.is_zero": (LinearMap.is_zero, old_map_is_zero, "m"),
+    "tensor2": (tensor2, old_tensor2, "mm"),
+    "StructureTable.apply": (StructureTable.apply, old_table_apply, "tuv"),
+    "StructureTable.__add__": (StructureTable.__add__, old_table_add, "t+"),
+    "StructureTable.scale": (StructureTable.scale, old_table_scale, "tc"),
+    "StructureTable.is_zero": (StructureTable.is_zero, old_table_is_zero, "t"),
+    "StructureTable.compose_left": (StructureTable.compose_left, old_compose_left, "tl"),
+    "StructureTable.compose_right": (StructureTable.compose_right, old_compose_right, "tr"),
+    "StructureTable.twist": (StructureTable.twist, old_twist, "tlr"),
+    "StructureTable.postcompose": (StructureTable.postcompose, old_postcompose, "to"),
+    "CheckReport._compare": (compare_columns(CheckReport._compare),
+                             compare_columns(old_compare), "cmp"),
+    "_tensor_tables": (_tensor_tables, old_tensor_tables, "tt"),
+    "index_to_matrix": (index_to_matrix, old_index_to_matrix, "idx"),
+    "families._evaluated(map)": (_evaluated, old_evaluate_map, "em"),
+    "families._evaluated(table)": (_evaluated, old_evaluate_table, "et"),
+}
+
+
+@st.composite
+def raw_kernel_operands(draw, shape):
+    """Operands of one RAW_KERNELS entry over Q, F_5 or Q(a, b), of dims
+    1-3, half of the entries zero, plain or computed, so that sums of
+    several nonzero terms are common."""
+    field = {"idx": F5, "em": QAB, "et": QAB}.get(shape) or draw(st.sampled_from(SPARSE_FIELDS))
+    zeros, nonzero = entry_pool(field)
+    scalar = st.one_of(st.sampled_from(zeros), st.sampled_from(nonzero))
+    d = [draw(st.integers(1, 3)) for _ in range(4)]
+
+    def matrix(rows, cols):
+        return LinearMap(field, tuple(tuple(draw(scalar) for _ in range(cols))
+                                      for _ in range(rows)))
+
+    def vector(n):
+        return matrix(n, 1).column(0)
+
+    def table(left, right, out):
+        return StructureTable.from_matrix(field, matrix(out, left * right), left, right)
+
+    if shape == "idx":
+        return F5, d[0], draw(st.integers(0, 5 ** (d[0] * d[0]) - 1))
+    if shape in ("em", "et"):
+        x = table(d[0], d[1], d[2]) if shape == "et" else matrix(d[0], d[1])
+        return x, {"a": Fraction(draw(st.integers(-2, 2))), "b": Fraction(draw(st.integers(-2, 2)))}
+    if shape == "cmp":
+        lhs = matrix(d[0], d[1] * d[2])
+        rhs = lhs if draw(st.booleans()) else matrix(d[0], d[1] * d[2])
+        return lhs, rhs, (d[1], d[2]), draw(st.integers(0, 3))
+    if shape == "tt":
+        return table(d[0], d[0], d[0]), table(d[1], d[1], d[1])
+    first, rest = shape[0], shape[1:]
+    if first == "v":
+        x = vector(d[0])
+        other = {"v": lambda: vector(d[0]), "c": lambda: draw(scalar)}
+    elif first in "ms":
+        x = matrix(d[0], d[0] if first == "s" else d[1])
+        other = {"v": lambda: vector(x.cols), "j": lambda: draw(st.integers(0, x.cols - 1)),
+                 "m": lambda: matrix(x.cols, d[2]), "+": lambda: matrix(x.rows, x.cols),
+                 "c": lambda: draw(scalar), "k": lambda: draw(st.integers(0, 3))}
+    else:
+        x = table(d[0], d[1], d[2])
+        other = {"u": lambda: vector(d[0]), "v": lambda: vector(d[1]),
+                 "+": lambda: table(d[0], d[1], d[2]), "c": lambda: draw(scalar),
+                 "l": lambda: matrix(d[0], d[3]), "r": lambda: matrix(d[1], d[3]),
+                 "o": lambda: matrix(d[3], d[2])}
+    return (x, *(other[c]() for c in rest))
+
+
+def typed(x):
+    """x with every scalar as the type and repr of its value, which show
+    Fraction against int and the insertion order of polynomial dicts."""
+    if isinstance(x, Scalar):
+        return type(x.value).__name__, repr(x.value)
+    if isinstance(x, Vector):
+        return "Vector", typed(x.coords)
+    if isinstance(x, LinearMap):
+        return "LinearMap", typed(x.entries)
+    if isinstance(x, StructureTable):
+        return "StructureTable", typed(x.constants)
+    if isinstance(x, (tuple, list)):
+        return [typed(y) for y in x]
+    return type(x) if isinstance(x, BaseException) else x
+
+
+@pytest.mark.parametrize("name", list(RAW_KERNELS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_kernels_match_boxed_bodies_property(name, data):
+    fn, reference, shape = RAW_KERNELS[name]
+    args = data.draw(raw_kernel_operands(shape))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, outcome, fn, *args)
+        want, want_ops = counted(monkeypatch, outcome, reference, *args)
+    assert typed(got) == typed(want)
+    assert got_ops == want_ops
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: Vector(Q, (Q.one(), x)),
+    lambda x: LinearMap(Q, ((Q.one(),), (x,))),
+    lambda x: StructureTable(Q, (((Q.one(), x),),)),
+], ids=["Vector", "LinearMap", "StructureTable"])
+def test_entries_from_another_field_are_refused(build):
+    for x in (F5.one(), QAB.parameter("a"), 1):
+        with pytest.raises(FieldMismatch):
+            build(x)
+
+
+def test_operands_from_another_field_are_refused():
+    q, f = LinearMap.identity(Q, 2), LinearMap.identity(F5, 2)
+    t = StructureTable.zero(Q, 2)
+    A = BiHomAssociativeAlgebra.associative(Q, t)
+    for call in (lambda: q.compose(f), lambda: q + f, lambda: tensor2(q, f),
+                 lambda: q.scale(F5.one()), lambda: t.compose_left(f),
+                 lambda: t.postcompose(f), lambda: q.apply(Vector.zero(F5, 2)),
+                 lambda: grb_hat(A, BiHomBimodule.regular(A), GRBOperator(f))):
+        with pytest.raises(FieldMismatch):
+            call()
+    assert q != f
+
+
+def test_ops_table_leaves_field_identity_alone():
+    f = FieldSpec.prime(7)
+    g = pickle.loads(pickle.dumps(f))
+    assert f == g and hash(f) == hash(g) and g.ops.p == 7
+    assert repr(f) == "FieldSpec(kind='prime', p=7, params=())"
+    m = LinearMap(f, ((f.from_int(3),),))
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert type(Q.from_int(2).value) is Fraction
+    assert [type(x.value) for x in LinearMap.identity(Q, 2).entries[0]] == [Fraction] * 2

@@ -22,7 +22,9 @@ from .scalars import FieldSpec, Scalar
 
 @dataclass(frozen=True)
 class PlanarBinaryTree:
-    """Leaf when left is None; otherwise an internal node."""
+    """Leaf when left is None; otherwise an internal node.  The leaf count
+    `leaves` is counted once, at construction; it is a plain attribute, not
+    a dataclass field, so equality, hash and repr see only the children."""
 
     left: "PlanarBinaryTree | None" = None
     right: "PlanarBinaryTree | None" = None
@@ -30,14 +32,12 @@ class PlanarBinaryTree:
     def __post_init__(self):
         if (self.left is None) != (self.right is None):
             raise ValueError("node needs both children")
+        object.__setattr__(self, "leaves", 1 if self.left is None
+                           else self.left.leaves + self.right.leaves)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def leaves(self) -> int:
-        return 1 if self.is_leaf else self.left.leaves + self.right.leaves
 
     @property
     def vertices(self) -> int:
@@ -360,14 +360,20 @@ class FreeElement:
 
 
 def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
-    """Bilinear extension of grafting on generators."""
+    """Bilinear extension of grafting on generators.  Each product's key is
+    built from its operands' keys: `(s1 s2){0}|w1,w2` (no `{0}` on
+    B-augmented trees), the serialization of the grafted tree and its word."""
     if x.field != y.field or x.rank != y.rank:
         raise ValueError("free elements live over different bases")
     out = FreeElement.zero(x.field, x.rank)
-    for t1, w1, c1 in x.terms.values():
-        for t2, w2, c2 in y.terms.values():
-            t, w = graft(t1, t2), w1 + w2
-            out._accumulate(FreeElement.term_key(t, w), t, w, c1 * c2)
+    right = [(key.partition("|"), t2, w2, c2)
+             for key, (t2, w2, c2) in y.terms.items()]
+    for key1, (t1, w1, c1) in x.terms.items():
+        s1, _, k1 = key1.partition("|")
+        for (s2, _, k2), t2, w2, c2 in right:
+            t = graft(t1, t2)
+            root = "{0}" if type(t) is RBAugTree else ""
+            out._accumulate(f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2, c1 * c2)
     return out
 
 
@@ -441,6 +447,13 @@ def _element_fits(x: FreeElement, bounds) -> bool:
     return all(_fits(tree, bounds) for tree, _, _ in x.terms.values())
 
 
+def _has_room(x: FreeElement, side: int, max_power: int) -> bool:
+    """Whether every leaf power of every term has component `side` (0 for
+    alpha, 1 for beta) below max_power, so that map's image keeps it."""
+    return all(p[side] < max_power for tree, _, _ in x.terms.values()
+               for p in tree.leaf_powers)
+
+
 def _bounded_generators(field, rank, n, bounds):
     """All single-term free elements with exactly n leaves inside the window."""
     out = []
@@ -492,6 +505,19 @@ class TruncatedIdealReducer:
     side, all restricted to the window.  This is a TRUNCATED computation:
     reducing to zero is evidence of ideal membership within the window, not
     a proof of membership in the full ideal.
+
+    The build constructs only elements the window keeps, by two pruning
+    rules; both keep the spanning set, and the order it is inserted in, that
+    building every candidate and dropping those outside the window gives.
+    - A seed's two terms carry the leaves of t1, t2 and beta(t3), and of
+      alpha(t1), t2 and t3, under roots of power 0, with at most max_leaves
+      leaves by the loop ranges.  So it fits exactly when alpha(t1) and
+      beta(t3) do, and a triple is skipped when either does not.  The two
+      terms differ in shape, so no seed is zero.
+    - Every element queued for the closure fits.  Its alpha image changes
+      only the first leaf powers, so it fits exactly when every such power
+      is below max_ab_power; likewise beta with the second.  An image is
+      built only then.
     """
 
     def __init__(self, field: FieldSpec, rank: int, bounds: dict):
@@ -501,33 +527,40 @@ class TruncatedIdealReducer:
         self.bounds = dict(bounds)
         self.field = field
         self.rank = rank
-        max_leaves = bounds["max_leaves"]
+        max_leaves, max_ab = bounds["max_leaves"], bounds["max_ab_power"]
         # Seeds read n <= max_leaves - 2; closure reads n <= max_leaves - 3,
         # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
                      for n in range(1, max_leaves - 1)}
+        alphas = {n: [(t, free_alpha(t)) for t in gens if _has_room(t, 0, max_ab)]
+                  for n, gens in by_leaves.items()}
+        betas = {n: [(t, free_beta(t)) for t in gens if _has_room(t, 1, max_ab)]
+                 for n, gens in by_leaves.items()}
         seeds = []
         for n1 in range(1, max_leaves - 1):
             for n2 in range(1, max_leaves - n1):
                 for n3 in range(1, max_leaves - n1 - n2 + 1):
-                    for t1 in by_leaves[n1]:
-                        at1 = free_alpha(t1)
-                        for t2 in by_leaves[n2]:
+                    if not (alphas[n1] and betas[n3]):
+                        continue
+                    # t2 t3 for the whole (n2, n3) block, dropped after it
+                    right = [[free_multiply(t2, t3) for t3, _ in betas[n3]]
+                             for t2 in by_leaves[n2]]
+                    for t1, at1 in alphas[n1]:
+                        for t2, products in zip(by_leaves[n2], right):
                             left = free_multiply(t1, t2)
-                            for t3 in by_leaves[n3]:
-                                g = free_multiply(left, free_beta(t3)) \
-                                    - free_multiply(at1, free_multiply(t2, t3))
-                                if not g.is_zero() and _element_fits(g, bounds):
-                                    seeds.append(g)
+                            for (_, bt3), t23 in zip(betas[n3], products):
+                                seeds.append(free_multiply(left, bt3)
+                                             - free_multiply(at1, t23))
         elim = _Eliminator()
         queue = seeds
         while queue:
             g = queue.pop()
             if not elim.insert(g):
                 continue
-            for h in (free_alpha(g), free_beta(g)):
-                if _element_fits(h, bounds):
-                    queue.append(h)
+            if _has_room(g, 0, max_ab):
+                queue.append(free_alpha(g))
+            if _has_room(g, 1, max_ab):
+                queue.append(free_beta(g))
             g_leaves = min(tree.leaves for tree, _, _ in g.terms.values())
             for n in range(1, max_leaves - g_leaves + 1):
                 for other in by_leaves[n]:

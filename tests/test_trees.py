@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -446,3 +449,162 @@ def test_reduce_matches_reference_property(reducer_311, data):
     x = FreeElement(Q, 1, {key: (*support[key], Q.from_int(
         data.draw(st.integers(-3, 3).filter(bool)))) for key in keys})
     assert raw_terms(elim.reduce(x)) == raw_terms(ref_reduce(elim, x))
+
+
+# ---------------------------------------------------------------------------
+# The reducer build against a reference that constructs every candidate:
+# products and tree maps whose keys re-serialize each tree, and the seed and
+# closure loops of a build without pruning, copied verbatim.
+# ---------------------------------------------------------------------------
+
+def ref_free_multiply(x, y):
+    out = FreeElement.zero(x.field, x.rank)
+    for t1, w1, c1 in x.terms.values():
+        for t2, w2, c2 in y.terms.values():
+            _ref_accumulate(out, graft(t1, t2), w1 + w2, c1 * c2)
+    return out
+
+
+def ref_map_terms(x, fn):
+    out = FreeElement.zero(x.field, x.rank)
+    for tree, word, coeff in x.terms.values():
+        _ref_accumulate(out, fn(tree), word, coeff)
+    return out
+
+
+def ref_free_alpha(x):
+    return ref_map_terms(x, tree_alpha)
+
+
+def ref_free_beta(x):
+    return ref_map_terms(x, tree_beta)
+
+
+def ref_free_R(x):
+    return ref_map_terms(x, tree_R)
+
+
+def ref_build(field, rank, bounds):
+    """The pivots of a build that makes every seed and closure image and
+    keeps those inside the window."""
+    free_multiply, free_alpha, free_beta = ref_free_multiply, ref_free_alpha, ref_free_beta
+    _element_fits = trees._element_fits
+    max_leaves = bounds["max_leaves"]
+    by_leaves = {n: trees._bounded_generators(field, rank, n, bounds)
+                 for n in range(1, max_leaves - 1)}
+    seeds = []
+    for n1 in range(1, max_leaves - 1):
+        for n2 in range(1, max_leaves - n1):
+            for n3 in range(1, max_leaves - n1 - n2 + 1):
+                for t1 in by_leaves[n1]:
+                    at1 = free_alpha(t1)
+                    for t2 in by_leaves[n2]:
+                        left = free_multiply(t1, t2)
+                        for t3 in by_leaves[n3]:
+                            g = free_multiply(left, free_beta(t3)) \
+                                - free_multiply(at1, free_multiply(t2, t3))
+                            if not g.is_zero() and _element_fits(g, bounds):
+                                seeds.append(g)
+    elim = trees._Eliminator()
+    queue = seeds
+    while queue:
+        g = queue.pop()
+        if not elim.insert(g):
+            continue
+        for h in (free_alpha(g), free_beta(g)):
+            if _element_fits(h, bounds):
+                queue.append(h)
+        g_leaves = min(tree.leaves for tree, _, _ in g.terms.values())
+        for n in range(1, max_leaves - g_leaves + 1):
+            for other in by_leaves[n]:
+                for h in (free_multiply(g, other), free_multiply(other, g)):
+                    if _element_fits(h, bounds):
+                        queue.append(h)
+    return elim.pivots
+
+
+def window(leaves, ab, r):
+    return {"max_leaves": leaves, "max_ab_power": ab, "max_r_power": r}
+
+
+# (4,1,0) is the smallest window whose closure grafts generators onto ideal
+# elements
+@pytest.mark.parametrize("bounds, count", [
+    (window(3, 1, 1), 128), (window(3, 2, 1), 2592), (window(4, 1, 0), 272)],
+    ids=["w311", "w321", "w410"])
+def test_build_pivots_match_unpruned_build(bounds, count):
+    got = TruncatedIdealReducer(Q, 1, bounds)._elim.pivots
+    want = ref_build(Q, 1, bounds)
+    assert len(got) == count
+    assert [(key, raw_terms(x)) for key, x in got.items()] \
+        == [(key, raw_terms(x)) for key, x in want.items()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_free_products_and_maps_match_reference_property(field, data):
+    kind = data.draw(st.sampled_from(["b", "rb"]))
+    x = data.draw(free_elements(field, kind=kind))
+    y = data.draw(free_elements(field, kind=kind))
+    cases = [(free_multiply, ref_free_multiply, (x, y)),
+             (free_multiply, ref_free_multiply, (y, x)),
+             (free_multiply, ref_free_multiply, (x, x)),
+             (free_alpha, ref_free_alpha, (x,)),
+             (free_beta, ref_free_beta, (x,))]
+    if kind == "rb":
+        cases.append((free_R, ref_free_R, (x,)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for got_fn, want_fn, args in cases:
+            got, got_ops = counted(monkeypatch, got_fn, *args)
+            want, want_ops = counted(monkeypatch, want_fn, *args)
+            assert raw_terms(got) == raw_terms(want)
+            assert got_ops == want_ops
+            assert list(got.terms) == [ref_term_key(t, w)
+                                       for t, w, _ in got.terms.values()]
+
+
+def test_build_makes_only_what_the_window_keeps(window_311, monkeypatch):
+    """Work counts of the (3,1,1) rank-1 build.  A build without pruning
+    makes 1600 products and 776 closure images, 516 of them outside the
+    window."""
+    products, images = [], []
+
+    def recording(fn, log):
+        def wrapper(*args):
+            log.append(fn(*args))
+            return log[-1]
+        return wrapper
+
+    monkeypatch.setattr(trees, "free_multiply", recording(free_multiply, products))
+    monkeypatch.setattr(trees, "free_alpha", recording(free_alpha, images))
+    monkeypatch.setattr(trees, "free_beta", recording(free_beta, images))
+    reducer = TruncatedIdealReducer(Q, 1, window_311)
+    assert len(reducer._elim.pivots) == 128
+    assert len(products) <= 400
+    assert images
+    assert all(trees._element_fits(x, window_311) for x in products + images)
+
+
+def recursive_leaves(t):
+    return 1 if t.left is None else recursive_leaves(t.left) + recursive_leaves(t.right)
+
+
+def test_planar_tree_with_cached_leaves_stays_a_plain_dataclass():
+    assert repr(LEAF) == "PlanarBinaryTree(left=None, right=None)"
+    assert [f.name for f in dataclasses.fields(PlanarBinaryTree)] == ["left", "right"]
+    a = PlanarBinaryTree(LEAF, PlanarBinaryTree(LEAF, LEAF))
+    b = PlanarBinaryTree(PlanarBinaryTree(),
+                         PlanarBinaryTree(PlanarBinaryTree(), PlanarBinaryTree()))
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != PlanarBinaryTree(PlanarBinaryTree(LEAF, LEAF), LEAF)
+    assert dataclasses.replace(a, right=LEAF).leaves == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.leaves = 4
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert t.leaves == recursive_leaves(t) == n
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t) and back.leaves == n
+    rb = parse_tree("(L[1,2;1] (L[0,2;0] L[3,0;2]){1}){3}")
+    assert pickle.loads(pickle.dumps(rb)).leaves == 3

@@ -41,7 +41,7 @@ from functools import partial, reduce
 from itertools import chain
 
 from .errors import DimensionMismatch, FieldMismatch
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, _clip
 
 
 def _join(*fields: FieldSpec) -> None:
@@ -234,6 +234,8 @@ class LinearMap(_Raw):
 
     def power(self, k: int) -> "LinearMap":
         _check(self.rows == self.cols, "power of a non-square map")
+        if k < 0:
+            raise ValueError(f"map power must be a non-negative integer, got {_clip(str(k))}")
         out = LinearMap.identity(self.field, self.rows)
         for _ in range(k):
             out = out.compose(self)

@@ -61,6 +61,8 @@ def search_budget() -> int:
 def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
     """Decode the k-th matrix: base-p digits of k fill entries row-major,
     least significant digit first."""
+    if not 0 <= k < field.p ** (n * n):
+        raise ValueError(f"matrix index {_clip(str(k))} is outside [0, {field.p}^{n * n})")
     flat = [k // field.p ** e % field.p for e in range(n * n)]
     return LinearMap._of(field, tuple(tuple(flat[i * n:i * n + n]) for i in range(n)))
 

@@ -506,18 +506,32 @@ class TruncatedIdealReducer:
     reducing to zero is evidence of ideal membership within the window, not
     a proof of membership in the full ideal.
 
-    The build constructs only elements the window keeps, by two pruning
-    rules; both keep the spanning set, and the order it is inserted in, that
-    building every candidate and dropping those outside the window gives.
+    The build closes the seeds that fit under grafting with the window's
+    generators on either side, and takes no alpha or beta images: those of
+    the truncated ideal already lie in its span, since both maps are
+    multiplicative on free elements (Ebrahimi-Fard-Guo, Free Rota-Baxter
+    algebras and rooted trees, J. Algebra Appl. 7, 2008).
+    - Seeds.  alpha(x y) = alpha(x) alpha(y), so alpha maps the seed of
+      (t1, t2, t3) to the seed of (alpha t1, alpha t2, alpha t3), a triple
+      the seed loop takes whenever that image fits.  Likewise beta.
+    - Products.  An image of a product that fits has all its factors in the
+      window, so by induction it lies in the span of the seeds closed under
+      grafting, and that span is unchanged.
+    - Output.  The normal form `reduce` returns depends only on that span,
+      so over Q and F_p, where each value prints one way, it is that of a
+      closure that also takes the images.
+    - Pivots.  An image that adds no pivot queues nothing, so the pivot dict
+      is that of such a closure whenever no image would insert a pivot.
+
+    Every element built fits the window.
     - A seed's two terms carry the leaves of t1, t2 and beta(t3), and of
       alpha(t1), t2 and t3, under roots of power 0, with at most max_leaves
       leaves by the loop ranges.  So it fits exactly when alpha(t1) and
       beta(t3) do, and a triple is skipped when either does not.  The two
       terms differ in shape, so no seed is zero.
-    - Every element queued for the closure fits.  Its alpha image changes
-      only the first leaf powers, so it fits exactly when every such power
-      is below max_ab_power; likewise beta with the second.  An image is
-      built only then.
+    - Ideal elements are homogeneous in leaf count.  So grafting g with a
+      generator of at most max_leaves less g's leaves, under a root of power
+      0, fits.
     """
 
     def __init__(self, field: FieldSpec, rank: int, bounds: dict):
@@ -557,16 +571,11 @@ class TruncatedIdealReducer:
             g = queue.pop()
             if not elim.insert(g):
                 continue
-            if _has_room(g, 0, max_ab):
-                queue.append(free_alpha(g))
-            if _has_room(g, 1, max_ab):
-                queue.append(free_beta(g))
-            g_leaves = min(tree.leaves for tree, _, _ in g.terms.values())
+            g_leaves = next(iter(g.terms.values()))[0].leaves
             for n in range(1, max_leaves - g_leaves + 1):
                 for other in by_leaves[n]:
-                    for h in (free_multiply(g, other), free_multiply(other, g)):
-                        if _element_fits(h, bounds):
-                            queue.append(h)
+                    queue.append(free_multiply(g, other))
+                    queue.append(free_multiply(other, g))
         self._elim = elim
 
     def reduce(self, x: FreeElement) -> FreeElement:

@@ -925,6 +925,15 @@ def test_entries_from_another_field_are_refused(build):
             build(x)
 
 
+@pytest.mark.parametrize("k", [-1, -3])
+def test_power_refuses_a_negative_exponent(k):
+    m = LinearMap(Q, ((Q.from_int(2), Q.one()), (Q.zero(), Q.one())))
+    with pytest.raises(ValueError, match=f"got {k}$"):
+        m.power(k)
+    assert m.power(0) == LinearMap.identity(Q, 2)
+    assert m.power(2) == m.compose(m)
+
+
 def test_operands_from_another_field_are_refused():
     q, f = LinearMap.identity(Q, 2), LinearMap.identity(F5, 2)
     t = StructureTable.zero(Q, 2)

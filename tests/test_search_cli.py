@@ -58,6 +58,13 @@ def test_index_to_matrix_order():
     assert m.entries[1][0].value == 1
 
 
+@pytest.mark.parametrize("k", [-1, 3 ** 4, 3 ** 4 + 1, -3 ** 4])
+def test_index_to_matrix_refuses_an_index_outside_the_space(k):
+    with pytest.raises(ValueError, match=f"matrix index {k} is outside"):
+        index_to_matrix(FieldSpec.prime(3), 2, k)
+    assert index_to_matrix(FieldSpec.prime(3), 2, 3 ** 4 - 1).entries[1][1].value == 2
+
+
 def test_enumerate_rb_dim1_solution_sets():
     A = idempotent_line(3)
     f = A.field

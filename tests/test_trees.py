@@ -141,6 +141,14 @@ def test_action_eval_argument_validation(qx3, qx3_rb):
                     qx3, qx3_rb)
 
 
+def test_action_eval_refuses_a_negative_map_power(qx3, qx3_rb):
+    xv = Vector(Q, (Q.zero(), Q.one(), Q.zero()))
+    for t in (RBAugTree(LEAF, ((-1, 0),), (0,)), RBAugTree(LEAF, ((0, -1),), (0,)),
+              RBAugTree(LEAF, ((0, 0),), (-1,))):
+        with pytest.raises(ValueError, match="got -1$"):
+            action_eval(t, [xv], qx3, qx3_rb)
+
+
 @pytest.fixture(scope="module")
 def reducer():
     return TruncatedIdealReducer(Q, 2, SMALL_BOUNDS)
@@ -528,13 +536,15 @@ def window(leaves, ab, r):
 
 
 # (4,1,0) is the smallest window whose closure grafts generators onto ideal
-# elements
-@pytest.mark.parametrize("bounds, count", [
-    (window(3, 1, 1), 128), (window(3, 2, 1), 2592), (window(4, 1, 0), 272)],
-    ids=["w311", "w321", "w410"])
-def test_build_pivots_match_unpruned_build(bounds, count):
-    got = TruncatedIdealReducer(Q, 1, bounds)._elim.pivots
-    want = ref_build(Q, 1, bounds)
+# elements, and (4,2,0) the smallest whose closure takes alpha and beta images
+# of products
+@pytest.mark.parametrize("bounds, count, field", [
+    (window(3, 1, 1), 128, Q), (window(3, 2, 1), 2592, Q), (window(4, 1, 0), 272, Q),
+    (window(4, 2, 0), 12636, Q), (window(3, 2, 1), 2592, FieldSpec.rational_function("a"))],
+    ids=["w311", "w321", "w410", "w420", "w321-qa"])
+def test_build_pivots_match_unpruned_build(bounds, count, field):
+    got = TruncatedIdealReducer(field, 1, bounds)._elim.pivots
+    want = ref_build(field, 1, bounds)
     assert len(got) == count
     assert [(key, raw_terms(x)) for key, x in got.items()] \
         == [(key, raw_terms(x)) for key, x in want.items()]
@@ -584,6 +594,32 @@ def test_build_makes_only_what_the_window_keeps(window_311, monkeypatch):
     assert len(products) <= 400
     assert images
     assert all(trees._element_fits(x, window_311) for x in products + images)
+
+
+def test_closure_takes_no_alpha_or_beta_images(monkeypatch):
+    """The closure grafts only: once the first seed is inserted, the (3,2,1)
+    rank-1 build makes no alpha or beta image.  A closure that also takes
+    the images makes 1152 of them there."""
+    inserting, images = [], []
+    insert = trees._Eliminator.insert
+
+    def marking_insert(self, x):
+        inserting.append(True)
+        return insert(self, x)
+
+    def counting(fn):
+        def wrapper(x):
+            if inserting:
+                images.append(x)
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr(trees._Eliminator, "insert", marking_insert)
+    monkeypatch.setattr(trees, "free_alpha", counting(free_alpha))
+    monkeypatch.setattr(trees, "free_beta", counting(free_beta))
+    reducer = TruncatedIdealReducer(Q, 1, window(3, 2, 1))
+    assert inserting and len(reducer._elim.pivots) == 2592
+    assert len(images) == 0
 
 
 def recursive_leaves(t):

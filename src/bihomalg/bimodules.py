@@ -192,9 +192,8 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
     _join(A.field, pi.map.field)
-    z = A.field.ops.zero
-    top = tuple((z,) * n + row for row in pi.map._d)  # (0 | pi)
-    return RBOperator(LinearMap._of(A.field, top + ((z,) * (n + m),) * m),
+    # (0 | pi) over a zero block: n empty columns, then pi's columns
+    return RBOperator(LinearMap._of_cols(A.field, n + m, [{}] * n + list(pi.map._d)),
                       A.field.zero())
 
 

@@ -87,7 +87,7 @@ def _evaluated(x, assignment: dict[str, Fraction]):
     assignment, over Q."""
     q, f = FieldSpec.rational(), x.field
     return type(x)._of(q, _nest(lambda v: q.ops.unbox(
-        Scalar(f, f.ops.box(v)).evaluate(assignment).value), x._depth, x._d))
+        Scalar(f, f.ops.box(v)).evaluate(assignment).value), x._depth, x._dense()))
 
 
 def evaluate_two_param_algebra(assignment: dict[str, Fraction]) -> BiHomAssociativeAlgebra:
@@ -128,6 +128,7 @@ def verify_parametric_family(family_id: str, mode: str = "symbolic",
         A = evaluate_two_param_algebra(assignment)
         rep = check_rota_baxter(A, evaluate_rb_family(family_id, assignment))
         combined.violations.extend(rep.violations)
+        combined.total_violations += rep.total_violations
         for k, v in rep.sub_checks.items():
             combined.sub_checks[k] = combined.sub_checks.get(k, True) and v
     return combined

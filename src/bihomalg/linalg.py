@@ -6,30 +6,44 @@ Basis conventions are fixed once and for all: the basis of A (x) B is ordered
 lexicographically, index(i, j) = i*dim(B) + j with 0-based indices, and a
 LinearMap stores entries[i][j] = coefficient of e_i in the image of e_j.
 
-Storage is dense and raw: a Vector, LinearMap or StructureTable holds its
-field and the raw values of its entries in `_d` (an int or Fraction over Q,
-an int over F_p, a numerator/denominator pair of polynomials over Q(params);
-see scalars), and every kernel computes on them through the field's ops
-table, `field.ops`.  Scalar stays the public boundary: the constructors take
-Scalars of the container's field (FieldMismatch refuses any other) and unbox
-them, and `coords`, `entries` and `constants` box the raw values on each
-read.  The kernels build no Scalar; a checker boxes only the columns of the
-violations it logs.
+Storage is raw: a Vector, LinearMap or StructureTable holds its field and
+the raw values of its entries in `_d` (an int or Fraction over Q, an int
+over F_p, a numerator/denominator pair of polynomials over Q(params); see
+scalars), and every kernel computes on them through the field's ops table,
+`field.ops`.  A Vector is a tuple and a StructureTable nested tuples,
+c[i][j] the tuple of e_i e_j's coordinates.  A LinearMap is sparse by
+column: `_d[j]` is a dict from row to value, rows increasing, and a row
+missing from it holds `ops.zero`.  A dict stores every value that is not
+structurally equal (==) to `ops.zero`; so over Q(params) a computed zero
+with a denominator, `({}, q)`, is stored, and reading a missing row back as
+`ops.zero` gives every kernel the value and the printed form it had.  No
+dict is changed once stored, so maps and columns may share them.  Scalar
+stays the public boundary: the constructors take Scalars of the container's
+field (FieldMismatch refuses any other) and unbox them, and `coords`,
+`entries` and `constants` box the raw values on each read.  The kernels
+build no Scalar; a checker boxes only the columns of the violations it logs.
 
-`LinearMap.compose` and `tensor2` visit only the pairs of nonzero factors,
-in the order of the dense loops: every entry of a product is
-`zero + a1*b1 + a2*b2 + ...` with k increasing, and every Kronecker entry is
-one `a*b`.  So each output entry comes from the same field operations as a
-dense evaluation, which matters over Q(params), where the printed
-(unreduced) form of a rational function depends on that sequence.
+`LinearMap.compose` and `tensor2` visit only the stored entries and skip
+those that are zero, in the order of the dense loops: every entry of a
+product is `zero + a1*b1 + a2*b2 + ...` with k increasing (column by column,
+as in Gustavson's sparse product), and every Kronecker entry is one `a*b`.
+So each output entry comes from the same field operations as a dense
+evaluation, which matters over Q(params), where the printed (unreduced) form
+of a rational function depends on that sequence.  `CheckReport._compare`
+and `==` compare two maps column by column, over the stored rows only.
 
-`LinearMap.apply` and the table ops `compose_left`, `compose_right`, `twist`
-and `postcompose` instead form linear combinations of whole columns through
-`_combine`: `zero + c1*v1 + c2*v2 + ...` coordinate by coordinate, in term
-order, skipping a term whose coefficient c is zero but not the zero
-coordinates of its v.  The products with those zeros stay because they
-reach the printed forms: over Q(params), `zero + c*0 + ...` keeps the
-denominators of c, e.g. `(a*a*a)/(a)` where a zero-skip would give `a*a`.
+Every other kernel reads a LinearMap densely, through `_dense()` (rows) or
+`_columns()` (columns), and so makes the mul and add calls of the dense
+loops: `+`, `scale`, `entries`, `apply` and `postcompose`.  `apply` and the
+table ops `compose_left`, `compose_right`, `twist` and `postcompose` form
+linear combinations of whole columns through `_combine`:
+`zero + c1*v1 + c2*v2 + ...` coordinate by coordinate, in term order,
+skipping a term whose coefficient c is zero but not the zero coordinates of
+its v (`compose_left` and `compose_right` take the coefficients c from a
+map's stored entries, as the missing ones would be skipped).  The products
+with those zeros stay because they reach the printed forms: over Q(params),
+`zero + c*0 + ...` keeps the denominators of c, e.g. `(a*a*a)/(a)` where a
+zero-skip would give `a*a`.
 
 `StructureTable.as_matrix` and `from_matrix` are transposes: column
 i*dim_right + j of the matrix is the table's column c[i][j].
@@ -85,8 +99,9 @@ def _combine(ops, n: int, terms) -> tuple:
 
 
 class _Raw:
-    """A field and raw values _d, nested _depth deep.  The constructor
-    unboxes Scalars; _of takes raw values."""
+    """A field and raw values _d, nested _depth deep (LinearMap stores its
+    columns sparsely instead and overrides the readers of _d).  The
+    constructor unboxes Scalars; _of takes raw values nested as _dense()."""
 
     __slots__ = ("field", "_d")
 
@@ -99,8 +114,14 @@ class _Raw:
         obj.field, obj._d = field, data
         return obj
 
+    def _dense(self):
+        """The raw values nested as the public view: coords, entries[i][j]
+        or constants[i][j][k]."""
+        return self._d
+
     def _boxed(self):
-        return _nest(lambda x: Scalar(self.field, self.field.ops.box(x)), self._depth, self._d)
+        return _nest(lambda x: Scalar(self.field, self.field.ops.box(x)),
+                     self._depth, self._dense())
 
     def _map(self, fn, *others):
         return self._of(self.field, _nest(fn, self._depth, self._d,
@@ -156,7 +177,9 @@ class Vector(_Raw):
 
     @staticmethod
     def basis(field: FieldSpec, n: int, i: int) -> "Vector":
-        return LinearMap.identity(field, n).column(i)
+        coords = [field.ops.zero] * n
+        coords[i] = field.ops.one
+        return Vector._of(field, tuple(coords))
 
     def __sub__(self, other: "Vector") -> "Vector":
         return self + (-other)
@@ -165,28 +188,85 @@ class Vector(_Raw):
         return self._map(self.field.ops.neg)
 
 
-class LinearMap(_Raw):
-    """A rows x cols matrix; column j is the image of basis vector e_j."""
+def _sparse(zero, columns) -> list:
+    """Dense columns as dicts of their rows not structurally zero."""
+    out = []
+    for col in columns:  # plain loops: the columns are short
+        d = {}
+        for i, x in enumerate(col):
+            if x != zero:
+                d[i] = x
+        out.append(d)
+    return out
 
-    __slots__ = ()
+
+class LinearMap(_Raw):
+    """A rows x cols matrix; column j is the image of basis vector e_j.
+    `_d[j]` holds column j sparsely (see the module docstring)."""
+
+    __slots__ = ("rows",)
     _depth, _public, _sum_dims = 2, "entries", "sum dims differ"
     entries = property(_Raw._boxed)  # entries[i][j]
 
     def __init__(self, field: FieldSpec, entries):
-        super().__init__(field, entries)
-        if len({len(row) for row in self._d}) > 1:
+        rows = _nest(partial(_raw, field), 2, entries)
+        if len({len(row) for row in rows}) > 1:
             raise DimensionMismatch("ragged matrix")
+        self._set(field, len(rows), _sparse(field.ops.zero, zip(*rows)))
 
-    @property
-    def rows(self) -> int:
-        return len(self._d)
+    def _set(self, field: FieldSpec, rows: int, cols) -> "LinearMap":
+        # a map without rows has no columns either, as a tuple of rows
+        self.field, self.rows, self._d = field, rows, tuple(cols) if rows else ()
+        return self
+
+    @classmethod
+    def _of_cols(cls, field: FieldSpec, rows: int, cols) -> "LinearMap":
+        """The map with the given column dicts, rows increasing."""
+        return object.__new__(cls)._set(field, rows, cols)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, data) -> "LinearMap":
+        """The map whose raw rows are data."""
+        return cls._of_cols(field, len(data), _sparse(field.ops.zero, zip(*data)))
+
+    def _columns(self) -> tuple:
+        """The raw columns, dense."""
+        zeros, out = [self.field.ops.zero] * self.rows, []
+        for col in self._d:
+            dense = zeros[:]
+            for i, x in col.items():
+                dense[i] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def _dense(self) -> tuple:
+        return tuple(zip(*self._columns())) if self._d else ((),) * self.rows
+
+    def _map(self, fn, *others) -> "LinearMap":
+        """fn on the entries, column by column, missing ones included."""
+        columns = zip(self._columns(), *(other._columns() for other in others))
+        return self._of_cols(self.field, self.rows, _sparse(
+            self.field.ops.zero, (map(fn, *cols) for cols in columns)))
 
     @property
     def cols(self) -> int:
-        return len(self._d[0]) if self._d else 0
+        return len(self._d)
 
     def _shape(self):
         return self.rows, self.cols
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return ((other.field is self.field or other.field == self.field)
+                and self._shape() == other._shape()
+                and next(_differing_columns(self, other), None) is None)
+
+    __hash__ = _Raw.__hash__
+
+    def is_zero(self) -> bool:
+        return all(map(self.field.ops.is_zero,
+                       chain.from_iterable(col.values() for col in self._d)))
 
     @staticmethod
     def from_rows(field: FieldSpec, rows) -> "LinearMap":
@@ -194,43 +274,46 @@ class LinearMap(_Raw):
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "LinearMap":
-        one, zero = field.ops.one, field.ops.zero
-        return LinearMap._of(field, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        one = field.ops.one
+        return LinearMap._of_cols(field, n, [{j: one} for j in range(n)])
 
     @staticmethod
     def zero_map(field: FieldSpec, rows: int, cols: int) -> "LinearMap":
-        return LinearMap._of(field, ((field.ops.zero,) * cols,) * rows)
+        return LinearMap._of_cols(field, rows, [{} for _ in range(cols)])
 
     def apply(self, v: Vector) -> Vector:
         _check(self.cols == v.dim, "map/vector dims differ", self, v)
         return Vector._of(self.field, _combine(self.field.ops, self.rows,
-                                               zip(v._d, zip(*self._d))))
+                                               zip(v._d, self._columns())))
 
     def column(self, j: int) -> Vector:
-        return Vector._of(self.field, tuple(row[j] for row in self._d))
+        dense = [self.field.ops.zero] * self.rows
+        for i, x in self._d[j].items():
+            dense[i] = x
+        return Vector._of(self.field, tuple(dense))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other)."""
         _check(self.cols == other.rows, "composition dims differ", self, other)
         ops = self.field.ops
-        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-        by_col = [[] for _ in range(self.cols)]  # k -> [(i, a)], a != 0
-        for i, row in enumerate(self._d):
-            for k, a in enumerate(row):
-                if not is_zero(a):
-                    by_col[k].append((i, a))
-        out = [[ops.zero] * other.cols for _ in range(self.rows)]
-        for k, row in enumerate(other._d):
-            col = by_col[k]
+        add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
+        # each entry is zero + a1*b1 + a2*b2 + ..., k increasing
+        left, out, zeros = self._d, [{}] * other.cols, [zero] * self.rows
+        for j, col in enumerate(other._d):
             if not col:
                 continue
-            for j, b in enumerate(row):
-                if is_zero(b):
-                    continue
-                for i, a in col:
-                    out[i][j] = add(out[i][j], mul(a, b))
-        return LinearMap._of(self.field, tuple(map(tuple, out)))
+            acc = zeros[:]
+            for k, b in col.items():
+                terms = left[k]
+                if terms and not is_zero(b):
+                    for i, a in terms.items():
+                        if not is_zero(a):
+                            acc[i] = add(acc[i], mul(a, b))
+            out[j] = d = {}
+            for i, x in enumerate(acc):
+                if x != zero:
+                    d[i] = x
+        return LinearMap._of_cols(self.field, self.rows, out)
 
     def power(self, k: int) -> "LinearMap":
         _check(self.rows == self.cols, "power of a non-square map")
@@ -242,28 +325,42 @@ class LinearMap(_Raw):
         return out
 
 
+def _differing_columns(f: LinearMap, g: LinearMap):
+    """The indices j, increasing, where columns j of f and g differ.  Equal
+    dicts are equal columns; other pairs compare by the field's eq, a
+    missing row as ops.zero."""
+    eq, zero = f.field.ops.eq, f.field.ops.zero
+    for j, (a, b) in enumerate(zip(f._d, g._d)):
+        if a != b and not (all(eq(x, b.get(i, zero)) for i, x in a.items())
+                           and all(eq(zero, y) for i, y in b.items() if i not in a)):
+            yield j
+
+
 def maps_commute(f: LinearMap, g: LinearMap) -> bool:
     _check(f.rows == f.cols == g.rows == g.cols, "commutation needs equal square maps")
     return f.compose(g) == g.compose(f)
 
 
 def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product f (x) g in the lexicographic basis order."""
+    """Kronecker product f (x) g in the lexicographic basis order.  A product
+    of two nonzero values is nonzero, so every entry it makes is stored."""
     _join(f.field, g.field)
-    ops = f.field.ops
-    mul, is_zero = ops.mul, ops.is_zero
-    rows, cols = f.rows * g.rows, f.cols * g.cols
-    out = [[ops.zero] * cols for _ in range(rows)]
-    g_nonzero = [(i2, j2, b) for i2, row in enumerate(g._d)
-                 for j2, b in enumerate(row) if not is_zero(b)]
-    for i1, row in enumerate(f._d):
-        for j1, a in enumerate(row):
-            if is_zero(a):
-                continue
-            r0, c0 = i1 * g.rows, j1 * g.cols
-            for i2, j2, b in g_nonzero:
-                out[r0 + i2][c0 + j2] = mul(a, b)
-    return LinearMap._of(f.field, tuple(map(tuple, out)))
+    mul, is_zero = f.field.ops.mul, f.field.ops.is_zero
+    g_cols = [(j, col) for j, col in enumerate(g._d) if col]
+    out, empty = [], [{}] * g.cols
+    for col in f._d:
+        block = empty[:]
+        if col:
+            for j, g_col in g_cols:
+                block[j] = d = {}
+                for i1, a in col.items():
+                    if not is_zero(a):
+                        r0 = i1 * g.rows
+                        for i2, b in g_col.items():
+                            if not is_zero(b):
+                                d[r0 + i2] = mul(a, b)
+        out += block
+    return LinearMap._of_cols(f.field, f.rows * g.rows, out)
 
 
 def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
@@ -272,9 +369,9 @@ def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
 
 def block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
     _join(f.field, g.field)
-    z = f.field.ops.zero
-    return LinearMap._of(f.field, tuple(row + (z,) * g.cols for row in f._d)
-                         + tuple((z,) * f.cols + row for row in g._d))
+    shift = f.rows
+    return LinearMap._of_cols(f.field, f.rows + g.rows, f._d + tuple(
+        {shift + i: x for i, x in col.items()} for col in g._d))
 
 
 class StructureTable(_Raw):
@@ -344,18 +441,18 @@ class StructureTable(_Raw):
     def compose_left(self, f: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), y)."""
         _check(f.rows == self.dim_left, "compose_left dims differ", self, f)
-        ops, consts = self.field.ops, self._d
+        ops, consts, n = self.field.ops, self._d, self.dim_out
         return StructureTable._of(self.field, tuple(
-            tuple(_combine(ops, self.dim_out, zip(col, (r[j] for r in consts)))
+            tuple(_combine(ops, n, [(c, consts[i][j]) for i, c in col.items()])
                   for j in range(self.dim_right))
-            for col in zip(*f._d)))
+            for col in f._d))
 
     def compose_right(self, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(x, g(y))."""
         _check(g.rows == self.dim_right, "compose_right dims differ", self, g)
-        ops, cols = self.field.ops, tuple(zip(*g._d))
+        ops, n = self.field.ops, self.dim_out
         return StructureTable._of(self.field, tuple(
-            tuple(_combine(ops, self.dim_out, zip(col, row)) for col in cols)
+            tuple(_combine(ops, n, [(c, row[k]) for k, c in col.items()]) for col in g._d)
             for row in self._d))
 
     def twist(self, f: LinearMap, g: LinearMap) -> "StructureTable":
@@ -365,22 +462,22 @@ class StructureTable(_Raw):
     def postcompose(self, h: LinearMap) -> "StructureTable":
         """(x, y) |-> h(B(x, y))."""
         _check(h.cols == self.dim_out, "postcompose dims differ", self, h)
-        ops, cols = self.field.ops, tuple(zip(*h._d))
+        ops, cols = self.field.ops, h._columns()
         return StructureTable._of(self.field, tuple(
             tuple(_combine(ops, h.rows, zip(v, cols)) for v in row)
             for row in self._d))
 
     def as_matrix(self) -> LinearMap:
         """The operation as a map X (x) Y -> Z in the lexicographic basis."""
-        return LinearMap._of(self.field, tuple(
-            zip(*(col for row in self._d for col in row))))
+        return LinearMap._of_cols(self.field, self.dim_out, _sparse(
+            self.field.ops.zero, chain.from_iterable(self._d)))
 
     @staticmethod
     def from_matrix(field: FieldSpec, m: LinearMap, dim_left: int,
                     dim_right: int) -> "StructureTable":
         _check(m.cols == dim_left * dim_right, "matrix shape does not factor")
         _join(field, m.field)
-        cols = tuple(zip(*m._d))
+        cols = m._columns()
         return StructureTable._of(field, tuple(
             cols[i * dim_right:(i + 1) * dim_right] for i in range(dim_left)))
 

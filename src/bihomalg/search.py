@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FieldMismatch
-from .linalg import LinearMap
+from .linalg import LinearMap, _sparse
 from .rota_baxter import (OneSidedBaxter, RBOperator, _check_rb_identity,
                           check_one_sided_baxter)
 from .scalars import PRIME, FieldSpec, Scalar, _clip
@@ -64,7 +64,7 @@ def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
     if not 0 <= k < field.p ** (n * n):
         raise ValueError(f"matrix index {_clip(str(k))} is outside [0, {field.p}^{n * n})")
     flat = [k // field.p ** e % field.p for e in range(n * n)]
-    return LinearMap._of(field, tuple(tuple(flat[i * n:i * n + n]) for i in range(n)))
+    return LinearMap._of_cols(field, n, _sparse(field.ops.zero, (flat[j::n] for j in range(n))))
 
 
 def _space_size(A: BiHomAssociativeAlgebra) -> int:

@@ -188,8 +188,9 @@ def _field_block(field: FieldSpec):
 
 
 def _block(x: LinearMap | StructureTable):
-    """The literals of a matrix's or table's entries, nested as stored."""
-    return _nest(x.field.ops.to_str, x._depth, x._d)
+    """The literals of a matrix's or table's entries, nested as `entries` or
+    `constants` read them."""
+    return _nest(x.field.ops.to_str, x._depth, x._dense())
 
 
 def _structure_kind(structure) -> str:

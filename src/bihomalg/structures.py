@@ -23,7 +23,7 @@ from itertools import product
 from operator import add
 
 from .errors import InputAxiomsFail, TwistHypothesisViolated
-from .linalg import LinearMap, StructureTable, tensor2
+from .linalg import LinearMap, StructureTable, _differing_columns, tensor2
 from .scalars import FieldSpec
 
 DEFAULT_VIOLATION_CAP = 16
@@ -33,14 +33,17 @@ DEFAULT_VIOLATION_CAP = 16
 class CheckReport:
     """Outcome of an axiom check: empty violations means passed.
 
-    violations: (axiom id, basis index tuple, lhs vector, rhs vector).
+    violations: (axiom id, basis index tuple, lhs vector, rhs vector), the
+    first `cap` violating columns.
     sub_checks: named auxiliary facts reported alongside the main axioms
     (e.g. whether a Rota-Baxter operator commutes with the structure maps).
+    total_violations: every violating column compared, also past the cap.
     """
 
     violations: list = dc_field(default_factory=list)
     sub_checks: dict = dc_field(default_factory=dict)
     cap: int = DEFAULT_VIOLATION_CAP
+    total_violations: int = 0
 
     @property
     def passed(self) -> bool:
@@ -54,10 +57,11 @@ class CheckReport:
         return seen
 
     def _compare(self, axiom: str, lhs: LinearMap, rhs: LinearMap, dims) -> None:
-        """Compare two matrices columnwise; log violating columns as basis
-        tuples decoded through dims."""
-        for col, (a, b) in enumerate(zip(zip(*lhs._d), zip(*rhs._d))):
-            if not all(map(lhs.field.ops.eq, a, b)) and len(self.violations) < self.cap:
+        """Compare two matrices columnwise; count the violating columns and
+        log the first cap of them as basis tuples decoded through dims."""
+        for col in _differing_columns(lhs, rhs):
+            self.total_violations += 1
+            if len(self.violations) < self.cap:
                 self.violations.append(
                     (axiom, _decode(col, dims), lhs.column(col), rhs.column(col)))
 

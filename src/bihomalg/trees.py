@@ -180,10 +180,16 @@ def tree_R(t: RBAugTree) -> RBAugTree:
 
 def serialize_tree(t) -> str:
     """`L[a1,a2;f]` per leaf, `( .. .. ){f}` per node; B-augmented trees omit
-    the `;f` / `{f}` parts; plain trees are `L` and `( .. .. )`."""
+    the `;f` / `{f}` parts; plain trees are `L` and `( .. .. )`.  The grammar
+    has no negative powers, so a tree with one is refused with ValueError
+    (the constructors do not check, as the reducer builds many trees)."""
     if isinstance(t, PlanarBinaryTree):
         return _ser(t, None, None)
     vps = _vertex_powers(t)
+    for kind, powers in (("leaf", [p for pair in t.leaf_powers for p in pair]),
+                         ("vertex", vps or ())):
+        if powers and min(powers) < 0:
+            raise ValueError(f"cannot serialize a negative {kind} power, got {min(powers)}")
     return _ser(t.tree, iter(t.leaf_powers), None if vps is None else iter(vps))
 
 

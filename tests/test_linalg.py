@@ -9,12 +9,13 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, CheckReport,
                       FieldSpec, GRBOperator, LinearMap, RBOperator, Scalar,
                       StructureTable, Vector, apply_bilinear, block_diag,
                       check_bimodule, grb_hat, index_to_matrix, maps_commute,
-                      split_null_extension, tensor2, tensor3)
+                      rb_derive, split_null_extension, tensor2, tensor3,
+                      tensor_quadri, tridend_to_dend)
 from bihomalg.errors import BiHomAlgError, DimensionMismatch, FieldMismatch
 from bihomalg.families import _evaluated
 from bihomalg.linalg import _check
 from bihomalg.structures import _decode, _tensor_tables, require
-from conftest import counted
+from conftest import counted, integration_rb, truncated_poly_algebra
 
 Q = FieldSpec.rational()
 
@@ -912,6 +913,39 @@ def test_raw_kernels_match_boxed_bodies_property(name, data):
         want, want_ops = counted(monkeypatch, outcome, reference, *args)
     assert typed(got) == typed(want)
     assert got_ops == want_ops
+
+
+@pytest.mark.parametrize("field, c", [(Q, "2"), (FieldSpec.rational_function("a"), "1/a")],
+                         ids=["Q", "Q(a)"])
+def test_raw_kernels_match_boxed_bodies_at_dim_9(field, c):
+    """compose and tensor2 on the operands of a dim-9 tensor_quadri check,
+    mu (9 x 81) and alpha (x) mu (81 x 729), scaled by c: over Q(a) every
+    zero entry of alpha and mu is then a stored ({}, a), which both kernels
+    must skip as the dense loops did."""
+    D = tridend_to_dend(rb_derive(truncated_poly_algebra(field, 3), integration_rb(field, 3)))
+    S = tensor_quadri(D, D)
+    c = field.parse(c)
+    mu, alpha = S.nw.as_matrix().scale(c), S.alpha.scale(c)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        kron, kron_ops = counted(monkeypatch, tensor2, alpha, mu)
+        want, want_ops = counted(monkeypatch, old_tensor2, alpha, mu)
+        assert (kron.rows, kron.cols) == (81, 729)
+        assert typed(kron) == typed(want) and kron_ops == want_ops
+        got, got_ops = counted(monkeypatch, LinearMap.compose, mu, kron)
+        want, want_ops = counted(monkeypatch, old_compose, mu, kron)
+    assert (got.rows, got.cols) == (9, 729)
+    assert typed(got) == typed(want) and got_ops == want_ops
+    assert got_ops[0] > 0 and not got.is_zero()
+
+
+def test_scale_keeps_the_computed_zeros_over_q_params():
+    """c * 0 over Q(a, b) is ({}, den c): stored, and read back as is."""
+    m = LinearMap(QAB, ((QAB.one(), QAB.zero()), (QAB.zero(), QAB.parameter("b"))))
+    scaled = m.scale(QAB.parse("1/a"))
+    over_a = ({}, {(1, 0): 1})
+    assert [[x.value for x in row] for row in scaled.entries] == [
+        [({(0, 0): 1}, {(1, 0): 1}), over_a], [over_a, ({(0, 1): 1}, {(1, 0): 1})]]
+    assert over_a != QAB.ops.zero and scaled.entries[0][1].is_zero()
 
 
 @pytest.mark.parametrize("build", [

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                       BiHomTridendriform, FieldSpec, LinearMap, StructureTable,
                       Vector, check_bihom_associative, check_dendriform,
+                      check_structure,
                       check_quadri, check_tridendriform, embed_dend_in_tridend,
                       evaluate_two_param_algebra, two_param_algebra,
                       quadri_projections, rb_derive, tensor2, tensor_quadri,
                       total_product, tridend_to_dend, yau_twist)
 from bihomalg.errors import InputAxiomsFail, TwistHypothesisViolated
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
-from conftest import against_reference, counted, truncated_poly_algebra
+from conftest import (against_reference, counted, integration_rb,
+                      truncated_poly_algebra)
 from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
 
 Q = FieldSpec.rational()
@@ -70,6 +72,28 @@ def test_report_cap():
     rep = check_bihom_associative(bad, cap=3)
     assert not rep.passed
     assert len(rep.violations) == 3
+
+
+def _planted(S, tag, i, j, k, value):
+    """S with the constant c[i][j][k] of its operation tag set to value."""
+    t = getattr(S, tag).constants
+    col = t[i][j][:k] + (value,) + t[i][j][k + 1:]
+    row = t[i][:j] + (col,) + t[i][j + 1:]
+    return replace(S, **{tag: StructureTable(S.field, t[:i] + (row,) + t[i + 1:])})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _planted(truncated_poly_algebra(Q, 4), "mu", 0, 0, 0, Q.from_int(2)),
+    lambda: _planted(tensor_quadri(*[tridend_to_dend(rb_derive(
+        truncated_poly_algebra(Q, 2), integration_rb(Q, 2)))] * 2),
+        "ne", 0, 3, 1, Q.from_int(5)),
+], ids=["assoc.n4", "quadri.n4"])
+def test_total_violations_counts_past_the_cap(build):
+    S = build()
+    capped, full = check_structure(S, cap=1), check_structure(S, cap=10 ** 6)
+    assert len(capped.violations) == 1 and len(full.violations) > 1
+    assert capped.total_violations == full.total_violations == len(full.violations)
+    assert capped.violations == full.violations[:1]
 
 
 def test_yau_twist_identity_is_noop(qx3):
@@ -341,6 +365,9 @@ def test_table_checkers_match_hand_written_property(kind, data):
     assert got.cap == want.cap and got.sub_checks == want.sub_checks == {}
     assert got_mul == want_mul
     assert got_add <= want_add
+    assert got.total_violations >= len(got.violations)
+    if cap == 10 ** 6:
+        assert got.total_violations == len(got.violations)
 
 
 # -- yau_twist's hypothesis rows refuse what the hand-written probe refused --

@@ -319,12 +319,12 @@ def raw_terms(x):
 
 
 @st.composite
-def any_trees(draw, kind=None, max_leaves=4, max_power=3):
+def any_trees(draw, kind=None, max_leaves=4, max_power=3, min_power=0):
     """A plain, B- or RB-augmented tree (kind None draws the kind)."""
     kind = kind or draw(st.sampled_from(["plain", "b", "rb"]))
     shape = draw(st.sampled_from(enumerate_trees(
         draw(st.integers(1, max_leaves)))))
-    power = st.integers(0, max_power)
+    power = st.integers(min_power, max_power)
     if kind == "plain":
         return shape
     lp = tuple(draw(st.tuples(power, power)) for _ in range(shape.leaves))
@@ -332,6 +332,33 @@ def any_trees(draw, kind=None, max_leaves=4, max_power=3):
         return BAugTree(shape, lp)
     return RBAugTree(shape, lp, tuple(draw(power)
                                       for _ in range(shape.vertices)))
+
+
+@given(any_trees(min_power=-2))
+@settings(max_examples=150, deadline=None)
+def test_every_serialized_tree_parses_back_to_itself_property(t):
+    """serialize_tree either refuses a negative power, naming it, or gives
+    text that parse_tree reads back as t (a plain tree as the shape of a
+    B-augmented tree with powers (0, 0))."""
+    if isinstance(t, PlanarBinaryTree):
+        assert parse_tree(serialize_tree(t)) == BAugTree(t, ((0, 0),) * t.leaves)
+        return
+    leaf = min(p for pair in t.leaf_powers for p in pair)
+    vertex = min(getattr(t, "vertex_powers", ()), default=0)
+    if leaf < 0 or vertex < 0:
+        kind, power = ("leaf", leaf) if leaf < 0 else ("vertex", vertex)
+        with pytest.raises(ValueError, match=f"negative {kind} power, got {power}$"):
+            serialize_tree(t)
+    else:
+        assert parse_tree(serialize_tree(t)) == t
+
+
+def test_serialize_refuses_negative_powers():
+    for t, kind in ((RBAugTree(LEAF, ((-1, 0),), (0,)), "leaf"),
+                    (RBAugTree(LEAF, ((0, 0),), (-1,)), "vertex"),
+                    (BAugTree(LEAF, ((0, -1),)), "leaf")):
+        with pytest.raises(ValueError, match=f"negative {kind} power, got -1$"):
+            serialize_tree(t)
 
 
 FIELDS = [Q, FieldSpec.prime(5), FieldSpec.rational_function("a")]

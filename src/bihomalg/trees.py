@@ -7,16 +7,25 @@ An augmented tree carries a pair of nonnegative powers on each leaf; the
 RB-augmented variant additionally carries one nonnegative power on *every*
 vertex (leaves and internal nodes alike), stored in preorder with the root
 first.  Grafting joins two trees under a fresh root whose power is 0.
+
+A FreeElement holds its coefficients as raw values of its field, as the
+containers of linalg do (over Q an int when integral, else a Fraction), and
+every kernel on it (`+`, `-`, `scale`, `map_terms`, `free_multiply` and the
+eliminator) computes through `field.ops` in the order of the old boxed
+loops, so it makes the same mul and add calls and builds no Scalar.  Its
+public `terms` is a live mapping over the raw dict that boxes on read and
+unboxes on write.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import (BoundsExceeded, Indecomposable, InvalidArity,
                      WrongAugmentation)
-from .linalg import Vector
+from .linalg import Vector, _raw
 from .scalars import FieldSpec, Scalar
 
 
@@ -288,19 +297,82 @@ def parse_tree(text: str):
 # Free elements
 # ---------------------------------------------------------------------------
 
-@dataclass
+class _Terms(MutableMapping):
+    """`FreeElement.terms`, a live view of the raw term dict: a read boxes
+    the coefficient into a Scalar of the element's field, and a write unboxes
+    it (FieldMismatch refuses anything else)."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x: "FreeElement"):
+        self._x = x
+
+    def __getitem__(self, key):
+        tree, word, c = self._x._t[key]
+        field = self._x.field
+        return tree, word, Scalar(field, field.ops.box(c))
+
+    def __setitem__(self, key, term):
+        tree, word, c = term
+        self._x._t[key] = (tree, word, _raw(self._x.field, c))
+
+    def __delitem__(self, key):
+        del self._x._t[key]
+
+    def __iter__(self):
+        return iter(self._x._t)
+
+    def __len__(self):
+        return len(self._x._t)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _same_basis(x: "FreeElement", y: "FreeElement") -> None:
+    """Refuse free elements over different fields or ranks."""
+    if (x.field is not y.field and x.field != y.field) or x.rank != y.rank:
+        raise ValueError("free elements live over different bases")
+
+
 class FreeElement:
     """A finite linear combination of generators (tree, leaf word), with the
     leaf word drawn from a finite basis 0..rank-1 of the generating module.
-    Keys are canonical serializations so the term order is reproducible."""
+    Keys are canonical serializations so the term order is reproducible.
 
-    field: FieldSpec
-    rank: int
-    terms: dict  # key -> (RBAugTree, word tuple, Scalar coefficient)
+    The coefficients are raw values of `field` (see linalg), kept in the
+    private dict `_t`: key -> (tree, word, raw value); the kernels store
+    nonzero values only, compute on them through `field.ops` and build no
+    Scalar.  `terms` is a live mapping over the same dict that boxes each
+    coefficient on read and unboxes it on write, so Scalar stays the
+    boundary: the constructor and `generator` take Scalars of `field`
+    (FieldMismatch refuses any other), and `+`, `-`, `==` and
+    `free_multiply` refuse operands over another field or rank."""
+
+    __slots__ = ("field", "rank", "_t")
+
+    def __init__(self, field: FieldSpec, rank: int, terms: dict):
+        self.field, self.rank = field, rank
+        self._t = {key: (tree, word, _raw(field, c))
+                   for key, (tree, word, c) in terms.items()}
+
+    @classmethod
+    def _of(cls, field: FieldSpec, rank: int, raw: dict) -> "FreeElement":
+        x = object.__new__(cls)
+        x.field, x.rank, x._t = field, rank, raw
+        return x
+
+    @property
+    def terms(self) -> _Terms:
+        """key -> (RBAugTree, word tuple, Scalar coefficient)"""
+        return _Terms(self)
+
+    def __repr__(self):
+        return f"FreeElement(field={self.field!r}, rank={self.rank!r}, terms={self.terms!r})"
 
     @staticmethod
     def zero(field: FieldSpec, rank: int) -> "FreeElement":
-        return FreeElement(field, rank, {})
+        return FreeElement._of(field, rank, {})
 
     @staticmethod
     def generator(field: FieldSpec, rank: int, tree: RBAugTree,
@@ -309,7 +381,7 @@ class FreeElement:
             raise ValueError("leaf word length must equal the leaf count")
         if any(not 0 <= w < rank for w in word):
             raise ValueError("leaf word letter outside the basis range")
-        c = field.one() if coeff is None else coeff
+        c = field.ops.one if coeff is None else _raw(field, coeff)
         x = FreeElement.zero(field, rank)
         x._accumulate(FreeElement.term_key(tree, word), tree, word, c)
         return x
@@ -319,37 +391,48 @@ class FreeElement:
         return serialize_tree(tree) + "|" + ",".join(map(str, word))
 
     def _accumulate(self, key, tree, word, coeff):
-        if key in self.terms:
-            _, _, old = self.terms[key]
-            coeff = old + coeff
-        if coeff.is_zero():
-            self.terms.pop(key, None)
+        """Add the raw coeff at key; a zero sum drops the term."""
+        terms, ops = self._t, self.field.ops
+        if key in terms:
+            coeff = ops.add(terms[key][2], coeff)
+        if ops.is_zero(coeff):
+            terms.pop(key, None)
         else:
-            self.terms[key] = (tree, word, coeff)
+            terms[key] = (tree, word, coeff)
 
     def copy(self) -> "FreeElement":
-        return FreeElement(self.field, self.rank, dict(self.terms))
+        return FreeElement._of(self.field, self.rank, dict(self._t))
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
+        _same_basis(self, other)
         out = self.copy()
-        for key, (tree, word, c) in other.terms.items():
+        for key, (tree, word, c) in other._t.items():
             out._accumulate(key, tree, word, c)
         return out
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + other.scale(-self.field.one())
+        # checked before other's ops meet this field's -1
+        _same_basis(self, other)
+        ops = self.field.ops
+        return self + other._scaled(ops.neg(ops.one))
 
     def scale(self, c: Scalar) -> "FreeElement":
+        return self._scaled(_raw(self.field, c))
+
+    def _scaled(self, c) -> "FreeElement":
+        """The element times the raw value c."""
         # stored coefficients are nonzero and a field has no zero divisors,
         # so no product cancels and every key stays
-        if c.is_zero():
+        ops = self.field.ops
+        if ops.is_zero(c):
             return FreeElement.zero(self.field, self.rank)
-        return FreeElement(self.field, self.rank, {
-            key: (tree, word, c * coeff)
-            for key, (tree, word, coeff) in self.terms.items()})
+        mul = ops.mul
+        return FreeElement._of(self.field, self.rank, {
+            key: (tree, word, mul(c, coeff))
+            for key, (tree, word, coeff) in self._t.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeElement):
@@ -359,7 +442,7 @@ class FreeElement:
     def map_terms(self, fn) -> "FreeElement":
         """Apply a tree map to every basis term, keeping words and coefficients."""
         out = FreeElement.zero(self.field, self.rank)
-        for tree, word, coeff in self.terms.values():
+        for tree, word, coeff in self._t.values():
             tree = fn(tree)
             out._accumulate(FreeElement.term_key(tree, word), tree, word, coeff)
         return out
@@ -369,17 +452,17 @@ def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
     """Bilinear extension of grafting on generators.  Each product's key is
     built from its operands' keys: `(s1 s2){0}|w1,w2` (no `{0}` on
     B-augmented trees), the serialization of the grafted tree and its word."""
-    if x.field != y.field or x.rank != y.rank:
-        raise ValueError("free elements live over different bases")
+    _same_basis(x, y)
+    mul = x.field.ops.mul
     out = FreeElement.zero(x.field, x.rank)
     right = [(key.partition("|"), t2, w2, c2)
-             for key, (t2, w2, c2) in y.terms.items()]
-    for key1, (t1, w1, c1) in x.terms.items():
+             for key, (t2, w2, c2) in y._t.items()]
+    for key1, (t1, w1, c1) in x._t.items():
         s1, _, k1 = key1.partition("|")
         for (s2, _, k2), t2, w2, c2 in right:
             t = graft(t1, t2)
             root = "{0}" if type(t) is RBAugTree else ""
-            out._accumulate(f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2, c1 * c2)
+            out._accumulate(f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2, mul(c1, c2))
     return out
 
 
@@ -450,13 +533,13 @@ def _fits(tree: RBAugTree, bounds) -> bool:
 
 
 def _element_fits(x: FreeElement, bounds) -> bool:
-    return all(_fits(tree, bounds) for tree, _, _ in x.terms.values())
+    return all(_fits(tree, bounds) for tree, _, _ in x._t.values())
 
 
 def _has_room(x: FreeElement, side: int, max_power: int) -> bool:
     """Whether every leaf power of every term has component `side` (0 for
     alpha, 1 for beta) below max_power, so that map's image keeps it."""
-    return all(p[side] < max_power for tree, _, _ in x.terms.values()
+    return all(p[side] < max_power for tree, _, _ in x._t.values()
                for p in tree.leaf_powers)
 
 
@@ -487,18 +570,19 @@ class _Eliminator:
         """Subtract at the smallest pivot key present until none is."""
         x = x.copy()
         pivots = self.pivots
-        while (key := min((k for k in x.terms if k in pivots),
+        while (key := min((k for k in x._t if k in pivots),
                           default=None)) is not None:
-            x = x - pivots[key].scale(x.terms[key][2])
+            x = x - pivots[key]._scaled(x._t[key][2])
         return x
 
     def insert(self, x: FreeElement) -> bool:
         x = self.reduce(x)
         if x.is_zero():
             return False
-        key = min(x.terms)
-        _, _, c = x.terms[key]
-        self.pivots[key] = x.scale(c.inverse())
+        key = min(x._t)
+        ops = x.field.ops
+        # over Q, ops.inv gives Fraction(1, c): unboxed, a unit stays an int
+        self.pivots[key] = x._scaled(ops.unbox(ops.inv(x._t[key][2])))
         return True
 
 
@@ -577,7 +661,7 @@ class TruncatedIdealReducer:
             g = queue.pop()
             if not elim.insert(g):
                 continue
-            g_leaves = next(iter(g.terms.values()))[0].leaves
+            g_leaves = next(iter(g._t.values()))[0].leaves
             for n in range(1, max_leaves - g_leaves + 1):
                 for other in by_leaves[n]:
                     queue.append(free_multiply(g, other))

@@ -990,3 +990,14 @@ def test_ops_table_leaves_field_identity_alone():
     assert pickle.loads(pickle.dumps(m)) == m
     assert type(Q.from_int(2).value) is Fraction
     assert [type(x.value) for x in LinearMap.identity(Q, 2).entries[0]] == [Fraction] * 2
+
+
+def test_from_rows_is_the_constructor_on_rows():
+    for field in (Q, F5, FieldSpec.rational_function("a")):
+        rows = ((field.from_int(1), field.from_int(2), field.zero()),
+                (field.zero(), field.from_int(-1), field.from_int(3)))
+        m = LinearMap.from_rows(field, rows)
+        assert m == LinearMap(field, rows) and (m.rows, m.cols) == (2, 3)
+        assert m.entries == rows
+    with pytest.raises(FieldMismatch):
+        LinearMap.from_rows(Q, ((F5.one(),),))

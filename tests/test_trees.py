@@ -1,16 +1,17 @@
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, PlanarBinaryTree,
-                      RBAugTree, TruncatedIdealReducer, Vector, action_eval,
+                      RBAugTree, Scalar, TruncatedIdealReducer, Vector, action_eval,
                       decompose, enumerate_trees, free_alpha, free_beta,
                       free_multiply, free_R, graft, parse_tree, serialize_tree,
                       tree_R, tree_alpha, tree_beta, trees)
-from bihomalg.errors import (BoundsExceeded, Indecomposable, InvalidArity,
-                             WrongAugmentation)
+from bihomalg.errors import (BoundsExceeded, FieldMismatch, Indecomposable,
+                             InvalidArity, WrongAugmentation)
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -671,3 +672,88 @@ def test_planar_tree_with_cached_leaves_stays_a_plain_dataclass():
             assert back == t and hash(back) == hash(t) and back.leaves == n
     rb = parse_tree("(L[1,2;1] (L[0,2;0] L[3,0;2]){1}){3}")
     assert pickle.loads(pickle.dumps(rb)).leaves == 3
+
+
+# ---------------------------------------------------------------------------
+# FreeElement keeps raw coefficients; Scalar stays the boundary
+# ---------------------------------------------------------------------------
+
+F5 = FieldSpec.prime(5)
+QA = FieldSpec.rational_function("a")
+X_LEAF = RBAugTree(LEAF, ((0, 1),), (1,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeElement.generator(Q, 1, X_LEAF, (0,), F5.from_int(3)),
+    lambda: FreeElement(Q, 1, {FreeElement.term_key(X_LEAF, (0,)):
+                               (X_LEAF, (0,), "notascalar")}),
+    lambda: FreeElement(Q, 1, {FreeElement.term_key(X_LEAF, (0,)):
+                               (X_LEAF, (0,), QA.parse("a"))}),
+    lambda: FreeElement.generator(Q, 1, X_LEAF, (0,)).scale(F5.one()),
+], ids=["generator", "constructor-str", "constructor-qa", "scale"])
+def test_coefficients_from_another_field_are_refused(make):
+    with pytest.raises(FieldMismatch):
+        make()
+
+
+@pytest.mark.parametrize("other", [
+    FreeElement.generator(F5, 1, X_LEAF, (0,)),
+    FreeElement.generator(Q, 2, X_LEAF, (1,)),
+    FreeElement.zero(Q, 2),
+], ids=["field", "rank", "zero-rank"])
+def test_free_elements_over_other_bases_do_not_mix(other):
+    """Disjoint keys: before these were refused, a sum merged the terms into
+    an element over the left operand's field and rank."""
+    x = FreeElement.generator(Q, 1, tree_alpha(X_LEAF), (0,))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a == b,
+               free_multiply):
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(ValueError, match="different bases"):
+                op(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_terms_is_a_live_boxing_view(field):
+    x = free_multiply(FreeElement.generator(field, 1, X_LEAF, (0,), field.from_int(2)),
+                      FreeElement.generator(field, 1, X_LEAF, (0,)))
+    x = x + FreeElement.generator(field, 1, X_LEAF, (0,))
+    key, = (k for k in x.terms if "(" in k)
+    leaf_key = FreeElement.term_key(X_LEAF, (0,))
+    assert [c for _, _, c in x.terms.values()] == [field.from_int(2), field.one()]
+    for _, _, c in x.terms.values():
+        assert isinstance(c, Scalar) and c.field == field
+        if field == Q:
+            assert type(c.value) is Fraction
+    # a write through terms persists and reaches the arithmetic
+    tree, word, _ = x.terms[key]
+    x.terms[key] = (tree, word, field.from_int(3))
+    assert x.terms[key][2] == field.from_int(3)
+    assert x.scale(field.from_int(2)).terms[key][2] == field.from_int(6)
+    with pytest.raises(FieldMismatch):
+        x.terms[key] = (tree, word, FieldSpec.prime(7).one())
+    # copy() shares no mutable state with the original
+    y = x.copy()
+    y.terms.pop(leaf_key)
+    y.terms[key] = (tree, word, field.one())
+    assert leaf_key in x.terms and x.terms[key][2] == field.from_int(3)
+    assert list(y.terms) == [key] and y.terms[key][2] == field.one()
+    del x.terms[leaf_key]
+    assert len(x.terms) == 1 and x == y.scale(field.from_int(3))
+
+
+def test_free_element_repr_is_unchanged():
+    x = FreeElement.generator(Q, 1, X_LEAF, (0,), Q.from_fraction(Fraction(1, 2)))
+    assert repr(x) == (
+        "FreeElement(field=FieldSpec(kind='rational', p=None, params=()), rank=1, "
+        "terms={'L[0,1;1]|0': (RBAugTree(tree=PlanarBinaryTree(left=None, right=None), "
+        "leaf_powers=((0, 1),), vertex_powers=(1,)), (0,), Scalar('1/2'))})")
+    assert repr(FreeElement.zero(QA, 2)) == (
+        "FreeElement(field=FieldSpec(kind='rational_function', p=None, params=('a',)), "
+        "rank=2, terms={})")
+
+
+def test_root_power_is_the_first_vertex_power():
+    t = RBAugTree(graft(LEAF, LEAF), ((1, 0), (0, 2)), (0, 1, 2))
+    assert t.root_power == 0
+    assert tree_R(tree_R(t)).root_power == 2
+    assert RBAugTree(LEAF, ((0, 0),), (3,)).root_power == 3

@@ -4,11 +4,14 @@ Exit codes: 0 = all requested checks passed / operation succeeded,
 1 = an axiom check failed (violations are printed), 2 = usage or parse error.
 Every JSON input, file or argument, is read by `specfile._read_json`, so a
 malformed one exits 2 with a message naming the file or argument.
+`main` parses with one parser built per process (`_parser`), so in-process
+callers do not rebuild it on every call; `build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -86,6 +89,24 @@ def _matrix_arg(field, text, name, dim):
 # the --via constructions that read a second spec file
 TWO_FILE_VIAS = ("tensor-quadri", "compose-twistor", "pair-quadri")
 
+# every --via, in the order --help lists them, and the structure kind it
+# reads from the (first) spec file; yau twists any kind
+VIA_KINDS = {"rb-tridend": "assoc", "rb-double": "assoc", "yau": None,
+             "tensor-quadri": "dend", "quadri-h": "quadri", "quadri-v": "quadri",
+             "split-null": "assoc", "grb-dend": "assoc", "rb-twistor": "assoc",
+             "compose-twistor": "assoc", "pair-quadri": "assoc"}
+
+
+def _structure(parts: dict, path: str, need: str | None, command: str):
+    """The structure of parts, read from the spec file at path; command
+    refuses a kind other than need."""
+    S = parts["structure"]
+    kind = _structure_kind(S)
+    if need is not None and kind != need:
+        raise SpecFileError(
+            f"{path}: {command} needs a spec file of kind {need}, not {kind}")
+    return S
+
 
 def cmd_derive(args) -> int:
     via = args.via
@@ -94,7 +115,7 @@ def cmd_derive(args) -> int:
     if args.second and via not in TWO_FILE_VIAS:
         return _refuse(f"--via {via} takes no second spec file")
     parts = _load(args.spec, parse_spec)
-    S = parts["structure"]
+    S = _structure(parts, args.spec, VIA_KINDS[via], f"--via {via}")
     if args.second:
         second = _load(args.second, parse_spec)
     if via == "rb-tridend":
@@ -110,7 +131,8 @@ def cmd_derive(args) -> int:
         bt = _matrix_arg(S.field, args.btilde, "btilde", S.dim)
         _emit({"structure": yau_twist(S, at, bt)}, args.output)
     elif via == "tensor-quadri":
-        _emit({"structure": tensor_quadri(S, second["structure"])}, args.output)
+        T = _structure(second, args.second, "dend", f"--via {via}")
+        _emit({"structure": tensor_quadri(S, T)}, args.output)
     elif via in ("quadri-h", "quadri-v"):
         horizontal, vertical = quadri_projections(S)
         _emit({"structure": horizontal if via == "quadri-h" else vertical},
@@ -171,7 +193,7 @@ def cmd_trees(args) -> int:
         return 0
     if args.tree_cmd == "act":
         parts = _load(args.spec, parse_spec)
-        A = parts["structure"]
+        A = _structure(parts, args.spec, "assoc", "trees act")
         t = _tree_arg(args.tree, "tree")
         raw = _rows_arg(args.elements, "elements")
         elements = [Vector(A.field, row) for row in
@@ -249,7 +271,7 @@ def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
 
 def cmd_search(args) -> int:
     jobs = _positive_int(args.jobs, "--jobs")
-    A = _load(args.spec, parse_spec)["structure"]
+    A = _structure(_load(args.spec, parse_spec), args.spec, "assoc", "search")
     if args.what == "rb":
         weight = _scalar(A.field, args.weight, "--weight")
         result = search.enumerate_rb(A, weight, jobs=jobs)
@@ -306,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="build a derived structure")
     p.add_argument("spec")
-    p.add_argument("--via", required=True,
-                   choices=["rb-tridend", "rb-double", "yau", "tensor-quadri",
-                            "quadri-h", "quadri-v", "split-null", "grb-dend",
-                            "rb-twistor", "compose-twistor", "pair-quadri"])
+    p.add_argument("--via", required=True, choices=list(VIA_KINDS))
     p.add_argument("second", nargs="?", help="second spec file where needed")
     p.add_argument("--atilde", help="matrix as JSON, for --via yau")
     p.add_argument("--btilde", help="matrix as JSON, for --via yau")
@@ -350,10 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse keeps no per-parse state on a parser, and its help formatter
+    # reads the terminal width when it formats, so one parser serves every
+    # call with the bytes a fresh one would give
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

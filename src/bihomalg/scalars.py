@@ -102,6 +102,19 @@ def _poly_add(p, q):
 
 
 def _poly_mul(p, q):
+    # Times the int unit {(0, .., 0): 1}, the general loop below gives
+    # 0 + c * 1 = c, of c's type, at each monomial of the other operand in
+    # its order: a copy, so the shortcut changes no printed byte.  A unit
+    # Fraction(1) takes the loop, since int * Fraction(1) is a Fraction.
+    # There is no one-term shortcut: one measured slower than this loop.
+    if len(q) == 1:
+        (m2, c2), = q.items()
+        if c2 == 1 and type(c2) is int and not any(m2):
+            return dict(p)
+    if len(p) == 1:
+        (m1, c1), = p.items()
+        if c1 == 1 and type(c1) is int and not any(m1):
+            return dict(q)
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

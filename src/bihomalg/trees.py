@@ -300,7 +300,7 @@ def parse_tree(text: str):
 class _Terms(MutableMapping):
     """`FreeElement.terms`, a live view of the raw term dict: a read boxes
     the coefficient into a Scalar of the element's field, and a write unboxes
-    it (FieldMismatch refuses anything else)."""
+    it (FieldMismatch refuses anything else); a zero written deletes the key."""
 
     __slots__ = ("_x",)
 
@@ -314,7 +314,11 @@ class _Terms(MutableMapping):
 
     def __setitem__(self, key, term):
         tree, word, c = term
-        self._x._t[key] = (tree, word, _raw(self._x.field, c))
+        c = _raw(self._x.field, c)
+        if self._x.field.ops.is_zero(c):
+            self._x._t.pop(key, None)  # a zero coefficient is no term
+        else:
+            self._x._t[key] = (tree, word, c)
 
     def __delitem__(self, key):
         del self._x._t[key]
@@ -341,20 +345,21 @@ class FreeElement:
     Keys are canonical serializations so the term order is reproducible.
 
     The coefficients are raw values of `field` (see linalg), kept in the
-    private dict `_t`: key -> (tree, word, raw value); the kernels store
-    nonzero values only, compute on them through `field.ops` and build no
-    Scalar.  `terms` is a live mapping over the same dict that boxes each
-    coefficient on read and unboxes it on write, so Scalar stays the
-    boundary: the constructor and `generator` take Scalars of `field`
-    (FieldMismatch refuses any other), and `+`, `-`, `==` and
-    `free_multiply` refuse operands over another field or rank."""
+    private dict `_t`: key -> (tree, word, raw value).  Only nonzero values
+    are stored (the constructor and a write through `terms` drop a zero), and
+    the kernels compute on them through `field.ops` and build no Scalar.
+    `terms` is a live mapping over the same dict that boxes each coefficient
+    on read and unboxes it on write, so Scalar stays the boundary: the
+    constructor and `generator` take Scalars of `field` (FieldMismatch
+    refuses any other), and `+`, `-`, `==` and `free_multiply` refuse
+    operands over another field or rank."""
 
     __slots__ = ("field", "rank", "_t")
 
     def __init__(self, field: FieldSpec, rank: int, terms: dict):
         self.field, self.rank = field, rank
-        self._t = {key: (tree, word, _raw(field, c))
-                   for key, (tree, word, c) in terms.items()}
+        self._t = {}
+        self.terms.update(terms)
 
     @classmethod
     def _of(cls, field: FieldSpec, rank: int, raw: dict) -> "FreeElement":

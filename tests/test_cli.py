@@ -1,0 +1,232 @@
+"""`cli.main` in one process: the parser it shares across calls, and a fuzz
+over argv."""
+
+import io
+import json
+import os
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bihomalg import (BiHomBimodule, FieldSpec, GRBOperator, LinearMap,
+                      WeakPseudotwistor, cli, rb_derive, tensor2, tensor_quadri,
+                      tridend_to_dend)
+from bihomalg.specfile import serialize
+from conftest import integration_rb, truncated_poly_algebra
+
+Q = FieldSpec.rational()
+
+
+def run(argv):
+    """cli.main(argv) with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_spec(path, field):
+    """k[x]/(x^2) over field with every optional spec block."""
+    A, R = truncated_poly_algebra(field, 2), integration_rb(field, 2)
+    return write_parts(path, {
+        "structure": A, "rota_baxter": R, "bimodule": BiHomBimodule.regular(A),
+        "grb": GRBOperator(R.map),
+        "twistor": WeakPseudotwistor(tensor2(R.map, R.map),
+                                     LinearMap.identity(field, 8),
+                                     A.alpha, A.beta)})
+
+
+def write_parts(path, parts):
+    path.write_text(serialize(parts) + "\n")
+    return str(path)
+
+
+def dend_and_quadri(field):
+    """The dendriform algebra derived from k[x]/(x^2) and its Rota-Baxter
+    operator, and the quadri-algebra of k (x) k built from k itself."""
+    def dend(n):
+        return tridend_to_dend(rb_derive(truncated_poly_algebra(field, n),
+                                         integration_rb(field, n)))
+    return dend(2), tensor_quadri(dend(1), dend(1))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "DEND", "--via", "rb-tridend"],
+     "DEND: --via rb-tridend needs a spec file of kind assoc, not dend"),
+    (["derive", "ASSOC", "--via", "quadri-h"],
+     "ASSOC: --via quadri-h needs a spec file of kind quadri, not assoc"),
+    (["derive", "DEND", "QUADRI", "--via", "tensor-quadri"],
+     "QUADRI: --via tensor-quadri needs a spec file of kind dend, not quadri"),
+    (["derive", "QUADRI", "ASSOC", "--via", "pair-quadri"],
+     "QUADRI: --via pair-quadri needs a spec file of kind assoc, not quadri"),
+    (["search", "rb", "DEND"], "DEND: search needs a spec file of kind assoc, not dend"),
+    (["trees", "act", "(L[0,0] L[0,0])", "QUADRI", '[["1"], ["1"]]'],
+     "QUADRI: trees act needs a spec file of kind assoc, not quadri"),
+], ids=["rb-tridend-dend", "quadri-h-assoc", "tensor-quadri-quadri",
+        "pair-quadri-quadri", "search-dend", "trees-act-quadri"])
+def test_a_spec_file_of_the_wrong_kind_exits_2_naming_it(argv, message, tmp_path):
+    """Before these were refused, each ended in an AttributeError."""
+    F3 = FieldSpec.prime(3)
+    D, Qd = dend_and_quadri(F3)
+    paths = {"ASSOC": write_spec(tmp_path / "assoc.json", F3),
+             "DEND": write_parts(tmp_path / "dend.json", {"structure": D}),
+             "QUADRI": write_parts(tmp_path / "quadri.json", {"structure": Qd})}
+    code, out, err = run([paths.get(a, a) for a in argv])
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch):
+    """The same calls through the one shared parser and through a fresh
+    parser per call print the same bytes, the help at either width too."""
+    spec = write_spec(tmp_path / "a.json", Q)
+    calls = [["check"], ["--help"], ["frobnicate"], ["verify-family", "w1f3"],
+             ["check", spec], ["check"],
+             ["derive", "--help"], ["trees", "reduce", "-h"]]
+
+    def session():
+        results = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            results += [run(argv) for argv in calls]
+        return results
+
+    cli._parser.cache_clear()
+    shared = session()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = session()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0, 2, 0, 0] * 2
+    assert shared[0] == shared[5]
+    # the help is formatted at the width of the call, not of the build
+    narrow, wide = shared[6][1], shared[len(calls) + 6][1]
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+
+
+# -- fuzz over argv --------------------------------------------------------------
+#
+# Placeholders stand for files written once per module.  No value can ask
+# for a large window, tree count or worker pool: the numbers are 0, 1 and
+# -2, the junk holds no digits, and every spec file is of dim 2 or 1.
+
+FILES = ["SPEC_F3", "SPEC_Q", "SPEC_DEND", "SPEC_QUADRI", "BAD_JSON",
+         "WRONG_SHAPE", "ELEMENT", "ELEMENT_BAD", "MISSING", "DIR"]
+NUMBERS = ["0", "1", "-2"]
+VIAS = ["rb-tridend", "rb-double", "yau", "tensor-quadri", "quadri-h",
+        "quadri-v", "split-null", "grb-dend", "rb-twistor", "compose-twistor",
+        "pair-quadri"]
+MATRICES = ['[["1", "0"], ["0", "1"]]', '[["1", "a"], ["0", "1"]]', '[["1"]]',
+            "5", "[[", '[["1/0", "0"], ["0", "1"]]']
+SAMPLES = ['[{"a": 2, "b": 3, "r": 5}]', '[{"a": 0, "b": 3, "r": 5}]', "[1]",
+           '{"a": 1}', '[{"q": 1}]']
+TREES = ["L[0,0]", "L[0,0;0]", "(L[0,0] L[0,0])", "(L[0,0;0] L[0,1;0]){1}",
+         "(L L)", "L[0,0"]
+ELEMENTS = ['[["1", "0"]]', '[["1", "0"], ["0", "1"]]', '[["x"]]', "[]"]
+JUNK = st.one_of(
+    st.sampled_from(["", "-", "--", "-x", "--kind=", "1/0", "((", "a+", "é",
+                     "--help", "-h", "none"]),
+    st.text(alphabet="abrxyz-_[](){};,/ '\"é", max_size=8))
+
+
+def _maybe(draw, *tokens):
+    return list(tokens) if draw(st.booleans()) else []
+
+
+@st.composite
+def commands(draw):
+    """argv of one subcommand, mostly well formed."""
+    sub = draw(st.sampled_from(["check", "derive", "enumerate", "act",
+                                "reduce", "search", "verify-family"]))
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    spec = pick(FILES)
+    if sub == "check":
+        return ["check", spec, *_maybe(draw, "--kind",
+                                       pick(["assoc", "dend", "quadri", "x"]))]
+    if sub == "derive":
+        return ["derive", spec, "--via", pick(VIAS), *_maybe(draw, pick(FILES)),
+                *_maybe(draw, "--atilde", pick(MATRICES)),
+                *_maybe(draw, "--btilde", pick(MATRICES)),
+                *_maybe(draw, "--mode", pick(["general", "commuting"])),
+                *_maybe(draw, "-o", pick(["out.json", "DIR", "no/such/dir/x"]))]
+    if sub == "enumerate":
+        return ["trees", "enumerate", "-n", pick(NUMBERS)]
+    if sub == "act":
+        return ["trees", "act", pick(TREES), spec, pick(ELEMENTS)]
+    if sub == "reduce":
+        return ["trees", "reduce", pick(FILES), "--max-leaves", pick(NUMBERS),
+                "--max-ab", pick(NUMBERS), "--max-r", pick(NUMBERS)]
+    if sub == "search":
+        return ["search", pick(["rb", "baxter"]), spec,
+                *_maybe(draw, "--weight", pick(["0", "1", "2", "a", "1/0"])),
+                *_maybe(draw, "--side", pick(["left", "right"])),
+                *_maybe(draw, "--jobs", pick(NUMBERS))]
+    return ["verify-family", pick(["w1f3", "w0f1", "w9"]),
+            *_maybe(draw, "--mode", pick(["symbolic", "sampled"])),
+            *_maybe(draw, "--samples", pick(SAMPLES))]
+
+
+@st.composite
+def argvs(draw):
+    """A command, with tokens dropped, replaced by junk or added."""
+    argv = draw(commands())
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        action = draw(st.sampled_from(["drop", "junk", "insert"]))
+        if action == "drop" and i < len(argv):
+            del argv[i]
+        elif action == "junk" and i < len(argv):
+            argv[i] = draw(JUNK)
+        else:
+            argv.insert(i, draw(st.one_of(JUNK, st.sampled_from(FILES))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    D, Qd = dend_and_quadri(FieldSpec.prime(3))
+    files = {"SPEC_F3": write_spec(root / "f3.json", FieldSpec.prime(3)),
+             "SPEC_Q": write_spec(root / "q.json", Q),
+             "SPEC_DEND": write_parts(root / "dend.json", {"structure": D}),
+             "SPEC_QUADRI": write_parts(root / "quadri.json", {"structure": Qd}),
+             "MISSING": str(root / "missing.json"), "DIR": str(root)}
+    for name, text in {
+            "BAD_JSON": '{"field": ',
+            "WRONG_SHAPE": '[{"dim": 2}]',
+            "ELEMENT": json.dumps({"field": {"kind": "rational"}, "rank": 1, "terms": [
+                {"tree": "L[0,0;0]", "word": [0], "coeff": "2"}]}),
+            "ELEMENT_BAD": json.dumps({"field": {"kind": "rational"}, "rank": 1,
+                                       "terms": [{"tree": "L[0,0;0]", "word": "0"}]}),
+    }.items():
+        (root / f"{name}.json").write_text(text)
+        files[name] = str(root / f"{name}.json")
+    return root, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
+    root, files = fuzz_dir
+    argv = [files.get(a, a) for a in argv]
+    cwd = os.getcwd()
+    os.chdir(root)  # anything -o writes lands here
+    try:
+        first, second = run(argv), run(argv)
+    finally:
+        os.chdir(cwd)
+    code, _, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    # the search's elapsed time is the one figure that may differ
+    untimed = [(c, o, re.sub(r"elapsed \d+\.\d+s", "elapsed", e))
+               for c, o, e in (first, second)]
+    assert untimed[0] == untimed[1]

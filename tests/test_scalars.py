@@ -1,14 +1,16 @@
+import operator
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bihomalg import (FieldSpec, Scalar, parse_scalar, rb_derive, scalar_eq,
                       scalar_to_str, symbolic_rb_family,
                       symbolic_two_param_algebra, yau_twist)
 from bihomalg.errors import EvalSingular, FieldMismatch, IncompleteAssignment
-from bihomalg.scalars import _PRIME_LIMIT, _Parser, _is_prime, _tokenize
+from bihomalg.scalars import (_PRIME_LIMIT, _Parser, _is_prime, _poly_mul,
+                               _tokenize)
 
 
 def test_rational_arithmetic():
@@ -255,6 +257,58 @@ def test_yau_twist_growth_is_bounded():
         sizes.append(max(map(size, entries)))
         S = yau_twist(S, S.alpha, S.beta)
     assert sizes == [3, 5, 13, 29]
+
+
+# -- _poly_mul's int-unit shortcut against the general loop ------------------
+#
+# A verbatim copy of the general product loop, which _poly_mul ran for every
+# pair of operands before its shortcut: the shortcut must give the same keys,
+# insertion order and coefficient types.
+
+def _loop_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(map(operator.add, m1, m2))
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+_nonzero = st.integers(-5, 5).filter(bool)
+# Fraction(n, 1) included: an integral Fraction such as Fraction(1, 2) * 2
+# stays a Fraction in a polynomial
+_poly_coeffs = st.one_of(_nonzero, st.builds(Fraction, _nonzero, st.integers(1, 4)))
+
+
+@st.composite
+def _poly_operands(draw):
+    """Two polynomials in 1-3 parameters: the int or Fraction(1) unit, one
+    term, zero, or a general polynomial, on either side."""
+    n = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    polys = st.one_of(
+        st.just({(0,) * n: 1}), st.just({(0,) * n: Fraction(1)}),
+        st.builds(lambda m, c: {m: c}, monos, _poly_coeffs),
+        st.just({}), st.dictionaries(monos, _poly_coeffs, max_size=4))
+    return draw(polys), draw(polys)
+
+
+@settings(max_examples=400)
+@given(_poly_operands())
+@example(({(0, 0): 1}, {(1, 0): Fraction(1, 2), (0, 1): 3}))
+@example(({(2,): 3, (0,): 1}, {(0,): Fraction(1)}))
+@example(({(0, 0): Fraction(1)}, {(0, 1): 2, (1, 0): Fraction(1, 3)}))
+@example(({(1,): Fraction(2)}, {(0,): 5, (3,): Fraction(-1, 3)}))
+@example(({}, {(0, 0, 0): 1}))
+def test_poly_mul_unit_shortcut_matches_the_general_loop(operands):
+    p, q = operands
+    got, want = _poly_mul(p, q), _loop_poly_mul(p, q)
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
 
 def _trial_division(n):

@@ -757,3 +757,25 @@ def test_root_power_is_the_first_vertex_power():
     assert t.root_power == 0
     assert tree_R(tree_R(t)).root_power == 2
     assert RBAugTree(LEAF, ((0, 0),), (3,)).root_power == 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_a_zero_coefficient_is_no_term(field):
+    """The constructor and a write through terms drop a zero, as every kernel
+    drops a zero sum; over Q(a) the zero 1 - 1 is a cancelled numerator."""
+    zero = field.from_int(1) - field.from_int(1)
+    leaf_key = FreeElement.term_key(X_LEAF, (0,))
+    other = tree_alpha(X_LEAF)
+    other_key = FreeElement.term_key(other, (0,))
+    x = FreeElement(field, 1, {leaf_key: (X_LEAF, (0,), zero)})
+    assert x.is_zero() and not x.terms and x == FreeElement.zero(field, 1)
+    assert x.scale(field.from_int(2)).is_zero()
+    y = FreeElement(field, 1, {leaf_key: (X_LEAF, (0,), zero),
+                               other_key: (other, (0,), field.from_int(2))})
+    assert list(y.terms) == [other_key]
+    assert y == FreeElement.generator(field, 1, other, (0,), field.from_int(2))
+    assert list(y.scale(field.from_int(3)).terms) == [other_key]
+    # a zero written through terms deletes the key, or adds none
+    y.terms[other_key] = (other, (0,), field.zero())
+    y.terms[leaf_key] = (X_LEAF, (0,), zero)
+    assert y.is_zero() and not y.terms and y == FreeElement.zero(field, 1)

@@ -21,8 +21,8 @@ from .errors import (BiHomAlgError, EvalSingular, IncompleteAssignment,
                      InputAxiomsFail, SpecFileError)
 from .linalg import Vector
 from .scalars import _clip, scalar_to_str
-from .specfile import (KIND_TABLES, _block, _fail, _matrix, _object,
-                       _parse_field, _positive_int, _read_json, _scalar,
+from .specfile import (KIND_TABLES, _block, _fail, _field_block, _matrix,
+                       _object, _parse_field, _positive_int, _read_json, _scalar,
                        _structure_kind, parse_spec, serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
@@ -86,15 +86,14 @@ def _matrix_arg(field, text, name, dim):
     return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name)
 
 
-# the --via constructions that read a second spec file
-TWO_FILE_VIAS = ("tensor-quadri", "compose-twistor", "pair-quadri")
-
-# every --via, in the order --help lists them, and the structure kind it
-# reads from the (first) spec file; yau twists any kind
-VIA_KINDS = {"rb-tridend": "assoc", "rb-double": "assoc", "yau": None,
-             "tensor-quadri": "dend", "quadri-h": "quadri", "quadri-v": "quadri",
-             "split-null": "assoc", "grb-dend": "assoc", "rb-twistor": "assoc",
-             "compose-twistor": "assoc", "pair-quadri": "assoc"}
+# every --via, in the order --help lists them, and the structure kinds it
+# reads from the spec file and, where it takes one, the second spec file;
+# yau twists any kind
+VIA_KINDS = {"rb-tridend": ("assoc",), "rb-double": ("assoc",), "yau": (None,),
+             "tensor-quadri": ("dend", "dend"), "quadri-h": ("quadri",),
+             "quadri-v": ("quadri",), "split-null": ("assoc",),
+             "grb-dend": ("assoc",), "rb-twistor": ("assoc",),
+             "compose-twistor": ("assoc", "assoc"), "pair-quadri": ("assoc", "assoc")}
 
 
 def _structure(parts: dict, path: str, need: str | None, command: str):
@@ -109,15 +108,25 @@ def _structure(parts: dict, path: str, need: str | None, command: str):
 
 
 def cmd_derive(args) -> int:
-    via = args.via
-    if via in TWO_FILE_VIAS and not args.second:
+    via, kinds = args.via, VIA_KINDS[args.via]
+    if len(kinds) == 2 and not args.second:
         return _refuse(f"--via {via} needs a second spec file")
-    if args.second and via not in TWO_FILE_VIAS:
+    if args.second and len(kinds) == 1:
         return _refuse(f"--via {via} takes no second spec file")
     parts = _load(args.spec, parse_spec)
-    S = _structure(parts, args.spec, VIA_KINDS[via], f"--via {via}")
+    S = _structure(parts, args.spec, kinds[0], f"--via {via}")
     if args.second:
         second = _load(args.second, parse_spec)
+        T = _structure(second, args.second, kinds[1], f"--via {via}")
+        if T.field != S.field:
+            raise SpecFileError(
+                f"{args.second}: --via {via} needs a spec file over the field of "
+                f"{args.spec}, {json.dumps(_field_block(S.field))}, "
+                f"not {json.dumps(_field_block(T.field))}")
+        # tensor-quadri alone builds on A (x) B for any two dims
+        if via != "tensor-quadri" and T.dim != S.dim:
+            raise SpecFileError(f"{args.second}: --via {via} needs a spec file of the "
+                                f"dim of {args.spec}, {S.dim}, not {T.dim}")
     if via == "rb-tridend":
         R = _need(parts, "rota_baxter", args.spec)
         _emit({"structure": rota_baxter.rb_derive(S, R)}, args.output)
@@ -131,7 +140,6 @@ def cmd_derive(args) -> int:
         bt = _matrix_arg(S.field, args.btilde, "btilde", S.dim)
         _emit({"structure": yau_twist(S, at, bt)}, args.output)
     elif via == "tensor-quadri":
-        T = _structure(second, args.second, "dend", f"--via {via}")
         _emit({"structure": tensor_quadri(S, T)}, args.output)
     elif via in ("quadri-h", "quadri-v"):
         horizontal, vertical = quadri_projections(S)
@@ -263,6 +271,10 @@ def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
         tree = _tree_arg(term["tree"], f"{path}.tree")
         if not isinstance(tree, trees.RBAugTree):
             _fail(f"{path}.tree", "needs a power ;f on every leaf, {f} on every node")
+        if len(word) != tree.leaves:
+            _fail(f"{path}.word", f"length must equal the leaf count, {tree.leaves}")
+        if any(not 0 <= w < rank for w in word):
+            _fail(f"{path}.word", f"letter outside the basis range of rank {rank}")
         x = x + trees.FreeElement.generator(
             field, rank, tree, tuple(word),
             _scalar(field, term.get("coeff"), f"{path}.coeff"))

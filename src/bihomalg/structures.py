@@ -99,13 +99,15 @@ def _compatible(tag: str, f, op, left, right) -> tuple:
 
 def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
     """Log the violations of rows into rep and return it; mats maps each name
-    to (matrix, domain dims).  A Kronecker factor is built once per row."""
+    to (matrix, domain dims).  Each distinct Kronecker factor is built once
+    per call, however many rows read it."""
+    factors = {}
     for tag, lhs, rhs in rows:
-        factors = dict.fromkeys(lhs + rhs)
-        for f in factors:
-            factors[f] = mats[f] if isinstance(f, str) else (
-                reduce(tensor2, [mats[name][0] for name in f]),
-                sum((mats[name][1] for name in f), ()))
+        for f in lhs + rhs:
+            if f not in factors:
+                factors[f] = mats[f] if isinstance(f, str) else (
+                    reduce(tensor2, [mats[name][0] for name in f]),
+                    sum((mats[name][1] for name in f), ()))
         left, right = (reduce(LinearMap.compose, [factors[f][0] for f in side])
                        for side in (lhs, rhs))
         rep._compare(tag, left, right, factors[lhs[-1]][1])
@@ -117,8 +119,18 @@ def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BiHomAssociativeAlgebra:
+class _Record:
+    """The field every structure record starts with, and its dimension."""
+
     field: FieldSpec
+
+    @property
+    def dim(self) -> int:
+        return self.alpha.rows
+
+
+@dataclass(frozen=True)
+class BiHomAssociativeAlgebra(_Record):
     mu: StructureTable
     alpha: LinearMap
     beta: LinearMap
@@ -129,10 +141,6 @@ class BiHomAssociativeAlgebra:
     DERIVED = ()
     AXIOMS = (("bihom_associativity", ("mu", ("alpha", "mu")), ("mu", ("mu", "beta"))),)
 
-    @property
-    def dim(self) -> int:
-        return self.alpha.rows
-
     @staticmethod
     def associative(field: FieldSpec, mu: StructureTable) -> "BiHomAssociativeAlgebra":
         ident = LinearMap.identity(field, mu.dim)
@@ -140,8 +148,7 @@ class BiHomAssociativeAlgebra:
 
 
 @dataclass(frozen=True)
-class BiHomDendriform:
-    field: FieldSpec
+class BiHomDendriform(_Record):
     prec: StructureTable
     succ: StructureTable
     alpha: LinearMap
@@ -157,14 +164,9 @@ class BiHomDendriform:
         ("dend_succ", ("succ", ("alpha", "succ")), ("succ", ("total", "beta"))),
     )
 
-    @property
-    def dim(self) -> int:
-        return self.alpha.rows
-
 
 @dataclass(frozen=True)
-class BiHomTridendriform:
-    field: FieldSpec
+class BiHomTridendriform(_Record):
     prec: StructureTable
     succ: StructureTable
     dot: StructureTable
@@ -185,14 +187,9 @@ class BiHomTridendriform:
         ("tridend_14", ("dot", ("alpha", "dot")), ("dot", ("dot", "beta"))),
     )
 
-    @property
-    def dim(self) -> int:
-        return self.alpha.rows
-
 
 @dataclass(frozen=True)
-class BiHomQuadri:
-    field: FieldSpec
+class BiHomQuadri(_Record):
     nw: StructureTable
     sw: StructureTable
     ne: StructureTable
@@ -215,10 +212,6 @@ class BiHomQuadri:
         ("quadri_14b", ("sw", ("succ", "beta")), ("se", ("alpha", "sw"))),
         ("quadri_15", ("se", ("total", "beta")), ("se", ("alpha", "se"))),
     )
-
-    @property
-    def dim(self) -> int:
-        return self.alpha.rows
 
     # derived operations, computed on demand, never stored
     @property
@@ -341,16 +334,17 @@ def quadri_projections(Q: BiHomQuadri) -> tuple[BiHomDendriform, BiHomDendriform
 
 
 def _tensor_tables(ta: StructureTable, tb: StructureTable) -> StructureTable:
-    """Componentwise tensor: (a1 (x) b1, a2 (x) b2) -> ta(a1,a2) (x) tb(b1,b2).
-    A product with a zero factor is the field's zero, not a computed 0*x,
-    which over Q(params) would serialize as (0)/(..)."""
-    ops = ta.field.ops
-    mul, is_zero, zero = ops.mul, ops.is_zero, ops.zero
+    """Componentwise tensor: (a1 (x) b1, a2 (x) b2) -> ta(a1,a2) (x) tb(b1,b2),
+    the columns of ta (x) tb as matrices reindexed from (a1, a2, b1, b2) to
+    (a1, b1, a2, b2).  tensor2 multiplies no zero, so a product with a zero
+    factor is the field's zero, not a computed 0*x, which over Q(params)
+    would serialize as (0)/(..)."""
+    na, nb = ta.dim, tb.dim
+    cols = tensor2(ta.as_matrix(), tb.as_matrix())._columns()
     return StructureTable._of(ta.field, tuple(
-        tuple(tuple(zero if is_zero(a) or is_zero(b) else mul(a, b)
-                    for a in ta._d[i1][i2] for b in tb._d[j1][j2])
-              for i2 in range(ta.dim) for j2 in range(tb.dim))
-        for i1 in range(ta.dim) for j1 in range(tb.dim)))
+        tuple(cols[((a1 * na + a2) * nb + b1) * nb + b2]
+              for a2 in range(na) for b2 in range(nb))
+        for a1 in range(na) for b1 in range(nb)))
 
 
 def tensor_quadri(A: BiHomDendriform, B: BiHomDendriform) -> BiHomQuadri:

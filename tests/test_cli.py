@@ -27,14 +27,14 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def write_spec(path, field):
-    """k[x]/(x^2) over field with every optional spec block."""
-    A, R = truncated_poly_algebra(field, 2), integration_rb(field, 2)
+def write_spec(path, field, n=2):
+    """k[x]/(x^n) over field with every optional spec block."""
+    A, R = truncated_poly_algebra(field, n), integration_rb(field, n)
     return write_parts(path, {
         "structure": A, "rota_baxter": R, "bimodule": BiHomBimodule.regular(A),
         "grb": GRBOperator(R.map),
         "twistor": WeakPseudotwistor(tensor2(R.map, R.map),
-                                     LinearMap.identity(field, 8),
+                                     LinearMap.identity(field, n ** 3),
                                      A.alpha, A.beta)})
 
 
@@ -77,6 +77,63 @@ def test_a_spec_file_of_the_wrong_kind_exits_2_naming_it(argv, message, tmp_path
     for name, path in paths.items():
         message = message.replace(name, path)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+F3_BLOCK, Q_BLOCK = '{"kind": "prime", "p": 3}', '{"kind": "rational"}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "ASSOC", "DEND", "--via", "pair-quadri"],
+     "DEND: --via pair-quadri needs a spec file of kind assoc, not dend"),
+    (["derive", "ASSOC", "DEND", "--via", "compose-twistor"],
+     "DEND: --via compose-twistor needs a spec file of kind assoc, not dend"),
+    (["derive", "ASSOC", "ASSOC_DIM1", "--via", "pair-quadri"],
+     "ASSOC_DIM1: --via pair-quadri needs a spec file of the dim of ASSOC, 2, not 1"),
+    (["derive", "ASSOC", "ASSOC_DIM1", "--via", "compose-twistor"],
+     "ASSOC_DIM1: --via compose-twistor needs a spec file of the dim of ASSOC, 2, not 1"),
+    (["derive", "ASSOC", "ASSOC_Q", "--via", "pair-quadri"],
+     f"ASSOC_Q: --via pair-quadri needs a spec file over the field of ASSOC, "
+     f"{F3_BLOCK}, not {Q_BLOCK}"),
+    (["derive", "ASSOC", "ASSOC_Q", "--via", "compose-twistor"],
+     f"ASSOC_Q: --via compose-twistor needs a spec file over the field of ASSOC, "
+     f"{F3_BLOCK}, not {Q_BLOCK}"),
+    (["derive", "DEND", "DEND_Q", "--via", "tensor-quadri"],
+     f"DEND_Q: --via tensor-quadri needs a spec file over the field of DEND, "
+     f"{F3_BLOCK}, not {Q_BLOCK}"),
+], ids=["pair-quadri-kind", "compose-twistor-kind", "pair-quadri-dim",
+        "compose-twistor-dim", "pair-quadri-field", "compose-twistor-field",
+        "tensor-quadri-field"])
+def test_a_second_spec_file_unlike_the_first_exits_2_naming_it(argv, message, tmp_path):
+    """Before these were refused, the dims and fields ended in an unqualified
+    error with exit code 1, and the kinds went unchecked."""
+    F3 = FieldSpec.prime(3)
+    paths = {"ASSOC_DIM1": write_spec(tmp_path / "assoc1.json", F3, n=1),
+             "ASSOC_Q": write_spec(tmp_path / "assoc_q.json", Q),
+             "ASSOC": write_spec(tmp_path / "assoc.json", F3),
+             "DEND_Q": write_parts(tmp_path / "dend_q.json",
+                                   {"structure": dend_and_quadri(Q)[0]}),
+             "DEND": write_parts(tmp_path / "dend.json",
+                                 {"structure": dend_and_quadri(F3)[0]})}
+    code, out, err = run([paths.get(a, a) for a in argv])
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("word, message", [
+    ([0, 0], "length must equal the leaf count, 1"),
+    ([], "length must equal the leaf count, 1"),
+    ([1], "letter outside the basis range of rank 1"),
+    ([-1], "letter outside the basis range of rank 1"),
+], ids=["long", "empty", "letter-past-rank", "letter-negative"])
+def test_an_element_term_with_a_bad_word_exits_2_naming_it(word, message, tmp_path):
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"field": {"kind": "rational"}, "rank": 1, "terms": [
+        {"tree": "L[0,0;0]", "word": [0], "coeff": "1"},
+        {"tree": "L[0,1;0]", "word": word, "coeff": "2"}]}))
+    code, out, err = run(["trees", "reduce", str(element), "--max-leaves", "2",
+                          "--max-ab", "1", "--max-r", "1"])
+    assert (code, out, err) == (2, "", f"error: {element}: terms[1].word: {message}\n")
 
 
 def test_build_parser_returns_a_fresh_parser():

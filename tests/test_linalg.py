@@ -1001,3 +1001,13 @@ def test_from_rows_is_the_constructor_on_rows():
         assert m.entries == rows
     with pytest.raises(FieldMismatch):
         LinearMap.from_rows(Q, ((F5.one(),),))
+
+
+def test_basis_is_the_unit_vector():
+    for field in (Q, F5, FieldSpec.rational_function("a")):
+        z, o = field.zero(), field.one()
+        assert Vector.basis(field, 3, 1).coords == (z, o, z)
+        assert [type(x.value) for x in Vector.basis(field, 3, 1).coords] == \
+            [type(x.value) for x in (z, o, z)]
+        assert Vector.basis(field, 1, 0) == Vector(field, (o,))
+        assert Vector.basis(field, 2, 0) == LinearMap.identity(field, 2).column(0)

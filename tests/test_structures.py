@@ -1,5 +1,9 @@
-from dataclasses import replace
+import pickle
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +17,8 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                       quadri_projections, rb_derive, tensor2, tensor_quadri,
                       total_product, tridend_to_dend, yau_twist)
 from bihomalg.errors import InputAxiomsFail, TwistHypothesisViolated
-from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
+from bihomalg import structures
+from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport, Structure
 from conftest import (against_reference, counted, integration_rb,
                       truncated_poly_algebra)
 from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
@@ -198,6 +203,57 @@ def test_quadri_derived_accessors(qx2, qx2_rb):
     assert Qd.star == Qd.vee + Qd.wedge
 
 
+def dim3_structures():
+    """k[x]/(x^3), the tridendriform and dendriform algebras its integration
+    operator derives, and the quadri-algebra that operator makes of the
+    dendriform one."""
+    from bihomalg import rb_dendriform_to_quadri
+    A, R = truncated_poly_algebra(Q, 3), integration_rb(Q, 3)
+    T = rb_derive(A, R)
+    D = tridend_to_dend(T)
+    return A, D, T, rb_dendriform_to_quadri(D, R)
+
+
+@pytest.mark.parametrize("kind, calls", [
+    (BiHomAssociativeAlgebra, 4), (BiHomDendriform, 8),
+    (BiHomTridendriform, 10), (BiHomQuadri, 20)],
+    ids=["assoc", "dend", "tridend", "quadri"])
+def test_check_structure_builds_each_kronecker_factor_once(kind, calls, monkeypatch):
+    """alpha (x) alpha and beta (x) beta serve every MULTS row, and the
+    tridendriform AXIOMS read 8 distinct factors in 14 uses: one tensor2
+    per use would make 4, 10, 20 and 26 calls."""
+    S = next(S for S in dim3_structures() if type(S) is kind)
+    made = []
+
+    def counting(*maps):
+        made.append(maps)
+        return tensor2(*maps)
+
+    monkeypatch.setattr(structures, "tensor2", counting)
+    assert check_structure(S).passed
+    assert S.dim == 3 and len(made) == calls
+
+
+def test_structure_records_keep_their_dataclass_behaviour():
+    """The records share one base for field and dim; their fields, repr, ==,
+    replace and pickling are those of each record alone."""
+    names = {BiHomAssociativeAlgebra: ("mu",), BiHomDendriform: ("prec", "succ"),
+             BiHomTridendriform: ("prec", "succ", "dot"),
+             BiHomQuadri: ("nw", "sw", "ne", "se")}
+    for S in dim3_structures():
+        kind = type(S)
+        assert [f.name for f in fields(S)] == ["field", *names[kind], "alpha", "beta"]
+        assert isinstance(S, Structure) and S.dim == 3 and S.field == Q
+        assert repr(S).startswith(f"{kind.__name__}(field={Q!r}, {names[kind][0]}=")
+        copy = pickle.loads(pickle.dumps(S))
+        assert type(copy) is kind and copy == S and repr(copy) == repr(S)
+        assert replace(S, alpha=S.beta) == S  # alpha = beta = id here
+        assert replace(S, field=FieldSpec.prime(5)) != S
+        with pytest.raises(AttributeError):
+            S.field = FieldSpec.prime(5)
+    assert not isinstance(structures._Record(Q), Structure)
+
+
 def test_symbolic_two_param_algebra_passes():
     f = FieldSpec.rational_function("a", "b")
     A = two_param_algebra(f, f.parameter("a"), f.parameter("b"))
@@ -346,6 +402,30 @@ def random_structure(draw, kind):
     return kind(field, *ops, alpha, beta)
 
 
+def repeated_factor_muls(mats, uses):
+    """The ops-table muls of the tensor2 calls that building each Kronecker
+    factor once per check saves over building it once per use, as the
+    hand-written references do: those of every use of a factor after its
+    first.  uses lists the factors the rows read, mats maps each name in
+    them to its matrix."""
+    muls = 0
+    for factor, count in Counter(f for f in uses if isinstance(f, tuple)).items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _, (mul, _) = counted(monkeypatch, reduce, tensor2,
+                                  [mats[name] for name in factor])
+        muls += (count - 1) * mul
+    return muls
+
+
+def check_structure_mats(S):
+    """Each name the rows of S's kind read, as its matrix."""
+    mats = {name: getattr(S, name).as_matrix()
+            for name in S.OPS + S.DERIVED if name != "total"}
+    mats.update(alpha=S.alpha, beta=S.beta,
+                total=reduce(add, (getattr(S, tag) for tag in S.OPS)).as_matrix())
+    return mats
+
+
 def raw_violations(rep):
     return [(axiom, idx, [x.value for x in lhs.coords], [x.value for x in rhs.coords])
             for axiom, idx, lhs, rhs in rep.violations]
@@ -363,7 +443,9 @@ def test_table_checkers_match_hand_written_property(kind, data):
         want, (want_mul, want_add) = counted(monkeypatch, reference, S, cap)
     assert raw_violations(got) == raw_violations(want)
     assert got.cap == want.cap and got.sub_checks == want.sub_checks == {}
-    assert got_mul == want_mul
+    # the checker builds each Kronecker factor once, the reference per use
+    uses = [f for _, lhs, rhs in kind.MULTS + kind.AXIOMS for f in lhs + rhs]
+    assert got_mul == want_mul - repeated_factor_muls(check_structure_mats(S), uses)
     assert got_add <= want_add
     assert got.total_violations >= len(got.violations)
     if cap == 10 ** 6:
@@ -409,7 +491,11 @@ def test_yau_twist_rows_match_hand_written_property(kind, data):
     got, want, got_ops, want_ops = against_reference(yau_twist, ref_yau_twist,
                                                      S, atilde, btilde)
     assert got == want
-    assert got_ops == want_ops
+    # the probe builds atilde (x) atilde and btilde (x) btilde once, the
+    # reference once per operation
+    uses = [(f, f) for _ in S.OPS for f in ("atilde", "btilde")]
+    saved = repeated_factor_muls({"atilde": atilde, "btilde": btilde}, uses)
+    assert got_ops == (want_ops[0] - saved, want_ops[1])
 
 
 def test_yau_twist_names_the_first_failing_hypothesis():

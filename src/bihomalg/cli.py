@@ -390,8 +390,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse fills derive's spec and second from the first run of
+        # positionals, so a second spec file after --via is left over
+        if (extra and args.command == "derive" and args.second is None
+                and not extra[0].startswith("-")):
+            args.second = extra.pop(0)
+        if extra:  # as parse_args refuses them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

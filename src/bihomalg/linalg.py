@@ -45,6 +45,12 @@ with those zeros stay because they reach the printed forms: over Q(params),
 `zero + c*0 + ...` keeps the denominators of c, e.g. `(a*a*a)/(a)` where a
 zero-skip would give `a*a`.
 
+So the Rota-Baxter-type checkers (rota_baxter._check_rb_type) pick their
+kernels by field.  Over Q and F_p, whose values have one form, both sides
+are `compose` and `tensor2` chains over the operation's matrix.  Over
+Q(params) both are built by the table ops, and a violation prints their
+forms.  The constructors' tables come from the table ops over every field.
+
 `StructureTable.as_matrix` and `from_matrix` are transposes: column
 i*dim_right + j of the matrix is the table's column c[i][j].
 """
@@ -177,6 +183,8 @@ class Vector(_Raw):
 
     @staticmethod
     def basis(field: FieldSpec, n: int, i: int) -> "Vector":
+        if not 0 <= i < n:
+            raise DimensionMismatch(f"basis index {_clip(str(i))} is outside [0, {n})")
         coords = [field.ops.zero] * n
         coords[i] = field.ops.one
         return Vector._of(field, tuple(coords))

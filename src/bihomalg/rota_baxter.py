@@ -5,16 +5,28 @@ Conventions: an operator record holds only its matrix and weight and is never
 validated on construction.  Commutation of R with the structure maps alpha
 and beta is reported by check_rota_baxter as a named sub-check, not as an
 axiom violation; the derived-structure constructors do require it.
+
+The four Rota-Baxter-type checkers (check_rota_baxter,
+check_double_product_morphism, check_rb_on_dendriform,
+check_one_sided_baxter) each compare op(P(x), P(y)) with P(inner(x, y)),
+inner a sum of op(P(x), y), op(x, P(y)) and weight * op(x, y), through
+_check_rb_type.  Over Q and F_p the sides are the matrix chains
+op o (P (x) P) and P o op o K, K the n^2 x n^2 map of inner's terms, built
+from P's stored entries.  Over Q(params) the table ops build both sides,
+since a violation prints their unreduced forms.  The constructors keep the
+table ops over every field: their tables are the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import (DimensionMismatch, InputAxiomsFail, NonzeroWeight,
                      TwistHypothesisViolated)
-from .linalg import LinearMap, StructureTable, maps_commute
-from .scalars import Scalar
+from .linalg import LinearMap, StructureTable, _raw, maps_commute
+from .scalars import RATIONAL_FUNCTION, Scalar
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                          BiHomTridendriform, CheckReport, DEFAULT_VIOLATION_CAP,
                          _check_axioms, _commutes, check_dendriform, require,
@@ -46,29 +58,81 @@ def _match(A, op_map: LinearMap) -> None:
         raise DimensionMismatch("operator does not match the algebra dimension")
 
 
+def _inner_table(op: StructureTable, P: LinearMap, terms, weight=None) -> StructureTable:
+    """The sum, in the order of terms, of op(P(x), y) for each "left" and
+    op(x, P(y)) for each "right", then weight * op(x, y) when a weight is
+    given: the argument of P on a Rota-Baxter-type row, by table ops."""
+    tables = [op.compose_left(P) if t == "left" else op.compose_right(P) for t in terms]
+    if weight is not None:
+        tables.append(op.scale(weight))
+    return reduce(add, tables)
+
+
+def _inner_map(P: LinearMap, terms, weight=None) -> LinearMap:
+    """The n^2 x n^2 map K with op o K the matrix of _inner_table(op, P,
+    terms, weight): P (x) I for "left", I (x) P for "right" and weight * I,
+    summed column by column from P's stored entries.  Column i*n + j holds
+    P(e_i) (x) e_j and e_i (x) P(e_j), which meet only in row i*n + j."""
+    ops, n, cols = P.field.ops, P.rows, P._d
+    add_, zero = ops.add, ops.zero
+    w = zero if weight is None else _raw(P.field, weight)
+    out = []
+    for i, ci in enumerate(cols):
+        for j, cj in enumerate(cols):
+            diag = i * n + j
+            d = {diag: w} if w != zero else {}
+            if "left" in terms:
+                for a, x in ci.items():
+                    r = a * n + j
+                    d[r] = add_(d[r], x) if r in d else x
+            if "right" in terms:
+                for b, y in cj.items():
+                    r = i * n + b
+                    d[r] = add_(d[r], y) if r in d else y
+            out.append({r: d[r] for r in sorted(d) if d[r] != zero})
+    return LinearMap._of_cols(P.field, n * n, out)
+
+
 def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable:
     """x * y = R(x)y + xR(y) + weight*xy."""
-    return A.mu.compose_left(R.map) + A.mu.compose_right(R.map) \
-        + A.mu.scale(R.weight)
+    return _inner_table(A.mu, R.map, ("left", "right"), R.weight)
 
 
-def _check_rb_type(rep: CheckReport, tag: str, op: StructureTable, P: LinearMap,
-                   rhs_table: StructureTable,
-                   sides=(("twisted",), ("image",))) -> CheckReport:
-    """Check the row (tag, *sides) over "twisted" = op(P(x), P(y)) and "image"
-    = P(rhs_table(x, y)) into rep.  Both are built by the table ops, whose
-    unreduced Q(params) forms are the ones a violation prints."""
+def _check_rb_type(rep: CheckReport, ops, P: LinearMap, terms, weight=None,
+                   swap: bool = False) -> CheckReport:
+    """Check, for each (tag, op) of ops, the row op(P(x), P(y)) ==
+    P(inner(x, y)) into rep, inner the sum that _inner_table(op, P, terms,
+    weight) builds; swap puts P(inner) on the left.
+
+    Over Q and F_p, whose values have one form, the sides are the matrix
+    chains op o (P (x) P) and P o op o K, K = _inner_map(P, terms, weight),
+    read by compose and tensor2.  Over Q(params) both are built by the table
+    ops, whose unreduced forms are the ones a violation prints: compose
+    skips the zero products that the table ops include."""
     n = P.rows
-    mats = {"twisted": (op.twist(P, P).as_matrix(), (n, n)),
-            "image": (rhs_table.postcompose(P).as_matrix(), (n, n))}
-    return _check_axioms(mats, [(tag, *sides)], rep)
+    if P.field.kind == RATIONAL_FUNCTION:
+        mats, rows = {}, []
+        for tag, op in ops:
+            inner = _inner_table(op, P, terms, weight)
+            mats[f"{tag}.twisted"] = (op.twist(P, P).as_matrix(), (n, n))
+            mats[f"{tag}.image"] = (inner.postcompose(P).as_matrix(), (n, n))
+            rows.append((tag, (f"{tag}.twisted",), (f"{tag}.image",)))
+    else:
+        mats = {"P": (P, (n,)), "K": (_inner_map(P, terms, weight), (n, n))}
+        rows = []
+        for tag, op in ops:
+            mats[tag] = (op.as_matrix(), (n, n))
+            rows.append((tag, (tag, ("P", "P")), ("P", tag, "K")))
+    if swap:
+        rows = [(tag, rhs, lhs) for tag, lhs, rhs in rows]
+    return _check_axioms(mats, rows, rep)
 
 
 def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP) -> CheckReport:
     """The Rota-Baxter identity part of check_rota_baxter."""
     _match(A, R.map)
-    return _check_rb_type(CheckReport(cap=cap), "rota_baxter", A.mu, R.map,
-                          _double_product(A, R))
+    return _check_rb_type(CheckReport(cap=cap), [("rota_baxter", A.mu)], R.map,
+                          ("left", "right"), R.weight)
 
 
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -112,8 +176,8 @@ def check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
                                   cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x * y) == R(x)R(y) where * is the Rota-Baxter double product."""
     _match(A, R.map)
-    return _check_rb_type(CheckReport(cap=cap), "double_product_morphism", A.mu,
-                          R.map, _double_product(A, R), (("image",), ("twisted",)))
+    return _check_rb_type(CheckReport(cap=cap), [("double_product_morphism", A.mu)],
+                          R.map, ("left", "right"), R.weight, swap=True)
 
 
 def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -133,10 +197,9 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
     _match(D, R.map)
     if not R.weight.is_zero():
         raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
-    rep = CheckReport(cap=cap)
-    for tag, op in (("succ", D.succ), ("prec", D.prec)):
-        _check_rb_type(rep, f"rb_dendriform_{tag}", op, R.map,
-                       op.compose_right(R.map) + op.compose_left(R.map))
+    rep = _check_rb_type(CheckReport(cap=cap), [("rb_dendriform_succ", D.succ),
+                                                ("rb_dendriform_prec", D.prec)],
+                         R.map, ("right", "left"))
     n = D.dim
     mats = {"R": (R.map, (n,)), "alpha": (D.alpha, (n,)), "beta": (D.beta, (n,))}
     return _check_axioms(mats, [_commutes("commutes_alpha", "R", "alpha"),
@@ -182,9 +245,9 @@ def check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """Right: P(a)P(b) == P(P(a)b).  Left: Q(a)Q(b) == Q(aQ(b))."""
     _match(A, B.map)
-    inner = A.mu.compose_left if B.side == "right" else A.mu.compose_right
-    return _check_rb_type(CheckReport(cap=cap), f"{B.side}_baxter", A.mu, B.map,
-                          inner(B.map))
+    inner = "left" if B.side == "right" else "right"
+    return _check_rb_type(CheckReport(cap=cap), [(f"{B.side}_baxter", A.mu)], B.map,
+                          (inner,))
 
 
 def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,

@@ -8,7 +8,8 @@ elementwise evaluator on plain ints mod p that stops at the first differing
 component, and builds no LinearMap or Scalar.  Every hit it finds is then
 verified a second time, by an independent method: the library's matrix
 checker (the identity part of check_rota_baxter, or check_one_sided_baxter),
-which shares no code with the walk.  jobs > 1 splits the walk across
+which over F_p reads both sides as `compose` and `tensor2` chains and
+shares no code with the walk.  jobs > 1 splits the walk across
 min(jobs, CPU count) worker processes.
 """
 

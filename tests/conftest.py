@@ -95,9 +95,11 @@ def counted(monkeypatch, fn, *args):
 
 
 def raw_report(rep):
-    """A report's violations with raw scalar values, its sub-checks and cap."""
+    """A report's violations with raw scalar values, its sub-checks, cap and
+    total violation count."""
     return ([(axiom, idx, [x.value for x in lhs.coords], [x.value for x in rhs.coords])
-             for axiom, idx, lhs, rhs in rep.violations], rep.sub_checks, rep.cap)
+             for axiom, idx, lhs, rhs in rep.violations], rep.sub_checks, rep.cap,
+            rep.total_violations)
 
 
 def against_reference(fn, reference, *args):

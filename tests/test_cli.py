@@ -120,6 +120,26 @@ def test_a_second_spec_file_unlike_the_first_exits_2_naming_it(argv, message, tm
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("via", ["tensor-quadri", "pair-quadri", "compose-twistor"])
+def test_derive_takes_the_second_spec_file_before_or_after_via(via, tmp_path):
+    """`derive A B --via V` and `derive A --via V B` give the same bytes;
+    the second order used to exit 2 with `unrecognized arguments: B`.  A
+    third positional is still refused, in either order."""
+    F3 = FieldSpec.prime(3)
+    if via == "tensor-quadri":
+        first = write_parts(tmp_path / "a.json", {"structure": dend_and_quadri(F3)[0]})
+        second = write_parts(tmp_path / "b.json", {"structure": dend_and_quadri(F3)[0]})
+    else:
+        first, second = (write_spec(tmp_path / name, F3) for name in ("a.json", "b.json"))
+    before = run(["derive", first, second, "--via", via])
+    assert before[0] == (1 if via == "compose-twistor" else 0) and before[1]
+    assert run(["derive", first, "--via", via, second]) == before
+    assert run(["derive", "--via", via, first, second]) == before
+    stray = run(["derive", first, second, "--via", via, "c.json"])
+    assert stray[0] == 2 and stray[2].endswith("error: unrecognized arguments: c.json\n")
+    assert run(["derive", first, "--via", via, second, "c.json"]) == stray
+
+
 @pytest.mark.parametrize("word, message", [
     ([0, 0], "length must equal the leaf count, 1"),
     ([], "length must equal the leaf count, 1"),

@@ -968,6 +968,15 @@ def test_power_refuses_a_negative_exponent(k):
     assert m.power(2) == m.compose(m)
 
 
+@pytest.mark.parametrize("n, i", [(3, -1), (2, 2), (0, 0)])
+def test_basis_refuses_an_index_outside_the_dim(n, i):
+    """-1 used to give e_(n-1), and n a bare IndexError."""
+    with pytest.raises(DimensionMismatch, match=rf"^basis index {i} is outside \[0, {n}\)$"):
+        Vector.basis(Q, n, i)
+    assert [Vector.basis(Q, 2, j).coords for j in (0, 1)] == [
+        (Q.one(), Q.zero()), (Q.zero(), Q.one())]
+
+
 def test_operands_from_another_field_are_refused():
     q, f = LinearMap.identity(Q, 2), LinearMap.identity(F5, 2)
     t = StructureTable.zero(Q, 2)

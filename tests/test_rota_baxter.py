@@ -20,9 +20,10 @@ from bihomalg.errors import (EvalSingular, IncompleteAssignment,
                              TwistHypothesisViolated)
 from bihomalg.families import FAMILY_IDS
 from bihomalg.cli import main
-from bihomalg.linalg import maps_commute
-from bihomalg.rota_baxter import (_double_product, _match,
+from bihomalg.linalg import maps_commute, tensor2
+from bihomalg.rota_baxter import (_double_product, _inner_map, _match,
                                   check_double_product_morphism)
+from bihomalg.scalars import RATIONAL_FUNCTION
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
 from conftest import (against_reference, integration_rb, raw_report,
                       truncated_poly_algebra)
@@ -300,12 +301,70 @@ def ref_check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
     return rep
 
 
+# -- over Q and F_p the checkers read both sides as matrix chains,
+#    op o (P (x) P) against P o op o K; the same chains, written out:
+
+def mat_rows(rep: CheckReport, rows, P: LinearMap, K: LinearMap,
+             swap: bool = False) -> CheckReport:
+    n = P.rows
+    pp = tensor2(P, P)
+    for tag, op in rows:
+        m = op.as_matrix()
+        lhs, rhs = m.compose(pp), P.compose(m).compose(K)
+        if swap:
+            lhs, rhs = rhs, lhs
+        rep._compare(tag, lhs, rhs, (n, n))
+    return rep
+
+
+def mat_check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
+                          cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    _match(A, R.map)
+    rep = mat_rows(CheckReport(cap=cap), [("rota_baxter", A.mu)], R.map,
+                   _inner_map(R.map, ("left", "right"), R.weight))
+    rep.sub_checks["commutes_alpha"] = maps_commute(R.map, A.alpha)
+    rep.sub_checks["commutes_beta"] = maps_commute(R.map, A.beta)
+    return rep
+
+
+def mat_check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
+                                      cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    _match(A, R.map)
+    return mat_rows(CheckReport(cap=cap), [("double_product_morphism", A.mu)], R.map,
+                    _inner_map(R.map, ("left", "right"), R.weight), swap=True)
+
+
+def mat_check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
+                               cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    _match(D, R.map)
+    if not R.weight.is_zero():
+        raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
+    rep = mat_rows(CheckReport(cap=cap), [("rb_dendriform_succ", D.succ),
+                                          ("rb_dendriform_prec", D.prec)],
+                   R.map, _inner_map(R.map, ("right", "left")))
+    _commute_check(rep, "commutes_alpha", R.map, D.alpha)
+    _commute_check(rep, "commutes_beta", R.map, D.beta)
+    return rep
+
+
+def mat_check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
+                               cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
+    _match(A, B.map)
+    inner = "left" if B.side == "right" else "right"
+    return mat_rows(CheckReport(cap=cap), [(f"{B.side}_baxter", A.mu)], B.map,
+                    _inner_map(B.map, (inner,)))
+
+
 RB_CHECKERS = {
-    "rota_baxter": (check_rota_baxter, ref_check_rota_baxter),
+    "rota_baxter": (check_rota_baxter, ref_check_rota_baxter,
+                    mat_check_rota_baxter),
     "double_product_morphism": (check_double_product_morphism,
-                                ref_check_double_product_morphism),
-    "rb_on_dendriform": (check_rb_on_dendriform, ref_check_rb_on_dendriform),
-    "one_sided_baxter": (check_one_sided_baxter, ref_check_one_sided_baxter),
+                                ref_check_double_product_morphism,
+                                mat_check_double_product_morphism),
+    "rb_on_dendriform": (check_rb_on_dendriform, ref_check_rb_on_dendriform,
+                         mat_check_rb_on_dendriform),
+    "one_sided_baxter": (check_one_sided_baxter, ref_check_one_sided_baxter,
+                         mat_check_one_sided_baxter),
 }
 
 
@@ -329,18 +388,53 @@ def rb_checker_args(draw, name):
     return S, RBOperator(op, weight)
 
 
+def _raw_outcome(outcome):
+    return raw_report(outcome) if isinstance(outcome, CheckReport) else outcome
+
+
 @pytest.mark.parametrize("name", list(RB_CHECKERS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rb_type_checkers_match_hand_written_property(name, data):
+    """Every field: the report (total_violations too) or refusal is the
+    table-op reference's.  Over Q(a, b) the checker also makes the
+    reference's mul and add calls, so the printed forms are the same; over
+    Q and F_p it makes those of the matrix chains instead."""
     S, op = data.draw(rb_checker_args(name))
     cap = data.draw(st.sampled_from((16, 10 ** 6)))
-    check, reference = RB_CHECKERS[name]
+    check, reference, matrix_form = RB_CHECKERS[name]
     got, want, got_ops, want_ops = against_reference(check, reference, S, op, cap)
-    if isinstance(want, CheckReport):
-        got, want = raw_report(got), raw_report(want)
-    assert got == want
+    if S.field.kind != RATIONAL_FUNCTION:
+        mat, _, want_ops, _ = against_reference(matrix_form, reference, S, op, cap)
+        assert _raw_outcome(mat) == _raw_outcome(want)
+    assert _raw_outcome(got) == _raw_outcome(want)
     assert got_ops == want_ops
+
+
+@pytest.mark.parametrize("terms", [("left",), ("right",), ("left", "right")])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_inner_map_is_the_kronecker_sum(terms, data):
+    """K = P (x) I for "left", plus I (x) P for "right", plus weight * I,
+    against the dense sum of tensor2 products, with rows increasing in each
+    stored column."""
+    field = data.draw(st.sampled_from((Q, FieldSpec.prime(5))))
+    n = data.draw(st.integers(1, 3))
+    P = data.draw(sparse_matrix(field, n, n))
+    weight = data.draw(st.one_of(st.none(), st.sampled_from(entry_pool(field)[1]),
+                                 st.just(field.zero())))
+    ident = LinearMap.identity(field, n)
+    want = LinearMap.zero_map(field, n * n, n * n)
+    if "left" in terms:
+        want = want + tensor2(P, ident)
+    if "right" in terms:
+        want = want + tensor2(ident, P)
+    if weight is not None:
+        want = want + LinearMap.identity(field, n * n).scale(weight)
+    got = _inner_map(P, terms, weight)
+    assert got == want
+    assert all(list(col) == sorted(col) and field.ops.zero not in col.values()
+               for col in got._d)
 
 
 def test_rb_type_failure_output_over_q_params_is_pinned(capsys):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, TwistHypothesisViolated
-from .linalg import LinearMap, StructureTable, _join, block_diag, tensor2
+from .linalg import LinearMap, StructureTable, _join, _shifted, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
                          DEFAULT_VIOLATION_CAP, _check_axioms, _commutes,
@@ -106,18 +106,17 @@ def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """
     if check:
         require(check_bimodule(A, M), "split_null_extension")
-    n, d, z = A.dim, A.dim + M.dim, A.field.ops.zero
-    zn, zm = (z,) * n, (z,) * M.dim
-    mu, L, R = A.mu._d, M.left_action._d, M.right_action._d
+    n, m = A.dim, M.dim
+    d, mu, L, R = n + m, A.mu._d, M.left_action._d, M.right_action._d
 
     def column(i, j):
         """e_i e_j in A (+) M, where e_i lies in A when i < n."""
         if i < n:
-            return mu[i][j] + zm if j < n else zn + L[i][j - n]
-        return zn + R[i - n][j] if j < n else zn + zm
+            return mu[i * n + j] if j < n else _shifted(L[i * m + j - n], n)
+        return _shifted(R[(i - n) * n + j], n) if j < n else {}
 
-    table = StructureTable._of(A.field, tuple(
-        tuple(column(i, j) for j in range(d)) for i in range(d)))
+    table = StructureTable._of_cols(A.field, d, [column(i, j) for i in range(d)
+                                                 for j in range(d)], d, d)
     return BiHomAssociativeAlgebra(A.field, table,
                                    block_diag(A.alpha, M.alpha_M),
                                    block_diag(A.beta, M.beta_M))

@@ -113,6 +113,9 @@ def cmd_derive(args) -> int:
         return _refuse(f"--via {via} needs a second spec file")
     if args.second and len(kinds) == 1:
         return _refuse(f"--via {via} takes no second spec file")
+    for flag in ("atilde", "btilde"):
+        if via != "yau" and getattr(args, flag) is not None:
+            return _refuse(f"--via {via} takes no --{flag}")
     parts = _load(args.spec, parse_spec)
     S = _structure(parts, args.spec, kinds[0], f"--via {via}")
     if args.second:
@@ -302,6 +305,8 @@ def cmd_verify_family(args) -> int:
         if not args.samples:
             return _refuse("sampled mode needs --samples")
         samples = _samples_arg(args.samples, args.family)
+    elif args.samples is not None:
+        return _refuse(f"--mode {args.mode} takes no --samples")
     rep = families.verify_parametric_family(args.family, args.mode, samples)
     return _print_report(rep)
 

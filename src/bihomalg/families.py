@@ -85,9 +85,8 @@ def symbolic_rb_family(family_id: str) -> RBOperator:
 def _evaluated(x, assignment: dict[str, Fraction]):
     """The LinearMap or StructureTable x over Q(params), evaluated at the
     assignment, over Q."""
-    q, f = FieldSpec.rational(), x.field
-    return type(x)._of(q, _nest(lambda v: q.ops.unbox(
-        Scalar(f, f.ops.box(v)).evaluate(assignment).value), x._depth, x._dense()))
+    return type(x)(FieldSpec.rational(), _nest(lambda s: s.evaluate(assignment),
+                                               x._depth, x._boxed()))
 
 
 def evaluate_two_param_algebra(assignment: dict[str, Fraction]) -> BiHomAssociativeAlgebra:

@@ -10,18 +10,20 @@ Storage is raw: a Vector, LinearMap or StructureTable holds its field and
 the raw values of its entries in `_d` (an int or Fraction over Q, an int
 over F_p, a numerator/denominator pair of polynomials over Q(params); see
 scalars), and every kernel computes on them through the field's ops table,
-`field.ops`.  A Vector is a tuple and a StructureTable nested tuples,
-c[i][j] the tuple of e_i e_j's coordinates.  A LinearMap is sparse by
-column: `_d[j]` is a dict from row to value, rows increasing, and a row
-missing from it holds `ops.zero`.  A dict stores every value that is not
-structurally equal (==) to `ops.zero`; so over Q(params) a computed zero
-with a denominator, `({}, q)`, is stored, and reading a missing row back as
-`ops.zero` gives every kernel the value and the printed form it had.  No
-dict is changed once stored, so maps and columns may share them.  Scalar
-stays the public boundary: the constructors take Scalars of the container's
-field (FieldMismatch refuses any other) and unbox them, and `coords`,
-`entries` and `constants` box the raw values on each read.  The kernels
-build no Scalar; a checker boxes only the columns of the violations it logs.
+`field.ops`.  A Vector is a tuple.  A LinearMap is sparse by column: `_d[j]`
+is a dict from row to value, rows increasing, and a row missing from it
+holds `ops.zero`.  A StructureTable is stored as its matrix X (x) Y -> Z:
+column i*dim_right + j holds c[i][j], the coordinates of e_i e_j, and
+`as_matrix` and `from_matrix` share these dicts.  A dict stores every value
+that is not structurally equal (==) to `ops.zero`; so over Q(params) a
+computed zero with a denominator, `({}, q)`, is stored, and reading a
+missing row back as `ops.zero` gives every kernel the value and the printed
+form it had.  No dict is changed once stored, so maps and tables may share
+them.  Scalar stays the public boundary: the constructors take Scalars of
+the container's field (FieldMismatch refuses any other) and unbox them, and
+`coords`, `entries` and `constants` box the raw values on each read.  The
+kernels build no Scalar; a checker boxes only the columns of the violations
+it logs.
 
 `LinearMap.compose` and `tensor2` visit only the stored entries and skip
 those that are zero, in the order of the dense loops: every entry of a
@@ -30,13 +32,16 @@ as in Gustavson's sparse product), and every Kronecker entry is one `a*b`.
 So each output entry comes from the same field operations as a dense
 evaluation, which matters over Q(params), where the printed (unreduced) form
 of a rational function depends on that sequence.  `CheckReport._compare`
-and `==` compare two maps column by column, over the stored rows only.
+and `==` compare two maps or tables column by column, over the stored rows
+only.
 
-Every other kernel reads a LinearMap densely, through `_dense()` (rows) or
-`_columns()` (columns), and so makes the mul and add calls of the dense
-loops: `+`, `scale`, `entries`, `apply` and `postcompose`.  `apply` and the
-table ops `compose_left`, `compose_right`, `twist` and `postcompose` form
-linear combinations of whole columns through `_combine`:
+`StructureTable.apply` visits the stored constants too and skips the zero
+ones, as its dense loop did.  Every other kernel reads a map or table
+densely, through `_dense()` (the nested public view) or `_columns()`, and
+so makes the mul and add calls of the dense loops: `+`, `scale`, `entries`,
+`LinearMap.apply` and `postcompose`.  `LinearMap.apply` and the table ops
+`compose_left`, `compose_right`, `twist` and `postcompose` form linear
+combinations of whole columns through `_combine`:
 `zero + c1*v1 + c2*v2 + ...` coordinate by coordinate, in term order,
 skipping a term whose coefficient c is zero but not the zero coordinates of
 its v (`compose_left` and `compose_right` take the coefficients c from a
@@ -50,14 +55,11 @@ kernels by field.  Over Q and F_p, whose values have one form, both sides
 are `compose` and `tensor2` chains over the operation's matrix.  Over
 Q(params) both are built by the table ops, and a violation prints their
 forms.  The constructors' tables come from the table ops over every field.
-
-`StructureTable.as_matrix` and `from_matrix` are transposes: column
-i*dim_right + j of the matrix is the table's column c[i][j].
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from itertools import chain
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -85,12 +87,11 @@ def _raw(field: FieldSpec, x) -> object:
     return field.ops.unbox(x.value)
 
 
-def _nest(fn, depth: int, *data) -> tuple:
-    """fn mapped over the entries of equally shaped nested tuples of the
-    given depth, in row-major order."""
+def _nest(fn, depth: int, data) -> tuple:
+    """fn mapped over the entries of nested tuples of the given depth."""
     if depth == 1:
-        return tuple(map(fn, *data))
-    return tuple(_nest(fn, depth - 1, *parts) for parts in zip(*data))
+        return tuple(map(fn, data))
+    return tuple(_nest(fn, depth - 1, part) for part in data)
 
 
 def _combine(ops, n: int, terms) -> tuple:
@@ -105,37 +106,15 @@ def _combine(ops, n: int, terms) -> tuple:
 
 
 class _Raw:
-    """A field and raw values _d, nested _depth deep (LinearMap stores its
-    columns sparsely instead and overrides the readers of _d).  The
-    constructor unboxes Scalars; _of takes raw values nested as _dense()."""
+    """A field and raw values _d, stored as each subclass says and read
+    back nested as the public view by _dense().  The public constructors
+    unbox Scalars."""
 
     __slots__ = ("field", "_d")
-
-    def __init__(self, field: FieldSpec, scalars):
-        self.field, self._d = field, _nest(partial(_raw, field), self._depth, scalars)
-
-    @classmethod
-    def _of(cls, field: FieldSpec, data):
-        obj = object.__new__(cls)
-        obj.field, obj._d = field, data
-        return obj
-
-    def _dense(self):
-        """The raw values nested as the public view: coords, entries[i][j]
-        or constants[i][j][k]."""
-        return self._d
 
     def _boxed(self):
         return _nest(lambda x: Scalar(self.field, self.field.ops.box(x)),
                      self._depth, self._dense())
-
-    def _map(self, fn, *others):
-        return self._of(self.field, _nest(fn, self._depth, self._d,
-                                          *(other._d for other in others)))
-
-    def _flat(self):
-        return reduce(lambda flat, _: chain.from_iterable(flat),
-                      range(self._depth - 1), self._d)
 
     def __add__(self, other):
         _check(self._shape() == other._shape(), self._sum_dims, self, other)
@@ -152,11 +131,7 @@ class _Raw:
         if not isinstance(other, type(self)):
             return NotImplemented
         return ((other.field is self.field or other.field == self.field)
-                and self._shape() == other._shape()
-                and all(map(self.field.ops.eq, self._flat(), other._flat())))
-
-    def is_zero(self) -> bool:
-        return all(map(self.field.ops.is_zero, self._flat()))
+                and self._shape() == other._shape() and self._equal(other))
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is unhashable")
@@ -170,6 +145,27 @@ class Vector(_Raw):
     __slots__ = ()
     _depth, _public, _sum_dims = 1, "coords", "vector dims differ"
     coords = property(_Raw._boxed)
+
+    def __init__(self, field: FieldSpec, coords):
+        self.field, self._d = field, tuple(_raw(field, x) for x in coords)
+
+    @staticmethod
+    def _of(field: FieldSpec, data: tuple) -> "Vector":
+        obj = object.__new__(Vector)
+        obj.field, obj._d = field, data
+        return obj
+
+    def _dense(self) -> tuple:
+        return self._d
+
+    def _map(self, fn, *others) -> "Vector":
+        return Vector._of(self.field, tuple(map(fn, self._d, *(o._d for o in others))))
+
+    def _equal(self, other) -> bool:
+        return all(map(self.field.ops.eq, self._d, other._d))
+
+    def is_zero(self) -> bool:
+        return all(map(self.field.ops.is_zero, self._d))
 
     @property
     def dim(self) -> int:
@@ -208,13 +204,65 @@ def _sparse(zero, columns) -> list:
     return out
 
 
-class LinearMap(_Raw):
-    """A rows x cols matrix; column j is the image of basis vector e_j.
-    `_d[j]` holds column j sparsely (see the module docstring)."""
+class _Matrix(_Raw):
+    """A matrix of `rows` rows, sparse by column: `_d[j]` holds column j
+    (see the module docstring).  LinearMap and StructureTable share it; each
+    gives _set, which stores its shape, and _like, which makes one of that
+    shape from dense columns."""
 
     __slots__ = ("rows",)
+
+    @classmethod
+    def _of_cols(cls, field: FieldSpec, rows: int, cols, *factors):
+        """The map, or the table of factors dim_left and dim_right, with
+        the given column dicts, rows increasing."""
+        return object.__new__(cls)._set(field, rows, cols, *factors)
+
+    def _of_dense(self, rows: int, columns, *factors):
+        """_of_cols over self's field, of raw dense columns."""
+        return self._of_cols(self.field, rows, _sparse(self.field.ops.zero, columns),
+                             *factors)
+
+    @property
+    def cols(self) -> int:
+        return len(self._d)
+
+    def _columns(self) -> tuple:
+        """The raw columns, dense."""
+        zeros, out = [self.field.ops.zero] * self.rows, []
+        for col in self._d:
+            dense = zeros[:]
+            for i, x in col.items():
+                dense[i] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def _column(self, j: int) -> Vector:
+        dense = [self.field.ops.zero] * self.rows
+        for i, x in self._d[j].items():
+            dense[i] = x
+        return Vector._of(self.field, tuple(dense))
+
+    def _map(self, fn, *others):
+        """fn on the entries, column by column, missing ones included."""
+        columns = zip(self._columns(), *(other._columns() for other in others))
+        return self._like(map(fn, *cols) for cols in columns)
+
+    def _equal(self, other) -> bool:
+        return next(_differing_columns(self, other), None) is None
+
+    def is_zero(self) -> bool:
+        return all(map(self.field.ops.is_zero,
+                       chain.from_iterable(col.values() for col in self._d)))
+
+
+class LinearMap(_Matrix):
+    """A rows x cols matrix; column j is the image of basis vector e_j."""
+
+    __slots__ = ()
     _depth, _public, _sum_dims = 2, "entries", "sum dims differ"
     entries = property(_Raw._boxed)  # entries[i][j]
+    column = _Matrix._column
 
     def __init__(self, field: FieldSpec, entries):
         rows = _nest(partial(_raw, field), 2, entries)
@@ -227,54 +275,14 @@ class LinearMap(_Raw):
         self.field, self.rows, self._d = field, rows, tuple(cols) if rows else ()
         return self
 
-    @classmethod
-    def _of_cols(cls, field: FieldSpec, rows: int, cols) -> "LinearMap":
-        """The map with the given column dicts, rows increasing."""
-        return object.__new__(cls)._set(field, rows, cols)
-
-    @classmethod
-    def _of(cls, field: FieldSpec, data) -> "LinearMap":
-        """The map whose raw rows are data."""
-        return cls._of_cols(field, len(data), _sparse(field.ops.zero, zip(*data)))
-
-    def _columns(self) -> tuple:
-        """The raw columns, dense."""
-        zeros, out = [self.field.ops.zero] * self.rows, []
-        for col in self._d:
-            dense = zeros[:]
-            for i, x in col.items():
-                dense[i] = x
-            out.append(tuple(dense))
-        return tuple(out)
+    def _like(self, columns) -> "LinearMap":
+        return self._of_dense(self.rows, columns)
 
     def _dense(self) -> tuple:
         return tuple(zip(*self._columns())) if self._d else ((),) * self.rows
 
-    def _map(self, fn, *others) -> "LinearMap":
-        """fn on the entries, column by column, missing ones included."""
-        columns = zip(self._columns(), *(other._columns() for other in others))
-        return self._of_cols(self.field, self.rows, _sparse(
-            self.field.ops.zero, (map(fn, *cols) for cols in columns)))
-
-    @property
-    def cols(self) -> int:
-        return len(self._d)
-
     def _shape(self):
         return self.rows, self.cols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return ((other.field is self.field or other.field == self.field)
-                and self._shape() == other._shape()
-                and next(_differing_columns(self, other), None) is None)
-
-    __hash__ = _Raw.__hash__
-
-    def is_zero(self) -> bool:
-        return all(map(self.field.ops.is_zero,
-                       chain.from_iterable(col.values() for col in self._d)))
 
     @staticmethod
     def from_rows(field: FieldSpec, rows) -> "LinearMap":
@@ -287,18 +295,12 @@ class LinearMap(_Raw):
 
     @staticmethod
     def zero_map(field: FieldSpec, rows: int, cols: int) -> "LinearMap":
-        return LinearMap._of_cols(field, rows, [{} for _ in range(cols)])
+        return LinearMap._of_cols(field, rows, [{}] * cols)
 
     def apply(self, v: Vector) -> Vector:
         _check(self.cols == v.dim, "map/vector dims differ", self, v)
         return Vector._of(self.field, _combine(self.field.ops, self.rows,
                                                zip(v._d, self._columns())))
-
-    def column(self, j: int) -> Vector:
-        dense = [self.field.ops.zero] * self.rows
-        for i, x in self._d[j].items():
-            dense[i] = x
-        return Vector._of(self.field, tuple(dense))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other)."""
@@ -375,35 +377,50 @@ def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
     return tensor2(f, tensor2(g, h))
 
 
+def _shifted(col: dict, shift: int) -> dict:
+    """A column dict with its rows moved down by shift."""
+    return {shift + i: x for i, x in col.items()}
+
+
 def block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
     _join(f.field, g.field)
-    shift = f.rows
     return LinearMap._of_cols(f.field, f.rows + g.rows, f._d + tuple(
-        {shift + i: x for i, x in col.items()} for col in g._d))
+        _shifted(col, f.rows) for col in g._d))
 
 
-class StructureTable(_Raw):
+class StructureTable(_Matrix):
     """A bilinear operation X x Y -> Z as structure constants c[i][j][k],
-    meaning (e_i, e_j) |-> sum_k c[i][j][k] e_k.  Square algebra tables have
-    dim_left == dim_right == dim_out; bimodule actions are rectangular.
+    meaning (e_i, e_j) |-> sum_k c[i][j][k] e_k.  It is stored as its matrix
+    X (x) Y -> Z: column i*dim_right + j holds c[i][j], and the matrix's
+    rows are dim_out.  It keeps its dim_left * dim_right columns even when
+    dim_out is 0.  Square algebra tables have dim_left == dim_right ==
+    dim_out; bimodule actions are rectangular.
     """
 
-    __slots__ = ()
+    __slots__ = ("dim_left", "dim_right")
     _depth, _public, _sum_dims = 3, "constants", "table sum dims differ"
     constants = property(_Raw._boxed)  # c[i][j][k]
+    dim_out = _Matrix.rows  # the matrix's rows
     __add__, scale = _Raw.__add__, _Raw.scale  # the table ops are all its own
 
-    @property
-    def dim_left(self) -> int:
-        return len(self._d)
+    def __init__(self, field: FieldSpec, constants):
+        c = _nest(partial(_raw, field), 3, constants)
+        right = len(c[0]) if c else 0
+        self._set(field, len(c[0][0]) if right else 0,
+                  _sparse(field.ops.zero, chain.from_iterable(c)), len(c), right)
 
-    @property
-    def dim_right(self) -> int:
-        return len(self._d[0]) if self._d else 0
+    def _set(self, field: FieldSpec, rows: int, cols, dim_left: int,
+             dim_right: int) -> "StructureTable":
+        self.field, self.rows, self._d = field, rows, tuple(cols)
+        self.dim_left, self.dim_right = dim_left, dim_right
+        return self
 
-    @property
-    def dim_out(self) -> int:
-        return len(self._d[0][0]) if self._d and self._d[0] else 0
+    def _like(self, columns) -> "StructureTable":
+        return self._of_dense(self.rows, columns, self.dim_left, self.dim_right)
+
+    def _dense(self) -> tuple:
+        cols, r = self._columns(), self.dim_right
+        return tuple(cols[i * r:(i + 1) * r] for i in range(self.dim_left))
 
     def _shape(self):
         return self.dim_left, self.dim_right, self.dim_out
@@ -418,50 +435,45 @@ class StructureTable(_Raw):
     def zero(field: FieldSpec, dim_left: int, dim_right: int | None = None,
              dim_out: int | None = None) -> "StructureTable":
         dim_right = dim_left if dim_right is None else dim_right
-        dim_out = dim_left if dim_out is None else dim_out
-        return StructureTable._of(
-            field, (((field.ops.zero,) * dim_out,) * dim_right,) * dim_left)
+        return StructureTable._of_cols(field, dim_left if dim_out is None else dim_out,
+                                       [{}] * (dim_left * dim_right), dim_left, dim_right)
 
     def apply_basis(self, i: int, j: int) -> Vector:
-        return Vector._of(self.field, self._d[i][j])
+        return self._column(i * self.dim_right + j)
 
     def apply(self, u: Vector, v: Vector) -> Vector:
         _check(u.dim == self.dim_left and v.dim == self.dim_right,
                "bilinear operand dims differ", self, u, v)
-        ops = self.field.ops
+        ops, cols, r = self.field.ops, self._d, self.dim_right
         add, mul, is_zero = ops.add, ops.mul, ops.is_zero
         out = [ops.zero] * self.dim_out
-        for i in range(self.dim_left):
-            a = u._d[i]
+        for i, a in enumerate(u._d):
             if is_zero(a):
                 continue
-            for j in range(self.dim_right):
-                b = v._d[j]
+            for j, b in enumerate(v._d):
                 if is_zero(b):
                     continue
                 ab = mul(a, b)
-                row = self._d[i][j]
-                for k in range(self.dim_out):
-                    if not is_zero(row[k]):
-                        out[k] = add(out[k], mul(ab, row[k]))
+                for k, x in cols[i * r + j].items():
+                    if not is_zero(x):
+                        out[k] = add(out[k], mul(ab, x))
         return Vector._of(self.field, tuple(out))
 
     def compose_left(self, f: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), y)."""
         _check(f.rows == self.dim_left, "compose_left dims differ", self, f)
-        ops, consts, n = self.field.ops, self._d, self.dim_out
-        return StructureTable._of(self.field, tuple(
-            tuple(_combine(ops, n, [(c, consts[i][j]) for i, c in col.items()])
-                  for j in range(self.dim_right))
-            for col in f._d))
+        ops, cols, r, n = self.field.ops, self._columns(), self.dim_right, self.dim_out
+        return self._of_dense(n, (
+            _combine(ops, n, [(c, cols[i * r + j]) for i, c in col.items()])
+            for col in f._d for j in range(r)), f.cols, r)
 
     def compose_right(self, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(x, g(y))."""
         _check(g.rows == self.dim_right, "compose_right dims differ", self, g)
-        ops, n = self.field.ops, self.dim_out
-        return StructureTable._of(self.field, tuple(
-            tuple(_combine(ops, n, [(c, row[k]) for k, c in col.items()]) for col in g._d)
-            for row in self._d))
+        ops, cols, r, n = self.field.ops, self._columns(), self.dim_right, self.dim_out
+        return self._of_dense(n, (
+            _combine(ops, n, [(c, cols[i * r + k]) for k, c in col.items()])
+            for i in range(self.dim_left) for col in g._d), self.dim_left, g.cols)
 
     def twist(self, f: LinearMap, g: LinearMap) -> "StructureTable":
         """(x, y) |-> B(f(x), g(y))."""
@@ -471,23 +483,21 @@ class StructureTable(_Raw):
         """(x, y) |-> h(B(x, y))."""
         _check(h.cols == self.dim_out, "postcompose dims differ", self, h)
         ops, cols = self.field.ops, h._columns()
-        return StructureTable._of(self.field, tuple(
-            tuple(_combine(ops, h.rows, zip(v, cols)) for v in row)
-            for row in self._d))
+        return self._of_dense(h.rows, (_combine(ops, h.rows, zip(v, cols))
+                                       for v in self._columns()),
+                              self.dim_left, self.dim_right)
 
     def as_matrix(self) -> LinearMap:
-        """The operation as a map X (x) Y -> Z in the lexicographic basis."""
-        return LinearMap._of_cols(self.field, self.dim_out, _sparse(
-            self.field.ops.zero, chain.from_iterable(self._d)))
+        """The operation as a map X (x) Y -> Z in the lexicographic basis,
+        sharing the table's columns."""
+        return LinearMap._of_cols(self.field, self.rows, self._d)
 
     @staticmethod
     def from_matrix(field: FieldSpec, m: LinearMap, dim_left: int,
                     dim_right: int) -> "StructureTable":
         _check(m.cols == dim_left * dim_right, "matrix shape does not factor")
         _join(field, m.field)
-        cols = m._columns()
-        return StructureTable._of(field, tuple(
-            cols[i * dim_right:(i + 1) * dim_right] for i in range(dim_left)))
+        return StructureTable._of_cols(field, m.rows, m._d, dim_left, dim_right)
 
 
 def apply_bilinear(op: StructureTable, u: Vector, v: Vector) -> Vector:

@@ -101,7 +101,7 @@ def _raw_test(A, weight, side):
     constants are the table's raw ints; the weight is read once, here.
     """
     n, p = A.dim, A.field.p
-    c = A.mu._d
+    c = A.mu._dense()
     w = weight.value if side is None else 0
     # r is the candidate's digit list: entry (a, b) is r[a*n + b], so
     # coordinate a of R(e_i) is r[a*n + i].  Per pair (i, j): the terms of

@@ -340,11 +340,10 @@ def _tensor_tables(ta: StructureTable, tb: StructureTable) -> StructureTable:
     factor is the field's zero, not a computed 0*x, which over Q(params)
     would serialize as (0)/(..)."""
     na, nb = ta.dim, tb.dim
-    cols = tensor2(ta.as_matrix(), tb.as_matrix())._columns()
-    return StructureTable._of(ta.field, tuple(
-        tuple(cols[((a1 * na + a2) * nb + b1) * nb + b2]
-              for a2 in range(na) for b2 in range(nb))
-        for a1 in range(na) for b1 in range(nb)))
+    cols, n = tensor2(ta.as_matrix(), tb.as_matrix())._d, na * nb
+    return StructureTable._of_cols(ta.field, n, [
+        cols[((a1 * na + a2) * nb + b1) * nb + b2] for a1 in range(na)
+        for b1 in range(nb) for a2 in range(na) for b2 in range(nb)], n, n)
 
 
 def tensor_quadri(A: BiHomDendriform, B: BiHomDendriform) -> BiHomQuadri:

@@ -38,6 +38,15 @@ def test_zero_actions_bimodule(qx3):
     assert check_bimodule(qx3, M).passed
 
 
+def test_zero_actions_on_the_zero_module(qx3):
+    """The right action M (x) A -> M of a zero module still has dims (0, 3, 0)."""
+    M = BiHomBimodule.zero_actions(qx3, LinearMap.identity(Q, 0), LinearMap.identity(Q, 0))
+    dims = [(t.dim_left, t.dim_right, t.dim_out) for t in (M.left_action, M.right_action)]
+    assert dims == [(3, 0, 0), (0, 3, 0)]
+    assert check_bimodule(qx3, M).passed
+    assert split_null_extension(qx3, M) == qx3
+
+
 def test_bimodule_shape_validation(qx3):
     ident = LinearMap.identity(Q, 2)
     with pytest.raises(DimensionMismatch):

@@ -140,6 +140,26 @@ def test_derive_takes_the_second_spec_file_before_or_after_via(via, tmp_path):
     assert run(["derive", first, "--via", via, second, "c.json"]) == stray
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "SPEC", "--via", "rb-tridend", "--atilde", "garbage"],
+     "--via rb-tridend takes no --atilde"),
+    (["derive", "SPEC", "--via", "split-null", "--btilde", '[["1"]]'],
+     "--via split-null takes no --btilde"),
+    (["derive", "SPEC", "--via", "rb-double", "--btilde", "x", "--atilde", "y"],
+     "--via rb-double takes no --atilde"),
+    (["verify-family", "w1f3", "--samples", "notjson"],
+     "--mode symbolic takes no --samples"),
+    (["verify-family", "w0f1", "--mode", "symbolic", "--samples", '[{"a": 2}]'],
+     "--mode symbolic takes no --samples"),
+], ids=["atilde-rb-tridend", "btilde-split-null", "both-rb-double",
+        "samples-default-mode", "samples-symbolic"])
+def test_a_json_flag_that_does_not_apply_exits_2_naming_it(argv, message, tmp_path):
+    """Malformed or not, such a flag is refused before any file is opened:
+    SPEC names a file that does not exist."""
+    argv = [str(tmp_path / "missing.json") if a == "SPEC" else a for a in argv]
+    assert run(argv) == (2, "", f"{message}\n")
+
+
 @pytest.mark.parametrize("word, message", [
     ([0, 0], "length must equal the leaf count, 1"),
     ([], "length must equal the leaf count, 1"),

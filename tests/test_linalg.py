@@ -915,6 +915,44 @@ def test_raw_kernels_match_boxed_bodies_property(name, data):
     assert got_ops == want_ops
 
 
+def test_table_apply_multiplies_its_operands_in_the_boxed_order_over_q_params():
+    """A fixed case the property's draws miss: u_i v_j times a two-term
+    constant c[i][j]^k over Q(a, b), whose product keeps the insertion order
+    of its polynomial dicts only when taken as (u_i v_j) * c, not c * (u_i v_j)."""
+    a, b, zero, one = QAB.parameter("a"), QAB.parameter("b"), QAB.zero(), QAB.one()
+    t = StructureTable(QAB, (((a + b, zero),), ((zero, one),)))
+    u, v = Vector(QAB, (a + one, zero)), Vector(QAB, (b + one,))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, StructureTable.apply, t, u, v)
+        want, want_ops = counted(monkeypatch, old_table_apply, t, u, v)
+    assert typed(got) == typed(want) and got_ops == want_ops
+
+
+@pytest.mark.parametrize("shape, dims, constants", [
+    ((0,), (0, 0, 0), ()),
+    ((2, 2, 0), (2, 2, 0), (((), ()), ((), ()))),
+], ids=["0", "2x2->0"])
+def test_tables_with_a_zero_dimension(shape, dims, constants):
+    """A table without output coordinates keeps its dim_left * dim_right
+    columns: apply, the constants, ==, + and the matrix of each."""
+    t = StructureTable.zero(Q, *shape)
+    u = Vector(Q, (Q.one(),) * t.dim_left)
+    v = Vector(Q, (Q.one(),) * t.dim_right)
+    assert (t.dim_left, t.dim_right, t.dim_out) == dims
+    assert t.apply(u, v) == Vector(Q, ()) and t.apply(u, v).dim == 0
+    assert t.constants == constants
+    assert t == StructureTable(Q, constants) and t + t == t
+    assert t != StructureTable.zero(Q, 1, 1, 0)
+    m = t.as_matrix()
+    # a map without rows has no columns
+    assert (m.rows, m.cols) == (0, 0)
+    if t.dim_left * t.dim_right == 0:
+        assert StructureTable.from_matrix(Q, m, t.dim_left, t.dim_right) == t
+    else:
+        with pytest.raises(DimensionMismatch):
+            StructureTable.from_matrix(Q, m, t.dim_left, t.dim_right)
+
+
 @pytest.mark.parametrize("field, c", [(Q, "2"), (FieldSpec.rational_function("a"), "1/a")],
                          ids=["Q", "Q(a)"])
 def test_raw_kernels_match_boxed_bodies_at_dim_9(field, c):

@@ -37,10 +37,9 @@ def _load(path: str, parse):
         raise SpecFileError(f"{path}: {exc}") from exc
 
 
-def _refuse(msg: str) -> int:
-    """A usage refusal: the message alone on stderr, exit code 2."""
-    print(msg, file=sys.stderr)
-    return 2
+class _Refusal(Exception):
+    """A usage refusal: `main` prints the message alone on stderr and
+    returns exit code 2."""
 
 
 def _print_report(rep) -> int:
@@ -67,11 +66,35 @@ def _emit(parts: dict, out_path: str | None) -> None:
         print(text)
 
 
+# per command, the flags that only some of its modes take: the name of the
+# mode in a refusal, the attribute that holds the mode, and for each such
+# flag the mode that takes it and its default; the parser gives these flags
+# the default None, so a flag left out can be told from one given
+MODE_FLAGS = {
+    "derive": ("--via", "via", {"atilde": ("yau", None), "btilde": ("yau", None),
+                                "mode": ("compose-twistor", "general")}),
+    "search": ("search", "what", {"weight": ("rb", "0"), "side": ("baxter", "right")}),
+    "verify-family": ("--mode", "mode", {"samples": ("sampled", None)}),
+}
+
+
+def _mode_flags(args) -> None:
+    """Refuse a flag of MODE_FLAGS given to a mode that does not take it, as
+    in `search rb takes no --side`; give each one left out its default."""
+    name, attr, flags = MODE_FLAGS[args.command]
+    mode = getattr(args, attr)
+    for flag, (taker, default) in flags.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif mode != taker:
+            raise _Refusal(f"{name} {mode} takes no --{flag}")
+
+
 def cmd_check(args) -> int:
     structure = _load(args.spec, parse_spec)["structure"]
     kind = _structure_kind(structure)
     if args.kind and kind != args.kind:
-        return _refuse(f"spec file holds a {kind} structure, not {args.kind}")
+        raise _Refusal(f"spec file holds a {kind} structure, not {args.kind}")
     return _print_report(check_structure(structure))
 
 
@@ -86,16 +109,6 @@ def _matrix_arg(field, text, name, dim):
     return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name)
 
 
-# every --via, in the order --help lists them, and the structure kinds it
-# reads from the spec file and, where it takes one, the second spec file;
-# yau twists any kind
-VIA_KINDS = {"rb-tridend": ("assoc",), "rb-double": ("assoc",), "yau": (None,),
-             "tensor-quadri": ("dend", "dend"), "quadri-h": ("quadri",),
-             "quadri-v": ("quadri",), "split-null": ("assoc",),
-             "grb-dend": ("assoc",), "rb-twistor": ("assoc",),
-             "compose-twistor": ("assoc", "assoc"), "pair-quadri": ("assoc", "assoc")}
-
-
 def _structure(parts: dict, path: str, need: str | None, command: str):
     """The structure of parts, read from the spec file at path; command
     refuses a kind other than need."""
@@ -107,70 +120,74 @@ def _structure(parts: dict, path: str, need: str | None, command: str):
     return S
 
 
+def _derived(build):
+    """The --via builder of the parts {"structure": build(*blocks)}."""
+    return lambda args, *blocks: {"structure": build(*blocks)}
+
+
+def _twisted(S, W) -> dict:
+    """The parts of S twisted by the pseudotwistor W, and W."""
+    return {"structure": pseudotwistors.twisted_algebra(S, W), "twistor": W}
+
+
+def _yau(args, S) -> dict:
+    if not args.atilde or not args.btilde:
+        raise _Refusal("--via yau needs --atilde and --btilde")
+    return {"structure": yau_twist(S, _matrix_arg(S.field, args.atilde, "atilde", S.dim),
+                                   _matrix_arg(S.field, args.btilde, "btilde", S.dim))}
+
+
+# every --via, in the order --help lists them: for each spec file it reads,
+# the structure kind it needs (yau twists any kind) and the blocks it reads
+# from it; then the builder of the parts to emit, called with the parsed
+# arguments and those blocks in order
+_RB = ("assoc", ("structure", "rota_baxter"))  # an algebra and its operator
+VIAS = {
+    "rb-tridend": ((_RB,), _derived(rota_baxter.rb_derive)),
+    "rb-double": ((_RB,), _derived(rota_baxter.rb_double_product)),
+    "yau": (((None, ("structure",)),), _yau),
+    "tensor-quadri": ((("dend", ("structure",)),) * 2, _derived(tensor_quadri)),
+    "quadri-h": ((("quadri", ("structure",)),),
+                 _derived(lambda S: quadri_projections(S)[0])),
+    "quadri-v": ((("quadri", ("structure",)),),
+                 _derived(lambda S: quadri_projections(S)[1])),
+    "split-null": ((("assoc", ("structure", "bimodule")),),
+                   _derived(bimodules.split_null_extension)),
+    "grb-dend": ((("assoc", ("bimodule", "grb")),),
+                 _derived(bimodules.grb_to_dendriform)),
+    "rb-twistor": ((_RB,), lambda args, S, R: _twisted(
+        S, pseudotwistors.rb_pseudotwistor(S, R))),
+    "compose-twistor": ((("assoc", ("structure", "twistor")), ("assoc", ("twistor",))),
+                        lambda args, S, W1, W2: _twisted(
+                            S, pseudotwistors.compose_pseudotwistors(S, W1, W2, args.mode))),
+    "pair-quadri": ((_RB, ("assoc", ("rota_baxter",))),
+                    _derived(rota_baxter.commuting_pair_quadri)),
+}
+
+
 def cmd_derive(args) -> int:
-    via, kinds = args.via, VIA_KINDS[args.via]
-    if len(kinds) == 2 and not args.second:
-        return _refuse(f"--via {via} needs a second spec file")
-    if args.second and len(kinds) == 1:
-        return _refuse(f"--via {via} takes no second spec file")
-    for flag in ("atilde", "btilde"):
-        if via != "yau" and getattr(args, flag) is not None:
-            return _refuse(f"--via {via} takes no --{flag}")
-    parts = _load(args.spec, parse_spec)
-    S = _structure(parts, args.spec, kinds[0], f"--via {via}")
-    if args.second:
-        second = _load(args.second, parse_spec)
-        T = _structure(second, args.second, kinds[1], f"--via {via}")
+    via, (files, build) = args.via, VIAS[args.via]
+    if len(files) == 2 and not args.second:
+        raise _Refusal(f"--via {via} needs a second spec file")
+    if args.second and len(files) == 1:
+        raise _Refusal(f"--via {via} takes no second spec file")
+    _mode_flags(args)
+    paths, docs = (args.spec, args.second), []
+    for path, (kind, _) in zip(paths, files):
+        docs.append(_load(path, parse_spec))
+        # for the first file T is S, so only a second file can differ
+        T, S = _structure(docs[-1], path, kind, f"--via {via}"), docs[0]["structure"]
         if T.field != S.field:
             raise SpecFileError(
-                f"{args.second}: --via {via} needs a spec file over the field of "
+                f"{path}: --via {via} needs a spec file over the field of "
                 f"{args.spec}, {json.dumps(_field_block(S.field))}, "
                 f"not {json.dumps(_field_block(T.field))}")
         # tensor-quadri alone builds on A (x) B for any two dims
         if via != "tensor-quadri" and T.dim != S.dim:
-            raise SpecFileError(f"{args.second}: --via {via} needs a spec file of the "
+            raise SpecFileError(f"{path}: --via {via} needs a spec file of the "
                                 f"dim of {args.spec}, {S.dim}, not {T.dim}")
-    if via == "rb-tridend":
-        R = _need(parts, "rota_baxter", args.spec)
-        _emit({"structure": rota_baxter.rb_derive(S, R)}, args.output)
-    elif via == "rb-double":
-        R = _need(parts, "rota_baxter", args.spec)
-        _emit({"structure": rota_baxter.rb_double_product(S, R)}, args.output)
-    elif via == "yau":
-        if not args.atilde or not args.btilde:
-            return _refuse("--via yau needs --atilde and --btilde")
-        at = _matrix_arg(S.field, args.atilde, "atilde", S.dim)
-        bt = _matrix_arg(S.field, args.btilde, "btilde", S.dim)
-        _emit({"structure": yau_twist(S, at, bt)}, args.output)
-    elif via == "tensor-quadri":
-        _emit({"structure": tensor_quadri(S, T)}, args.output)
-    elif via in ("quadri-h", "quadri-v"):
-        horizontal, vertical = quadri_projections(S)
-        _emit({"structure": horizontal if via == "quadri-h" else vertical},
-              args.output)
-    elif via == "split-null":
-        M = _need(parts, "bimodule", args.spec)
-        _emit({"structure": bimodules.split_null_extension(S, M)}, args.output)
-    elif via == "grb-dend":
-        M = _need(parts, "bimodule", args.spec)
-        pi = _need(parts, "grb", args.spec)
-        _emit({"structure": bimodules.grb_to_dendriform(M, pi)}, args.output)
-    elif via == "rb-twistor":
-        R = _need(parts, "rota_baxter", args.spec)
-        W = pseudotwistors.rb_pseudotwistor(S, R)
-        _emit({"structure": pseudotwistors.twisted_algebra(S, W),
-               "twistor": W}, args.output)
-    elif via == "compose-twistor":
-        W1 = _need(parts, "twistor", args.spec)
-        W2 = _need(second, "twistor", args.second)
-        composite = pseudotwistors.compose_pseudotwistors(S, W1, W2, args.mode)
-        _emit({"structure": pseudotwistors.twisted_algebra(S, composite),
-               "twistor": composite}, args.output)
-    elif via == "pair-quadri":
-        R = _need(parts, "rota_baxter", args.spec)
-        P = _need(second, "rota_baxter", args.second)
-        _emit({"structure": rota_baxter.commuting_pair_quadri(S, R, P)},
-              args.output)
+    _emit(build(args, *(_need(doc, key, path) for doc, path, (_, keys)
+                        in zip(docs, paths, files) for key in keys)), args.output)
     return 0
 
 
@@ -285,6 +302,7 @@ def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
 
 
 def cmd_search(args) -> int:
+    _mode_flags(args)
     jobs = _positive_int(args.jobs, "--jobs")
     A = _structure(_load(args.spec, parse_spec), args.spec, "assoc", "search")
     if args.what == "rb":
@@ -300,13 +318,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_family(args) -> int:
-    samples = None
-    if args.mode == "sampled":
-        if not args.samples:
-            return _refuse("sampled mode needs --samples")
-        samples = _samples_arg(args.samples, args.family)
-    elif args.samples is not None:
-        return _refuse(f"--mode {args.mode} takes no --samples")
+    _mode_flags(args)
+    if args.mode == "sampled" and not args.samples:
+        raise _Refusal("sampled mode needs --samples")
+    # _mode_flags leaves --samples to sampled mode alone
+    samples = args.samples and _samples_arg(args.samples, args.family)
     rep = families.verify_parametric_family(args.family, args.mode, samples)
     return _print_report(rep)
 
@@ -345,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="build a derived structure")
     p.add_argument("spec")
-    p.add_argument("--via", required=True, choices=list(VIA_KINDS))
+    p.add_argument("--via", required=True, choices=list(VIAS))
     p.add_argument("second", nargs="?", help="second spec file where needed")
     p.add_argument("--atilde", help="matrix as JSON, for --via yau")
     p.add_argument("--btilde", help="matrix as JSON, for --via yau")
     p.add_argument("--mode", choices=["general", "commuting"],
-                   default="general", help="for --via compose-twistor")
+                   help="for --via compose-twistor")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
     p.set_defaults(fn=cmd_derive)
 
@@ -372,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="brute-force operator enumeration")
     p.add_argument("what", choices=["rb", "baxter"])
     p.add_argument("spec")
-    p.add_argument("--weight", default="0")
-    p.add_argument("--side", choices=["left", "right"], default="right")
+    p.add_argument("--weight")
+    p.add_argument("--side", choices=["left", "right"])
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_search)
 
@@ -409,6 +425,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InputAxiomsFail as exc:
         print(f"axiom failure: {exc}", file=sys.stderr)
         if exc.report is not None:

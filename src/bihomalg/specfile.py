@@ -201,12 +201,14 @@ def _structure_kind(structure) -> str:
 
 
 def serialize(parts: dict) -> str:
-    """Inverse of parse_spec; accepts the same dict shape it returns."""
+    """Inverse of parse_spec; accepts the same dict shape it returns.  A
+    zero dimension, of the structure or of a bimodule, is refused with
+    parse_spec's own SpecFileError, so parse_spec reads back all it writes."""
     structure = parts["structure"]
     kind = _structure_kind(structure)
     doc = {
         "field": _field_block(structure.field),
-        "dim": structure.dim,
+        "dim": _positive_int(structure.dim, "dim"),
         "kind": kind,
         "tables": {name: _block(getattr(structure, name))
                    for name in KIND_TABLES[kind]},
@@ -222,7 +224,7 @@ def serialize(parts: dict) -> str:
         doc["baxter"] = {"matrix": _block(B.map), "side": B.side}
     if "bimodule" in parts:
         M = parts["bimodule"]
-        block = {"dim": M.dim,
+        block = {"dim": _positive_int(M.dim, "bimodule.dim"),
                  "alpha_M": _block(M.alpha_M),
                  "beta_M": _block(M.beta_M),
                  "left_action": _block(M.left_action),

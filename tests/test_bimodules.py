@@ -11,8 +11,9 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       evaluate_two_param_algebra, grb_hat, grb_to_dendriform,
                       grb_transpose_actions, split_null_extension, tensor2,
                       yau_twist, yau_twist_bimodule)
-from bihomalg.errors import (DimensionMismatch, InputAxiomsFail,
+from bihomalg.errors import (DimensionMismatch, InputAxiomsFail, SpecFileError,
                              TwistHypothesisViolated)
+from bihomalg.specfile import parse_spec, serialize
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
 from conftest import against_reference, raw_report
 from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
@@ -45,6 +46,21 @@ def test_zero_actions_on_the_zero_module(qx3):
     assert dims == [(3, 0, 0), (0, 3, 0)]
     assert check_bimodule(qx3, M).passed
     assert split_null_extension(qx3, M) == qx3
+
+
+def test_serialize_refuses_a_zero_dimension_with_parse_spec_s_message(qx3):
+    """serialize used to write `"dim": 0` for the zero module, a file that
+    parse_spec refuses; it now refuses first, so parse_spec reads back
+    everything serialize writes.  A zero-dimensional structure likewise."""
+    zero = LinearMap.identity(Q, 0)
+    M = BiHomBimodule.zero_actions(qx3, zero, zero)
+    with pytest.raises(SpecFileError, match=r"^bimodule\.dim: must be a positive integer$"):
+        serialize({"structure": qx3, "bimodule": M})
+    A0 = BiHomAssociativeAlgebra(Q, StructureTable.zero(Q, 0, 0, 0), zero, zero)
+    with pytest.raises(SpecFileError, match=r"^dim: must be a positive integer$"):
+        serialize({"structure": A0})
+    M1 = BiHomBimodule.regular(qx3)
+    assert parse_spec(serialize({"structure": qx3, "bimodule": M1}))["bimodule"] == M1
 
 
 def test_bimodule_shape_validation(qx3):

@@ -10,9 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomBimodule, FieldSpec, GRBOperator, LinearMap,
-                      WeakPseudotwistor, cli, rb_derive, tensor2, tensor_quadri,
-                      tridend_to_dend)
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec, GRBOperator,
+                      LinearMap, StructureTable, WeakPseudotwistor, cli, rb_derive,
+                      tensor2, tensor_quadri, tridend_to_dend)
 from bihomalg.specfile import serialize
 from conftest import integration_rb, truncated_poly_algebra
 
@@ -158,6 +158,70 @@ def test_a_json_flag_that_does_not_apply_exits_2_naming_it(argv, message, tmp_pa
     SPEC names a file that does not exist."""
     argv = [str(tmp_path / "missing.json") if a == "SPEC" else a for a in argv]
     assert run(argv) == (2, "", f"{message}\n")
+
+
+# every --via but yau, which alone takes --atilde and --btilde; every --via
+# but compose-twistor, which alone takes --mode; and the three that take a
+# second spec file
+NO_TILDES = ["rb-tridend", "rb-double", "tensor-quadri", "quadri-h", "quadri-v",
+             "split-null", "grb-dend", "rb-twistor", "compose-twistor", "pair-quadri"]
+NO_MODE = ["rb-tridend", "rb-double", "yau", "tensor-quadri", "quadri-h", "quadri-v",
+           "split-null", "grb-dend", "rb-twistor", "pair-quadri"]
+TWO_FILES = ["tensor-quadri", "compose-twistor", "pair-quadri"]
+
+
+def _derive_with(via, flag, value):
+    files = ["SPEC", "SECOND"] if via in TWO_FILES else ["SPEC"]
+    return (["derive", *files, "--via", via, flag, value], f"--via {via} takes no {flag}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(_derive_with(via, flag, '[["1"]]') for via in NO_TILDES
+      for flag in ("--atilde", "--btilde")),
+    # --mode is refused even at its default, as it was given
+    *(_derive_with(via, "--mode", mode) for via in NO_MODE
+      for mode in ("general", "commuting")),
+    (["search", "baxter", "SPEC", "--weight", "garbage"], "search baxter takes no --weight"),
+    (["search", "baxter", "SPEC", "--weight", "0"], "search baxter takes no --weight"),
+    (["search", "rb", "SPEC", "--side", "left"], "search rb takes no --side"),
+    (["search", "rb", "SPEC", "--side", "right", "--weight", "1"],
+     "search rb takes no --side"),
+    (["verify-family", "w0f2", "--mode", "symbolic", "--samples", "[]"],
+     "--mode symbolic takes no --samples"),
+])
+def test_a_flag_its_mode_does_not_take_exits_2_before_opening_a_file(argv, message,
+                                                                    tmp_path):
+    """Each was ignored, and exited 0 on a good spec file, before the
+    --mode, --weight and --side refusals; SPEC and SECOND do not exist."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("SPEC", "SECOND")}
+    assert run([paths.get(a, a) for a in argv]) == (2, "", f"{message}\n")
+
+
+def test_a_mode_flag_left_out_takes_its_default(tmp_path):
+    """Leaving out derive's --mode, or search's --weight or --side, prints the
+    bytes of general, 0 or right; the other value prints other bytes."""
+    F3 = FieldSpec.prime(3)
+    spec, q3 = write_spec(tmp_path / "a.json", F3), write_spec(tmp_path / "q.json", Q, 3)
+    o, z = F3.one(), F3.zero()
+    # e0 e0 = e0, e0 e1 = e1 and the other products 0: left and right
+    # Baxter operators differ
+    mu = StructureTable(F3, (((o, z), (z, o)), ((z, z), (z, z))))
+    ident = LinearMap.identity(F3, 2)
+    noncommutative = write_parts(tmp_path / "nc.json", {
+        "structure": BiHomAssociativeAlgebra(F3, mu, ident, ident)})
+
+    def bytes_of(argv):
+        code, out, err = run(argv)
+        return code, out, re.sub(r"elapsed [0-9.]+s", "elapsed", err)
+
+    for argv, flag, default, other in [
+            (["derive", q3, q3, "--via", "compose-twistor"], "--mode", "general",
+             "commuting"),
+            (["search", "rb", spec], "--weight", "0", "1"),
+            (["search", "baxter", noncommutative], "--side", "right", "left")]:
+        left_out = bytes_of(argv)
+        assert left_out == bytes_of(argv + [flag, default])
+        assert left_out != bytes_of(argv + [flag, other])
 
 
 @pytest.mark.parametrize("word, message", [

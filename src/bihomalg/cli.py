@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import bimodules, families, pseudotwistors, rota_baxter, search, trees
-from .errors import (BiHomAlgError, EvalSingular, IncompleteAssignment,
-                     InputAxiomsFail, SpecFileError)
+from .errors import (BiHomAlgError, BudgetExceeded, EvalSingular,
+                     IncompleteAssignment, InputAxiomsFail, SpecFileError)
 from .linalg import Vector
 from .scalars import _clip, scalar_to_str
 from .specfile import (KIND_TABLES, _block, _fail, _field_block, _matrix,
@@ -198,25 +198,18 @@ def _need(parts: dict, key: str, path: str):
     return parts[key]
 
 
-# `trees enumerate -n` refuses to list more trees than this, and
-# `trees reduce` a truncation window with more basis terms
-TREES_LIMIT = 10 ** 6
-
-
-def _tree_counts(n: int):
-    """Catalan(k - 1), the number of trees with k leaves, for k = 1, .., n."""
-    count = 1
-    for k in range(1, n + 1):
-        yield count
-        count = count * (4 * k - 2) // (k + 1)
+def _within_budget(flag: str, fn, *args):
+    """fn(*args); a BudgetExceeded refusal is a usage error naming flag."""
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        _fail(flag, str(exc))
 
 
 def cmd_trees(args) -> int:
     if args.tree_cmd == "enumerate":
         n = _positive_int(args.n, "-n")
-        if any(count > TREES_LIMIT for count in _tree_counts(n)):
-            _fail("-n", f"more than {TREES_LIMIT} trees have {n} leaves")
-        for t in trees.enumerate_trees(n):
+        for t in _within_budget("-n", trees.enumerate_trees, n):
             print(trees.serialize_tree(t))
         return 0
     if args.tree_cmd == "act":
@@ -237,19 +230,9 @@ def cmd_trees(args) -> int:
         if power < 0:
             _fail(flag, "must be a non-negative integer")
     doc, x = _load(args.element_file, _parse_element)
-    # The window's basis: with n leaves, Catalan(n - 1) shapes, an (alpha,
-    # beta) power pair per leaf, an R power per vertex, a generator per leaf.
-    # The reducer walks the shapes and powers even at rank 0.
-    size = 0
-    for n, shapes in enumerate(_tree_counts(leaves), 1):
-        size += (shapes * (args.max_ab + 1) ** (2 * n)
-                 * (args.max_r + 1) ** (2 * n - 1) * max(x.rank, 1) ** n)
-        if size > TREES_LIMIT:
-            _fail("--max-leaves",
-                  f"the window spans more than {TREES_LIMIT} basis terms")
     bounds = {"max_leaves": leaves, "max_ab_power": args.max_ab,
               "max_r_power": args.max_r}
-    reduced = trees.truncated_ideal_reduce(x, bounds)
+    reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
     out = [{"tree": trees.serialize_tree(tree), "word": list(word),
             "coeff": scalar_to_str(c)}
            for tree, word, c in

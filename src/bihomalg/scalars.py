@@ -408,9 +408,9 @@ def _tokenize(text: str):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c in "0123456789":  # not str.isdigit, which takes '²' and '٣'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j

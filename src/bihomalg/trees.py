@@ -20,11 +20,11 @@ unboxes on write.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 
-from .errors import (BoundsExceeded, Indecomposable, InvalidArity,
-                     WrongAugmentation)
+from .errors import (BoundsExceeded, BudgetExceeded, Indecomposable,
+                     InvalidArity, WrongAugmentation)
 from .linalg import Vector, _raw
 from .scalars import FieldSpec, Scalar
 
@@ -55,30 +55,58 @@ class PlanarBinaryTree:
 
 LEAF = PlanarBinaryTree()
 
+# enumerate_trees refuses to list more trees than this, and
+# TruncatedIdealReducer a truncation window with more basis terms
+TREES_LIMIT = 10 ** 6
+
+
+def _tree_counts(n: int):
+    """Catalan(k - 1), the number of trees with k leaves, for k = 1, .., n."""
+    count = 1
+    for k in range(1, n + 1):
+        yield count
+        count = count * (4 * k - 2) // (k + 1)
+
 
 def enumerate_trees(n: int) -> list[PlanarBinaryTree]:
     """All planar binary trees with n leaves, ordered recursively by the
-    split point p = 1 .. n-1 (left subtree takes p leaves)."""
+    split point p = 1 .. n-1 (left subtree takes p leaves).  BudgetExceeded
+    refuses an n with more than TREES_LIMIT trees."""
     if not isinstance(n, int) or n < 1:
         raise InvalidArity(f"tree arity must be a positive integer, got {n!r}")
+    if any(count > TREES_LIMIT for count in _tree_counts(n)):
+        raise BudgetExceeded(f"more than {TREES_LIMIT} trees have {n} leaves")
+    return _enumerate(n)
+
+
+def _enumerate(n: int) -> list[PlanarBinaryTree]:
     if n == 1:
         return [LEAF]
     out = []
     for p in range(1, n):
-        rights = enumerate_trees(n - p)
-        for t1 in enumerate_trees(p):
+        rights = _enumerate(n - p)
+        for t1 in _enumerate(p):
             out.extend(PlanarBinaryTree(t1, t2) for t2 in rights)
     return out
 
 
 @dataclass(frozen=True)
-class BAugTree:
+class _AugTree:
+    """The base of both augmented kinds: a shape with an (alpha, beta) power
+    pair on each leaf, left to right.  Its __post_init__ also checks the
+    vertex powers of a kind that has them (`_has_vertex_powers`, a class
+    attribute, not a field), so that a construction, which graft makes once
+    per product, makes one check call."""
+
     tree: PlanarBinaryTree
     leaf_powers: tuple[tuple[int, int], ...]
+    _has_vertex_powers = False
 
     def __post_init__(self):
         if len(self.leaf_powers) != self.tree.leaves:
             raise ValueError("leaf_powers length must equal the leaf count")
+        if self._has_vertex_powers and len(self.vertex_powers) != self.tree.vertices:
+            raise ValueError("vertex_powers length must equal the vertex count")
 
     @property
     def leaves(self) -> int:
@@ -86,23 +114,17 @@ class BAugTree:
 
 
 @dataclass(frozen=True)
-class RBAugTree:
+class BAugTree(_AugTree):
+    """A tree with leaf powers only."""
+
+
+@dataclass(frozen=True)
+class RBAugTree(_AugTree):
     """vertex_powers lists one power per vertex in preorder (root, then the
     left subtree's vertices, then the right subtree's)."""
 
-    tree: PlanarBinaryTree
-    leaf_powers: tuple[tuple[int, int], ...]
     vertex_powers: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.leaf_powers) != self.tree.leaves:
-            raise ValueError("leaf_powers length must equal the leaf count")
-        if len(self.vertex_powers) != self.tree.vertices:
-            raise ValueError("vertex_powers length must equal the vertex count")
-
-    @property
-    def leaves(self) -> int:
-        return self.tree.leaves
+    _has_vertex_powers = True
 
     @property
     def root_power(self) -> int:
@@ -112,20 +134,11 @@ class RBAugTree:
 AugTree = BAugTree | RBAugTree
 
 
-def _vertex_powers(t: AugTree) -> tuple[int, ...] | None:
-    """The vertex powers of an RB-augmented tree, None for a B-augmented one."""
-    if isinstance(t, RBAugTree):
-        return t.vertex_powers
-    if isinstance(t, BAugTree):
-        return None
-    raise WrongAugmentation(f"{type(t).__name__} is not an augmented tree")
-
-
-def _aug_tree(tree, leaf_powers, vertex_powers) -> AugTree:
-    """The B-augmented tree when vertex_powers is None, else the RB one."""
-    if vertex_powers is None:
-        return BAugTree(tree, leaf_powers)
-    return RBAugTree(tree, leaf_powers, vertex_powers)
+def _augmented(t: AugTree) -> AugTree:
+    """t, refused with WrongAugmentation unless it is an augmented tree."""
+    if not isinstance(t, _AugTree):
+        raise WrongAugmentation(f"{type(t).__name__} is not an augmented tree")
+    return t
 
 
 def graft(t1: AugTree | PlanarBinaryTree, t2) -> AugTree | PlanarBinaryTree:
@@ -135,43 +148,40 @@ def graft(t1: AugTree | PlanarBinaryTree, t2) -> AugTree | PlanarBinaryTree:
             f"cannot graft {type(t1).__name__} with {type(t2).__name__}")
     if isinstance(t1, PlanarBinaryTree):
         return PlanarBinaryTree(t1, t2)
-    vps = _vertex_powers(t1)
-    if vps is not None:
-        vps = (0,) + vps + t2.vertex_powers
-    return _aug_tree(PlanarBinaryTree(t1.tree, t2.tree),
-                     t1.leaf_powers + t2.leaf_powers, vps)
+    tree = PlanarBinaryTree(_augmented(t1).tree, t2.tree)
+    if isinstance(t1, RBAugTree):
+        return RBAugTree(tree, t1.leaf_powers + t2.leaf_powers,
+                         (0,) + t1.vertex_powers + t2.vertex_powers)
+    return BAugTree(tree, t1.leaf_powers + t2.leaf_powers)
 
 
 def decompose(t):
     """Split at the root.  Returns (p, q, t1, t2) for plain and B-augmented
     trees, and (p, q, s, t1, t2) for RB-augmented trees where s is the root
     power (so tree_R applied s times to graft(t1, t2) reconstructs t)."""
-    plain = isinstance(t, PlanarBinaryTree)
-    vps = None if plain else _vertex_powers(t)
-    shape = t if plain else t.tree
+    shape = t if isinstance(t, PlanarBinaryTree) else _augmented(t).tree
     if shape.is_leaf:
         raise Indecomposable("a single leaf has no root split")
     left, right = shape.left, shape.right
     p, q = left.leaves, right.leaves
-    if plain:
+    if shape is t:  # a plain tree
         return p, q, left, right
-    nv = 1 + left.vertices
-    lv, rv = (None, None) if vps is None else (vps[1:nv], vps[nv:])
-    t1 = _aug_tree(left, t.leaf_powers[:p], lv)
-    t2 = _aug_tree(right, t.leaf_powers[p:], rv)
-    return (p, q, t1, t2) if vps is None else (p, q, vps[0], t1, t2)
+    lp = t.leaf_powers
+    if isinstance(t, BAugTree):
+        return p, q, BAugTree(left, lp[:p]), BAugTree(right, lp[p:])
+    vps, nv = t.vertex_powers, 1 + left.vertices
+    return (p, q, vps[0], RBAugTree(left, lp[:p], vps[1:nv]),
+            RBAugTree(right, lp[p:], vps[nv:]))
 
 
 def tree_alpha(t: AugTree) -> AugTree:
     """Add 1 to the first component of every leaf power pair."""
-    vps = _vertex_powers(t)
-    return _aug_tree(t.tree, tuple((a + 1, b) for a, b in t.leaf_powers), vps)
+    return replace(t, leaf_powers=tuple((a + 1, b) for a, b in _augmented(t).leaf_powers))
 
 
 def tree_beta(t: AugTree) -> AugTree:
     """Add 1 to the second component of every leaf power pair."""
-    vps = _vertex_powers(t)
-    return _aug_tree(t.tree, tuple((a, b + 1) for a, b in t.leaf_powers), vps)
+    return replace(t, leaf_powers=tuple((a, b + 1) for a, b in _augmented(t).leaf_powers))
 
 
 def tree_R(t: RBAugTree) -> RBAugTree:
@@ -179,8 +189,7 @@ def tree_R(t: RBAugTree) -> RBAugTree:
     1-tree)."""
     if not isinstance(t, RBAugTree):
         raise WrongAugmentation("tree_R needs an RB-augmented tree")
-    vp = (t.vertex_powers[0] + 1,) + t.vertex_powers[1:]
-    return RBAugTree(t.tree, t.leaf_powers, vp)
+    return replace(t, vertex_powers=(t.root_power + 1,) + t.vertex_powers[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +203,7 @@ def serialize_tree(t) -> str:
     (the constructors do not check, as the reducer builds many trees)."""
     if isinstance(t, PlanarBinaryTree):
         return _ser(t, None, None)
-    vps = _vertex_powers(t)
+    vps = t.vertex_powers if isinstance(_augmented(t), RBAugTree) else None
     for kind, powers in (("leaf", [p for pair in t.leaf_powers for p in pair]),
                          ("vertex", vps or ())):
         if powers and min(powers) < 0:
@@ -235,7 +244,9 @@ class _TreeParser:
 
     def integer(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits alone: str.isdigit also takes '²', which int() refuses,
+        # and '٣', which int() reads as 3
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -333,8 +344,9 @@ class _Terms(MutableMapping):
         return repr(dict(self.items()))
 
 
-def _same_basis(x: "FreeElement", y: "FreeElement") -> None:
-    """Refuse free elements over different fields or ranks."""
+def _same_basis(x, y) -> None:
+    """Refuse free elements (or a reducer and an element) over different
+    fields or ranks."""
     if (x.field is not y.field and x.field != y.field) or x.rank != y.rank:
         raise ValueError("free elements live over different bases")
 
@@ -501,27 +513,25 @@ def action_eval(t, elements: list[Vector], A, R=None) -> Vector:
         raise ValueError("a B-augmented tree takes no Rota-Baxter operator")
     if len(elements) != t.leaves:
         raise ValueError("element count must equal the leaf count")
-    rmap = None if R is None else R.map
-    vps = t.vertex_powers if is_rb else (0,) * t.tree.vertices
-    value, i, v = _act(t.tree, t.leaf_powers, vps, elements, A, rmap, 0, 0)
-    return value
+    vps = iter(t.vertex_powers) if is_rb else repeat(0)
+    return _act(t.tree, iter(t.leaf_powers), vps, iter(elements), A,
+                None if R is None else R.map)
 
 
-def _act(node, powers, vps, elements, A, rmap, i, v):
-    f = vps[v]
+def _act(node, powers, vps, elements, A, rmap):
+    """The preorder walk of _ser: powers yields the leaf pairs and elements
+    the leaf arguments left to right, vps the vertex powers (zeros on a
+    B-augmented tree).  A leaf applies alpha^a, then beta^b, to its element
+    and a node mu to its children's values; then either applies R^f when
+    its vertex power f is not 0."""
+    f = next(vps)
     if node.is_leaf:
-        a, b = powers[i]
-        x = A.alpha.power(a).apply(elements[i])
-        x = A.beta.power(b).apply(x)
-        if f:
-            x = rmap.power(f).apply(x)
-        return x, i + 1, v + 1
-    lx, i, v2 = _act(node.left, powers, vps, elements, A, rmap, i, v + 1)
-    rx, i, v3 = _act(node.right, powers, vps, elements, A, rmap, i, v2)
-    x = A.mu.apply(lx, rx)
-    if f:
-        x = rmap.power(f).apply(x)
-    return x, i, v3
+        a, b = next(powers)
+        x = A.beta.power(b).apply(A.alpha.power(a).apply(next(elements)))
+    else:
+        lx = _act(node.left, powers, vps, elements, A, rmap)
+        x = A.mu.apply(lx, _act(node.right, powers, vps, elements, A, rmap))
+    return rmap.power(f).apply(x) if f else x
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +603,10 @@ class _Eliminator:
 
 class TruncatedIdealReducer:
     """Precomputed reduction basis for the associativity ideal inside a fixed
-    truncation window; build once, reduce many elements.
+    truncation window; build once, reduce many elements.  BudgetExceeded
+    refuses a window of more than TREES_LIMIT basis terms before the build,
+    and `reduce` refuses an element over another field or rank with
+    ValueError, and one outside the window with BoundsExceeded.
 
     The ideal is generated by mu(mu(t1,t2), beta(t3)) - mu(alpha(t1),
     mu(t2,t3)) and closed under the two tree maps and grafting on either
@@ -637,6 +650,15 @@ class TruncatedIdealReducer:
         self.field = field
         self.rank = rank
         max_leaves, max_ab = bounds["max_leaves"], bounds["max_ab_power"]
+        # The window's basis: with n leaves, Catalan(n - 1) shapes, an (alpha,
+        # beta) power pair per leaf, an R power per vertex, a generator per
+        # leaf.  The build walks the shapes and powers even at rank 0.
+        size = 0
+        for n, shapes in enumerate(_tree_counts(max_leaves), 1):
+            size += (shapes * (max_ab + 1) ** (2 * n)
+                     * (bounds["max_r_power"] + 1) ** (2 * n - 1) * max(rank, 1) ** n)
+            if size > TREES_LIMIT:
+                raise BudgetExceeded(f"the window spans more than {TREES_LIMIT} basis terms")
         # Seeds read n <= max_leaves - 2; closure reads n <= max_leaves - 3,
         # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
@@ -674,6 +696,7 @@ class TruncatedIdealReducer:
         self._elim = elim
 
     def reduce(self, x: FreeElement) -> FreeElement:
+        _same_basis(self, x)
         if not _element_fits(x, self.bounds):
             raise BoundsExceeded("element does not fit within the stated bounds")
         return self._elim.reduce(x)

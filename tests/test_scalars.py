@@ -358,3 +358,16 @@ def test_rational_function_field_clips_a_bad_parameter_name():
     with pytest.raises(ValueError, match="bad parameter name") as info:
         FieldSpec.rational_function("a b" * 3000)
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("text, char, pos", [
+    ("²", "²", 0), ("٣", "٣", 0), ("1٣", "٣", 1), ("2/²", "²", 2),
+])
+def test_scalar_literals_take_ascii_digits_only(text, char, pos):
+    """str.isdigit takes '²', which int() refuses, and '٣', which it reads as
+    3; the tokenizer reads ASCII digits alone."""
+    for field in (FieldSpec.rational(), FieldSpec.prime(5),
+                  FieldSpec.rational_function("a")):
+        with pytest.raises(ValueError,
+                           match=f"^bad character '{char}' in scalar literal at {pos}$"):
+            parse_scalar(field, text)

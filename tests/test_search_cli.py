@@ -14,7 +14,7 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       parse_spec, quadri_projections, rb_dendriform_to_quadri,
                       rb_derive, rb_double_product, search, serialize,
                       split_null_extension, tensor2, tensor_quadri,
-                      tridend_to_dend)
+                      trees, tridend_to_dend)
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded, FieldMismatch
 from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
@@ -729,3 +729,41 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
 def test_cli_replays_the_benchmark_goldens(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (BENCH / "golden" / f"cli_{name}.out").read_text()
+
+
+# a non-ASCII digit in a tree or scalar literal: '²' was passed to int(),
+# which leaked its own message, and '٣' was read as 3
+NON_ASCII_DIGITS = {
+    "tree-superscript": (["trees", "act", "L[²,0]", "SPEC", '[["1", "0"]]'],
+                         "error: tree: tree syntax error at 2: expected an integer\n"),
+    "tree-arabic-indic": (["trees", "act", "L[٣,0]", "SPEC", '[["1", "0"]]'],
+                          "error: tree: tree syntax error at 2: expected an integer\n"),
+    "weight-superscript": (["search", "rb", "SPEC", "--weight", "²"],
+                           "error: --weight: bad scalar literal '²': "
+                           "bad character '²' in scalar literal at 0\n"),
+    "weight-arabic-indic": (["search", "rb", "SPEC", "--weight", "1٣"],
+                            "error: --weight: bad scalar literal '1٣': "
+                            "bad character '٣' in scalar literal at 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_ASCII_DIGITS))
+def test_cli_literals_take_ascii_digits_only(case, tmp_path, capsys, qx2):
+    argv, err = NON_ASCII_DIGITS[case]
+    argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_cli_maps_the_library_budget_refusals_to_exit_2(tmp_path, capsys, monkeypatch):
+    """The trees budgets live in bihomalg.trees; the CLI names the flag."""
+    monkeypatch.setattr(trees, "TREES_LIMIT", 14)
+    assert main(["trees", "enumerate", "-n", "6"]) == 2
+    assert capsys.readouterr() == ("", "error: -n: more than 14 trees have 6 leaves\n")
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"field": {"kind": "rational"}, "rank": 1, "terms": []}))
+    # (2, 1, 0) at rank 1: 1·4·1 + 1·16·1 = 20 basis terms
+    assert main(["trees", "reduce", str(element), "--max-leaves", "2",
+                 "--max-ab", "1", "--max-r", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --max-leaves: the window spans more than 14 basis terms\n")

@@ -10,8 +10,8 @@ from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, PlanarBinaryTree,
                       decompose, enumerate_trees, free_alpha, free_beta,
                       free_multiply, free_R, graft, parse_tree, serialize_tree,
                       tree_R, tree_alpha, tree_beta, trees)
-from bihomalg.errors import (BoundsExceeded, FieldMismatch, Indecomposable,
-                             InvalidArity, WrongAugmentation)
+from bihomalg.errors import (BoundsExceeded, BudgetExceeded, FieldMismatch,
+                             Indecomposable, InvalidArity, WrongAugmentation)
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -779,3 +779,146 @@ def test_a_zero_coefficient_is_no_term(field):
     y.terms[other_key] = (other, (0,), field.zero())
     y.terms[leaf_key] = (X_LEAF, (0,), zero)
     assert y.is_zero() and not y.terms and y == FreeElement.zero(field, 1)
+
+
+# ---------------------------------------------------------------------------
+# The augmented-tree records, the trees budgets and the literal digits
+# ---------------------------------------------------------------------------
+
+CHERRY = PlanarBinaryTree(LEAF, LEAF)
+B_CHERRY = BAugTree(CHERRY, ((0, 1), (2, 0)))
+RB_CHERRY = RBAugTree(CHERRY, ((0, 1), (2, 0)), (1, 0, 2))
+
+
+def test_augmented_tree_reprs_are_unchanged():
+    shape = ("tree=PlanarBinaryTree(left=PlanarBinaryTree(left=None, right=None), "
+             "right=PlanarBinaryTree(left=None, right=None)), "
+             "leaf_powers=((0, 1), (2, 0))")
+    assert repr(B_CHERRY) == f"BAugTree({shape})"
+    assert repr(RB_CHERRY) == f"RBAugTree({shape}, vertex_powers=(1, 0, 2))"
+
+
+def test_augmented_trees_compare_and_hash_by_kind_and_fields():
+    b = BAugTree(graft(LEAF, LEAF), ((0, 1), (2, 0)))
+    rb = RBAugTree(graft(LEAF, LEAF), ((0, 1), (2, 0)), (1, 0, 2))
+    assert b == B_CHERRY and hash(b) == hash(B_CHERRY) == hash((CHERRY, b.leaf_powers))
+    assert rb == RB_CHERRY and hash(rb) == hash((CHERRY, rb.leaf_powers, (1, 0, 2)))
+    assert rb != RBAugTree(CHERRY, rb.leaf_powers, (0, 0, 2))
+    assert b != BAugTree(CHERRY, ((0, 1), (2, 1)))
+    # the two kinds never meet, even on the same shape and leaf powers
+    same = RBAugTree(CHERRY, b.leaf_powers, (0, 0, 0))
+    assert b != same and same != b and len({b, same}) == 2
+    assert not isinstance(b, RBAugTree) and not isinstance(same, BAugTree)
+    assert not hasattr(b, "vertex_powers")
+    assert [f.name for f in dataclasses.fields(BAugTree)] == ["tree", "leaf_powers"]
+    assert [f.name for f in dataclasses.fields(RBAugTree)] == [
+        "tree", "leaf_powers", "vertex_powers"]
+    for t in (b, rb):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and type(back) is type(t)
+
+
+def test_augmented_tree_length_refusals_leaf_first():
+    leaf = "^leaf_powers length must equal the leaf count$"
+    vertex = "^vertex_powers length must equal the vertex count$"
+    for make, message in ((lambda: BAugTree(CHERRY, ((0, 0),)), leaf),
+                          (lambda: RBAugTree(CHERRY, ((0, 0),), (0,)), leaf),
+                          (lambda: RBAugTree(CHERRY, ((0, 0),) * 2, (0,)), vertex),
+                          (lambda: RBAugTree(LEAF, ((0, 0),), (0, 0)), vertex)):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_augmented_trees_are_frozen():
+    for t in (B_CHERRY, RB_CHERRY):
+        for name in ("tree", "leaf_powers", "vertex_powers", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.tree
+    assert RB_CHERRY.vertex_powers == (1, 0, 2) and not hasattr(B_CHERRY, "other")
+
+
+def test_tree_maps_keep_the_kind_and_refuse_other_values():
+    assert tree_alpha(B_CHERRY) == BAugTree(CHERRY, ((1, 1), (3, 0)))
+    assert tree_beta(RB_CHERRY) == RBAugTree(CHERRY, ((0, 2), (2, 1)), (1, 0, 2))
+    assert tree_R(RB_CHERRY) == RBAugTree(CHERRY, RB_CHERRY.leaf_powers, (2, 0, 2))
+    for op in (tree_alpha, tree_beta, decompose, serialize_tree):
+        with pytest.raises(WrongAugmentation, match="^int is not an augmented tree$"):
+            op(3)
+    with pytest.raises(WrongAugmentation, match="^int is not an augmented tree$"):
+        graft(3, 4)
+    with pytest.raises(WrongAugmentation, match="needs an RB-augmented tree"):
+        tree_R(B_CHERRY)
+
+
+def test_enumerate_trees_refuses_past_the_limit_without_building():
+    assert trees.TREES_LIMIT == 10 ** 6
+    # Catalan(14) = 2674440 trees have 15 leaves; the count stops at the
+    # first past the limit, so a huge n is refused as fast
+    for n in (15, 40, 10 ** 9):
+        with pytest.raises(BudgetExceeded,
+                           match=f"^more than 1000000 trees have {n} leaves$"):
+            enumerate_trees(n)
+    with pytest.raises(InvalidArity):
+        enumerate_trees(0)
+
+
+def test_enumerate_trees_checks_the_limit_once_per_public_call(monkeypatch):
+    monkeypatch.setattr(trees, "TREES_LIMIT", 14)
+    public, calls = trees.enumerate_trees, []
+
+    def counting(n):
+        calls.append(n)
+        return public(n)
+    monkeypatch.setattr(trees, "enumerate_trees", counting)
+    assert trees.enumerate_trees(5) == ref_enumerate_trees(5)
+    assert calls == [5]
+    with pytest.raises(BudgetExceeded, match="^more than 14 trees have 6 leaves$"):
+        trees.enumerate_trees(6)
+
+
+def test_reducer_refuses_a_window_past_the_limit_before_building(monkeypatch):
+    assert trees.TREES_LIMIT == 10 ** 6
+
+    def never(*args):
+        raise AssertionError("the refused window was built")
+    monkeypatch.setattr(trees, "_bounded_generators", never)
+    # (6, 1, 1) spans 359,829,640 basis terms at rank 1; at rank 0 a
+    # generator still counts once per shape and powers
+    message = "^the window spans more than 1000000 basis terms$"
+    for rank, bounds in ((1, window(6, 1, 1)), (1, window(10 ** 9, 1, 1)),
+                         (0, window(20, 0, 0)), (3, window(4, 1, 1))):
+        with pytest.raises(BudgetExceeded, match=message):
+            TruncatedIdealReducer(Q, rank, bounds)
+    with pytest.raises(BudgetExceeded, match=message):
+        trees.truncated_ideal_reduce(FreeElement.zero(Q, 1), window(6, 1, 1))
+
+
+def test_reducer_window_limit_counts_every_basis_term(monkeypatch, window_311):
+    # (3, 1, 1) at rank 1: 1·4·2 + 1·16·8 + 2·64·32 = 4232 basis terms
+    monkeypatch.setattr(trees, "TREES_LIMIT", 4231)
+    with pytest.raises(BudgetExceeded, match="more than 4231 basis terms"):
+        TruncatedIdealReducer(Q, 1, window_311)
+    monkeypatch.setattr(trees, "TREES_LIMIT", 4232)
+    assert TruncatedIdealReducer(Q, 1, window_311).reduce(FreeElement.zero(Q, 1)).is_zero()
+
+
+@pytest.mark.parametrize("other", [
+    FreeElement.generator(Q, 2, RBAugTree(LEAF, ((0, 0),), (0,)), (1,)),
+    FreeElement.generator(F5, 1, X_LEAF, (0,)),
+    FreeElement.zero(F5, 1),
+], ids=["rank", "field", "zero"])
+def test_reduce_refuses_an_element_over_another_basis(reducer_311, other):
+    """Before, such an element came back unreduced unless a term key met a
+    pivot."""
+    with pytest.raises(ValueError, match="^free elements live over different bases$"):
+        reducer_311.reduce(other)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("L[²,0]", 2), ("L[٣,0]", 2), ("L[0,0;²]", 6), ("(L L){٣}", 6), ("L[1٣,0]", 3),
+])
+def test_tree_literals_take_ascii_digits_only(text, pos):
+    with pytest.raises(ValueError, match=f"^tree syntax error at {pos}: "):
+        parse_tree(text)

@@ -198,12 +198,13 @@ def _need(parts: dict, key: str, path: str):
     return parts[key]
 
 
-def _within_budget(flag: str, fn, *args):
-    """fn(*args); a BudgetExceeded refusal is a usage error naming flag."""
+def _within_budget(name: str, fn, *args):
+    """fn(*args); a BudgetExceeded refusal is a usage error naming name, the
+    flag or environment variable that sets the budget."""
     try:
         return fn(*args)
     except BudgetExceeded as exc:
-        _fail(flag, str(exc))
+        _fail(name, str(exc))
 
 
 def cmd_trees(args) -> int:
@@ -288,11 +289,12 @@ def cmd_search(args) -> int:
     _mode_flags(args)
     jobs = _positive_int(args.jobs, "--jobs")
     A = _structure(_load(args.spec, parse_spec), args.spec, "assoc", "search")
+    # a Rota-Baxter search takes a weight, a Baxter one a side
     if args.what == "rb":
-        weight = _scalar(A.field, args.weight, "--weight")
-        result = search.enumerate_rb(A, weight, jobs=jobs)
+        find, arg = search.enumerate_rb, _scalar(A.field, args.weight, "--weight")
     else:
-        result = search.enumerate_baxter(A, args.side, jobs=jobs)
+        find, arg = search.enumerate_baxter, args.side
+    result = _within_budget(search.BUDGET_ENV_VAR, find, A, arg, jobs)
     for m in result.operators:
         print(json.dumps(_block(m)))
     print(f"examined {result.examined}, found {result.found}, "

@@ -15,8 +15,6 @@ from .rota_baxter import RBOperator, check_rota_baxter
 from .scalars import FieldSpec, Scalar
 from .structures import BiHomAssociativeAlgebra, CheckReport
 
-FAMILY_IDS = ("w0f1", "w0f2", "w1f1", "w1f2", "w1f3", "w1f4")
-
 SYMBOLIC_FIELD = FieldSpec.rational_function("a", "b", "r", "r1", "r2")
 
 
@@ -42,38 +40,38 @@ def symbolic_two_param_algebra() -> BiHomAssociativeAlgebra:
     return two_param_algebra(f, f.parameter("a"), f.parameter("b"))
 
 
+# by family id: its weight (0 or 1), the parameters it reads, and its
+# matrix built from one, zero and those parameters
+_FAMILIES = {
+    "w0f1": (0, ("r",), lambda one, zero, r: ((zero, r), (zero, zero))),
+    "w0f2": (0, ("r1", "r2"),
+             lambda one, zero, r1, r2: ((r1, -(r1 * r1) / r2), (r2, -r1))),
+    "w1f1": (1, ("r",), lambda one, zero, r: ((-one, r), (zero, zero))),
+    "w1f2": (1, ("r",), lambda one, zero, r: ((zero, r), (zero, -one))),
+    "w1f3": (1, (), lambda one, zero: ((-one, zero), (zero, -one))),
+    "w1f4": (1, ("r1", "r2"), lambda one, zero, r1, r2: (
+        (r1, -(r1 * (r1 + one)) / r2), (r2, -(r1 + one)))),
+}
+
+FAMILY_IDS = tuple(_FAMILIES)
+
+
 def rb_family(family_id: str, field: FieldSpec, r: Scalar | None = None,
               r1: Scalar | None = None, r2: Scalar | None = None) -> RBOperator:
     """One of the six built-in parametric Rota-Baxter operators on the
     2-dimensional algebra; pass r for the single-parameter families and
     (r1, r2) for w0f2 / w1f4 (r2 nonzero)."""
     one, zero = field.one(), field.zero()
-    if family_id in ("w0f1", "w0f2"):
-        weight = zero
-    elif family_id in ("w1f1", "w1f2", "w1f3", "w1f4"):
-        weight = one
-    else:
+    if family_id not in FAMILY_IDS:
         raise ValueError(f"unknown family {family_id!r}; pick one of {FAMILY_IDS}")
-    if family_id in ("w0f2", "w1f4"):
-        if r1 is None or r2 is None:
-            raise ValueError(f"family {family_id} needs r1 and r2")
-        if r2.is_zero():
-            raise ZeroDivisionError("the parameter r2 must be nonzero")
-    elif family_id != "w1f3" and r is None:
-        raise ValueError(f"family {family_id} needs r")
-    if family_id == "w0f1":
-        entries = ((zero, r), (zero, zero))
-    elif family_id == "w0f2":
-        entries = ((r1, -(r1 * r1) / r2), (r2, -r1))
-    elif family_id == "w1f1":
-        entries = ((-one, r), (zero, zero))
-    elif family_id == "w1f2":
-        entries = ((zero, r), (zero, -one))
-    elif family_id == "w1f3":
-        entries = ((-one, zero), (zero, -one))
-    else:  # w1f4
-        entries = ((r1, -(r1 * (r1 + one)) / r2), (r2, -(r1 + one)))
-    return RBOperator(LinearMap(field, entries), weight)
+    weight, names, entries = _FAMILIES[family_id]
+    params = [{"r": r, "r1": r1, "r2": r2}[name] for name in names]
+    if any(x is None for x in params):
+        raise ValueError(f"family {family_id} needs {' and '.join(names)}")
+    if "r2" in names and r2.is_zero():
+        raise ZeroDivisionError("the parameter r2 must be nonzero")
+    return RBOperator(LinearMap(field, entries(one, zero, *params)),
+                      one if weight else zero)
 
 
 def symbolic_rb_family(family_id: str) -> RBOperator:
@@ -100,8 +98,7 @@ def evaluate_two_param_algebra(assignment: dict[str, Fraction]) -> BiHomAssociat
 
 def evaluate_rb_family(family_id: str, assignment: dict[str, Fraction]) -> RBOperator:
     R = symbolic_rb_family(family_id)
-    weight = R.weight.evaluate(assignment) if not R.weight.is_zero() \
-        else FieldSpec.rational().zero()
+    weight = R.weight.evaluate(assignment)  # Q's zero at weight 0
     return RBOperator(_evaluated(R.map, assignment), weight)
 
 

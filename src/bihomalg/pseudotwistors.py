@@ -14,8 +14,8 @@ from .errors import DimensionMismatch, HypothesisViolated
 from .linalg import LinearMap, StructureTable, tensor2, tensor3
 from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
                           _require_rb)
-from .structures import (BiHomAssociativeAlgebra, CheckReport,
-                         DEFAULT_VIOLATION_CAP, _check_axioms, _commutes, require)
+from .structures import (BiHomAssociativeAlgebra, CheckReport, DEFAULT_VIOLATION_CAP,
+                         _check_axioms, _commutes, _refuse, require)
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,7 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
     if mode == "general":
         mu_t = mats["mu"][0].compose(Tw.T)
         mats.update(mu_T=(mu_t, (n, n)), mu_TD=(mu_t.compose(Dw.T), (n, n)))
-    probe = _check_axioms(mats, COMPOSE_HYPOTHESES[mode], CheckReport(cap=1))
-    if not probe.passed:
-        raise HypothesisViolated(probe.failed_axioms()[0])
+    _refuse(mats, COMPOSE_HYPOTHESES[mode], HypothesisViolated)
     return WeakPseudotwistor(Tw.T.compose(Dw.T),
                              Tw.companion.compose(Dw.companion), ident, ident)
 

@@ -98,17 +98,19 @@ def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable
     return _inner_table(A.mu, R.map, ("left", "right"), R.weight)
 
 
-def _check_rb_type(rep: CheckReport, ops, P: LinearMap, terms, weight=None,
+def _check_rb_type(S, cap: int, ops, P: LinearMap, terms, weight=None,
                    swap: bool = False) -> CheckReport:
-    """Check, for each (tag, op) of ops, the row op(P(x), P(y)) ==
-    P(inner(x, y)) into rep, inner the sum that _inner_table(op, P, terms,
-    weight) builds; swap puts P(inner) on the left.
+    """The report, logging up to cap violations, of the row op(P(x), P(y))
+    == P(inner(x, y)) for each (tag, op) of ops, operations of S, inner the
+    sum that _inner_table(op, P, terms, weight) builds; swap puts P(inner)
+    on the left.  A P that does not match S's dimension is refused.
 
     Over Q and F_p, whose values have one form, the sides are the matrix
     chains op o (P (x) P) and P o op o K, K = _inner_map(P, terms, weight),
     read by compose and tensor2.  Over Q(params) both are built by the table
     ops, whose unreduced forms are the ones a violation prints: compose
     skips the zero products that the table ops include."""
+    _match(S, P)
     n = P.rows
     if P.field.kind == RATIONAL_FUNCTION:
         mats, rows = {}, []
@@ -125,14 +127,13 @@ def _check_rb_type(rep: CheckReport, ops, P: LinearMap, terms, weight=None,
             rows.append((tag, (tag, ("P", "P")), ("P", tag, "K")))
     if swap:
         rows = [(tag, rhs, lhs) for tag, lhs, rhs in rows]
-    return _check_axioms(mats, rows, rep)
+    return _check_axioms(mats, rows, CheckReport(cap=cap))
 
 
 def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP) -> CheckReport:
     """The Rota-Baxter identity part of check_rota_baxter."""
-    _match(A, R.map)
-    return _check_rb_type(CheckReport(cap=cap), [("rota_baxter", A.mu)], R.map,
-                          ("left", "right"), R.weight)
+    return _check_rb_type(A, cap, [("rota_baxter", A.mu)], R.map, ("left", "right"),
+                          R.weight)
 
 
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -175,9 +176,8 @@ def rb_derive(A: BiHomAssociativeAlgebra, R: RBOperator,
 def check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
                                   cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x * y) == R(x)R(y) where * is the Rota-Baxter double product."""
-    _match(A, R.map)
-    return _check_rb_type(CheckReport(cap=cap), [("double_product_morphism", A.mu)],
-                          R.map, ("left", "right"), R.weight, swap=True)
+    return _check_rb_type(A, cap, [("double_product_morphism", A.mu)], R.map,
+                          ("left", "right"), R.weight, swap=True)
 
 
 def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -194,12 +194,11 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
     """Weight-0 Rota-Baxter identity for both dendriform halves:
     R(x) <> R(y) == R( x <> R(y) + R(x) <> y ), together with commutation
     of R with alpha and beta (part of the definition here)."""
-    _match(D, R.map)
+    _match(D, R.map)  # a mismatch is refused before a nonzero weight
     if not R.weight.is_zero():
         raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
-    rep = _check_rb_type(CheckReport(cap=cap), [("rb_dendriform_succ", D.succ),
-                                                ("rb_dendriform_prec", D.prec)],
-                         R.map, ("right", "left"))
+    ops = [("rb_dendriform_succ", D.succ), ("rb_dendriform_prec", D.prec)]
+    rep = _check_rb_type(D, cap, ops, R.map, ("right", "left"))
     n = D.dim
     mats = {"R": (R.map, (n,)), "alpha": (D.alpha, (n,)), "beta": (D.beta, (n,))}
     return _check_axioms(mats, [_commutes("commutes_alpha", "R", "alpha"),
@@ -244,10 +243,8 @@ def commuting_pair_quadri(A: BiHomAssociativeAlgebra, R: RBOperator,
 def check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """Right: P(a)P(b) == P(P(a)b).  Left: Q(a)Q(b) == Q(aQ(b))."""
-    _match(A, B.map)
     inner = "left" if B.side == "right" else "right"
-    return _check_rb_type(CheckReport(cap=cap), [(f"{B.side}_baxter", A.mu)], B.map,
-                          (inner,))
+    return _check_rb_type(A, cap, [(f"{B.side}_baxter", A.mu)], B.map, (inner,))
 
 
 def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,

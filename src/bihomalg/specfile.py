@@ -126,7 +126,7 @@ def parse_spec(text: str) -> dict:
     field = _parse_field(doc["field"], "field")
     dim = _positive_int(doc["dim"], "dim")
     kind = doc["kind"]
-    if kind not in KIND_TABLES:
+    if not isinstance(kind, str) or kind not in KIND_TABLES:
         _fail("kind", f"must be one of {sorted(KIND_TABLES)}")
     doc_tables = _object(doc["tables"], "tables")
     tables = {}

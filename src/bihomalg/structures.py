@@ -114,6 +114,14 @@ def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
     return rep
 
 
+def _refuse(mats: dict, rows, error) -> None:
+    """Raise error(id) with the id of the first of rows that fails, if any:
+    the probe of a construction's hypotheses, which logs one violation."""
+    probe = _check_axioms(mats, rows, CheckReport(cap=1))
+    if not probe.passed:
+        raise error(probe.failed_axioms()[0])
+
+
 # ---------------------------------------------------------------------------
 # Structure records
 # ---------------------------------------------------------------------------
@@ -297,9 +305,7 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
             for tag in S.OPS for f in ("atilde", "btilde")]
     rows += [_commutes(f"{f}_{g}", f, g) for f, g in
              (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))]
-    probe = _check_axioms(mats, rows, CheckReport(cap=1))
-    if not probe.passed:
-        raise TwistHypothesisViolated(", ".join(probe.failed_axioms()))
+    _refuse(mats, rows, TwistHypothesisViolated)
     twisted = {tag: getattr(S, tag).twist(atilde, btilde) for tag in S.OPS}
     return replace(S, alpha=atilde.compose(S.alpha), beta=btilde.compose(S.beta),
                    **twisted)

@@ -43,6 +43,11 @@ def write_parts(path, parts):
     return str(path)
 
 
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def dend_and_quadri(field):
     """The dendriform algebra derived from k[x]/(x^2) and its Rota-Baxter
     operator, and the quadri-algebra of k (x) k built from k itself."""
@@ -240,6 +245,74 @@ def test_an_element_term_with_a_bad_word_exits_2_naming_it(word, message, tmp_pa
     assert (code, out, err) == (2, "", f"error: {element}: terms[1].word: {message}\n")
 
 
+def full_spec_doc(tmp_path, field):
+    """The document of write_spec's dim-2 spec file, with a baxter block."""
+    path = tmp_path / "full.json"
+    write_spec(path, field)
+    doc = json.loads(path.read_text())
+    doc["baxter"] = {"matrix": doc["alpha"], "side": "left"}
+    return doc
+
+
+DROP = object()
+
+
+def edited(doc, edits):
+    """A copy of doc with each (block, key, value) edit made in turn: block
+    None for a top-level key, value DROP to delete the key.  An edit inside
+    a block that an earlier edit replaced by a non-object is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for block, key, value in edits:
+        target = doc if block is None else doc[block]
+        if isinstance(target, dict):
+            if value is DROP:
+                del target[key]
+            else:
+                target[key] = value
+    return doc
+
+
+ZERO_TABLE = [[["0", "0"], ["0", "0"]]] * 2
+KINDS = "kind: must be one of ['assoc', 'dend', 'quadri', 'tridend']"
+# edits of full_spec_doc and the refusal that follows "error: <path>: "; a
+# list or object kind was looked up in a dict and ended in a TypeError
+# traceback
+SPEC_VALUE_REFUSALS = {
+    "kind-list": ([(None, "kind", [])], KINDS),
+    "kind-object": ([(None, "kind", {})], KINDS),
+    "rota_baxter": ([(None, "rota_baxter", [])], "rota_baxter: must be an object"),
+    "rota_baxter.matrix": ([("rota_baxter", "matrix", [["1", "0"]])],
+                           "rota_baxter.matrix: expected a matrix with 2 rows"),
+    "rota_baxter.weight": ([("rota_baxter", "weight", 1)], "rota_baxter.weight: "
+                           "scalars must be literal strings, got int"),
+    "baxter.side": ([("baxter", "side", "up")],
+                    "baxter.side: must be 'left' or 'right'"),
+    "baxter.side-and-matrix": ([("baxter", "side", DROP), ("baxter", "matrix", DROP)],
+                               "baxter.side: must be 'left' or 'right'"),
+    "baxter.matrix": ([("baxter", "matrix", [])],
+                      "baxter.matrix: expected a matrix with 2 rows"),
+    "bimodule-on-dend": ([(None, "kind", "dend"), ("tables", "prec", ZERO_TABLE),
+                          ("tables", "succ", ZERO_TABLE)],
+                         "bimodule: bimodules attach to an associative structure"),
+    "bimodule.alpha_M": ([("bimodule", "dim", 1)],
+                         "bimodule.alpha_M: expected a matrix with 1 rows"),
+    "bimodule.left_action": ([("bimodule", "left_action", [])], "bimodule.left_action: "
+                             "expected 2 rows of structure constants"),
+    "bimodule.grb": ([("bimodule", "grb", [])],
+                     "bimodule.grb: expected a matrix with 2 rows"),
+    "twistor.T": ([("twistor", "T", [])], "twistor.T: expected a matrix with 4 rows"),
+    "twistor.companion": ([("twistor", "companion", [])],
+                          "twistor.companion: expected a matrix with 8 rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPEC_VALUE_REFUSALS))
+def test_a_malformed_spec_value_exits_2_naming_it(case, tmp_path):
+    edits, message = SPEC_VALUE_REFUSALS[case]
+    path = write_doc(tmp_path / "bad.json", edited(full_spec_doc(tmp_path, Q), edits))
+    assert run(["check", path]) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
     assert cli._parser() is cli._parser()
@@ -391,3 +464,50 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
     untimed = [(c, o, re.sub(r"elapsed \d+\.\d+s", "elapsed", e))
                for c, o, e in (first, second)]
     assert untimed[0] == untimed[1]
+
+
+# -- fuzz over spec documents ----------------------------------------------------
+#
+# A valid dim-2 spec file over F_3 with every optional block, one to three of
+# its values replaced by random JSON: a top-level value, or one inside a
+# block.  Every command that reads such a file must refuse it with exit 2 or
+# answer with 0 or 1, never raise.
+
+BLOCK_KEYS = {"rota_baxter": ("matrix", "weight"), "baxter": ("matrix", "side"),
+              "bimodule": ("dim", "alpha_M", "beta_M", "left_action", "right_action",
+                           "grb"),
+              "twistor": ("T", "companion", "atilde", "btilde")}
+SLOTS = [(None, key) for key in ("field", "dim", "kind", "tables", "alpha", "beta",
+                                 *BLOCK_KEYS)]
+SLOTS += [(block, key) for block, keys in BLOCK_KEYS.items() for key in keys]
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(),
+              st.sampled_from(["0", "1", "2", "a", "1/0", "left", "assoc", "dend",
+                               [["1", "0"], ["0", "1"]], [["1"]], {"kind": "rational"}]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+DOC_COMMANDS = [["check", "SPEC"], ["derive", "SPEC", "--via", "rb-tridend"],
+                ["search", "rb", "SPEC", "--weight", "1"],
+                ["trees", "act", "(L[0,0;0] L[0,0;0]){1}", "SPEC",
+                 '[["1", "0"], ["0", "1"]]']]
+
+
+@pytest.fixture(scope="module")
+def doc_fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("doc_fuzz")
+    return root, full_spec_doc(root, FieldSpec.prime(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(SLOTS), JSON_VALUES), min_size=1,
+                      max_size=3),
+       argv=st.sampled_from(DOC_COMMANDS))
+def test_spec_document_fuzz_exits_0_1_or_2(doc_fuzz_dir, edits, argv):
+    root, valid = doc_fuzz_dir
+    doc = edited(valid, [(block, key, value) for (block, key), value in edits])
+    path = write_doc(root / "fuzzed.json", doc)
+    code, _, err = run([path if a == "SPEC" else a for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -18,7 +18,7 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, FieldSpec,
 from bihomalg.errors import (EvalSingular, IncompleteAssignment,
                              InputAxiomsFail, NonzeroWeight,
                              TwistHypothesisViolated)
-from bihomalg.families import FAMILY_IDS
+from bihomalg.families import FAMILY_IDS, rb_family
 from bihomalg.cli import main
 from bihomalg.linalg import maps_commute, tensor2
 from bihomalg.rota_baxter import (_double_product, _inner_map, _match,
@@ -85,6 +85,41 @@ def test_family_sampled_mode_refuses_a_zero_or_missing(fid):
         verify_parametric_family(fid, "sampled", [{"a": 0, **params}])
     with pytest.raises(IncompleteAssignment):
         verify_parametric_family(fid, "sampled", [params])
+
+
+def test_family_ids_keep_their_order():
+    assert FAMILY_IDS == ("w0f1", "w0f2", "w1f1", "w1f2", "w1f3", "w1f4")
+
+
+@pytest.mark.parametrize("fid, params, error, message", [
+    ("w9", {}, ValueError, "unknown family 'w9'; pick one of "
+                           "('w0f1', 'w0f2', 'w1f1', 'w1f2', 'w1f3', 'w1f4')"),
+    ("w0f1", {"r1": Q.one(), "r2": Q.one()}, ValueError, "family w0f1 needs r"),
+    ("w1f2", {}, ValueError, "family w1f2 needs r"),
+    ("w0f2", {"r": Q.one(), "r1": Q.one()}, ValueError, "family w0f2 needs r1 and r2"),
+    # a missing parameter is refused before a zero r2
+    ("w1f4", {"r2": Q.zero()}, ValueError, "family w1f4 needs r1 and r2"),
+    ("w1f4", {"r1": Q.one(), "r2": Q.zero()}, ZeroDivisionError,
+     "the parameter r2 must be nonzero"),
+], ids=["unknown", "w0f1-without-r", "w1f2-without-r", "w0f2-without-r2",
+        "w1f4-without-r1", "w1f4-r2-zero"])
+def test_rb_family_refusals(fid, params, error, message):
+    with pytest.raises(error) as info:
+        rb_family(fid, Q, **params)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_w1f3_needs_no_parameter():
+    R = rb_family("w1f3", Q)
+    assert R == RBOperator(LinearMap.identity(Q, 2).scale(-Q.one()), Q.one())
+
+
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_an_evaluated_family_has_weight_zero_or_one_over_q(fid):
+    R = evaluate_rb_family(fid, {"r": Fraction(5), "r1": Fraction(1), "r2": Fraction(2)})
+    want = Q.zero() if fid.startswith("w0") else Q.one()
+    assert (R.weight.field, type(R.weight.value), R.weight.value) == (
+        Q, type(want.value), want.value)
 
 
 def test_rb_derive_tables_without_commutation():

@@ -480,10 +480,14 @@ def test_cli_search(tmp_path, capsys):
 
 
 def test_cli_search_budget(tmp_path, capsys, monkeypatch):
+    """An over-budget search is a usage error naming the variable, as the
+    trees budgets are, not a failed axiom."""
     A = prime_truncated(3, 3)
     src = write_spec(tmp_path, "a.json", A)
     monkeypatch.setenv(BUDGET_ENV_VAR, "10")
-    assert main(["search", "rb", src]) == 1
+    assert main(["search", "rb", src]) == 2
+    assert capsys.readouterr() == ("", f"error: {BUDGET_ENV_VAR}: 19683 candidate "
+                                       "matrices exceed the budget of 10\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0",

@@ -307,16 +307,20 @@ def cmd_verify_family(args) -> int:
     if args.mode == "sampled" and not args.samples:
         raise _Refusal("sampled mode needs --samples")
     # _mode_flags leaves --samples to sampled mode alone
-    samples = args.samples and _samples_arg(args.samples, args.family)
-    rep = families.verify_parametric_family(args.family, args.mode, samples)
+    if args.mode == "sampled":
+        rep = families._sampled_report(_samples_arg(args.samples, args.family))
+    else:
+        rep = families.verify_parametric_family(args.family, args.mode)
     return _print_report(rep)
 
 
 def _samples_arg(text: str, family: str) -> list:
+    """The (algebra, operator) pair of each sample, each evaluated once;
+    a sample outside the family's domain is malformed input."""
     raw = _read_json(text, "--samples")
     if not isinstance(raw, list):
         _fail("--samples", "must be a JSON list of objects")
-    samples = []
+    pairs = []
     names = families.SYMBOLIC_FIELD.params
     for n, s in enumerate(raw):
         _object(s, f"--samples[{n}]")
@@ -325,12 +329,11 @@ def _samples_arg(text: str, family: str) -> list:
                 _fail(f"--samples[{n}]", f"unknown parameter {_clip(repr(key))}; "
                       f"the families take {', '.join(names)}")
         try:
-            samples.append({k: Fraction(str(v)) for k, v in s.items()})
-            families.evaluate_two_param_algebra(samples[-1])
-            families.evaluate_rb_family(family, samples[-1])
+            pairs.append(families._evaluated_family(
+                family, {k: Fraction(str(v)) for k, v in s.items()}))
         except (ValueError, ZeroDivisionError, EvalSingular, IncompleteAssignment) as exc:
             raise SpecFileError(f"--samples[{n}]: {exc}") from exc
-    return samples
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:

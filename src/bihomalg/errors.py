@@ -17,6 +17,10 @@ class IncompleteAssignment(BiHomAlgError):
     """A parameter occurring in the expression has no assigned value."""
 
 
+class ExponentOverflow(BiHomAlgError, OverflowError):
+    """A Q(params) product reached the exponent limit of a packed monomial."""
+
+
 class DimensionMismatch(BiHomAlgError):
     """Vector/matrix/table dimensions do not conform."""
 

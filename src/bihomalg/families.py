@@ -102,6 +102,26 @@ def evaluate_rb_family(family_id: str, assignment: dict[str, Fraction]) -> RBOpe
     return RBOperator(_evaluated(R.map, assignment), weight)
 
 
+def _evaluated_family(family_id: str, assignment: dict[str, Fraction]):
+    """The symbolic algebra and the family, evaluated at one assignment."""
+    return (evaluate_two_param_algebra(assignment),
+            evaluate_rb_family(family_id, assignment))
+
+
+def _sampled_report(pairs) -> CheckReport:
+    """check_rota_baxter on each (algebra, operator) pair, as one report."""
+    if not pairs:
+        raise ValueError("sampled mode needs at least one assignment")
+    combined = CheckReport()
+    for A, R in pairs:
+        rep = check_rota_baxter(A, R)
+        combined.violations.extend(rep.violations)
+        combined.total_violations += rep.total_violations
+        for k, v in rep.sub_checks.items():
+            combined.sub_checks[k] = combined.sub_checks.get(k, True) and v
+    return combined
+
+
 def verify_parametric_family(family_id: str, mode: str = "symbolic",
                              samples=None) -> CheckReport:
     """Check the Rota-Baxter identity for one of the six built-in families.
@@ -116,15 +136,6 @@ def verify_parametric_family(family_id: str, mode: str = "symbolic",
         return check_rota_baxter(A, symbolic_rb_family(family_id))
     if mode != "sampled":
         raise ValueError(f"mode must be 'symbolic' or 'sampled', got {mode!r}")
-    if not samples:
-        raise ValueError("sampled mode needs at least one assignment")
-    combined = CheckReport()
-    for assignment in samples:
-        assignment = {k: Fraction(v) for k, v in assignment.items()}
-        A = evaluate_two_param_algebra(assignment)
-        rep = check_rota_baxter(A, evaluate_rb_family(family_id, assignment))
-        combined.violations.extend(rep.violations)
-        combined.total_violations += rep.total_violations
-        for k, v in rep.sub_checks.items():
-            combined.sub_checks[k] = combined.sub_checks.get(k, True) and v
-    return combined
+    return _sampled_report([
+        _evaluated_family(family_id, {k: Fraction(v) for k, v in assignment.items()})
+        for assignment in samples or ()])

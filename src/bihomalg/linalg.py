@@ -63,7 +63,7 @@ from functools import partial
 from itertools import chain
 
 from .errors import DimensionMismatch, FieldMismatch
-from .scalars import FieldSpec, Scalar, _clip
+from .scalars import FieldSpec, Scalar, _clip, _scalar
 
 
 def _join(*fields: FieldSpec) -> None:
@@ -84,7 +84,7 @@ def _raw(field: FieldSpec, x) -> object:
     """The raw value of x, which must be a Scalar of field."""
     if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
         raise FieldMismatch(f"{x!r} is not a Scalar of {field}")
-    return field.ops.unbox(x.value)
+    return field.ops.norm(x._v)
 
 
 def _nest(fn, depth: int, data) -> tuple:
@@ -113,8 +113,7 @@ class _Raw:
     __slots__ = ("field", "_d")
 
     def _boxed(self):
-        return _nest(lambda x: Scalar(self.field, self.field.ops.box(x)),
-                     self._depth, self._dense())
+        return _nest(partial(_scalar, self.field), self._depth, self._dense())
 
     def __add__(self, other):
         _check(self._shape() == other._shape(), self._sum_dims, self, other)

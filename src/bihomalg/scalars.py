@@ -17,15 +17,33 @@ denominator) and its total degree goes 3, 5, 13, 29, 61 over 0 to 4 twists
 Each field's arithmetic is defined once, in its ops table `FieldSpec.ops`
 (an instance of a class in OPS_CLASSES): zero and one, add, mul, neg, inv,
 is_zero and eq on raw values, and the conversions unbox (a Scalar's value
-to its raw value), box (back) and from_fraction.  A raw value is an int or
-a Fraction over Q (an int when integral), an int in 0..p-1 over F_p, and a
-(numerator, denominator) pair of polynomial dicts over Q(params).  Scalar
-arithmetic goes through the table, and so do the kernels of linalg, which
-keep raw values and box them into Scalars only where they are read.  Over
-F_p and Q(params) a raw value is a Scalar's value; over Q the Scalar holds
-the equal Fraction.  The ops classes live at module level, so a pickled
-FieldSpec (as search --jobs sends its workers) carries its table; the table
-is not a dataclass field, so FieldSpec equality, hash and repr ignore it.
+to its raw value), box (back), norm and from_fraction.  A raw value is an
+int or a Fraction over Q, an int in 0..p-1 over F_p, and a (numerator,
+denominator) pair of polynomial dicts over Q(params).  Over Q, norm turns
+an integral Fraction into an int: unbox, from_fraction and the containers
+of linalg and trees keep that form, and Scalar arithmetic keeps what the
+ops compute.
+
+A polynomial maps packed monomials to nonzero coefficients (an int when
+integral, else a Fraction).  A packed monomial is one int holding the
+exponent vector in fixed fields of _W = 32 bits, parameter 0 in the most
+significant one (the packed exponent vectors of Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): a monomial product is one int addition, and the int
+order is the lexicographic order of the exponent tuples.  The top bit of
+each field is a guard, so an exponent must stay below _EXP_LIMIT = 2**31:
+a Scalar refuses a larger one with ValueError, and a product that reaches
+it raises ExponentOverflow instead of carrying into the next field.
+
+A Scalar holds its raw value, and every Scalar operation and the parser
+compute on raw values.  Scalar(field, value) unboxes value, and `.value`
+boxes a copy: a Fraction over Q, an int over F_p, and over Q(params) a
+(numerator, denominator) pair of dicts keyed by exponent tuples, one slot
+per parameter in FieldSpec order.  The kernels of linalg and trees keep raw
+values too and box them into Scalars only where they are read.  The ops
+classes live at module level, so a pickled FieldSpec (as search --jobs sends
+its workers) carries its table; the table is not a dataclass field, so
+FieldSpec equality, hash and repr ignore it.
 """
 
 from __future__ import annotations
@@ -35,7 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import EvalSingular, FieldMismatch, IncompleteAssignment
+from .errors import (EvalSingular, ExponentOverflow, FieldMismatch,
+                     IncompleteAssignment)
 
 RATIONAL = "rational"
 PRIME = "prime"
@@ -85,10 +104,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# A polynomial is a dict mapping exponent tuples (one slot per parameter,
-# in FieldSpec order) to nonzero coefficients: an int when integral, else a
-# Fraction.  Mixed int/Fraction arithmetic is exact, and int arithmetic is
-# several times cheaper than Fraction.  {} is the zero polynomial.
+# A polynomial is a dict mapping packed monomials (see the module docstring)
+# to nonzero coefficients: an int when integral, else a Fraction.  Mixed
+# int/Fraction arithmetic is exact, and int arithmetic is several times
+# cheaper than Fraction.  {} is the zero polynomial and 0 the monomial 1.
+
+_W = 32  # bits per exponent field
+_EXP_LIMIT = 1 << (_W - 1)  # the field's top bit is its guard
+_FIELD = (1 << _W) - 1
+
 
 def _poly_add(p, q):
     out = dict(p)
@@ -101,24 +125,29 @@ def _poly_add(p, q):
     return out
 
 
-def _poly_mul(p, q):
-    # Times the int unit {(0, .., 0): 1}, the general loop below gives
-    # 0 + c * 1 = c, of c's type, at each monomial of the other operand in
-    # its order: a copy, so the shortcut changes no printed byte.  A unit
-    # Fraction(1) takes the loop, since int * Fraction(1) is a Fraction.
-    # There is no one-term shortcut: one measured slower than this loop.
+def _poly_mul(p, q, guard):
+    """p * q, where guard has the guard bit of every exponent field set."""
+    # Times the int unit {0: 1}, the general loop below gives 0 + c * 1 = c,
+    # of c's type, at each monomial of the other operand in its order: a
+    # copy, so the shortcut changes no printed byte.  A unit Fraction(1)
+    # takes the loop, since int * Fraction(1) is a Fraction.  There is no
+    # one-term shortcut: one measured slower than this loop.
     if len(q) == 1:
         (m2, c2), = q.items()
-        if c2 == 1 and type(c2) is int and not any(m2):
+        if c2 == 1 and type(c2) is int and not m2:
             return dict(p)
     if len(p) == 1:
         (m1, c1), = p.items()
-        if c1 == 1 and type(c1) is int and not any(m1):
+        if c1 == 1 and type(c1) is int and not m1:
             return dict(q)
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono = tuple(map(operator.add, m1, m2))
+            mono = m1 + m2  # no carry: both operands' guard bits are clear
+            if mono & guard:
+                raise ExponentOverflow(
+                    f"a product has an exponent of {_EXP_LIMIT} or more; "
+                    f"exponents must stay below 2**{_W - 1}")
             s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
@@ -127,11 +156,14 @@ def _poly_mul(p, q):
     return out
 
 
-def _poly_eval(p, values):
+def _poly_eval(p, shifts, values):
+    """p at values, values[i] for the parameter whose field starts at bit
+    shifts[i]."""
     total = Fraction(0)
     for mono, c in p.items():
         term = c
-        for exp, v in zip(mono, values):
+        for s, v in zip(shifts, values):
+            exp = mono >> s & _FIELD
             if exp:
                 term *= v ** exp
         total += term
@@ -153,20 +185,22 @@ class _Ops:
     def unbox(value):
         return value
 
-    box = unbox
+    box = norm = unbox  # norm: a raw value in the form the kernels store
 
 
 class _RationalOps(_Ops):
-    """Q: an int, or a Fraction when not integral; a Scalar holds a Fraction."""
+    """Q: an int, or a Fraction when not integral; `.value` is a Fraction."""
 
     add, mul, neg = map(staticmethod, (operator.add, operator.mul, operator.neg))
-    box = from_fraction = Fraction
+    box = Fraction
     inv = partial(Fraction, 1)  # Fraction(1, a)
     to_str = staticmethod(_frac_str)
 
     @staticmethod
     def unbox(value):
         return value.numerator if value.denominator == 1 else value
+
+    norm = from_fraction = unbox
 
 
 class _PrimeOps(_Ops):
@@ -193,20 +227,24 @@ class _PrimeOps(_Ops):
 
 class _RationalFunctionOps(_Ops):
     """Q(params): a (numerator, denominator) pair of polynomials, unreduced.
-    Equality cross-multiplies without counting as a mul."""
+    Equality cross-multiplies without counting as a mul.  Parameter i's
+    exponent field starts at bit shifts[i], and guard holds the guard bits
+    of all the fields."""
 
     def __init__(self, field: "FieldSpec"):
-        self.params, self.mono = field.params, (0,) * len(field.params)
-        self.zero, self.one = ({}, {self.mono: 1}), ({self.mono: 1}, {self.mono: 1})
+        n = len(field.params)
+        self.params = field.params
+        self.shifts = tuple(_W * (n - 1 - i) for i in range(n))
+        self.guard = sum(_EXP_LIMIT << s for s in self.shifts)
+        self.zero, self.one = ({}, {0: 1}), ({0: 1}, {0: 1})
 
-    @staticmethod
-    def add(a, b):
-        (p1, q1), (p2, q2) = a, b
-        return _poly_add(_poly_mul(p1, q2), _poly_mul(p2, q1)), _poly_mul(q1, q2)
+    def add(self, a, b):
+        (p1, q1), (p2, q2), guard = a, b, self.guard
+        return (_poly_add(_poly_mul(p1, q2, guard), _poly_mul(p2, q1, guard)),
+                _poly_mul(q1, q2, guard))
 
-    @staticmethod
-    def mul(a, b):
-        return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
+    def mul(self, a, b):
+        return _poly_mul(a[0], b[0], self.guard), _poly_mul(a[1], b[1], self.guard)
 
     @staticmethod
     def neg(a):
@@ -218,19 +256,43 @@ class _RationalFunctionOps(_Ops):
     def is_zero(a):
         return not a[0]
 
-    @staticmethod
-    def eq(a, b):
-        return _poly_mul(a[0], b[1]) == _poly_mul(b[0], a[1])
+    def eq(self, a, b):
+        return _poly_mul(a[0], b[1], self.guard) == _poly_mul(b[0], a[1], self.guard)
 
-    def from_fraction(self, q):
+    @staticmethod
+    def from_fraction(q):
         c = q.numerator if q.denominator == 1 else Fraction(q)
-        return {self.mono: c} if c else {}, {self.mono: 1}
+        return {0: c} if c else {}, {0: 1}
+
+    def unbox(self, value):
+        """Pack the exponent tuples of a boxed value, refusing any but len(params)
+        ints in [0, _EXP_LIMIT)."""
+        num, den = value
+        return self._packed(num), self._packed(den)
+
+    def _packed(self, p):
+        out = {}
+        for exps, c in p.items():
+            if len(exps) != len(self.params) or not all(
+                    isinstance(e, int) and 0 <= e < _EXP_LIMIT for e in exps):
+                raise ValueError(f"a monomial needs {len(self.params)} exponents "
+                                 f"in [0, 2**{_W - 1}), got {_clip(repr(exps))}")
+            mono = 0
+            for e in exps:
+                mono = mono << _W | e
+            out[mono] = c
+        return out
+
+    def box(self, value):
+        shifts = self.shifts
+        return tuple({tuple(mono >> s & _FIELD for s in shifts): c
+                      for mono, c in p.items()} for p in value)
 
     def to_str(self, value):
-        num_s = _poly_str(value[0], self.params)
-        if value[1] == {self.mono: 1}:
+        num_s = _poly_str(value[0], self.params, self.shifts)
+        if value[1] == {0: 1}:
             return f"({num_s})" if ("+" in num_s[1:] or "-" in num_s[1:]) else num_s
-        return f"({num_s})/({_poly_str(value[1], self.params)})"
+        return f"({num_s})/({_poly_str(value[1], self.params, self.shifts)})"
 
 
 OPS_CLASSES = {RATIONAL: _RationalOps, PRIME: _PrimeOps,
@@ -290,16 +352,15 @@ class FieldSpec:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q: Fraction) -> "Scalar":
-        return Scalar(self, self.ops.from_fraction(q))
+        return _scalar(self, self.ops.from_fraction(q))
 
     def parameter(self, name: str) -> "Scalar":
         if self.kind != RATIONAL_FUNCTION:
             raise ValueError("parameters only exist in rational_function fields")
         if name not in self.params:
             raise ValueError(f"unknown parameter {_clip(repr(name))}")
-        i = self.params.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(self.params)))
-        return Scalar(self, ({mono: 1}, {self.ops.mono: 1}))
+        mono = 1 << self.ops.shifts[self.params.index(name)]
+        return _scalar(self, ({mono: 1}, {0: 1}))
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(self, text)
@@ -309,16 +370,22 @@ class Scalar:
     """An exact element of the field named by its FieldSpec.
 
     Immutable by convention; all arithmetic returns fresh values, computed by
-    the field's ops table.  The value is a Fraction over Q, an int over F_p,
-    and a (numerator, denominator) pair of sparse polynomials, not
-    necessarily reduced, over Q(params).
+    the field's ops table on the raw values the Scalars hold (see the module
+    docstring).  Scalar(field, value) unboxes value, and `value` boxes a
+    copy: a Fraction over Q, an int over F_p, and a (numerator, denominator)
+    pair of sparse polynomials keyed by exponent tuples, not necessarily
+    reduced, over Q(params).
     """
 
-    __slots__ = ("field", "value")
+    __slots__ = ("field", "_v")
 
     def __init__(self, field: FieldSpec, value):
         self.field = field
-        self.value = value
+        self._v = field.ops.unbox(value)
+
+    @property
+    def value(self):
+        return self.field.ops.box(self._v)
 
     # -- helpers -----------------------------------------------------------
 
@@ -331,28 +398,28 @@ class Scalar:
             raise FieldMismatch(f"cannot combine {self!r} and {other!r}")
 
     def is_zero(self) -> bool:
-        return self.field.ops.is_zero(self.value)
+        return self.field.ops.is_zero(self._v)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._join(other)
-        return Scalar(self.field, self.field.ops.add(self.value, other.value))
+        return _scalar(self.field, self.field.ops.add(self._v, other._v))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.ops.neg(self.value))
+        return _scalar(self.field, self.field.ops.neg(self._v))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._join(other)
-        return Scalar(self.field, self.field.ops.mul(self.value, other.value))
+        return _scalar(self.field, self.field.ops.mul(self._v, other._v))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return Scalar(self.field, self.field.ops.inv(self.value))
+        return _scalar(self.field, self.field.ops.inv(self._v))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -360,7 +427,7 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not self._joins(other):
             return NotImplemented
-        return self.field.ops.eq(self.value, other.value)
+        return self.field.ops.eq(self._v, other._v)
 
     def __hash__(self):
         raise TypeError("Scalar is unhashable (rational functions lack canonical form)")
@@ -379,16 +446,26 @@ class Scalar:
             if self._uses(name) and name not in assignment:
                 raise IncompleteAssignment(f"no value for parameter {name!r}")
             values.append(Fraction(assignment.get(name, 0)))
-        num, den = self.value
-        d = _poly_eval(den, values)
+        (num, den), shifts = self._v, self.field.ops.shifts
+        d = _poly_eval(den, shifts, values)
         if d == 0:
             raise EvalSingular("denominator evaluates to zero")
-        return Scalar(FieldSpec.rational(), _poly_eval(num, values) / d)
+        return Scalar(FieldSpec.rational(), _poly_eval(num, shifts, values) / d)
 
     def _uses(self, name: str) -> bool:
-        i = self.field.params.index(name)
-        num, den = self.value
-        return any(m[i] for m in num) or any(m[i] for m in den)
+        bits = _FIELD << self.field.ops.shifts[self.field.params.index(name)]
+        num, den = self._v
+        return any(m & bits for m in num) or any(m & bits for m in den)
+
+
+_new = object.__new__
+
+
+def _scalar(field: FieldSpec, raw) -> Scalar:
+    """The Scalar of field that holds the raw value raw, as is."""
+    x = _new(Scalar)
+    x.field, x._v = field, raw
+    return x
 
 
 def scalar_eq(x: Scalar, y: Scalar) -> bool:
@@ -487,15 +564,15 @@ def parse_scalar(field: FieldSpec, text: str) -> Scalar:
     return value
 
 
-def _poly_str(p, params) -> str:
+def _poly_str(p, params, shifts) -> str:
     if not p:
         return "0"
     parts = []
-    for mono in sorted(p, reverse=True):
+    for mono in sorted(p, reverse=True):  # lexicographic in the exponents
         c = p[mono]
         factors = []
-        for exp, name in zip(mono, params):
-            factors.extend([name] * exp)  # grammar has no '^'
+        for name, s in zip(params, shifts):
+            factors.extend([name] * (mono >> s & _FIELD))  # grammar has no '^'
         if not factors:
             parts.append(_frac_str(c))
         elif c == 1:
@@ -512,4 +589,4 @@ def _poly_str(p, params) -> str:
 
 def scalar_to_str(x: Scalar) -> str:
     """Serialize back into the literal grammar (round-trips through parse)."""
-    return x.field.ops.to_str(x.value)
+    return x.field.ops.to_str(x._v)

@@ -26,7 +26,7 @@ from itertools import product, repeat
 from .errors import (BoundsExceeded, BudgetExceeded, Indecomposable,
                      InvalidArity, WrongAugmentation)
 from .linalg import Vector, _raw
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, _scalar
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,7 @@ class _Terms(MutableMapping):
 
     def __getitem__(self, key):
         tree, word, c = self._x._t[key]
-        field = self._x.field
-        return tree, word, Scalar(field, field.ops.box(c))
+        return tree, word, _scalar(self._x.field, c)
 
     def __setitem__(self, key, term):
         tree, word, c = term
@@ -596,8 +595,8 @@ class _Eliminator:
             return False
         key = min(x._t)
         ops = x.field.ops
-        # over Q, ops.inv gives Fraction(1, c): unboxed, a unit stays an int
-        self.pivots[key] = x._scaled(ops.unbox(ops.inv(x._t[key][2])))
+        # over Q, ops.inv gives Fraction(1, c): normed, a unit stays an int
+        self.pivots[key] = x._scaled(ops.norm(ops.inv(x._t[key][2])))
         return True
 
 

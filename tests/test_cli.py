@@ -8,7 +8,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec, GRBOperator,
                       LinearMap, StructureTable, WeakPseudotwistor, cli, rb_derive,
@@ -511,3 +511,44 @@ def test_spec_document_fuzz_exits_0_1_or_2(doc_fuzz_dir, edits, argv):
     code, _, err = run([path if a == "SPEC" else a for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- fuzz over field blocks --------------------------------------------------------
+#
+# A dim-1 spec file whose field block is drawn from the malformed and the
+# valid cases: parameter lists that are empty, repeat a name, hold a
+# non-identifier or a non-string, or hold 1-40 names (wide packed monomials:
+# the product reads the first parameter, in the int's top field), and p as
+# a bool, a string, a composite or a prime.
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+PARAMS = st.one_of(
+    st.just([]),
+    st.lists(NAMES, min_size=1, max_size=40, unique=True),
+    st.lists(NAMES, min_size=1, max_size=3).map(lambda names: names + names[:1]),
+    st.lists(st.one_of(NAMES, st.text(max_size=3)), min_size=1, max_size=3),
+    st.lists(st.one_of(NAMES, st.integers(), st.none(), st.booleans(),
+                       st.lists(st.integers(), max_size=2)), min_size=1, max_size=3))
+PRIMES = st.one_of(st.booleans(), st.text(max_size=3),
+                   st.sampled_from([1, 4, 9, 91, 2 ** 61 + 1]), st.sampled_from([2, 5, 7]))
+FIELD_BLOCKS = st.one_of(
+    PARAMS.map(lambda params: {"kind": "rational_function", "params": params}),
+    PRIMES.map(lambda p: {"kind": "prime", "p": p}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=FIELD_BLOCKS)
+@example(field={"kind": "rational_function", "params": [f"x{i}" for i in range(40)]})
+@example(field={"kind": "rational_function", "params": ["a", "a"]})
+@example(field={"kind": "prime", "p": True})
+def test_field_block_fuzz_exits_0_1_or_2(doc_fuzz_dir, field):
+    root, _ = doc_fuzz_dir
+    params = field.get("params")
+    first = params[0] if params and isinstance(params[0], str) else ""
+    c = first if re.fullmatch(r"[A-Za-z_]\w*", first, re.ASCII) else "1"
+    doc = {"field": field, "dim": 1, "kind": "assoc", "tables": {"mu": [[[c]]]},
+           "alpha": [["1"]], "beta": [["1"]]}
+    code, _, err = run(["check", write_doc(root / "field.json", doc)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.search(r"\bfield(\.\w+)?: ", err), err

@@ -1058,3 +1058,12 @@ def test_basis_is_the_unit_vector():
             [type(x.value) for x in (z, o, z)]
         assert Vector.basis(field, 1, 0) == Vector(field, (o,))
         assert Vector.basis(field, 2, 0) == LinearMap.identity(field, 2).column(0)
+
+
+def test_containers_store_an_integral_rational_as_an_int():
+    # "4/2" parses to a Scalar whose raw value is Fraction(2, 1); the
+    # kernels keep ints where they can
+    two = Q.parse("4/2")
+    (col,) = LinearMap(Q, ((two,),))._d
+    assert col == {0: 2} and type(col[0]) is int
+    assert type(Vector(Q, (two,))._d[0]) is int

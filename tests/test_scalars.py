@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import time
 from fractions import Fraction
 
@@ -8,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from bihomalg import (FieldSpec, Scalar, parse_scalar, rb_derive, scalar_eq,
                       scalar_to_str, symbolic_rb_family,
                       symbolic_two_param_algebra, yau_twist)
-from bihomalg.errors import EvalSingular, FieldMismatch, IncompleteAssignment
-from bihomalg.scalars import (_PRIME_LIMIT, _Parser, _is_prime, _poly_mul,
-                               _tokenize)
+from bihomalg.errors import (EvalSingular, ExponentOverflow, FieldMismatch,
+                             IncompleteAssignment)
+from bihomalg.scalars import (_EXP_LIMIT, _PRIME_LIMIT, _Parser, _is_prime,
+                               _poly_add, _poly_mul, _tokenize)
 
 
 def test_rational_arithmetic():
@@ -262,8 +265,9 @@ def test_yau_twist_growth_is_bounded():
 # -- _poly_mul's int-unit shortcut against the general loop ------------------
 #
 # A verbatim copy of the general product loop, which _poly_mul ran for every
-# pair of operands before its shortcut: the shortcut must give the same keys,
-# insertion order and coefficient types.
+# pair of operands before its shortcut, on exponent tuples as monomials were
+# stored before they were packed: the shortcut must give the same keys (once
+# unpacked), insertion order and coefficient types.
 
 def _loop_poly_mul(p, q):
     out = {}
@@ -276,6 +280,18 @@ def _loop_poly_mul(p, q):
             else:
                 out.pop(mono, None)
     return out
+
+
+def _params_field(n):
+    return FieldSpec.rational_function(*(f"x{i}" for i in range(n)))
+
+
+def _assert_same_polys(got, want):
+    """Equal keys in the same insertion order, with coefficients of equal
+    value and type."""
+    for g, w in zip(got, want, strict=True):
+        assert list(g.items()) == list(w.items())
+        assert [type(c) for c in g.values()] == [type(c) for c in w.values()]
 
 
 _nonzero = st.integers(-5, 5).filter(bool)
@@ -306,9 +322,175 @@ def _poly_operands(draw):
 @example(({}, {(0, 0, 0): 1}))
 def test_poly_mul_unit_shortcut_matches_the_general_loop(operands):
     p, q = operands
-    got, want = _poly_mul(p, q), _loop_poly_mul(p, q)
-    assert list(got.items()) == list(want.items())
-    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    ops = _params_field(len(next(iter(p | q), (0,)))).ops
+    packed_p, packed_q = ops.unbox((p, q))
+    got = _poly_mul(packed_p, packed_q, ops.guard)
+    _assert_same_polys(ops.box((got,)), (_loop_poly_mul(p, q),))
+
+
+# -- packed monomials against the tuple-keyed code ---------------------------
+#
+# Verbatim copies of _poly_add, _poly_eval, _poly_str, to_str and
+# Scalar.evaluate as they ran on exponent tuples before monomials were
+# packed.  The packed code must give the same keys once unpacked, the same
+# insertion order and coefficient types, the same text and the same values.
+
+def _tuple_poly_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _tuple_poly_eval(p, values):
+    total = Fraction(0)
+    for mono, c in p.items():
+        term = c
+        for exp, v in zip(mono, values):
+            if exp:
+                term *= v ** exp
+        total += term
+    return total
+
+
+def _tuple_poly_str(p, params) -> str:
+    if not p:
+        return "0"
+    parts = []
+    for mono in sorted(p, reverse=True):
+        c = p[mono]
+        factors = []
+        for exp, name in zip(mono, params):
+            factors.extend([name] * exp)  # grammar has no '^'
+        if not factors:
+            parts.append(_frac_str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(_frac_str(c) + "*" + "*".join(factors))
+    out = parts[0]
+    for part in parts[1:]:
+        out += part if part.startswith("-") else "+" + part
+    return out
+
+
+def _frac_str(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _tuple_to_str(value, params):
+    num_s = _tuple_poly_str(value[0], params)
+    if value[1] == {(0,) * len(params): 1}:
+        return f"({num_s})" if ("+" in num_s[1:] or "-" in num_s[1:]) else num_s
+    return f"({num_s})/({_tuple_poly_str(value[1], params)})"
+
+
+def _tuple_evaluate(value, params, assignment):
+    """Scalar.evaluate's value, or the type of the error it raises."""
+    num, den = value
+    values = []
+    for i, name in enumerate(params):
+        uses = any(m[i] for m in num) or any(m[i] for m in den)
+        if uses and name not in assignment:
+            return IncompleteAssignment
+        values.append(Fraction(assignment.get(name, 0)))
+    d = _tuple_poly_eval(den, values)
+    if d == 0:
+        return EvalSingular
+    return _tuple_poly_eval(num, values) / d
+
+
+@st.composite
+def _packed_cases(draw):
+    """1-6 parameters; two polynomials, each the int or Fraction(1) unit,
+    zero, or up to 4 terms; and small rationals for some parameters.  Large
+    exponents are just under half the limit, so a product of two stays just
+    under the guard."""
+    n = draw(st.integers(1, 6))
+    large = draw(st.booleans())
+    exps = st.integers(0, 3)
+    if large:
+        exps = st.one_of(exps, st.integers(_EXP_LIMIT // 2 - 2, _EXP_LIMIT // 2 - 1))
+    unit = (0,) * n
+    polys = st.one_of(st.just({unit: 1}), st.just({unit: Fraction(1)}), st.just({}),
+                      st.dictionaries(st.tuples(*[exps] * n), _poly_coeffs, max_size=4))
+    names = [f"x{i}" for i in range(n)]
+    assignment = draw(st.dictionaries(st.sampled_from(names), st.builds(
+        Fraction, st.integers(-3, 3), st.integers(1, 3))))
+    return n, large, draw(polys), draw(polys), assignment
+
+
+@settings(max_examples=300)
+@given(_packed_cases())
+@example((2, True, {(_EXP_LIMIT // 2 - 1, 0): 1, (0, 1): Fraction(1, 2)},
+          {(_EXP_LIMIT // 2, 3): -2, (0, 0): 1}, {}))
+def test_packed_polynomials_match_the_tuple_keyed_reference(case):
+    n, large, p, q, assignment = case
+    field = _params_field(n)
+    ops = field.ops
+    packed_p, packed_q = ops.unbox((p, q))
+    got = (_poly_mul(packed_p, packed_q, ops.guard), _poly_add(packed_p, packed_q))
+    _assert_same_polys(ops.box(got), (_loop_poly_mul(p, q), _tuple_poly_add(p, q)))
+    if large:
+        return  # the text and the value of x**(2**30) are too large to build
+    assert ops.to_str((packed_p, packed_q)) == _tuple_to_str((p, q), field.params)
+    want = _tuple_evaluate((p, q), field.params, assignment)
+    try:
+        got = Scalar(field, (p, q)).evaluate(assignment).value
+    except (EvalSingular, IncompleteAssignment) as exc:
+        got = type(exc)
+    assert got == want and type(got) is type(want)
+
+
+# -- the exponent limit and the storage of a Scalar ----------------------------
+
+@pytest.mark.parametrize("name", ["a", "c"])
+def test_squaring_a_parameter_31_times_overflows(name):
+    """a**(2**30) is below the limit 2**31 and a**(2**31) is not.  Without
+    the guard, the first parameter's carry would leave the int's top field
+    and the last one's would land in its neighbour's field."""
+    f = FieldSpec.rational_function("a", "b", "c")
+    x = f.parameter(name)
+    for _ in range(30):
+        x = x * x
+    top = tuple(_EXP_LIMIT // 2 if p == name else 0 for p in f.params)
+    assert x.value == ({top: 1}, {(0, 0, 0): 1})
+    below = tuple(e and e - 1 for e in top)
+    assert (x * Scalar(f, ({below: 1}, {(0, 0, 0): 1}))).value[0] == {
+        tuple(e and _EXP_LIMIT - 1 for e in top): 1}
+    with pytest.raises(ExponentOverflow):
+        x * x
+    with pytest.raises(ExponentOverflow):
+        x / x.inverse()
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (0, _EXP_LIMIT), (0, 2 ** 64), (1,),
+                                  (1, 0, 0), (Fraction(1), 0)])
+def test_scalar_refuses_exponents_outside_the_packed_fields(exps):
+    f = FieldSpec.rational_function("a", "b")
+    for value in (({exps: 1}, {(0, 0): 1}), ({(0, 0): 1}, {exps: 1})):
+        with pytest.raises(ValueError, match=r"needs 2 exponents in \[0, 2\*\*31\)"):
+            Scalar(f, value)
+    largest = ({(_EXP_LIMIT - 1, 0): 3}, {(0, _EXP_LIMIT - 1): 1})
+    assert Scalar(f, largest).value == largest
+
+
+@pytest.mark.parametrize("field, text", [
+    (FieldSpec.rational(), "-3/4"), (FieldSpec.rational(), "2"),
+    (FieldSpec.prime(5), "3"),
+    (FieldSpec.rational_function("a", "b"), "(a*a-b/2)/(b+1)"),
+    (FieldSpec.rational_function("a", "b"), "3")])
+def test_scalar_pickle_and_deepcopy_keep_value_type_and_repr(field, text):
+    x = field.parse(text)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(y.value) is type(x.value) and repr(y.value) == repr(x.value)
+        assert repr(y) == repr(x) and y == x
 
 
 def _trial_division(n):

@@ -15,6 +15,7 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       rb_derive, rb_double_product, search, serialize,
                       split_null_extension, tensor2, tensor_quadri,
                       trees, tridend_to_dend)
+from bihomalg import families
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded, FieldMismatch
 from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
@@ -512,6 +513,24 @@ def test_cli_verify_family(capsys):
     assert main(["verify-family", "w0f1", "--mode", "sampled",
                  "--samples", json.dumps([{"a": 0, "b": 3, "r": 5}])]) == 2
     assert main(["verify-family", "w0f1", "--mode", "sampled"]) == 2
+
+
+def test_cli_verify_family_evaluates_each_sample_once(monkeypatch, capsys):
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("evaluate_two_param_algebra", "evaluate_rb_family"):
+        monkeypatch.setattr(families, name, counted(getattr(families, name)))
+    samples = [{"a": 2, "b": 3, "r": 5}, {"a": 1, "b": -1, "r": 1}]
+    assert main(["verify-family", "w0f1", "--mode", "sampled",
+                 "--samples", json.dumps(samples)]) == 0
+    assert "passed" in capsys.readouterr().out
+    assert calls == {"evaluate_two_param_algebra": 2, "evaluate_rb_family": 2}
 
 
 # top-level spec keys and a value of the wrong shape for each

@@ -319,9 +319,11 @@ class FieldSpec:
                 raise ValueError("rational_function field needs parameters")
             if len(set(self.params)) != len(self.params):
                 raise ValueError("parameter names must be distinct")
-            for name in self.params:
-                if not name.isidentifier():
-                    raise ValueError(f"bad parameter name {_clip(repr(name))}")
+            for i, name in enumerate(self.params):
+                # a name the literal grammar reads as one identifier
+                if not 0 < _identifier_end(name, 0) == len(name):
+                    raise ValueError(f"bad parameter name {_clip(repr(name))}"
+                                     f" at params[{i}]")
         elif self.kind != RATIONAL:
             raise ValueError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "ops", OPS_CLASSES[self.kind](self))
@@ -478,6 +480,17 @@ def scalar_eq(x: Scalar, y: Scalar) -> bool:
 # Literal grammar: integers, p/q rationals, parameter identifiers, + - * / ( )
 # ---------------------------------------------------------------------------
 
+def _identifier_end(text: str, i: int) -> int:
+    """The end of the identifier at text[i], or i when none starts there: a
+    letter or '_', then letters, digits or '_'.  FieldSpec accepts exactly
+    the parameter names this reads whole."""
+    if i < len(text) and (text[i].isalpha() or text[i] == "_"):
+        i += 1
+        while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+    return i
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -491,10 +504,7 @@ def _tokenize(text: str):
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        elif (j := _identifier_end(text, i)) > i:
             tokens.append(("ident", text[i:j]))
             i = j
         elif c in "+-*/()":

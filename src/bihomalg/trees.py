@@ -54,6 +54,7 @@ class PlanarBinaryTree:
 
 
 LEAF = PlanarBinaryTree()
+_set = object.__setattr__
 
 # enumerate_trees refuses to list more trees than this, and
 # TruncatedIdealReducer a truncation window with more basis terms
@@ -143,16 +144,42 @@ def _augmented(t: AugTree) -> AugTree:
 
 def graft(t1: AugTree | PlanarBinaryTree, t2) -> AugTree | PlanarBinaryTree:
     """Join the roots under a new root node; the new root's power is 0."""
+    return _graft(t1, t2, {})
+
+
+def _graft(t1, t2, shapes: dict):
+    """graft, taking the new root's shape from shapes, a table local to its
+    caller: keyed by the identities of the two child shapes (an entry holds
+    both, so neither id is reused while it stands) and filled on a miss.  A
+    key of the shapes themselves would hash them recursively, which costs as
+    much as building the node.
+
+    Two valid trees graft into a valid tree, so the new ones skip __init__
+    and __post_init__.  Their attributes are set in __init__'s order with
+    object.__setattr__, so each instance dict shares its keys with the
+    class's, as a constructed tree's does; a write to __dict__ would give
+    every tree a larger dict of its own."""
     if type(t1) is not type(t2):
         raise WrongAugmentation(
             f"cannot graft {type(t1).__name__} with {type(t2).__name__}")
-    if isinstance(t1, PlanarBinaryTree):
-        return PlanarBinaryTree(t1, t2)
-    tree = PlanarBinaryTree(_augmented(t1).tree, t2.tree)
-    if isinstance(t1, RBAugTree):
-        return RBAugTree(tree, t1.leaf_powers + t2.leaf_powers,
-                         (0,) + t1.vertex_powers + t2.vertex_powers)
-    return BAugTree(tree, t1.leaf_powers + t2.leaf_powers)
+    plain = isinstance(t1, PlanarBinaryTree)
+    left, right = (t1, t2) if plain else (_augmented(t1).tree, t2.tree)
+    key = (id(left), id(right))
+    tree = shapes.get(key)
+    if tree is None:
+        tree = shapes[key] = object.__new__(PlanarBinaryTree)
+        _set(tree, "left", left)
+        _set(tree, "right", right)
+        _set(tree, "leaves", left.leaves + right.leaves)
+    if plain:
+        return tree
+    rb = isinstance(t1, RBAugTree)
+    t = object.__new__(RBAugTree if rb else BAugTree)
+    _set(t, "tree", tree)
+    _set(t, "leaf_powers", t1.leaf_powers + t2.leaf_powers)
+    if rb:
+        _set(t, "vertex_powers", (0,) + t1.vertex_powers + t2.vertex_powers)
+    return t
 
 
 def decompose(t):
@@ -465,21 +492,30 @@ class FreeElement:
 
 
 def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
-    """Bilinear extension of grafting on generators.  Each product's key is
-    built from its operands' keys: `(s1 s2){0}|w1,w2` (no `{0}` on
-    B-augmented trees), the serialization of the grafted tree and its word."""
+    """Bilinear extension of grafting on generators (see _graft_terms)."""
     _same_basis(x, y)
     mul = x.field.ops.mul
     out = FreeElement.zero(x.field, x.rank)
-    right = [(key.partition("|"), t2, w2, c2)
-             for key, (t2, w2, c2) in y._t.items()]
+    shapes = {}
+    right = [((key, t2, w2), c2) for key, (t2, w2, c2) in y._t.items()]
     for key1, (t1, w1, c1) in x._t.items():
-        s1, _, k1 = key1.partition("|")
-        for (s2, _, k2), t2, w2, c2 in right:
-            t = graft(t1, t2)
-            root = "{0}" if type(t) is RBAugTree else ""
-            out._accumulate(f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2, mul(c1, c2))
+        term1 = (key1, t1, w1)
+        for term2, c2 in right:
+            out._accumulate(*_graft_terms(term1, term2, shapes), mul(c1, c2))
     return out
+
+
+def _graft_terms(term1, term2, shapes: dict):
+    """The product of two terms (key, tree, word): its key, grafted tree
+    and word.  The key is built from the operands' keys, `(s1 s2){0}|w1,w2`
+    (no `{0}` on B-augmented trees), the serialization of the grafted tree
+    and its word.  shapes is _graft's table of root shapes."""
+    (key1, t1, w1), (key2, t2, w2) = term1, term2
+    s1, _, k1 = key1.partition("|")
+    s2, _, k2 = key2.partition("|")
+    t = _graft(t1, t2, shapes)
+    root = "{0}" if type(t) is RBAugTree else ""
+    return f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2
 
 
 def free_alpha(x: FreeElement) -> FreeElement:
@@ -557,6 +593,12 @@ def _has_room(x: FreeElement, side: int, max_power: int) -> bool:
                for p in tree.leaf_powers)
 
 
+def _term(x: FreeElement):
+    """The (key, tree, word) of a one-term element."""
+    (key, (tree, word, _)), = x._t.items()
+    return key, tree, word
+
+
 def _bounded_generators(field, rank, n, bounds):
     """All single-term free elements with exactly n leaves inside the window."""
     out = []
@@ -581,12 +623,17 @@ class _Eliminator:
         self.pivots = {}  # key -> FreeElement with coefficient 1 on key
 
     def reduce(self, x: FreeElement) -> FreeElement:
-        """Subtract at the smallest pivot key present until none is."""
+        """Subtract at the smallest pivot key present until none is.  x is
+        copied once and each step subtracts c times the pivot in place, term
+        by term in pivot order, with the mul and add calls of x - pivot*c."""
         x = x.copy()
-        pivots = self.pivots
+        pivots, ops = self.pivots, x.field.ops
+        mul, neg_one = ops.mul, ops.neg(ops.one)
         while (key := min((k for k in x._t if k in pivots),
                           default=None)) is not None:
-            x = x - pivots[key]._scaled(x._t[key][2])
+            c = x._t[key][2]
+            for k, (tree, word, pc) in pivots[key]._t.items():
+                x._accumulate(k, tree, word, mul(neg_one, mul(c, pc)))
         return x
 
     def insert(self, x: FreeElement) -> bool:
@@ -612,6 +659,11 @@ class TruncatedIdealReducer:
     side, all restricted to the window.  This is a TRUNCATED computation:
     reducing to zero is evidence of ideal membership within the window, not
     a proof of membership in the full ideal.
+
+    Each seed is built as one two-term row: (t1 t2) beta(t3) with
+    coefficient one and alpha(t1) (t2 t3) with -1, keyed and grafted by the
+    product rule of free_multiply (_graft_terms), and the trees of one build
+    share their root shapes.
 
     The build closes the seeds that fit under grafting with the window's
     generators on either side, and takes no alpha or beta images: those of
@@ -662,25 +714,33 @@ class TruncatedIdealReducer:
         # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
                      for n in range(1, max_leaves - 1)}
-        alphas = {n: [(t, free_alpha(t)) for t in gens if _has_room(t, 0, max_ab)]
-                  for n, gens in by_leaves.items()}
-        betas = {n: [(t, free_beta(t)) for t in gens if _has_room(t, 1, max_ab)]
-                 for n, gens in by_leaves.items()}
-        seeds = []
+        # the generators and their images as (key, tree, word) terms
+        terms = {n: [_term(t) for t in gens] for n, gens in by_leaves.items()}
+        alphas = {n: [(_term(t), _term(free_alpha(t))) for t in gens
+                      if _has_room(t, 0, max_ab)] for n, gens in by_leaves.items()}
+        betas = {n: [(_term(t), _term(free_beta(t))) for t in gens
+                     if _has_room(t, 1, max_ab)] for n, gens in by_leaves.items()}
+        # every generator has coefficient one, so a seed's terms carry one
+        # and the -1 that subtracting a product of ones makes
+        ops, shapes, seeds = field.ops, {}, []
+        one = ops.one
+        minus_one = ops.mul(ops.neg(one), one)
         for n1 in range(1, max_leaves - 1):
             for n2 in range(1, max_leaves - n1):
                 for n3 in range(1, max_leaves - n1 - n2 + 1):
                     if not (alphas[n1] and betas[n3]):
                         continue
                     # t2 t3 for the whole (n2, n3) block, dropped after it
-                    right = [[free_multiply(t2, t3) for t3, _ in betas[n3]]
-                             for t2 in by_leaves[n2]]
+                    right = [[_graft_terms(t2, t3, shapes) for t3, _ in betas[n3]]
+                             for t2 in terms[n2]]
                     for t1, at1 in alphas[n1]:
-                        for t2, products in zip(by_leaves[n2], right):
-                            left = free_multiply(t1, t2)
+                        for t2, products in zip(terms[n2], right):
+                            left = _graft_terms(t1, t2, shapes)
                             for (_, bt3), t23 in zip(betas[n3], products):
-                                seeds.append(free_multiply(left, bt3)
-                                             - free_multiply(at1, t23))
+                                k1, tree1, w1 = _graft_terms(left, bt3, shapes)
+                                k2, tree2, w2 = _graft_terms(at1, t23, shapes)
+                                seeds.append(FreeElement._of(field, rank, {
+                                    k1: (tree1, w1, one), k2: (tree2, w2, minus_one)}))
         elim = _Eliminator()
         queue = seeds
         while queue:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec, GRBOperator,
-                      LinearMap, StructureTable, WeakPseudotwistor, cli, rb_derive,
-                      tensor2, tensor_quadri, tridend_to_dend)
-from bihomalg.specfile import serialize
+                      LinearMap, StructureTable, WeakPseudotwistor, cli, parse_scalar,
+                      rb_derive, tensor2, tensor_quadri, tridend_to_dend)
+from bihomalg.specfile import parse_spec, serialize
 from conftest import integration_rb, truncated_poly_algebra
 
 Q = FieldSpec.rational()
@@ -552,3 +552,102 @@ def test_field_block_fuzz_exits_0_1_or_2(doc_fuzz_dir, field):
     assert code in (0, 1, 2)
     if code == 2:
         assert re.search(r"\bfield(\.\w+)?: ", err), err
+
+
+# -- fuzz over `trees reduce` element files ---------------------------------------
+#
+# A valid element file over Q(a), one to three of its values replaced by
+# random JSON: the field, rank or terms, a whole term, or a term's tree, word
+# or coefficient.  Integers stay within [-3, 3], so a replaced rank builds a
+# window of rank at most 3.
+
+ELEMENT_DOC = {"field": {"kind": "rational_function", "params": ["a"]}, "rank": 1,
+               "terms": [{"tree": "((L[0,0;0] L[0,0;0]){0} L[0,1;1]){0}", "word": [0, 0, 0],
+                          "coeff": "a"},
+                         {"tree": "(L[1,0;0] (L[0,0;0] L[0,0;1]){0}){0}", "word": [0, 0, 0],
+                          "coeff": "-a"},
+                         {"tree": "L[1,1;1]", "word": [0], "coeff": "1/2"}]}
+ELEMENT_SLOTS = [("field",), ("rank",), ("terms",), ("field", "kind"), ("field", "params")]
+ELEMENT_SLOTS += [("terms", i) for i in range(3)]
+ELEMENT_SLOTS += [("terms", i, key) for i in range(3) for key in ("tree", "word", "coeff")]
+ELEMENT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.sampled_from(["0", "1", "a", "b", "1/0", "a/0", "L", "L[0,0;0]",
+                               "(L[0,0;0] L[0,0;0]){0}", "L[9,9;9]", "rational",
+                               "prime", [0], [0, 1], ["a"], {"kind": "rational"},
+                               {"kind": "prime", "p": 5},
+                               {"tree": "L[0,0;0]", "word": [0], "coeff": "1"}]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def element_edited(doc, edits):
+    """A copy of doc with each (slot, value) edit made in turn; an edit under
+    a value that an earlier edit replaced by another type is skipped."""
+    def has(target, step):
+        if isinstance(target, dict):
+            return step in target
+        return isinstance(target, list) and isinstance(step, int) and step < len(target)
+
+    doc = json.loads(json.dumps(doc))
+    for slot, value in edits:
+        target = doc
+        for step in slot[:-1]:
+            target = target[step] if has(target, step) else None
+        if isinstance(target, dict) or has(target, slot[-1]):
+            target[slot[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(ELEMENT_SLOTS), ELEMENT_VALUES),
+                      min_size=1, max_size=3))
+def test_element_file_fuzz_exits_0_1_or_2(tmp_path_factory, edits):
+    path = write_doc(tmp_path_factory.mktemp("element") / "fuzzed.json",
+                     element_edited(ELEMENT_DOC, edits))
+    code, _, err = run(["trees", "reduce", path, "--max-leaves", "3", "--max-ab", "1",
+                        "--max-r", "1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.match(rf"error: {re.escape(path)}: (document|field|rank|terms)\b"
+                        r"[^ ]*: ", err), err
+
+
+def test_the_valid_element_file_reduces(tmp_path):
+    """The fuzz's starting point: the seed of (L, L, L) with coefficient a
+    reduces to 0, leaving the generator with coefficient 1/2."""
+    path = write_doc(tmp_path / "elt.json", ELEMENT_DOC)
+    code, out, err = run(["trees", "reduce", path, "--max-leaves", "3", "--max-ab", "1",
+                          "--max-r", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"] == [{"tree": "L[1,1;1]", "word": [0], "coeff": "(1)/(2)"}]
+
+
+# -- parameter names: the ones FieldSpec takes are the ones the grammar reads --
+
+LETTER = st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo")).filter(str.isalpha)
+DIGIT = st.characters(categories=("Nd", "Nl", "No")).filter(str.isalnum)
+IDENTIFIERS = st.tuples(st.one_of(st.just("_"), LETTER),
+                        st.text(st.one_of(st.just("_"), LETTER, DIGIT), max_size=3)
+                        ).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+def test_parameter_names_round_trip_through_a_spec_file(names):
+    field = FieldSpec.rational_function(*names)
+    c = parse_scalar(field, "+".join(names)) * field.parameter(names[0])
+    A = BiHomAssociativeAlgebra.associative(field, StructureTable(field, (((c,),),)))
+    back = parse_spec(serialize({"structure": A}))["structure"]
+    assert back.field == field and back == A
+
+
+def test_a_parameter_name_the_grammar_cannot_read_exits_2_naming_it(tmp_path):
+    doc = {"field": {"kind": "rational_function", "params": ["a", "a·"]}, "dim": 1,
+           "kind": "assoc", "tables": {"mu": [[["a"]]]}, "alpha": [["1"]], "beta": [["1"]]}
+    path = write_doc(tmp_path / "spec.json", doc)
+    assert run(["check", path]) == (
+        2, "", f"error: {path}: field.params: bad parameter name 'a·' at params[1]\n")

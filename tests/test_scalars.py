@@ -553,3 +553,21 @@ def test_scalar_literals_take_ascii_digits_only(text, char, pos):
         with pytest.raises(ValueError,
                            match=f"^bad character '{char}' in scalar literal at {pos}$"):
             parse_scalar(field, text)
+
+
+@given(name=st.text(max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_a_parameter_name_is_accepted_exactly_when_the_grammar_reads_it_whole(name):
+    """`a·` passes str.isidentifier, but the literal grammar refuses '·'."""
+    try:
+        tokens = _tokenize(name)
+    except ValueError:
+        tokens = None
+    try:
+        FieldSpec.rational_function(name)
+    except ValueError as exc:
+        assert str(exc).endswith(" at params[0]")
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (tokens == [("ident", name), ("end", "")])

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -922,3 +923,95 @@ def test_reduce_refuses_an_element_over_another_basis(reducer_311, other):
 def test_tree_literals_take_ascii_digits_only(text, pos):
     with pytest.raises(ValueError, match=f"^tree syntax error at {pos}: "):
         parse_tree(text)
+
+
+# ---------------------------------------------------------------------------
+# The build's own product path against the references on more fields: seeds
+# as two-term rows, trusted grafts with shared root shapes, and the
+# eliminator's in-place subtraction.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, rank, bounds, count", [
+    (F5, 1, window(3, 2, 1), 2592),
+    (FieldSpec.rational_function("a"), 2, window(3, 1, 1), 1024),
+    (F5, 1, window(4, 1, 0), 272)], ids=["w321-f5", "w311r2-qa", "w410-f5"])
+def test_build_pivots_match_unpruned_build_on_more_fields(field, rank, bounds, count):
+    """(4,1,0) is a window whose closure grafts through free_multiply."""
+    got = TruncatedIdealReducer(field, rank, bounds)._elim.pivots
+    want = ref_build(field, rank, bounds)
+    assert len(got) == count
+    assert [(key, raw_terms(x)) for key, x in got.items()] \
+        == [(key, raw_terms(x)) for key, x in want.items()]
+
+
+def validated_graft(t1, t2):
+    """graft through the dataclass constructors, which check every length."""
+    if isinstance(t1, PlanarBinaryTree):
+        return PlanarBinaryTree(t1, t2)
+    tree = PlanarBinaryTree(t1.tree, t2.tree)
+    if isinstance(t1, RBAugTree):
+        return RBAugTree(tree, t1.leaf_powers + t2.leaf_powers,
+                         (0,) + t1.vertex_powers + t2.vertex_powers)
+    return BAugTree(tree, t1.leaf_powers + t2.leaf_powers)
+
+
+@given(any_trees(), any_trees())
+@settings(max_examples=200, deadline=None)
+def test_trusted_graft_equals_the_validated_construction_property(t1, t2):
+    """graft builds its result without __init__; the tree is the one the
+    constructors build in every public respect, and its instance dict is as
+    large as theirs (a write to __dict__ would make it larger)."""
+    if type(t1) is not type(t2):
+        with pytest.raises(WrongAugmentation):
+            graft(t1, t2)
+        return
+    got, want = graft(t1, t2), validated_graft(t1, t2)
+    back = pickle.loads(pickle.dumps(got))
+    for t in (got, back, dataclasses.replace(got)):
+        assert type(t) is type(want) and t == want and hash(t) == hash(want)
+        assert repr(t) == repr(want) and vars(t) == vars(want)
+        assert serialize_tree(t) == serialize_tree(want)
+    shape = got if isinstance(got, PlanarBinaryTree) else got.tree
+    assert vars(shape) == {"left": shape.left, "right": shape.right,
+                           "leaves": t1.leaves + t2.leaves}
+    assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
+    if not isinstance(got, PlanarBinaryTree):
+        with pytest.raises(ValueError, match="leaf_powers length"):
+            dataclasses.replace(got, leaf_powers=got.leaf_powers[1:])
+
+
+def test_free_multiply_shares_root_shapes_within_a_product():
+    x = FreeElement(Q, 1, {ref_term_key(t, (0,)): (t, (0,), Q.one()) for t in (
+        RBAugTree(LEAF, ((0, 0),), (0,)), RBAugTree(LEAF, ((1, 0),), (0,)))})
+    product = free_multiply(x, x)
+    shapes = {id(tree.tree) for tree, _, _ in product.terms.values()}
+    assert len(product.terms) == 4 and len(shapes) == 1
+
+
+@pytest.fixture(scope="module")
+def reducers_311(window_311):
+    return {field.kind: TruncatedIdealReducer(field, 1, window_311) for field in FIELDS}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_reduce_matches_reference_property(reducers_311, field, data):
+    """The eliminator subtracts in place on one copy: the same terms, and the
+    same mul and add calls, as x - pivot*c per step, and x is untouched."""
+    elim = reducers_311[field.kind]._elim
+    support = {key: (tree, word) for x in elim.pivots.values()
+               for key, (tree, word, _) in x.terms.items()}
+    keys = data.draw(st.lists(st.sampled_from(sorted(support)), max_size=8, unique=True))
+    coeffs = [-field.one(), field.from_int(2), field.from_int(3).inverse()]
+    if field.params:
+        coeffs += [field.parse("a+1"), field.parse("1/a")]
+    x = FreeElement(field, 1, {key: (*support[key], data.draw(st.sampled_from(coeffs)))
+                               for key in keys})
+    before = raw_terms(x)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, elim.reduce, x)
+        want, want_ops = counted(monkeypatch, ref_reduce, elim, x)
+    assert raw_terms(got) == raw_terms(want)
+    assert got_ops == want_ops
+    assert got is not x and raw_terms(x) == before

@@ -234,10 +234,9 @@ def cmd_trees(args) -> int:
     bounds = {"max_leaves": leaves, "max_ab_power": args.max_ab,
               "max_r_power": args.max_r}
     reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
-    out = [{"tree": trees.serialize_tree(tree), "word": list(word),
-            "coeff": scalar_to_str(c)}
-           for tree, word, c in
-           (reduced.terms[k] for k in sorted(reduced.terms))]
+    # a term key is the tree's text, "|" and the word
+    out = [{"tree": key.partition("|")[0], "word": list(word), "coeff": scalar_to_str(c)}
+           for key, (_, word, c) in sorted(reduced.terms.items())]
     print(json.dumps({"field": doc["field"], "rank": doc["rank"],
                       "terms": out}, indent=2))
     return 0
@@ -320,6 +319,8 @@ def _samples_arg(text: str, family: str) -> list:
     raw = _read_json(text, "--samples")
     if not isinstance(raw, list):
         _fail("--samples", "must be a JSON list of objects")
+    if not raw:
+        _fail("--samples", "sampled mode needs at least one assignment")
     pairs = []
     names = families.SYMBOLIC_FIELD.params
     for n, s in enumerate(raw):

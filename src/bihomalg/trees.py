@@ -8,17 +8,20 @@ RB-augmented variant additionally carries one nonnegative power on *every*
 vertex (leaves and internal nodes alike), stored in preorder with the root
 first.  Grafting joins two trees under a fresh root whose power is 0.
 
-A FreeElement holds its coefficients as raw values of its field, as the
-containers of linalg do (over Q an int when integral, else a Fraction), and
-every kernel on it (`+`, `-`, `scale`, `map_terms`, `free_multiply` and the
-eliminator) computes through `field.ops` in the order of the old boxed
-loops, so it makes the same mul and add calls and builds no Scalar.  Its
-public `terms` is a live mapping over the raw dict that boxes on read and
+A FreeElement stores each term by its key alone, with the term's word and a
+window summary of four ints, and no tree.  It holds its coefficients as raw
+values of its field, as the containers of linalg do (over Q an int when
+integral, else a Fraction), and every kernel on it (`+`, `-`, `scale`,
+`map_terms`, `free_multiply` and the eliminator) computes through
+`field.ops` in the order of the old boxed loops, so it makes the same mul
+and add calls and builds no Scalar.  Its public `terms` is a live mapping
+over the raw dict that builds each tree from its key and boxes on read, and
 unboxes on write.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 from itertools import product, repeat
@@ -26,7 +29,7 @@ from itertools import product, repeat
 from .errors import (BoundsExceeded, BudgetExceeded, Indecomposable,
                      InvalidArity, WrongAugmentation)
 from .linalg import Vector, _raw
-from .scalars import FieldSpec, Scalar, _scalar
+from .scalars import FieldSpec, Scalar, _clip, _scalar
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class PlanarBinaryTree:
 
 
 LEAF = PlanarBinaryTree()
-_set = object.__setattr__
 
 # enumerate_trees refuses to list more trees than this, and
 # TruncatedIdealReducer a truncation window with more basis terms
@@ -144,42 +146,16 @@ def _augmented(t: AugTree) -> AugTree:
 
 def graft(t1: AugTree | PlanarBinaryTree, t2) -> AugTree | PlanarBinaryTree:
     """Join the roots under a new root node; the new root's power is 0."""
-    return _graft(t1, t2, {})
-
-
-def _graft(t1, t2, shapes: dict):
-    """graft, taking the new root's shape from shapes, a table local to its
-    caller: keyed by the identities of the two child shapes (an entry holds
-    both, so neither id is reused while it stands) and filled on a miss.  A
-    key of the shapes themselves would hash them recursively, which costs as
-    much as building the node.
-
-    Two valid trees graft into a valid tree, so the new ones skip __init__
-    and __post_init__.  Their attributes are set in __init__'s order with
-    object.__setattr__, so each instance dict shares its keys with the
-    class's, as a constructed tree's does; a write to __dict__ would give
-    every tree a larger dict of its own."""
     if type(t1) is not type(t2):
         raise WrongAugmentation(
             f"cannot graft {type(t1).__name__} with {type(t2).__name__}")
-    plain = isinstance(t1, PlanarBinaryTree)
-    left, right = (t1, t2) if plain else (_augmented(t1).tree, t2.tree)
-    key = (id(left), id(right))
-    tree = shapes.get(key)
-    if tree is None:
-        tree = shapes[key] = object.__new__(PlanarBinaryTree)
-        _set(tree, "left", left)
-        _set(tree, "right", right)
-        _set(tree, "leaves", left.leaves + right.leaves)
-    if plain:
-        return tree
-    rb = isinstance(t1, RBAugTree)
-    t = object.__new__(RBAugTree if rb else BAugTree)
-    _set(t, "tree", tree)
-    _set(t, "leaf_powers", t1.leaf_powers + t2.leaf_powers)
-    if rb:
-        _set(t, "vertex_powers", (0,) + t1.vertex_powers + t2.vertex_powers)
-    return t
+    if isinstance(t1, PlanarBinaryTree):
+        return PlanarBinaryTree(t1, t2)
+    tree = PlanarBinaryTree(_augmented(t1).tree, t2.tree)
+    if isinstance(t1, RBAugTree):
+        return RBAugTree(tree, t1.leaf_powers + t2.leaf_powers,
+                         (0,) + t1.vertex_powers + t2.vertex_powers)
+    return BAugTree(tree, t1.leaf_powers + t2.leaf_powers)
 
 
 def decompose(t):
@@ -231,10 +207,9 @@ def serialize_tree(t) -> str:
     if isinstance(t, PlanarBinaryTree):
         return _ser(t, None, None)
     vps = t.vertex_powers if isinstance(_augmented(t), RBAugTree) else None
-    for kind, powers in (("leaf", [p for pair in t.leaf_powers for p in pair]),
-                         ("vertex", vps or ())):
-        if powers and min(powers) < 0:
-            raise ValueError(f"cannot serialize a negative {kind} power, got {min(powers)}")
+    for kind, low in (("leaf", min(map(min, t.leaf_powers))), ("vertex", min(vps or (0,)))):
+        if low < 0:
+            raise ValueError(f"cannot serialize a negative {kind} power, got {low}")
     return _ser(t.tree, iter(t.leaf_powers), None if vps is None else iter(vps))
 
 
@@ -252,80 +227,66 @@ def _ser(node, powers, vps) -> str:
     return f"({left} {right})" if f is None else f"({left} {right}){{{f}}}"
 
 
-class _TreeParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Whitespace may stand before a node and before its ')'.  Integers take
+# ASCII digits alone: str.isdigit also takes '²', which int() refuses, and
+# '٣', which int() reads as 3.
+_SPACE = re.compile(r"\s*")
+_OPEN = re.compile(r"\s*(?:(\()|L(?:\[([0-9]+),([0-9]+)(?:;([0-9]+))?\])?)")
+_CLOSE = re.compile(r"\s*\)(?:\{([0-9]+)\})?")
+# the longest well-formed start of a leaf's [a,b;f] or a node's {f}
+_OPENED = re.compile(r"\[(?:[0-9]+(?:,(?:[0-9]+(?:;[0-9]*)?)?)?)?|\{[0-9]*")
 
-    def error(self, msg):
-        raise ValueError(f"tree syntax error at {self.pos}: {msg}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _syntax_error(pos: int, msg: str):
+    raise ValueError(f"tree syntax error at {pos}: {msg}")
 
-    def expect(self, ch):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def integer(self):
-        start = self.pos
-        # ASCII digits alone: str.isdigit also takes '²', which int() refuses,
-        # and '٣', which int() reads as 3
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+def _bracket_error(text: str, pos: int):
+    """Refuse the malformed [a,b;f] or {f} at pos where its longest
+    well-formed start ends, naming what the grammar wants there."""
+    done = _OPENED.match(text, pos).group()
+    want = ("an integer" if done[-1] in "[{,;" else "'}'" if done[0] == "{"
+            else "','" if "," not in done else "']'")
+    _syntax_error(pos + len(done), f"expected {want}")
 
-    def node(self):
-        """Returns (tree, leaf_powers list, vertex_powers list or None)."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        if self.text[self.pos] == "L":
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] == "[":
-                self.pos += 1
-                a = self.integer()
-                self.expect(",")
-                b = self.integer()
-                f = None
-                if self.pos < len(self.text) and self.text[self.pos] == ";":
-                    self.pos += 1
-                    f = self.integer()
-                self.expect("]")
-                return LEAF, [(a, b)], None if f is None else [f]
-            return LEAF, [(0, 0)], None
-        if self.text[self.pos] == "(":
-            self.pos += 1
-            lt, lp, lv = self.node()
-            rt, rp, rv = self.node()
-            self.skip_ws()
-            self.expect(")")
-            tree = PlanarBinaryTree(lt, rt)
-            f = None
-            if self.pos < len(self.text) and self.text[self.pos] == "{":
-                self.pos += 1
-                f = self.integer()
-                self.expect("}")
-            if (lv is None) != (rv is None) or (f is None) != (lv is None):
-                self.error("mixed augmentation kinds")
-            vp = None if f is None else [f] + lv + rv
-            return tree, lp + rp, vp
-        self.error("expected 'L' or '('")
+
+def _node(text: str, pos: int):
+    """The node at pos: (tree, leaf_powers list, vertex_powers list or
+    None, the position after it)."""
+    m = _OPEN.match(text, pos)
+    if m is None:
+        pos = _SPACE.match(text, pos).end()
+        _syntax_error(pos, "unexpected end of input" if pos == len(text)
+                      else "expected 'L' or '('")
+    paren, a, b, f = m.groups()
+    if paren is None:  # a leaf
+        if a is None:
+            if text.startswith("[", m.end()):
+                _bracket_error(text, m.end())
+            return LEAF, [(0, 0)], None, m.end()
+        return LEAF, [(int(a), int(b))], None if f is None else [int(f)], m.end()
+    lt, lp, lv, pos = _node(text, m.end())
+    rt, rp, rv, pos = _node(text, pos)
+    m = _CLOSE.match(text, pos)
+    if m is None:
+        _syntax_error(_SPACE.match(text, pos).end(), "expected ')'")
+    f = m.group(1)
+    if f is None and text.startswith("{", m.end()):
+        _bracket_error(text, m.end())
+    if (lv is None) != (rv is None) or (f is None) != (lv is None):
+        _syntax_error(m.end(), "mixed augmentation kinds")
+    vp = None if f is None else [int(f)] + lv + rv
+    return PlanarBinaryTree(lt, rt), lp + rp, vp, m.end()
 
 
 def parse_tree(text: str):
     """Inverse of serialize_tree on augmented trees.  Text without `;f` /
     `{f}` parses as a B-augmented tree, a bare `L` meaning the powers (0, 0);
     use .tree for the undecorated shape."""
-    parser = _TreeParser(text)
-    tree, lp, vp = parser.node()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing garbage")
+    tree, lp, vp, pos = _node(text, 0)
+    pos = _SPACE.match(text, pos).end()
+    if pos != len(text):
+        _syntax_error(pos, "trailing garbage")
     if vp is None:
         return BAugTree(tree, tuple(lp))
     return RBAugTree(tree, tuple(lp), tuple(vp))
@@ -335,10 +296,40 @@ def parse_tree(text: str):
 # Free elements
 # ---------------------------------------------------------------------------
 
+def _summary(t) -> tuple[int, int, int, int]:
+    """A term's window summary: its leaf count and its largest alpha, beta
+    and R powers, -1 for a kind of power the tree does not carry (so a plain
+    tree reads (n, -1, -1, -1) and a B-augmented one (n, a, b, -1))."""
+    if isinstance(t, PlanarBinaryTree):
+        return t.leaves, -1, -1, -1
+    alphas, betas = map(max, zip(*t.leaf_powers))
+    return t.leaves, alphas, betas, max(getattr(t, "vertex_powers", (-1,)))
+
+
+def _kind(info) -> str:
+    """The name of the tree class a term's info stands for."""
+    _, _, a, _, r = info
+    return "RBAugTree" if r >= 0 else "BAugTree" if a >= 0 else "PlanarBinaryTree"
+
+
+def _keyed(tree, word):
+    """A term's key and info: its word and its window summary."""
+    return FreeElement.term_key(tree, word), (word, *_summary(tree))
+
+
+def _tree_of(key: str):
+    """The tree a term key names; a key with no powers names a plain tree."""
+    text = key.partition("|")[0]
+    t = parse_tree(text)
+    return t if "[" in text else t.tree
+
+
 class _Terms(MutableMapping):
-    """`FreeElement.terms`, a live view of the raw term dict: a read boxes
-    the coefficient into a Scalar of the element's field, and a write unboxes
-    it (FieldMismatch refuses anything else); a zero written deletes the key."""
+    """`FreeElement.terms`, a live view of the raw term dict: a read builds
+    the tree from its key and boxes the coefficient into a Scalar of the
+    element's field, and a write unboxes it (FieldMismatch refuses anything
+    else); a zero written deletes the key.  A write refuses, with
+    ValueError, a key other than term_key(tree, word)."""
 
     __slots__ = ("_x",)
 
@@ -346,19 +337,26 @@ class _Terms(MutableMapping):
         self._x = x
 
     def __getitem__(self, key):
-        tree, word, c = self._x._t[key]
-        return tree, word, _scalar(self._x.field, c)
+        info, c = self._x._t[key]
+        return _tree_of(key), info[0], _scalar(self._x.field, c)
 
     def __setitem__(self, key, term):
         tree, word, c = term
+        right, info = _keyed(tree, word)
+        if key != right:
+            raise ValueError(f"term key {_clip(repr(key))} does not name its tree "
+                             f"and word, {_clip(repr(right))}")
         c = _raw(self._x.field, c)
         if self._x.field.ops.is_zero(c):
             self._x._t.pop(key, None)  # a zero coefficient is no term
         else:
-            self._x._t[key] = (tree, word, c)
+            self._x._t[key] = (info, c)
 
     def __delitem__(self, key):
         del self._x._t[key]
+
+    def __contains__(self, key):
+        return key in self._x._t
 
     def __iter__(self):
         return iter(self._x._t)
@@ -382,15 +380,20 @@ class FreeElement:
     leaf word drawn from a finite basis 0..rank-1 of the generating module.
     Keys are canonical serializations so the term order is reproducible.
 
-    The coefficients are raw values of `field` (see linalg), kept in the
-    private dict `_t`: key -> (tree, word, raw value).  Only nonzero values
-    are stored (the constructor and a write through `terms` drop a zero), and
-    the kernels compute on them through `field.ops` and build no Scalar.
-    `terms` is a live mapping over the same dict that boxes each coefficient
-    on read and unboxes it on write, so Scalar stays the boundary: the
-    constructor and `generator` take Scalars of `field` (FieldMismatch
-    refuses any other), and `+`, `-`, `==` and `free_multiply` refuse
-    operands over another field or rank."""
+    A term is its key, `serialize_tree(tree) + "|" + word`: the private dict
+    `_t` maps each key to its info and its coefficient, and holds no tree.
+    The info is the word and the window summary of _summary, four ints, so
+    the product rule and the reducer's window checks read no key.  A tree is
+    built from its key only where one is read: a `terms` read and map_terms.
+
+    The coefficients are raw values of `field` (see linalg).  Only nonzero
+    values are stored (the constructor and a write through `terms` drop a
+    zero), and the kernels compute on them through `field.ops` and build no
+    Scalar.  `terms` is a live mapping over the same dict that boxes each
+    coefficient on read and unboxes it on write, so Scalar stays the
+    boundary: the constructor and `generator` take Scalars of `field`
+    (FieldMismatch refuses any other), and `+`, `-`, `==` and
+    `free_multiply` refuse operands over another field or rank."""
 
     __slots__ = ("field", "rank", "_t")
 
@@ -407,7 +410,7 @@ class FreeElement:
 
     @property
     def terms(self) -> _Terms:
-        """key -> (RBAugTree, word tuple, Scalar coefficient)"""
+        """key -> (tree, word tuple, Scalar coefficient)"""
         return _Terms(self)
 
     def __repr__(self):
@@ -426,22 +429,22 @@ class FreeElement:
             raise ValueError("leaf word letter outside the basis range")
         c = field.ops.one if coeff is None else _raw(field, coeff)
         x = FreeElement.zero(field, rank)
-        x._accumulate(FreeElement.term_key(tree, word), tree, word, c)
+        x._accumulate(*_keyed(tree, word), c)
         return x
 
     @staticmethod
     def term_key(tree: RBAugTree, word: tuple[int, ...]) -> str:
         return serialize_tree(tree) + "|" + ",".join(map(str, word))
 
-    def _accumulate(self, key, tree, word, coeff):
+    def _accumulate(self, key, info, coeff):
         """Add the raw coeff at key; a zero sum drops the term."""
         terms, ops = self._t, self.field.ops
         if key in terms:
-            coeff = ops.add(terms[key][2], coeff)
+            coeff = ops.add(terms[key][1], coeff)
         if ops.is_zero(coeff):
             terms.pop(key, None)
         else:
-            terms[key] = (tree, word, coeff)
+            terms[key] = (info, coeff)
 
     def copy(self) -> "FreeElement":
         return FreeElement._of(self.field, self.rank, dict(self._t))
@@ -449,8 +452,8 @@ class FreeElement:
     def __add__(self, other: "FreeElement") -> "FreeElement":
         _same_basis(self, other)
         out = self.copy()
-        for key, (tree, word, c) in other._t.items():
-            out._accumulate(key, tree, word, c)
+        for key, (info, c) in other._t.items():
+            out._accumulate(key, info, c)
         return out
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
@@ -471,8 +474,7 @@ class FreeElement:
             return FreeElement.zero(self.field, self.rank)
         mul = ops.mul
         return FreeElement._of(self.field, self.rank, {
-            key: (tree, word, mul(c, coeff))
-            for key, (tree, word, coeff) in self._t.items()})
+            key: (info, mul(c, coeff)) for key, (info, coeff) in self._t.items()})
 
     def is_zero(self) -> bool:
         return not self._t
@@ -485,9 +487,8 @@ class FreeElement:
     def map_terms(self, fn) -> "FreeElement":
         """Apply a tree map to every basis term, keeping words and coefficients."""
         out = FreeElement.zero(self.field, self.rank)
-        for tree, word, coeff in self._t.values():
-            tree = fn(tree)
-            out._accumulate(FreeElement.term_key(tree, word), tree, word, coeff)
+        for key, (info, coeff) in self._t.items():
+            out._accumulate(*_keyed(fn(_tree_of(key)), info[0]), coeff)
         return out
 
 
@@ -496,26 +497,30 @@ def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
     _same_basis(x, y)
     mul = x.field.ops.mul
     out = FreeElement.zero(x.field, x.rank)
-    shapes = {}
-    right = [((key, t2, w2), c2) for key, (t2, w2, c2) in y._t.items()]
-    for key1, (t1, w1, c1) in x._t.items():
-        term1 = (key1, t1, w1)
+    right = [((key, info), c2) for key, (info, c2) in y._t.items()]
+    for key1, (info1, c1) in x._t.items():
+        term1 = (key1, info1)
         for term2, c2 in right:
-            out._accumulate(*_graft_terms(term1, term2, shapes), mul(c1, c2))
+            out._accumulate(*_graft_terms(term1, term2), mul(c1, c2))
     return out
 
 
-def _graft_terms(term1, term2, shapes: dict):
-    """The product of two terms (key, tree, word): its key, grafted tree
-    and word.  The key is built from the operands' keys, `(s1 s2){0}|w1,w2`
-    (no `{0}` on B-augmented trees), the serialization of the grafted tree
-    and its word.  shapes is _graft's table of root shapes."""
-    (key1, t1, w1), (key2, t2, w2) = term1, term2
+def _graft_terms(term1, term2):
+    """The product of two terms (key, info): its key, `(s1 s2){0}|w1,w2`
+    (no `{0}` unless RB-augmented), which is term_key of the grafted tree
+    and word, and its info.  Its summary joins the operands': the root's R
+    power 0 is no larger than theirs.  Terms of two kinds are refused with
+    WrongAugmentation, as graft refuses their trees."""
+    (key1, (w1, n1, a1, b1, r1)), (key2, (w2, n2, a2, b2, r2)) = term1, term2
+    if (a1 < 0) != (a2 < 0) or (r1 < 0) != (r2 < 0):
+        raise WrongAugmentation(
+            f"cannot graft {_kind(term1[1])} with {_kind(term2[1])}")
     s1, _, k1 = key1.partition("|")
     s2, _, k2 = key2.partition("|")
-    t = _graft(t1, t2, shapes)
-    root = "{0}" if type(t) is RBAugTree else ""
-    return f"({s1} {s2}){root}|{k1},{k2}", t, w1 + w2
+    root = "{0}" if r1 >= 0 else ""
+    return f"({s1} {s2}){root}|{k1},{k2}", (
+        w1 + w2, n1 + n2, a1 if a1 > a2 else a2, b1 if b1 > b2 else b2,
+        r1 if r1 > r2 else r2)
 
 
 def free_alpha(x: FreeElement) -> FreeElement:
@@ -573,30 +578,18 @@ def _act(node, powers, vps, elements, A, rmap):
 # Truncated reduction modulo the associativity ideal
 # ---------------------------------------------------------------------------
 
-def _fits(tree: RBAugTree, bounds) -> bool:
-    if tree.leaves > bounds["max_leaves"]:
-        return False
-    if any(a > bounds["max_ab_power"] or b > bounds["max_ab_power"]
-           for a, b in tree.leaf_powers):
-        return False
-    return all(f <= bounds["max_r_power"] for f in tree.vertex_powers)
-
-
 def _element_fits(x: FreeElement, bounds) -> bool:
-    return all(_fits(tree, bounds) for tree, _, _ in x._t.values())
+    """Whether every term of x is RB-augmented and inside the window, read
+    from the terms' summaries."""
+    leaves, ab, r = bounds["max_leaves"], bounds["max_ab_power"], bounds["max_r_power"]
+    return all(n <= leaves and a <= ab and b <= ab and 0 <= f <= r
+               for (_, n, a, b, f), _ in x._t.values())
 
 
 def _has_room(x: FreeElement, side: int, max_power: int) -> bool:
-    """Whether every leaf power of every term has component `side` (0 for
-    alpha, 1 for beta) below max_power, so that map's image keeps it."""
-    return all(p[side] < max_power for tree, _, _ in x._t.values()
-               for p in tree.leaf_powers)
-
-
-def _term(x: FreeElement):
-    """The (key, tree, word) of a one-term element."""
-    (key, (tree, word, _)), = x._t.items()
-    return key, tree, word
+    """Whether every term's largest power of component `side` (0 for alpha,
+    1 for beta) is below max_power, so that map's image keeps it."""
+    return all(info[2 + side] < max_power for info, _ in x._t.values())
 
 
 def _bounded_generators(field, rank, n, bounds):
@@ -631,19 +624,25 @@ class _Eliminator:
         mul, neg_one = ops.mul, ops.neg(ops.one)
         while (key := min((k for k in x._t if k in pivots),
                           default=None)) is not None:
-            c = x._t[key][2]
-            for k, (tree, word, pc) in pivots[key]._t.items():
-                x._accumulate(k, tree, word, mul(neg_one, mul(c, pc)))
+            c = x._t[key][1]
+            for k, (info, pc) in pivots[key]._t.items():
+                x._accumulate(k, info, mul(neg_one, mul(c, pc)))
         return x
 
     def insert(self, x: FreeElement) -> bool:
+        """Reduce x and store it, scaled to coefficient one at its smallest
+        key, as the pivot there; False if it reduces to zero.  reduce made x
+        a copy, so a row whose coefficient there is the field's one itself,
+        as every seed's is, is stored unscaled.  Identity, not equality: a
+        Q(params) value equal to one may hold Fraction(1), and scaling by it
+        would change the stored values' types."""
         x = self.reduce(x)
         if x.is_zero():
             return False
         key = min(x._t)
-        ops = x.field.ops
+        c, ops = x._t[key][1], x.field.ops
         # over Q, ops.inv gives Fraction(1, c): normed, a unit stays an int
-        self.pivots[key] = x._scaled(ops.norm(ops.inv(x._t[key][2])))
+        self.pivots[key] = x if c is ops.one else x._scaled(ops.norm(ops.inv(c)))
         return True
 
 
@@ -652,7 +651,8 @@ class TruncatedIdealReducer:
     truncation window; build once, reduce many elements.  BudgetExceeded
     refuses a window of more than TREES_LIMIT basis terms before the build,
     and `reduce` refuses an element over another field or rank with
-    ValueError, and one outside the window with BoundsExceeded.
+    ValueError, one with a term that is not RB-augmented with
+    WrongAugmentation, and one outside the window with BoundsExceeded.
 
     The ideal is generated by mu(mu(t1,t2), beta(t3)) - mu(alpha(t1),
     mu(t2,t3)) and closed under the two tree maps and grafting on either
@@ -661,9 +661,8 @@ class TruncatedIdealReducer:
     a proof of membership in the full ideal.
 
     Each seed is built as one two-term row: (t1 t2) beta(t3) with
-    coefficient one and alpha(t1) (t2 t3) with -1, keyed and grafted by the
-    product rule of free_multiply (_graft_terms), and the trees of one build
-    share their root shapes.
+    coefficient one and alpha(t1) (t2 t3) with -1, keyed by the product rule
+    of free_multiply (_graft_terms) on keys and summaries, with no tree.
 
     The build closes the seeds that fit under grafting with the window's
     generators on either side, and takes no alpha or beta images: those of
@@ -714,15 +713,18 @@ class TruncatedIdealReducer:
         # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
                      for n in range(1, max_leaves - 1)}
-        # the generators and their images as (key, tree, word) terms
-        terms = {n: [_term(t) for t in gens] for n, gens in by_leaves.items()}
-        alphas = {n: [(_term(t), _term(free_alpha(t))) for t in gens
-                      if _has_room(t, 0, max_ab)] for n, gens in by_leaves.items()}
-        betas = {n: [(_term(t), _term(free_beta(t))) for t in gens
-                     if _has_room(t, 1, max_ab)] for n, gens in by_leaves.items()}
+        # the generators and their images as (key, info) terms
+        def term(g):
+            (key, (info, _)), = g._t.items()
+            return key, info
+        terms = {n: [term(g) for g in gens] for n, gens in by_leaves.items()}
+        alphas = {n: [(term(g), term(free_alpha(g))) for g in gens
+                      if _has_room(g, 0, max_ab)] for n, gens in by_leaves.items()}
+        betas = {n: [(term(g), term(free_beta(g))) for g in gens
+                     if _has_room(g, 1, max_ab)] for n, gens in by_leaves.items()}
         # every generator has coefficient one, so a seed's terms carry one
         # and the -1 that subtracting a product of ones makes
-        ops, shapes, seeds = field.ops, {}, []
+        ops, seeds = field.ops, []
         one = ops.one
         minus_one = ops.mul(ops.neg(one), one)
         for n1 in range(1, max_leaves - 1):
@@ -731,23 +733,23 @@ class TruncatedIdealReducer:
                     if not (alphas[n1] and betas[n3]):
                         continue
                     # t2 t3 for the whole (n2, n3) block, dropped after it
-                    right = [[_graft_terms(t2, t3, shapes) for t3, _ in betas[n3]]
+                    right = [[_graft_terms(t2, t3) for t3, _ in betas[n3]]
                              for t2 in terms[n2]]
                     for t1, at1 in alphas[n1]:
                         for t2, products in zip(terms[n2], right):
-                            left = _graft_terms(t1, t2, shapes)
+                            left = _graft_terms(t1, t2)
                             for (_, bt3), t23 in zip(betas[n3], products):
-                                k1, tree1, w1 = _graft_terms(left, bt3, shapes)
-                                k2, tree2, w2 = _graft_terms(at1, t23, shapes)
+                                k1, info1 = _graft_terms(left, bt3)
+                                k2, info2 = _graft_terms(at1, t23)
                                 seeds.append(FreeElement._of(field, rank, {
-                                    k1: (tree1, w1, one), k2: (tree2, w2, minus_one)}))
+                                    k1: (info1, one), k2: (info2, minus_one)}))
         elim = _Eliminator()
         queue = seeds
         while queue:
             g = queue.pop()
             if not elim.insert(g):
                 continue
-            g_leaves = next(iter(g._t.values()))[0].leaves
+            g_leaves = next(iter(g._t.values()))[0][1]
             for n in range(1, max_leaves - g_leaves + 1):
                 for other in by_leaves[n]:
                     queue.append(free_multiply(g, other))
@@ -757,6 +759,10 @@ class TruncatedIdealReducer:
     def reduce(self, x: FreeElement) -> FreeElement:
         _same_basis(self, x)
         if not _element_fits(x, self.bounds):
+            for info, _ in x._t.values():
+                if info[4] < 0:
+                    raise WrongAugmentation(
+                        f"the reducer needs RB-augmented terms, not {_kind(info)}")
             raise BoundsExceeded("element does not fit within the stated bounds")
         return self._elim.reduce(x)
 

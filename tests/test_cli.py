@@ -358,13 +358,8 @@ NUMBERS = ["0", "1", "-2"]
 VIAS = ["rb-tridend", "rb-double", "yau", "tensor-quadri", "quadri-h",
         "quadri-v", "split-null", "grb-dend", "rb-twistor", "compose-twistor",
         "pair-quadri"]
-MATRICES = ['[["1", "0"], ["0", "1"]]', '[["1", "a"], ["0", "1"]]', '[["1"]]',
-            "5", "[[", '[["1/0", "0"], ["0", "1"]]']
-SAMPLES = ['[{"a": 2, "b": 3, "r": 5}]', '[{"a": 0, "b": 3, "r": 5}]', "[1]",
-           '{"a": 1}', '[{"q": 1}]']
 TREES = ["L[0,0]", "L[0,0;0]", "(L[0,0] L[0,0])", "(L[0,0;0] L[0,1;0]){1}",
          "(L L)", "L[0,0"]
-ELEMENTS = ['[["1", "0"]]', '[["1", "0"], ["0", "1"]]', '[["x"]]', "[]"]
 JUNK = st.one_of(
     st.sampled_from(["", "-", "--", "-x", "--kind=", "1/0", "((", "a+", "é",
                      "--help", "-h", "none"]),
@@ -373,6 +368,55 @@ JUNK = st.one_of(
 
 def _maybe(draw, *tokens):
     return list(tokens) if draw(st.booleans()) else []
+
+
+# The JSON arguments (--samples, --atilde, --btilde and the elements of
+# `trees act`) start from a valid value, and zero to three of its values,
+# the whole argument included, are replaced by random JSON, as the
+# element-file fuzz below replaces values; its integers stay in [-3, 3].
+# Some texts are cut short, as the fixed lists these replace held "[[".
+IDENTITY = [["1", "0"], ["0", "1"]]
+SAMPLE = [{"a": 2, "b": 3, "r": 5}]
+ARG_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.sampled_from(["0", "1", "a", "b", "r", "x", "1/0", "2/3", [], [[]],
+                               [["1"]], IDENTITY, {"a": 1}, {"q": 1}]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_paths(value, path=()):
+    """The path of value itself and of every value inside it."""
+    yield path
+    items = (enumerate(value) if isinstance(value, list)
+             else value.items() if isinstance(value, dict) else ())
+    for step, inner in items:
+        yield from json_paths(inner, path + (step,))
+
+
+def replaced(value, path, new):
+    """A copy of value with the value at path replaced by new."""
+    if not path:
+        return new
+    out = list(value) if isinstance(value, list) else dict(value)
+    out[path[0]] = replaced(value[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def json_args(draw, valid):
+    """The JSON text of valid with zero to three values replaced, and one
+    time in four cut short, which is mostly no JSON at all."""
+    value = valid
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(json_paths(value))))
+        value = replaced(value, path, draw(ARG_VALUES))
+    text = json.dumps(value)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(1, len(text)))]
+    return text
 
 
 @st.composite
@@ -387,14 +431,14 @@ def commands(draw):
                                        pick(["assoc", "dend", "quadri", "x"]))]
     if sub == "derive":
         return ["derive", spec, "--via", pick(VIAS), *_maybe(draw, pick(FILES)),
-                *_maybe(draw, "--atilde", pick(MATRICES)),
-                *_maybe(draw, "--btilde", pick(MATRICES)),
+                *_maybe(draw, "--atilde", draw(json_args(IDENTITY))),
+                *_maybe(draw, "--btilde", draw(json_args(IDENTITY))),
                 *_maybe(draw, "--mode", pick(["general", "commuting"])),
                 *_maybe(draw, "-o", pick(["out.json", "DIR", "no/such/dir/x"]))]
     if sub == "enumerate":
         return ["trees", "enumerate", "-n", pick(NUMBERS)]
     if sub == "act":
-        return ["trees", "act", pick(TREES), spec, pick(ELEMENTS)]
+        return ["trees", "act", pick(TREES), spec, draw(json_args(IDENTITY))]
     if sub == "reduce":
         return ["trees", "reduce", pick(FILES), "--max-leaves", pick(NUMBERS),
                 "--max-ab", pick(NUMBERS), "--max-r", pick(NUMBERS)]
@@ -405,7 +449,7 @@ def commands(draw):
                 *_maybe(draw, "--jobs", pick(NUMBERS))]
     return ["verify-family", pick(["w1f3", "w0f1", "w9"]),
             *_maybe(draw, "--mode", pick(["symbolic", "sampled"])),
-            *_maybe(draw, "--samples", pick(SAMPLES))]
+            *_maybe(draw, "--samples", draw(json_args(SAMPLE)))]
 
 
 @st.composite
@@ -464,6 +508,35 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv):
     untimed = [(c, o, re.sub(r"elapsed \d+\.\d+s", "elapsed", e))
                for c, o, e in (first, second)]
     assert untimed[0] == untimed[1]
+
+
+# The JSON arguments alone, in commands that are otherwise well formed: a
+# refusal (exit 2) names the argument, down to the value it refuses.  A
+# value argparse reads as a flag, such as -1e-05, is refused by argparse,
+# whose message also names the argument.
+JSON_ARGS = [
+    (["verify-family", "w1f3", "--mode", "sampled", "--samples", "ARG"], SAMPLE,
+     "--samples"),
+    (["derive", "SPEC_Q", "--via", "yau", "--atilde", "ARG", "--btilde",
+      json.dumps(IDENTITY)], IDENTITY, "(--)?atilde"),
+    (["derive", "SPEC_Q", "--via", "yau", "--atilde", json.dumps(IDENTITY),
+      "--btilde", "ARG"], IDENTITY, "(--)?btilde"),
+    (["trees", "act", "(L[0,1;0] L[1,0;1]){1}", "SPEC_Q", "ARG"], IDENTITY, "elements"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_json_argument_fuzz_exits_0_1_or_2_naming_the_argument(fuzz_dir, data):
+    _, files = fuzz_dir
+    argv, valid, name = data.draw(st.sampled_from(JSON_ARGS))
+    arg = data.draw(json_args(valid))
+    code, _, err = run([arg if a == "ARG" else files.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.match(rf"error: {name}(\[\d+\])*: ", err) or re.search(
+            rf"^bihomalg [\w -]+: error: .*(?<![\w-]){name}\b", err, re.M), err
 
 
 # -- fuzz over spec documents ----------------------------------------------------

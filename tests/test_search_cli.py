@@ -558,6 +558,8 @@ MALFORMED_SAMPLES = {
                           "--samples[1]: no value for parameter 'r'"),
     "samples-unknown-key-long": ("w0f1", [{"z" * 5000: 1}],
                                  "--samples[0]: unknown parameter 'zzz"),
+    # before, the message did not name --samples
+    "samples-empty": ("w0f1", [], "--samples: sampled mode needs at least one"),
 }
 
 # `trees reduce` bounds (--max-leaves, --max-ab, --max-r), the element's

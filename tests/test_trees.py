@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import pickle
+import re
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +307,84 @@ def ref_reduce(elim, x):
     return x
 
 
+class RefTreeParser:
+    """parse_tree one character at a time: `L`, `L[a,b]` or `L[a,b;f]` per
+    leaf, `( .. .. )` or `( .. .. ){f}` per node, whitespace before a node
+    and before its `)`, and ASCII digits alone."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def error(self, msg):
+        raise ValueError(f"tree syntax error at {self.pos}: {msg}")
+
+    def peek(self, ch):
+        return self.pos < len(self.text) and self.text[self.pos] == ch
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def expect(self, ch):
+        if not self.peek(ch):
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        return int(self.text[start:self.pos])
+
+    def power(self, opener, closer):
+        """The ;f or {f} at pos, None if absent."""
+        if not self.peek(opener):
+            return None
+        self.pos += 1
+        f = self.integer()
+        if closer:
+            self.expect(closer)
+        return f
+
+    def node(self):
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            self.error("unexpected end of input")
+        if self.peek("L"):
+            self.pos += 1
+            if not self.peek("["):
+                return LEAF, [(0, 0)], None
+            self.pos += 1
+            a = self.integer()
+            self.expect(",")
+            b = self.integer()
+            f = self.power(";", None)
+            self.expect("]")
+            return LEAF, [(a, b)], None if f is None else [f]
+        if not self.peek("("):
+            self.error("expected 'L' or '('")
+        self.pos += 1
+        lt, lp, lv = self.node()
+        rt, rp, rv = self.node()
+        self.skip_ws()
+        self.expect(")")
+        f = self.power("{", "}")
+        if (lv is None) != (rv is None) or (f is None) != (lv is None):
+            self.error("mixed augmentation kinds")
+        return PlanarBinaryTree(lt, rt), lp + rp, None if f is None else [f] + lv + rv
+
+
+def ref_parse_tree(text):
+    parser = RefTreeParser(text)
+    tree, lp, vp = parser.node()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        parser.error("trailing garbage")
+    return BAugTree(tree, tuple(lp)) if vp is None else RBAugTree(tree, tuple(lp), tuple(vp))
+
+
 def ref_enumerate_trees(n):
     if n == 1:
         return [LEAF]
@@ -601,6 +682,23 @@ def test_free_products_and_maps_match_reference_property(field, data):
             assert got_ops == want_ops
             assert list(got.terms) == [ref_term_key(t, w)
                                        for t, w, _ in got.terms.values()]
+            assert_window_checks_match_the_trees(got)
+
+
+def assert_window_checks_match_the_trees(x):
+    """The reducer's window checks, which read the terms' summaries, give
+    what the terms' trees give, in windows around every power they hold."""
+    trees_ = [t for t, _, _ in x.terms.values()]
+    rb = all(isinstance(t, RBAugTree) for t in trees_)
+    for leaves, ab, r in product((1, 2, 3, 4), range(5), range(4)):
+        fits = rb and all(
+            t.leaves <= leaves and max(map(max, t.leaf_powers)) <= ab
+            and max(t.vertex_powers) <= r for t in trees_)
+        assert trees._element_fits(x, window(leaves, ab, r)) == fits
+    for side in (0, 1):
+        for ab in range(5):
+            assert trees._has_room(x, side, ab) == all(
+                p[side] < ab for t in trees_ for p in getattr(t, "leaf_powers", ()))
 
 
 def test_build_makes_only_what_the_window_keeps(window_311, monkeypatch):
@@ -927,8 +1025,8 @@ def test_tree_literals_take_ascii_digits_only(text, pos):
 
 # ---------------------------------------------------------------------------
 # The build's own product path against the references on more fields: seeds
-# as two-term rows, trusted grafts with shared root shapes, and the
-# eliminator's in-place subtraction.
+# as two-term rows keyed by the product rule, and the eliminator's in-place
+# subtraction.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("field, rank, bounds, count", [
@@ -957,10 +1055,9 @@ def validated_graft(t1, t2):
 
 @given(any_trees(), any_trees())
 @settings(max_examples=200, deadline=None)
-def test_trusted_graft_equals_the_validated_construction_property(t1, t2):
-    """graft builds its result without __init__; the tree is the one the
-    constructors build in every public respect, and its instance dict is as
-    large as theirs (a write to __dict__ would make it larger)."""
+def test_graft_equals_the_validated_construction_property(t1, t2):
+    """graft's tree is the one the constructors build in every public
+    respect, and its instance dict is as large as theirs."""
     if type(t1) is not type(t2):
         with pytest.raises(WrongAugmentation):
             graft(t1, t2)
@@ -978,14 +1075,6 @@ def test_trusted_graft_equals_the_validated_construction_property(t1, t2):
     if not isinstance(got, PlanarBinaryTree):
         with pytest.raises(ValueError, match="leaf_powers length"):
             dataclasses.replace(got, leaf_powers=got.leaf_powers[1:])
-
-
-def test_free_multiply_shares_root_shapes_within_a_product():
-    x = FreeElement(Q, 1, {ref_term_key(t, (0,)): (t, (0,), Q.one()) for t in (
-        RBAugTree(LEAF, ((0, 0),), (0,)), RBAugTree(LEAF, ((1, 0),), (0,)))})
-    product = free_multiply(x, x)
-    shapes = {id(tree.tree) for tree, _, _ in product.terms.values()}
-    assert len(product.terms) == 4 and len(shapes) == 1
 
 
 @pytest.fixture(scope="module")
@@ -1015,3 +1104,127 @@ def test_in_place_reduce_matches_reference_property(reducers_311, field, data):
     assert raw_terms(got) == raw_terms(want)
     assert got_ops == want_ops
     assert got is not x and raw_terms(x) == before
+
+
+# ---------------------------------------------------------------------------
+# A term is its key: the stored term is its key, word and window summary,
+# and a tree is built from the key where one is read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS[:2], ids=lambda f: f.kind)
+def test_insert_stores_a_row_with_coefficient_one_as_it_is(field):
+    """A row whose smallest key already has coefficient one, as every seed
+    of the benchmark windows has, is stored without a scaled copy."""
+    x = FreeElement(field, 1, {ref_term_key(t, (0, 0, 0)): (t, (0, 0, 0), c) for t, c in (
+        (parse_tree("((L[0,0;0] L[0,0;0]){0} L[0,1;0]){0}"), field.one()),
+        (parse_tree("(L[1,0;0] (L[0,0;0] L[0,0;0]){0}){0}"), -field.one()))})
+    elim = trees._Eliminator()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        inserted, ops = counted(monkeypatch, elim.insert, x)
+    assert inserted and ops == (0, 0)
+    (key, pivot), = elim.pivots.items()
+    assert key == min(x.terms) and raw_terms(pivot) == raw_terms(x)
+
+
+def test_a_term_whose_key_does_not_name_its_tree_and_word_is_refused():
+    """Before, such a term was stored under its key, and a product keyed
+    from it, such as '(zz zz){0}|,', named neither tree nor word."""
+    leaf = RBAugTree(LEAF, ((0, 0),), (0,))
+    with pytest.raises(ValueError, match="^term key 'zz' does not name its tree and word, "
+                                         r"'L\[0,0;0\]\|0'$"):
+        FreeElement(Q, 1, {"zz": (leaf, (0,), Q.one())})
+    x = FreeElement.generator(Q, 2, leaf, (0,))
+    for key, term in (("L[0,0;0]|1", (leaf, (0,), Q.one())),
+                      ("L[0,0;0]|0", (tree_alpha(leaf), (0,), Q.one())),
+                      ("L[0,0]|0", (leaf, (0,), Q.one()))):
+        with pytest.raises(ValueError, match="does not name its tree and word"):
+            x.terms[key] = term
+    assert x == FreeElement.generator(Q, 2, leaf, (0,)) and list(x.terms) == ["L[0,0;0]|0"]
+
+
+@pytest.mark.parametrize("tree", [BAugTree(CHERRY, ((0, 0), (1, 0))), CHERRY,
+                                  BAugTree(LEAF, ((9, 9),))], ids=["b", "plain", "b-big"])
+def test_reduce_refuses_terms_that_are_not_rb_augmented(reducer_311, tree):
+    """Before, these raised a bare AttributeError (no vertex_powers)."""
+    word = (0,) * tree.leaves
+    x = FreeElement.generator(Q, 1, tree, word)
+    name = type(tree).__name__
+    for y in (x, x + FreeElement.generator(Q, 1, RB_CHERRY, (0, 0))):
+        with pytest.raises(WrongAugmentation,
+                           match=f"^the reducer needs RB-augmented terms, not {name}$"):
+            reducer_311.reduce(y)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_terms_read_back_the_stored_trees_of_every_kind_property(field, data):
+    """A term stores no tree: a `terms` read builds it from the key, equal
+    and of the same class, for plain, B- and RB-augmented trees.  ==, repr,
+    pickle and deepcopy see the same terms, and products and tree maps still
+    take every kind, refusing a product of two kinds as graft does."""
+    kind = data.draw(st.sampled_from(["plain", "b", "rb"]))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        tree = data.draw(any_trees(kind, max_leaves=3, max_power=2))
+        word = tuple(data.draw(st.integers(0, 1)) for _ in range(tree.leaves))
+        terms[ref_term_key(tree, word)] = (
+            tree, word, field.from_int(data.draw(st.integers(-3, 3).filter(bool))))
+    x = FreeElement(field, 2, terms)
+    got = dict(x.terms.items())
+    assert got == terms
+    assert all(type(got[k][0]) is type(terms[k][0]) for k in terms)
+    assert repr(x) == f"FreeElement(field={field!r}, rank=2, terms={terms!r})"
+    for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert back == x and repr(back) == repr(x) and dict(back.terms.items()) == terms
+    assert raw_terms(free_multiply(x, x)) == raw_terms(ref_free_multiply(x, x))
+    assert_window_checks_match_the_trees(x)
+    for fn, ref in ((free_alpha, ref_free_alpha), (free_beta, ref_free_beta),
+                    (free_R, ref_free_R)):
+        assert_same_outcome(fn, ref, x)
+    other = data.draw(st.sampled_from([k for k in ("plain", "b", "rb") if k != kind]))
+    y = data.draw(free_elements(field, kind=other)) if other != "plain" else \
+        FreeElement.generator(field, 2, CHERRY, (0, 1))
+    for a, b in ((x, y), (y, x)):
+        assert_same_outcome(free_multiply, ref_free_multiply, a, b)
+
+
+def assert_same_outcome(fn, ref, *args):
+    """fn(*args) gives the terms ref(*args) gives, or the same refusal."""
+    try:
+        want = raw_terms(ref(*args))
+    except WrongAugmentation as exc:
+        with pytest.raises(WrongAugmentation, match=f"^{re.escape(str(exc))}$"):
+            fn(*args)
+    else:
+        assert raw_terms(fn(*args)) == want
+
+
+TREE_CHARS = "L[](){},;0123 \t²٣x"
+
+
+@st.composite
+def tree_texts(draw):
+    """Tree text, well formed or one to three characters off."""
+    text = list(serialize_tree(draw(any_trees(max_power=12))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(["drop", "replace", "insert"]))
+        if action != "insert" and i < len(text):
+            del text[i]
+        if action != "drop":
+            text.insert(i, draw(st.sampled_from(TREE_CHARS)))
+    return "".join(text)
+
+
+@given(st.one_of(tree_texts(), st.text(TREE_CHARS, max_size=14)))
+@settings(max_examples=300, deadline=None)
+def test_parse_tree_matches_the_character_parser_property(text):
+    """The same tree, or the same refusal at the same position."""
+    def outcome(parse):
+        try:
+            t = parse(text)
+        except ValueError as exc:
+            return str(exc)
+        return type(t), t
+    assert outcome(parse_tree) == outcome(ref_parse_tree)

@@ -20,9 +20,9 @@ from . import bimodules, families, pseudotwistors, rota_baxter, search, trees
 from .errors import (BiHomAlgError, BudgetExceeded, EvalSingular,
                      IncompleteAssignment, InputAxiomsFail, SpecFileError)
 from .linalg import Vector
-from .scalars import _clip, scalar_to_str
+from .scalars import _ascii_int, _clip, scalar_to_str
 from .specfile import (KIND_TABLES, _block, _fail, _field_block, _matrix,
-                       _object, _parse_field, _positive_int, _read_json, _scalar,
+                       _object, _parse_field, _read_json, _scalar,
                        _structure_kind, parse_spec, serialize)
 from .structures import (check_structure, quadri_projections, tensor_quadri,
                          yau_twist)
@@ -207,9 +207,18 @@ def _within_budget(name: str, fn, *args):
         _fail(name, str(exc))
 
 
+def _count(text: str, flag: str, least: int = 1) -> int:
+    """The integer of a count flag, written in ASCII digits alone; any
+    other text, or a value under least (1 or 0), is refused naming flag."""
+    value = _ascii_int(text)
+    if value is None or value < least:
+        _fail(flag, f"must be a {'positive' if least else 'non-negative'} integer")
+    return value
+
+
 def cmd_trees(args) -> int:
     if args.tree_cmd == "enumerate":
-        n = _positive_int(args.n, "-n")
+        n = _count(args.n, "-n")
         for t in _within_budget("-n", trees.enumerate_trees, n):
             print(trees.serialize_tree(t))
         return 0
@@ -226,13 +235,10 @@ def cmd_trees(args) -> int:
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0
     # the required subparsers leave only "reduce"
-    leaves = _positive_int(args.max_leaves, "--max-leaves")
-    for flag, power in (("--max-ab", args.max_ab), ("--max-r", args.max_r)):
-        if power < 0:
-            _fail(flag, "must be a non-negative integer")
+    bounds = {"max_leaves": _count(args.max_leaves, "--max-leaves"),
+              "max_ab_power": _count(args.max_ab, "--max-ab", 0),
+              "max_r_power": _count(args.max_r, "--max-r", 0)}
     doc, x = _load(args.element_file, _parse_element)
-    bounds = {"max_leaves": leaves, "max_ab_power": args.max_ab,
-              "max_r_power": args.max_r}
     reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
     # a term key is the tree's text, "|" and the word
     out = [{"tree": key.partition("|")[0], "word": list(word), "coeff": scalar_to_str(c)}
@@ -286,7 +292,7 @@ def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
 
 def cmd_search(args) -> int:
     _mode_flags(args)
-    jobs = _positive_int(args.jobs, "--jobs")
+    jobs = _count(args.jobs, "--jobs")
     A = _structure(_load(args.spec, parse_spec), args.spec, "assoc", "search")
     # a Rota-Baxter search takes a weight, a Baxter one a side
     if args.what == "rb":
@@ -362,16 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees", help="tree enumeration, action, reduction")
     tsub = p.add_subparsers(dest="tree_cmd", required=True)
     t = tsub.add_parser("enumerate")
-    t.add_argument("-n", type=int, required=True)
+    t.add_argument("-n", required=True)
     t = tsub.add_parser("act")
     t.add_argument("tree")
     t.add_argument("spec")
     t.add_argument("elements", help="JSON list of coordinate lists")
     t = tsub.add_parser("reduce")
     t.add_argument("element_file")
-    t.add_argument("--max-leaves", type=int, required=True)
-    t.add_argument("--max-ab", type=int, required=True)
-    t.add_argument("--max-r", type=int, required=True)
+    t.add_argument("--max-leaves", required=True)
+    t.add_argument("--max-ab", required=True)
+    t.add_argument("--max-r", required=True)
     p.set_defaults(fn=cmd_trees)
 
     p = sub.add_parser("search", help="brute-force operator enumeration")
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--weight")
     p.add_argument("--side", choices=["left", "right"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("verify-family",

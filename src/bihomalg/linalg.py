@@ -77,7 +77,10 @@ def _check(cond: bool, msg: str, *operands) -> None:
     """Refuse operands of the wrong dims, or over different fields."""
     if not cond:
         raise DimensionMismatch(msg)
-    _join(*(x.field for x in operands))
+    for x in operands[1:]:  # most calls share one field object: no _join
+        if x.field is not operands[0].field:
+            _join(*(y.field for y in operands))
+            return
 
 
 def _raw(field: FieldSpec, x) -> object:
@@ -353,7 +356,8 @@ def maps_commute(f: LinearMap, g: LinearMap) -> bool:
 def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product f (x) g in the lexicographic basis order.  A product
     of two nonzero values is nonzero, so every entry it makes is stored."""
-    _join(f.field, g.field)
+    if f.field is not g.field:
+        _join(f.field, g.field)
     mul, is_zero = f.field.ops.mul, f.field.ops.is_zero
     g_cols = [(j, col) for j, col in enumerate(g._d) if col]
     out, empty = [], [{}] * g.cols

@@ -76,16 +76,16 @@ def _inner_map(P: LinearMap, terms, weight=None) -> LinearMap:
     ops, n, cols = P.field.ops, P.rows, P._d
     add_, zero = ops.add, ops.zero
     w = zero if weight is None else _raw(P.field, weight)
-    out = []
+    left, right, out = "left" in terms, "right" in terms, []
     for i, ci in enumerate(cols):
         for j, cj in enumerate(cols):
             diag = i * n + j
             d = {diag: w} if w != zero else {}
-            if "left" in terms:
+            if left:
                 for a, x in ci.items():
                     r = a * n + j
                     d[r] = add_(d[r], x) if r in d else x
-            if "right" in terms:
+            if right:
                 for b, y in cj.items():
                     r = i * n + b
                     d[r] = add_(d[r], y) if r in d else y

@@ -74,6 +74,18 @@ def _clip(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "…"
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer that text writes in ASCII digits alone, [0-9]+, or None:
+    int() also reads '٣', '1_000', '+5' and ' 7 ', and refuses more than
+    4300 digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _frac_str(q: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 

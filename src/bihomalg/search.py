@@ -1,16 +1,20 @@
-"""Brute-force enumeration of Rota-Baxter and one-sided Baxter operators on
+"""Exhaustive enumeration of Rota-Baxter and one-sided Baxter operators on
 algebras over prime fields.
 
-The candidate space is every n x n matrix over F_p, walked in row-major
-little-endian digit order (entry (0,0) is the least significant digit), so
-output order is machine-independent.  The walk tests each candidate with an
-elementwise evaluator on plain ints mod p that stops at the first differing
-component, and builds no LinearMap or Scalar.  Every hit it finds is then
-verified a second time, by an independent method: the library's matrix
-checker (the identity part of check_rota_baxter, or check_one_sided_baxter),
-which over F_p reads both sides as `compose` and `tensor2` chains and
-shares no code with the walk.  jobs > 1 splits the walk across
-min(jobs, CPU count) worker processes.
+The candidate space is every n x n matrix over F_p.  Candidate k has the
+base-p digits of k as its entries, row-major and least significant first
+(entry (0,0) is the least significant digit), and hits are reported in
+increasing k, so output order is machine-independent.  The walk decides
+every candidate without visiting each: it writes each component of the
+identity as a quadratic form over plain ints mod p in the entries of R,
+assigns the entries depth first, tests each equation at the first depth
+where all its entries are set, and skips the whole subtree below a
+failure.  It builds no LinearMap or Scalar.  Every hit is then verified a
+second time, by an independent method: the library's matrix checker (the
+identity part of check_rota_baxter, or check_one_sided_baxter), which over
+F_p reads both sides as `compose` and `tensor2` chains and shares no code
+with the walk.  jobs > 1 splits the walk by the values of its first
+entries across min(jobs, CPU count) worker processes.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetExceeded, FieldMismatch
 from .linalg import LinearMap, _sparse
 from .rota_baxter import (OneSidedBaxter, RBOperator, _check_rb_identity,
                           check_one_sided_baxter)
-from .scalars import PRIME, FieldSpec, Scalar, _clip
+from .scalars import PRIME, FieldSpec, Scalar, _ascii_int, _clip
 from .structures import BiHomAssociativeAlgebra
 
 BUDGET_ENV_VAR = "BIHOMALG_SEARCH_BUDGET"
@@ -44,16 +49,13 @@ class SearchResult:
 
 
 def search_budget() -> int:
-    """BIHOMALG_SEARCH_BUDGET, which must be a positive integer, or
-    DEFAULT_BUDGET when it is unset or empty."""
+    """BIHOMALG_SEARCH_BUDGET, which must be a positive integer in ASCII
+    digits, or DEFAULT_BUDGET when it is unset or empty."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if not raw:
         return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0  # refused below, like any other value under 1
-    if budget < 1:
+    budget = _ascii_int(raw)
+    if budget is None or budget < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, "
                          f"got {_clip(repr(raw))}")
     return budget
@@ -84,80 +86,138 @@ def _passes(A, m, weight, side) -> bool:
     the Rota-Baxter identity at the given weight (the identity part of
     check_rota_baxter, without its commutation sub-checks), or
     check_one_sided_baxter when side is set.  It shares no code with the
-    walk's elementwise test.  The checkers are looked up as module globals
+    walk's equations.  The checkers are looked up as module globals
     on each call, so rebinding them takes effect."""
     if side is None:
         return _check_rb_identity(A, RBOperator(m, weight)).passed
     return check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed
 
 
-def _raw_test(A, weight, side):
-    """The walk's test of the k-th candidate r, as a function of k.
+def _equations(A, weight, side) -> list:
+    """The component equations of the identity, as quadratic forms over F_p
+    in the entries of R: entry (a, b) is variable a*n + b, and variable n*n
+    is a constant 1, so a linear term is a product with it.  Each form maps
+    a pair (u, v), u <= v, to its nonzero coefficient mod p.
 
-    On every basis pair (i, j) it compares, elementwise on ints mod p,
-    R(e_i)R(e_j) with R(R(e_i)e_j + e_iR(e_j) + weight e_ie_j); a right
-    Baxter test keeps only the R(e_i)e_j term, a left one only e_iR(e_j).
-    It returns False at the first component that differs.  The structure
-    constants are the table's raw ints; the weight is read once, here.
-    """
+    Component t at the basis pair (i, j) is R(e_i)R(e_j) minus
+    R(R(e_i)e_j + e_iR(e_j) + weight e_ie_j) in coordinate t; a right
+    Baxter side keeps only the R(e_i)e_j term, a left one only e_iR(e_j).
+    It reads columns i and j of R, and the row-t entries at the support of
+    the argument of R.  A form that cancels to nothing is left out.  The
+    structure constants are the table's raw ints; the weight is read once,
+    here."""
     n, p = A.dim, A.field.p
-    c = A.mu._dense()
     w = weight.value if side is None else 0
-    # r is the candidate's digit list: entry (a, b) is r[a*n + b], so
-    # coordinate a of R(e_i) is r[a*n + i].  Per pair (i, j): the terms of
-    # R(e_i)R(e_j) as (index of R(e_i)_a, index of R(e_j)_b, k, c_ab^k), those
-    # of the argument of R as (index, m, coefficient), and its constant part
-    # weight * e_ie_j.
-    pairs = []
+    one, eqs = n * n, []
+    # the nonzero constants c_ab^k of e_ae_b, as (a, b, k, c_ab^k)
+    consts = [(*divmod(col, n), k, x) for col, d in enumerate(A.mu._d)
+              for k, x in d.items()]
     for i in range(n):
         for j in range(n):
-            lhs = [(a * n + i, b * n + j, k, c[a][b][k]) for a in range(n)
-                   for b in range(n) for k in range(n) if c[a][b][k]]
-            inner = []
-            if side != "left":
-                inner += [(a * n + i, m, c[a][j][m]) for a in range(n)
-                          for m in range(n) if c[a][j][m]]
-            if side != "right":
-                inner += [(b * n + j, m, c[i][b][m]) for b in range(n)
-                          for m in range(n) if c[i][b][m]]
-            pairs.append((lhs, inner, [w * x for x in c[i][j]]))
-    rows = [range(k * n, k * n + n) for k in range(n)]
+            forms = [{} for _ in range(n)]  # component t: pair -> coefficient
+            arg = [{} for _ in range(n)]  # coordinate m of R's argument
+            for a, b, k, x in consts:
+                u, v = a * n + i, b * n + j
+                key = (u, v) if u <= v else (v, u)
+                forms[k][key] = forms[k].get(key, 0) + x
+                if b == j and side != "left":  # R(e_i)e_j
+                    arg[k][u] = arg[k].get(u, 0) + x
+                if a == i and side != "right":  # e_iR(e_j)
+                    arg[k][v] = arg[k].get(v, 0) + x
+                if a == i and b == j and w:  # weight e_ie_j
+                    arg[k][one] = arg[k].get(one, 0) + w * x
+            for t, form in enumerate(forms):
+                for m, terms in enumerate(arg):
+                    for f, x in terms.items():
+                        key = (t * n + m, f) if t * n + m <= f else (f, t * n + m)
+                        form[key] = form.get(key, 0) - x
+                form = {key: x % p for key, x in form.items() if x % p}
+                if form:
+                    eqs.append(form)
+    return eqs
+
+
+def _entry_order(eqs, nn: int) -> list:
+    """The order in which the walk assigns the nn entries of R: again and
+    again, the entries left unset of the equation that has the fewest of
+    them, in index order (the first such equation on a tie); then the
+    entries no equation reads."""
+    order, unset = [], [{u for key in form for u in key if u < nn} for form in eqs]
+    while any(unset):
+        fewest = min((entries for entries in unset if entries), key=len)
+        new = sorted(fewest)
+        order += new
+        unset = [entries.difference(new) for entries in unset]
+    return order + [u for u in range(nn) if u not in order]
+
+
+def _walk(A, weight, side, prefix=()) -> list:
+    """The indices of the candidates that pass the walk's test, in the
+    order the walk meets them; with a prefix, only those whose first
+    len(prefix) walked entries take its values.
+
+    The walk assigns the entries of R depth first, in _entry_order, and
+    tests each equation at the depth of its last entry to be set.  There
+    the equation is c0 + c1 v + a2 v^2 in the value v of the entry just
+    set, c0 and c1 summed from its terms a0 and a1 over the entries set
+    before it; the values that solve every equation of the depth are the
+    only ones walked below it, so a failure skips the whole subtree.  Every
+    candidate is decided."""
+    n, p = A.dim, A.field.p
     nn = n * n
+    eqs = _equations(A, weight, side)
+    order = _entry_order(eqs, nn)
+    depth_of = {e: d for d, e in enumerate(order)}
+    depth_of[nn] = -1  # the constant 1 is set before every entry
+    at_depth = [[] for _ in order]
+    for form in eqs:
+        d = max(depth_of[u] for key in form for u in key)
+        e, a0, a1, a2 = order[d], [], [], 0
+        for (u, v), x in form.items():
+            if u == v == e:
+                a2 += x
+            elif e in (u, v):
+                a1.append((u + v - e, x))
+            else:
+                a0.append((u, v, x))
+        at_depth[d].append((a0, a1, a2))
+    steps = [(e, p ** e, at_depth[d], (prefix[d],) if d < len(prefix) else range(p))
+             for d, e in enumerate(order)]
+    r, hits = [0] * nn + [1], []
 
-    def test(k: int) -> bool:
-        r = []
-        for _ in range(nn):
-            k, d = divmod(k, p)
-            r.append(d)
-        for lhs, inner, const in pairs:
-            out = [0] * n
-            for fa, fb, t, x in lhs:
-                out[t] += r[fa] * r[fb] * x
-            arg = const[:]
-            for f, m, x in inner:
-                arg[m] += r[f] * x
-            for t, row in enumerate(rows):
-                if (out[t] - sum(r[f] * y for f, y in zip(row, arg))) % p:
-                    return False
-        return True
-    return test
+    def visit(d: int, index: int) -> None:
+        if d == nn:
+            hits.append(index)
+            return
+        e, scale, tests, values = steps[d]
+        for a0, a1, a2 in tests:
+            c0 = sum(r[u] * r[v] * x for u, v, x in a0)
+            c1 = sum(r[u] * x for u, x in a1)
+            values = [v for v in values if not (c0 + v * (c1 + v * a2)) % p]
+            if not values:
+                return
+        for v in values:
+            r[e] = v
+            visit(d + 1, index + v * scale)
+    visit(0, 0)
+    return hits
 
 
-def _range_hits(A, weight, side, start, stop):
-    test = _raw_test(A, weight, side)
-    return [k for k in range(start, stop) if test(k)]
-
-
-def _run_partitioned(worker, args, total, jobs):
-    # a fork-based pool starts all its workers at the first submit
-    jobs = min(jobs, os.cpu_count() or 1)
+def _run_partitioned(A, weight, side, jobs: int) -> list:
+    """The walk's hits, unsorted.  jobs > 1 splits the walk by the values
+    of its first entries, at least 4 * jobs parts where the space allows,
+    across min(jobs, CPU count) worker processes; the parts merge in
+    submission order."""
+    if jobs > 1:  # a fork-based pool starts all its workers at the first submit
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        return worker(*args, 0, total)
-    chunk = -(-total // jobs)
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+        return _walk(A, weight, side)
+    p, nn = A.field.p, A.dim * A.dim
+    depth = next(d for d in range(nn + 1) if d == nn or p ** d >= 4 * jobs)
     hits = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, *args, s, e) for s, e in ranges]
+        futures = [pool.submit(_walk, A, weight, side, prefix)
+                   for prefix in product(range(p), repeat=depth)]
         for fut in futures:  # submission order keeps the merge deterministic
             hits.extend(fut.result())
     return hits
@@ -169,14 +229,13 @@ def _enumerate(A, weight, side, jobs) -> SearchResult:
         raise FieldMismatch(f"the weight {_clip(repr(weight))} is not in "
                             f"the algebra's field {A.field}")
     start = time.monotonic()
-    hits = _run_partitioned(_range_hits, (A, weight, side), total, jobs)
-    hits.sort()
+    hits = sorted(_run_partitioned(A, weight, side, jobs))
     operators = []
     for k in hits:
         m = index_to_matrix(A.field, A.dim, k)
         if not _passes(A, m, weight, side):
             raise AssertionError(f"the matrix checker rejects candidate {k}, "
-                                 f"a hit of the elementwise walk")
+                                 f"a hit of the pruned walk")
         operators.append(m)
     return SearchResult(operators, A.field, A.dim, weight, total,
                         len(operators), time.monotonic() - start, side=side)

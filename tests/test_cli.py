@@ -350,11 +350,13 @@ def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch):
 #
 # Placeholders stand for files written once per module.  No value can ask
 # for a large window, tree count or worker pool: the numbers are 0, 1 and
-# -2, the junk holds no digits, and every spec file is of dim 2 or 1.
+# -2, and texts that int() reads as small numbers but a count flag refuses
+# ('٣', '+1', ' 1 ', '1_0'); the junk holds no digits, and every spec file
+# is of dim 2 or 1.
 
 FILES = ["SPEC_F3", "SPEC_Q", "SPEC_DEND", "SPEC_QUADRI", "BAD_JSON",
          "WRONG_SHAPE", "ELEMENT", "ELEMENT_BAD", "MISSING", "DIR"]
-NUMBERS = ["0", "1", "-2"]
+NUMBERS = ["0", "1", "-2", "٣", "+1", " 1 ", "1_0"]
 VIAS = ["rb-tridend", "rb-double", "yau", "tensor-quadri", "quadri-h",
         "quadri-v", "split-null", "grb-dend", "rb-twistor", "compose-twistor",
         "pair-quadri"]

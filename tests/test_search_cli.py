@@ -137,16 +137,17 @@ def test_enumerate_baxter():
         enumerate_baxter(A, "middle")
 
 
-def assert_walk_agrees_with_matrix_checker(A, w):
-    """The walk's elementwise test and the matrix checker give the same
-    verdict on every candidate, at weight 0, at weight w and on both sides."""
+def assert_walk_agrees_with_matrix_checker(A, w, cases=("0", "w", "left", "right")):
+    """The pruned walk's hits are exactly the candidates the matrix checker
+    passes, at weight 0, at weight w and on both sides: every candidate of
+    the space is run through the checker."""
     f, n = A.field, A.dim
-    for weight, side in ((f.zero(), None), (f.from_int(w), None),
-                         (None, "left"), (None, "right")):
-        test = search._raw_test(A, weight, side)
-        for k in range(f.p ** (n * n)):
-            want = search._passes(A, index_to_matrix(f, n, k), weight, side)
-            assert test(k) == want, (weight, side, k)
+    for case in cases:
+        weight, side = {"0": (f.zero(), None), "w": (f.from_int(w), None)}.get(
+            case, (None, case))
+        want = [k for k in range(f.p ** (n * n))
+                if search._passes(A, index_to_matrix(f, n, k), weight, side)]
+        assert sorted(search._walk(A, weight, side)) == want, (weight, side)
 
 
 @st.composite
@@ -175,11 +176,75 @@ def test_walk_test_agrees_with_matrix_checker_dim3():
     assert_walk_agrees_with_matrix_checker(prime_truncated(2, 3), 1)
 
 
+@pytest.mark.parametrize("case", ["0", "w", "left", "right"])
+def test_walk_test_agrees_with_matrix_checker_dim3_f3(case):
+    """3^9 candidates, each through the matrix checker: about 3 s a case."""
+    assert_walk_agrees_with_matrix_checker(prime_truncated(3, 3), 2, (case,))
+
+
 def test_second_pass_names_the_first_disagreeing_candidate(monkeypatch):
     A = idempotent_line(3)  # at weight 1 the hits are 0 and 2
-    monkeypatch.setattr(search, "_raw_test", lambda A, weight, side: lambda k: True)
+    # a walk that passes every candidate, in an order other than the index's
+    monkeypatch.setattr(search, "_walk", lambda A, weight, side: [2, 1, 0])
     with pytest.raises(AssertionError, match=r"candidate 1\b"):
         enumerate_rb(A, A.field.one())
+
+
+@pytest.mark.parametrize("weight, found", [(0, 45), (1, 4)])
+def test_truncated_cubic_over_f5_is_walked_whole(weight, found):
+    """k[x]/(x^3) over F_5: 5^9 candidates, every one decided, most of them
+    in a pruned subtree."""
+    A = prime_truncated(5, 3)
+    res = enumerate_rb(A, A.field.from_int(weight))
+    assert (res.examined, res.found, len(res.operators)) == (5 ** 9, found, found)
+    indices = [sum(m.entries[a][b].value * 5 ** (a * 3 + b)
+                   for a in range(3) for b in range(3)) for m in res.operators]
+    assert indices == sorted(indices)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor, as the InlineExecutor above does:
+    records max_workers and runs each task at submit, so nothing forks."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs", [2, 5])
+def test_walk_split_by_first_entries_gives_the_single_walk(monkeypatch, jobs):
+    A = prime_truncated(3, 3)
+    weights = (A.field.zero(), A.field.one())
+    singles = [enumerate_rb(A, weight, jobs=1) for weight in weights]
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: jobs)
+    InlinePool.created.clear()
+    for weight, single in zip(weights, singles):
+        many = enumerate_rb(A, weight, jobs=jobs)
+        assert many.operators == single.operators and many.operators
+        assert (many.examined, many.found) == (single.examined, single.found)
+    assert InlinePool.created == [jobs, jobs]
+
+
+def test_one_job_asks_for_no_cpu_count(monkeypatch):
+    def no_count():
+        raise AssertionError("os.cpu_count was called")
+
+    monkeypatch.setattr(search.os, "cpu_count", no_count)
+    A = two_param_f(3, 2, 1)
+    assert enumerate_rb(A, A.field.zero(), jobs=1).found == 9
 
 
 def test_weight_from_another_field_is_refused_before_the_walk(monkeypatch):
@@ -188,7 +253,7 @@ def test_weight_from_another_field_is_refused_before_the_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(search, "_raw_test", no_walk)
+    monkeypatch.setattr(search, "_walk", no_walk)
     for weight in (FieldSpec.prime(5).one(), FieldSpec.prime(5).zero(), Q.one()):
         with pytest.raises(FieldMismatch):
             enumerate_rb(A, weight)
@@ -778,6 +843,54 @@ def test_cli_literals_take_ascii_digits_only(case, tmp_path, capsys, qx2):
     argv = [write_spec(tmp_path, "a.json", qx2) if a == "SPEC" else a for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", err)
+
+
+# a count flag in anything but ASCII digits: int() read '٣' as 3, and took
+# '1_000', '+5' and ' 7 ' too; each is refused naming its flag
+COUNT_FLAGS = {
+    "jobs": (["search", "rb", "SPEC", "--jobs", "N"], "--jobs: must be a positive integer"),
+    "n": (["trees", "enumerate", "-n", "N"], "-n: must be a positive integer"),
+    "max-leaves": (["trees", "reduce", "ELEMENT", "--max-leaves", "N", "--max-ab", "1",
+                    "--max-r", "1"], "--max-leaves: must be a positive integer"),
+    "max-ab": (["trees", "reduce", "ELEMENT", "--max-leaves", "3", "--max-ab", "N",
+                "--max-r", "1"], "--max-ab: must be a non-negative integer"),
+    "max-r": (["trees", "reduce", "ELEMENT", "--max-leaves", "3", "--max-ab", "1",
+               "--max-r", "N"], "--max-r: must be a non-negative integer"),
+}
+
+
+COUNT_TEXTS = {"arabic-indic": "٣", "digit-arabic-indic": "1٣", "superscript": "²",
+               "underscore": "1_000", "plus": "+5", "spaces": " 7 ", "newline": "7\n",
+               "empty": "", "exponent": "1e3", "5000-digits": HUGE}
+
+
+@pytest.mark.parametrize("value", COUNT_TEXTS.values(), ids=COUNT_TEXTS)
+@pytest.mark.parametrize("flag", list(COUNT_FLAGS))
+def test_cli_counts_take_ascii_digits_only(flag, value, tmp_path, capsys):
+    argv, message = COUNT_FLAGS[flag]
+    element = tmp_path / "elt.json"
+    element.write_text(json.dumps({"field": {"kind": "rational"}, "rank": 1, "terms": []}))
+    files = {"SPEC": write_spec(tmp_path, "a.json", idempotent_line(3)),
+             "ELEMENT": str(element)}
+    argv = [value if a == "N" else files.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the same flags in ASCII digits run
+    assert main([("3" if "enumerate" in argv else "1") if a == value else a
+                 for a in argv]) == 0
+
+
+@pytest.mark.parametrize("value", ["٢", "1_000", "+5", " 7 "],
+                         ids=["arabic-indic", "underscore", "plus", "spaces"])
+def test_search_budget_takes_ascii_digits_only(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(ValueError, match=f"{BUDGET_ENV_VAR} must be a positive integer"):
+        search.search_budget()
+    src = write_spec(tmp_path, "a.json", idempotent_line(3))
+    assert main(["search", "rb", src]) == 2
+    assert f"error: {BUDGET_ENV_VAR} must be a positive integer" in capsys.readouterr().err
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+    assert search.search_budget() == 1000
 
 
 def test_cli_maps_the_library_budget_refusals_to_exit_2(tmp_path, capsys, monkeypatch):

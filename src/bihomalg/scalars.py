@@ -41,9 +41,9 @@ boxes a copy: a Fraction over Q, an int over F_p, and over Q(params) a
 (numerator, denominator) pair of dicts keyed by exponent tuples, one slot
 per parameter in FieldSpec order.  The kernels of linalg and trees keep raw
 values too and box them into Scalars only where they are read.  The ops
-classes live at module level, so a pickled FieldSpec (as search --jobs sends
-its workers) carries its table; the table is not a dataclass field, so
-FieldSpec equality, hash and repr ignore it.
+classes live at module level, so a pickled FieldSpec carries its table;
+the table is not a dataclass field, so FieldSpec equality, hash and repr
+ignore it.
 """
 
 from __future__ import annotations

@@ -13,17 +13,15 @@ failure.  It builds no LinearMap or Scalar.  Every hit is then verified a
 second time, by an independent method: the library's matrix checker (the
 identity part of check_rota_baxter, or check_one_sided_baxter), which over
 F_p reads both sides as `compose` and `tensor2` chains and shares no code
-with the walk.  jobs > 1 splits the walk by the values of its first
-entries across min(jobs, CPU count) worker processes.
+with the walk.  The walk and the second pass both run in the calling
+process.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetExceeded, FieldMismatch
 from .linalg import LinearMap, _sparse
@@ -64,6 +62,8 @@ def search_budget() -> int:
 def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
     """Decode the k-th matrix: base-p digits of k fill entries row-major,
     least significant digit first."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"matrix index k must be an int, got {_clip(repr(k))}")
     if not 0 <= k < field.p ** (n * n):
         raise ValueError(f"matrix index {_clip(str(k))} is outside [0, {field.p}^{n * n})")
     flat = [k // field.p ** e % field.p for e in range(n * n)]
@@ -151,10 +151,9 @@ def _entry_order(eqs, nn: int) -> list:
     return order + [u for u in range(nn) if u not in order]
 
 
-def _walk(A, weight, side, prefix=()) -> list:
+def _walk(A, weight, side) -> list:
     """The indices of the candidates that pass the walk's test, in the
-    order the walk meets them; with a prefix, only those whose first
-    len(prefix) walked entries take its values.
+    order the walk meets them.
 
     The walk assigns the entries of R depth first, in _entry_order, and
     tests each equation at the depth of its last entry to be set.  There
@@ -181,15 +180,15 @@ def _walk(A, weight, side, prefix=()) -> list:
             else:
                 a0.append((u, v, x))
         at_depth[d].append((a0, a1, a2))
-    steps = [(e, p ** e, at_depth[d], (prefix[d],) if d < len(prefix) else range(p))
-             for d, e in enumerate(order)]
-    r, hits = [0] * nn + [1], []
+    steps = [(e, p ** e, at_depth[d]) for d, e in enumerate(order)]
+    r, hits, digits = [0] * nn + [1], [], range(p)
 
     def visit(d: int, index: int) -> None:
         if d == nn:
             hits.append(index)
             return
-        e, scale, tests, values = steps[d]
+        e, scale, tests = steps[d]
+        values = digits
         for a0, a1, a2 in tests:
             c0 = sum(r[u] * r[v] * x for u, v, x in a0)
             c1 = sum(r[u] * x for u, x in a1)
@@ -203,33 +202,13 @@ def _walk(A, weight, side, prefix=()) -> list:
     return hits
 
 
-def _run_partitioned(A, weight, side, jobs: int) -> list:
-    """The walk's hits, unsorted.  jobs > 1 splits the walk by the values
-    of its first entries, at least 4 * jobs parts where the space allows,
-    across min(jobs, CPU count) worker processes; the parts merge in
-    submission order."""
-    if jobs > 1:  # a fork-based pool starts all its workers at the first submit
-        jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return _walk(A, weight, side)
-    p, nn = A.field.p, A.dim * A.dim
-    depth = next(d for d in range(nn + 1) if d == nn or p ** d >= 4 * jobs)
-    hits = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_walk, A, weight, side, prefix)
-                   for prefix in product(range(p), repeat=depth)]
-        for fut in futures:  # submission order keeps the merge deterministic
-            hits.extend(fut.result())
-    return hits
-
-
-def _enumerate(A, weight, side, jobs) -> SearchResult:
+def _enumerate(A, weight, side) -> SearchResult:
     total = _space_size(A)
     if side is None and (not isinstance(weight, Scalar) or weight.field != A.field):
         raise FieldMismatch(f"the weight {_clip(repr(weight))} is not in "
                             f"the algebra's field {A.field}")
     start = time.monotonic()
-    hits = sorted(_run_partitioned(A, weight, side, jobs))
+    hits = sorted(_walk(A, weight, side))
     operators = []
     for k in hits:
         m = index_to_matrix(A.field, A.dim, k)
@@ -243,13 +222,15 @@ def _enumerate(A, weight, side, jobs) -> SearchResult:
 
 def enumerate_rb(A: BiHomAssociativeAlgebra, weight: Scalar,
                  jobs: int = 1) -> SearchResult:
-    """All Rota-Baxter operators of the given weight on A, exhaustively."""
-    return _enumerate(A, weight, None, jobs)
+    """All Rota-Baxter operators of the given weight on A, exhaustively.
+    jobs is accepted for compatibility and has no effect."""
+    return _enumerate(A, weight, None)
 
 
 def enumerate_baxter(A: BiHomAssociativeAlgebra, side: str,
                      jobs: int = 1) -> SearchResult:
-    """All one-sided Baxter operators of the given side on A, exhaustively."""
+    """All one-sided Baxter operators of the given side on A, exhaustively.
+    jobs is accepted for compatibility and has no effect."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _enumerate(A, None, side, jobs)
+    return _enumerate(A, None, side)

@@ -349,7 +349,7 @@ def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch):
 # -- fuzz over argv --------------------------------------------------------------
 #
 # Placeholders stand for files written once per module.  No value can ask
-# for a large window, tree count or worker pool: the numbers are 0, 1 and
+# for a large window or tree count: the numbers are 0, 1 and
 # -2, and texts that int() reads as small numbers but a count flag refuses
 # ('٣', '+1', ' 1 ', '1_0'); the junk holds no digits, and every spec file
 # is of dim 2 or 1.

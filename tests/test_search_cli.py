@@ -1,6 +1,6 @@
 import json
+import multiprocessing.process
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -63,6 +63,9 @@ def test_index_to_matrix_order():
 def test_index_to_matrix_refuses_an_index_outside_the_space(k):
     with pytest.raises(ValueError, match=f"matrix index {k} is outside"):
         index_to_matrix(FieldSpec.prime(3), 2, k)
+    for bad in (5.0, True, "5", None):
+        with pytest.raises(ValueError, match="matrix index k must be an int"):
+            index_to_matrix(FieldSpec.prime(3), 2, bad)
     assert index_to_matrix(FieldSpec.prime(3), 2, 3 ** 4 - 1).entries[1][1].value == 2
 
 
@@ -92,37 +95,6 @@ def test_enumerate_rb_jobs_deterministic():
     single = enumerate_rb(A, A.field.zero(), jobs=1)
     multi = enumerate_rb(A, A.field.zero(), jobs=2)
     assert single.operators == multi.operators
-
-
-@pytest.mark.parametrize("cpus, workers", [(4, [4]), (None, [])])
-def test_search_jobs_capped_at_cpu_count(monkeypatch, cpus, workers):
-    created = []
-
-    class InlineExecutor:
-        """Stands in for ProcessPoolExecutor: records max_workers and runs
-        each task at submit, so nothing forks."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    A = two_param_f(3, 2, 1)
-    single = enumerate_rb(A, A.field.zero(), jobs=1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    many = enumerate_rb(A, A.field.zero(), jobs=100000)
-    assert created == workers
-    assert many.operators == single.operators
 
 
 def test_enumerate_baxter():
@@ -202,49 +174,20 @@ def test_truncated_cubic_over_f5_is_walked_whole(weight, found):
     assert indices == sorted(indices)
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor, as the InlineExecutor above does:
-    records max_workers and runs each task at submit, so nothing forks."""
+def test_jobs_changes_nothing_and_starts_no_process(monkeypatch):
+    """jobs is accepted for compatibility: every value gives the jobs=1
+    result, and the search runs in the calling process."""
+    def no_start(self):
+        raise AssertionError("a process was started")
 
-    created = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize("jobs", [2, 5])
-def test_walk_split_by_first_entries_gives_the_single_walk(monkeypatch, jobs):
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     A = prime_truncated(3, 3)
-    weights = (A.field.zero(), A.field.one())
-    singles = [enumerate_rb(A, weight, jobs=1) for weight in weights]
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: jobs)
-    InlinePool.created.clear()
-    for weight, single in zip(weights, singles):
-        many = enumerate_rb(A, weight, jobs=jobs)
-        assert many.operators == single.operators and many.operators
-        assert (many.examined, many.found) == (single.examined, single.found)
-    assert InlinePool.created == [jobs, jobs]
-
-
-def test_one_job_asks_for_no_cpu_count(monkeypatch):
-    def no_count():
-        raise AssertionError("os.cpu_count was called")
-
-    monkeypatch.setattr(search.os, "cpu_count", no_count)
-    A = two_param_f(3, 2, 1)
-    assert enumerate_rb(A, A.field.zero(), jobs=1).found == 9
+    f = A.field
+    for find, arg in ((enumerate_rb, f.zero()), (enumerate_rb, f.one()),
+                      (enumerate_baxter, "left"), (enumerate_baxter, "right")):
+        got = [(res.operators, res.examined, res.found)
+               for res in (find(A, arg, jobs=jobs) for jobs in (1, 2, 7))]
+        assert got[0][0] and got == [got[0]] * 3, (find.__name__, arg)
 
 
 def test_weight_from_another_field_is_refused_before_the_walk(monkeypatch):
@@ -543,6 +486,37 @@ def test_cli_search(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [json.loads(x) for x in lines] == [[["0"]], [["2"]]]
     assert main(["search", "baxter", src, "--side", "left"]) == 0
+
+
+SEARCH_HELP = """\
+usage: bihomalg search [-h] [--weight WEIGHT] [--side {left,right}]
+                       [--jobs JOBS]
+                       {rb,baxter} spec
+
+positional arguments:
+  {rb,baxter}
+  spec
+
+options:
+  -h, --help           show this help message and exit
+  --weight WEIGHT
+  --side {left,right}
+  --jobs JOBS
+"""
+
+
+def test_cli_search_jobs_keeps_the_stdout_bytes(tmp_path, capsys, monkeypatch):
+    """--jobs is accepted for compatibility and changes no stdout byte,
+    and the search help keeps its bytes."""
+    src = write_spec(tmp_path, "a.json", prime_truncated(3, 3))
+    runs = []
+    for jobs in ([], ["--jobs", "3"]):
+        assert main(["search", "rb", src, "--weight", "1", *jobs]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1] and runs[0].count("\n") > 1
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["search", "--help"]) == 0
+    assert capsys.readouterr().out == SEARCH_HELP
 
 
 def test_cli_search_budget(tmp_path, capsys, monkeypatch):

@@ -231,7 +231,7 @@ def cmd_trees(args) -> int:
                     _matrix(A.field, raw, t.leaves, A.dim, "elements").entries]
         R = (_need(parts, "rota_baxter", args.spec)
              if isinstance(t, trees.RBAugTree) else None)
-        result = trees.action_eval(t, elements, A, R)
+        result = _within_budget("tree", trees.action_eval, t, elements, A, R)
         print("[" + ", ".join(scalar_to_str(x) for x in result.coords) + "]")
         return 0
     # the required subparsers leave only "reduce"

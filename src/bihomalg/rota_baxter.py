@@ -9,12 +9,17 @@ axiom violation; the derived-structure constructors do require it.
 The four Rota-Baxter-type checkers (check_rota_baxter,
 check_double_product_morphism, check_rb_on_dendriform,
 check_one_sided_baxter) each compare op(P(x), P(y)) with P(inner(x, y)),
-inner a sum of op(P(x), y), op(x, P(y)) and weight * op(x, y), through
-_check_rb_type.  Over Q and F_p the sides are the matrix chains
+inner a sum of op(P(x), y), op(x, P(y)) and weight * op(x, y), in one
+evaluator pass of _check_rb_type, which also reads the caller's own rows
+and sub-check rows.  Over Q and F_p the sides are the matrix chains
 op o (P (x) P) and P o op o K, K the n^2 x n^2 map of inner's terms, built
 from P's stored entries.  Over Q(params) the table ops build both sides,
 since a violation prints their unreduced forms.  The constructors keep the
 table ops over every field: their tables are the output.
+
+Every commutation the module checks is a _commutes row over named maps (P,
+alpha, beta, a second operator or the twist maps): a sub-check, a
+violation, or a hypothesis that _refuse turns into the caller's error.
 """
 
 from __future__ import annotations
@@ -25,12 +30,15 @@ from operator import add
 
 from .errors import (DimensionMismatch, InputAxiomsFail, NonzeroWeight,
                      TwistHypothesisViolated)
-from .linalg import LinearMap, StructureTable, _raw, maps_commute
+from .linalg import LinearMap, StructureTable, _check, _raw
 from .scalars import RATIONAL_FUNCTION, Scalar
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                          BiHomTridendriform, CheckReport, DEFAULT_VIOLATION_CAP,
-                         _check_axioms, _commutes, check_dendriform, require,
-                         yau_twist)
+                         _check_axioms, _commutes, _refuse, check_dendriform,
+                         require, yau_twist)
+
+# the rows that the operator P commutes with the structure maps alpha and beta
+COMMUTES = tuple(_commutes(f"commutes_{f}", "P", f) for f in ("alpha", "beta"))
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,18 @@ class OneSidedBaxter:
 def _match(A, op_map: LinearMap) -> None:
     if op_map.rows != op_map.cols or op_map.rows != A.dim:
         raise DimensionMismatch("operator does not match the algebra dimension")
+
+
+def _maps(**maps) -> dict:
+    """The mats of _check_axioms for the named linear maps."""
+    return {name: (f, (f.cols,)) for name, f in maps.items()}
+
+
+def _square(*maps) -> None:
+    """Refuse maps that are not square of one size, before their commutation
+    rows, with the message of linalg's commutation test."""
+    _check(all(f.rows == f.cols == maps[0].rows for f in maps),
+           "commutation needs equal square maps")
 
 
 def _inner_table(op: StructureTable, P: LinearMap, terms, weight=None) -> StructureTable:
@@ -99,11 +119,14 @@ def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable
 
 
 def _check_rb_type(S, cap: int, ops, P: LinearMap, terms, weight=None,
-                   swap: bool = False) -> CheckReport:
+                   swap: bool = False, rows=(), sub_checks=()) -> CheckReport:
     """The report, logging up to cap violations, of the row op(P(x), P(y))
     == P(inner(x, y)) for each (tag, op) of ops, operations of S, inner the
     sum that _inner_table(op, P, terms, weight) builds; swap puts P(inner)
-    on the left.  A P that does not match S's dimension is refused.
+    on the left.  The caller's rows, then its sub_checks, over the names P,
+    alpha and beta (S's maps), are read in the same evaluator pass.  A P
+    that does not match S's dimension is refused, and so, for sub_checks,
+    are alpha and beta when they are not P's size and square.
 
     Over Q and F_p, whose values have one form, the sides are the matrix
     chains op o (P (x) P) and P o op o K, K = _inner_map(P, terms, weight),
@@ -111,29 +134,31 @@ def _check_rb_type(S, cap: int, ops, P: LinearMap, terms, weight=None,
     ops, whose unreduced forms are the ones a violation prints: compose
     skips the zero products that the table ops include."""
     _match(S, P)
-    n = P.rows
+    if sub_checks:
+        _square(P, S.alpha, S.beta)
+    n, rb_rows = P.rows, []
+    mats = _maps(P=P, alpha=S.alpha, beta=S.beta)
     if P.field.kind == RATIONAL_FUNCTION:
-        mats, rows = {}, []
         for tag, op in ops:
             inner = _inner_table(op, P, terms, weight)
             mats[f"{tag}.twisted"] = (op.twist(P, P).as_matrix(), (n, n))
             mats[f"{tag}.image"] = (inner.postcompose(P).as_matrix(), (n, n))
-            rows.append((tag, (f"{tag}.twisted",), (f"{tag}.image",)))
+            rb_rows.append((tag, (f"{tag}.twisted",), (f"{tag}.image",)))
     else:
-        mats = {"P": (P, (n,)), "K": (_inner_map(P, terms, weight), (n, n))}
-        rows = []
+        mats["K"] = (_inner_map(P, terms, weight), (n, n))
         for tag, op in ops:
             mats[tag] = (op.as_matrix(), (n, n))
-            rows.append((tag, (tag, ("P", "P")), ("P", tag, "K")))
+            rb_rows.append((tag, (tag, ("P", "P")), ("P", tag, "K")))
     if swap:
-        rows = [(tag, rhs, lhs) for tag, lhs, rhs in rows]
-    return _check_axioms(mats, rows, CheckReport(cap=cap))
+        rb_rows = [(tag, rhs, lhs) for tag, lhs, rhs in rb_rows]
+    return _check_axioms(mats, [*rb_rows, *rows], CheckReport(cap=cap), sub_checks)
 
 
-def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP) -> CheckReport:
+def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP,
+                       sub_checks=()) -> CheckReport:
     """The Rota-Baxter identity part of check_rota_baxter."""
     return _check_rb_type(A, cap, [("rota_baxter", A.mu)], R.map, ("left", "right"),
-                          R.weight)
+                          R.weight, sub_checks=sub_checks)
 
 
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -143,10 +168,7 @@ def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
     Whether R commutes with alpha and beta is recorded in sub_checks but does
     not count as a violation.
     """
-    rep = _check_rb_identity(A, R, cap)
-    rep.sub_checks["commutes_alpha"] = maps_commute(R.map, A.alpha)
-    rep.sub_checks["commutes_beta"] = maps_commute(R.map, A.beta)
-    return rep
+    return _check_rb_identity(A, R, cap, COMMUTES)
 
 
 def _require_rb(A: BiHomAssociativeAlgebra, R: RBOperator, caller: str,
@@ -195,14 +217,11 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
     R(x) <> R(y) == R( x <> R(y) + R(x) <> y ), together with commutation
     of R with alpha and beta (part of the definition here)."""
     _match(D, R.map)  # a mismatch is refused before a nonzero weight
+    _raw(R.map.field, R.weight)  # and then a weight over another field
     if not R.weight.is_zero():
         raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
     ops = [("rb_dendriform_succ", D.succ), ("rb_dendriform_prec", D.prec)]
-    rep = _check_rb_type(D, cap, ops, R.map, ("right", "left"))
-    n = D.dim
-    mats = {"R": (R.map, (n,)), "alpha": (D.alpha, (n,)), "beta": (D.beta, (n,))}
-    return _check_axioms(mats, [_commutes("commutes_alpha", "R", "alpha"),
-                                _commutes("commutes_beta", "R", "beta")], rep)
+    return _check_rb_type(D, cap, ops, R.map, ("right", "left"), rows=COMMUTES)
 
 
 def rb_dendriform_to_quadri(D: BiHomDendriform, R: RBOperator) -> BiHomQuadri:
@@ -228,8 +247,8 @@ def commuting_pair_quadri(A: BiHomAssociativeAlgebra, R: RBOperator,
         if not op.weight.is_zero():
             raise InputAxiomsFail(f"commuting_pair_quadri: weight of {name} is nonzero")
         _require_rb(A, op, "commuting_pair_quadri", f" ({name})")
-    if not maps_commute(R.map, P.map):
-        raise InputAxiomsFail("commuting_pair_quadri: R and P do not commute")
+    _refuse(_maps(R=R.map, P=P.map), [_commutes("R and P", "R", "P")],
+            lambda pair: InputAxiomsFail(f"commuting_pair_quadri: {pair} do not commute"))
     rp = R.map.compose(P.map)
     return BiHomQuadri(
         A.field,
@@ -255,11 +274,12 @@ def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
         raise InputAxiomsFail(f"{caller}: need a (right, left) pair")
     for op, name in ((P, "P"), (Q, "Q")):
         require(check_one_sided_baxter(A, op), caller, suffix=f" ({name})")
-        for tag, f in (("alpha", A.alpha), ("beta", A.beta)):
-            if not maps_commute(op.map, f):
-                raise InputAxiomsFail(f"{caller}: {name} does not commute with {tag}")
-    if not maps_commute(P.map, Q.map):
-        raise InputAxiomsFail(f"{caller}: P and Q do not commute")
+        _square(op.map, A.alpha, A.beta)
+        _refuse(_maps(P=op.map, alpha=A.alpha, beta=A.beta),
+                [_commutes(f, "P", f) for f in ("alpha", "beta")],
+                lambda f: InputAxiomsFail(f"{caller}: {name} does not commute with {f}"))
+    _refuse(_maps(P=P.map, Q=Q.map), [_commutes("P and Q", "P", "Q")],
+            lambda pair: InputAxiomsFail(f"{caller}: {pair} do not commute"))
 
 
 def baxter_pair_product(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
@@ -278,9 +298,9 @@ def rb_persists_under_twist(A: BiHomAssociativeAlgebra, R: RBOperator,
     The twist endomorphisms must also commute with R for the persistence
     statement to apply; that is validated alongside the usual twist
     hypotheses."""
-    if not maps_commute(atilde, R.map):
-        raise TwistHypothesisViolated("atilde does not commute with R")
-    if not maps_commute(btilde, R.map):
-        raise TwistHypothesisViolated("btilde does not commute with R")
+    _square(R.map, atilde, btilde)
+    _refuse(_maps(R=R.map, atilde=atilde, btilde=btilde),
+            [_commutes(f, f, "R") for f in ("atilde", "btilde")],
+            lambda f: TwistHypothesisViolated(f"{f} does not commute with R"))
     twisted = yau_twist(A, atilde, btilde)
     return check_rota_baxter(twisted, R)

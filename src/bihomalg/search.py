@@ -62,6 +62,10 @@ def search_budget() -> int:
 def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
     """Decode the k-th matrix: base-p digits of k fill entries row-major,
     least significant digit first."""
+    if field.kind != PRIME:
+        raise ValueError(f"matrix field must be a prime field, got a {field.kind} one")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"matrix dimension n must be a positive int, got {_clip(repr(n))}")
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"matrix index k must be an int, got {_clip(repr(k))}")
     if not 0 <= k < field.p ** (n * n):

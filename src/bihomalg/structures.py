@@ -3,11 +3,15 @@ Yau twists, and the structure-to-structure constructors.
 
 Every identity the package checks, here (MULTS, AXIOMS, in the paper's
 numbering) and in the other modules, is a row (id, lhs, rhs) read by one
-evaluator, _check_axioms.  A side is a chain of factors composed left to
-right, ((f1 o f2) o f3); a factor is a name, or a tuple of names meaning
-their Kronecker product, whose domain joins theirs.  Each name is a matrix
-with declared domain dims, e.g. (n, m) for an action A (x) M -> M, and a
-violation's basis tuple is decoded through the lhs's last factor's domain.
+evaluator, _check_axioms, which logs the violations of a report's rows and
+records its sub-check rows (facts reported beside them, such as an operator
+commuting with alpha and beta) in the same pass.  A side is a chain of
+factors composed left to right, ((f1 o f2) o f3); a factor is a name, or a
+tuple of names meaning their Kronecker product, whose domain joins theirs.
+Each name is a matrix with declared domain dims, e.g. (n, m) for an action
+A (x) M -> M, and a violation's basis tuple is decoded through the lhs's
+last factor's domain.  A kind's derived operations are data too: DERIVED
+maps each name to its summands, added left to right, as "total" to OPS.
 
 Checkers verify identities on basis tuples only (complete by linearity) and
 report *all* violations up to a cap, in a deterministic order.  Records never
@@ -97,12 +101,15 @@ def _compatible(tag: str, f, op, left, right) -> tuple:
     return (tag, (f, op), (op, (left, right)))
 
 
-def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
-    """Log the violations of rows into rep and return it; mats maps each name
-    to (matrix, domain dims).  Each distinct Kronecker factor is built once
-    per call, however many rows read it."""
+def _check_axioms(mats: dict, rows, rep: CheckReport, sub_checks=()) -> CheckReport:
+    """Log the violations of rows into rep and return it, then record in
+    rep.sub_checks whether each row of sub_checks holds, logging and counting
+    none of their violations; mats maps each name to (matrix, domain dims).
+    Each distinct Kronecker factor is built once per call, however many rows
+    read it."""
     factors = {}
-    for tag, lhs, rhs in rows:
+
+    def compare(into: CheckReport, tag, lhs, rhs) -> CheckReport:
         for f in lhs + rhs:
             if f not in factors:
                 factors[f] = mats[f] if isinstance(f, str) else (
@@ -110,7 +117,13 @@ def _check_axioms(mats: dict, rows, rep: CheckReport) -> CheckReport:
                     sum((mats[name][1] for name in f), ()))
         left, right = (reduce(LinearMap.compose, [factors[f][0] for f in side])
                        for side in (lhs, rhs))
-        rep._compare(tag, left, right, factors[lhs[-1]][1])
+        into._compare(tag, left, right, factors[lhs[-1]][1])
+        return into
+
+    for row in rows:
+        compare(rep, *row)
+    for row in sub_checks:
+        rep.sub_checks[row[0]] = compare(CheckReport(cap=1), *row).passed
     return rep
 
 
@@ -125,6 +138,20 @@ def _refuse(mats: dict, rows, error) -> None:
 # ---------------------------------------------------------------------------
 # Structure records
 # ---------------------------------------------------------------------------
+
+class _Derived(dict):
+    """A kind's derived operations: each name maps to its summands, added
+    left to right; OPS + DERIVED is the tuple of every operation's name."""
+
+    def __radd__(self, names: tuple) -> tuple:
+        return names + tuple(self)
+
+
+def _operation(S, name: str) -> StructureTable:
+    """The operation name of S: a stored one of OPS, or the sum of its
+    summands in DERIVED."""
+    return reduce(add, (getattr(S, tag) for tag in S.DERIVED.get(name, (name,))))
+
 
 @dataclass(frozen=True)
 class _Record:
@@ -146,7 +173,7 @@ class BiHomAssociativeAlgebra(_Record):
     OPS = ("mu",)
     MULTS = (_compatible("alpha_multiplicative", "alpha", "mu", "alpha", "alpha"),
              _compatible("beta_multiplicative", "beta", "mu", "beta", "beta"))
-    DERIVED = ()
+    DERIVED = _Derived()
     AXIOMS = (("bihom_associativity", ("mu", ("alpha", "mu")), ("mu", ("mu", "beta"))),)
 
     @staticmethod
@@ -165,7 +192,7 @@ class BiHomDendriform(_Record):
     OPS = ("prec", "succ")
     MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
                   for f in ("alpha", "beta") for op in ("prec", "succ"))
-    DERIVED = ("total",)
+    DERIVED = _Derived(total=OPS)
     AXIOMS = (
         ("dend_prec", ("prec", ("prec", "beta")), ("prec", ("alpha", "total"))),
         ("dend_mid", ("prec", ("succ", "beta")), ("succ", ("alpha", "prec"))),
@@ -184,7 +211,7 @@ class BiHomTridendriform(_Record):
     OPS = ("prec", "succ", "dot")
     MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
                   for op in OPS for f in ("alpha", "beta"))
-    DERIVED = ("total",)
+    DERIVED = _Derived(total=OPS)
     AXIOMS = (
         ("tridend_8", ("prec", ("prec", "beta")), ("prec", ("alpha", "total"))),
         ("tridend_9", ("prec", ("succ", "beta")), ("succ", ("alpha", "prec"))),
@@ -208,7 +235,8 @@ class BiHomQuadri(_Record):
     OPS = ("nw", "sw", "ne", "se")
     MULTS = tuple(_compatible(f"{f}_mult_{op}", f, op, f, f)
                   for op in OPS for f in ("alpha", "beta"))
-    DERIVED = ("prec", "succ", "vee", "wedge", "total")
+    DERIVED = _Derived(prec=("nw", "sw"), succ=("ne", "se"), vee=("se", "sw"),
+                       wedge=("ne", "nw"), total=OPS)
     AXIOMS = (
         ("quadri_11a", ("nw", ("nw", "beta")), ("nw", ("alpha", "total"))),
         ("quadri_11b", ("nw", ("ne", "beta")), ("ne", ("alpha", "prec"))),
@@ -222,25 +250,11 @@ class BiHomQuadri(_Record):
     )
 
     # derived operations, computed on demand, never stored
-    @property
-    def succ(self) -> StructureTable:
-        return self.ne + self.se
-
-    @property
-    def prec(self) -> StructureTable:
-        return self.nw + self.sw
-
-    @property
-    def vee(self) -> StructureTable:
-        return self.se + self.sw
-
-    @property
-    def wedge(self) -> StructureTable:
-        return self.ne + self.nw
-
-    @property
-    def star(self) -> StructureTable:
-        return self.nw + self.sw + self.ne + self.se
+    prec = property(lambda self: _operation(self, "prec"))
+    succ = property(lambda self: _operation(self, "succ"))
+    vee = property(lambda self: _operation(self, "vee"))
+    wedge = property(lambda self: _operation(self, "wedge"))
+    star = property(lambda self: _operation(self, "total"))
 
 
 Structure = (BiHomAssociativeAlgebra | BiHomDendriform
@@ -251,21 +265,15 @@ Structure = (BiHomAssociativeAlgebra | BiHomDendriform
 # Checkers
 # ---------------------------------------------------------------------------
 
-def _total(S: Structure) -> StructureTable:
-    """The sum of S's operations, left to right in OPS order."""
-    return reduce(add, (getattr(S, tag) for tag in S.OPS))
-
-
 def check_structure(S: Structure, cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """Check S against its kind's rows: alpha and beta commute, then MULTS
-    and AXIOMS over alpha, beta, OPS and DERIVED ("total" sums OPS)."""
+    and AXIOMS over alpha, beta and the operations of OPS and DERIVED."""
     if not isinstance(S, Structure):
         raise TypeError(f"not a structure: {S!r}")
     n = S.dim
     mats = {"alpha": (S.alpha, (n,)), "beta": (S.beta, (n,))}
     for name in S.OPS + S.DERIVED:
-        op = _total(S) if name == "total" else getattr(S, name)
-        mats[name] = (op.as_matrix(), (n, n))
+        mats[name] = (_operation(S, name).as_matrix(), (n, n))
     rows = (_commutes("alpha_beta_commute", "alpha", "beta"), *S.MULTS, *S.AXIOMS)
     return _check_axioms(mats, rows, CheckReport(cap=cap))
 
@@ -328,7 +336,7 @@ def total_product(S: Structure) -> BiHomAssociativeAlgebra:
     require(check_structure(S), "total_product")
     if isinstance(S, BiHomAssociativeAlgebra):
         return S
-    return BiHomAssociativeAlgebra(S.field, _total(S), S.alpha, S.beta)
+    return BiHomAssociativeAlgebra(S.field, _operation(S, "total"), S.alpha, S.beta)
 
 
 def quadri_projections(Q: BiHomQuadri) -> tuple[BiHomDendriform, BiHomDendriform]:

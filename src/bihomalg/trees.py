@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 from .errors import (BoundsExceeded, BudgetExceeded, Indecomposable,
                      InvalidArity, WrongAugmentation)
@@ -543,7 +543,8 @@ def action_eval(t, elements: list[Vector], A, R=None) -> Vector:
     """Evaluate an augmented tree on a tuple of algebra elements: each leaf i
     contributes alpha^{a_i1} beta^{a_i2} R^{f_i}(x_i), each internal vertex v
     applies R^{f(v)} to the product of its children, and grafting multiplies
-    through mu."""
+    through mu.  BudgetExceeded refuses, before any product, a tree whose
+    powers sum to more than TREES_LIMIT: each power is that many compositions."""
     is_rb = isinstance(t, RBAugTree)
     if not is_rb and not isinstance(t, BAugTree):
         raise WrongAugmentation("action_eval needs an augmented tree")
@@ -553,6 +554,9 @@ def action_eval(t, elements: list[Vector], A, R=None) -> Vector:
         raise ValueError("a B-augmented tree takes no Rota-Baxter operator")
     if len(elements) != t.leaves:
         raise ValueError("element count must equal the leaf count")
+    powers = [*chain.from_iterable(t.leaf_powers), *(t.vertex_powers if is_rb else ())]
+    if sum(p for p in powers if p > 0) > TREES_LIMIT:
+        raise BudgetExceeded(f"the tree's map powers sum to more than {TREES_LIMIT}")
     vps = iter(t.vertex_powers) if is_rb else repeat(0)
     return _act(t.tree, iter(t.leaf_powers), vps, iter(elements), A,
                 None if R is None else R.map)

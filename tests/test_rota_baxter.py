@@ -15,12 +15,12 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, FieldSpec,
                       quadri_projections, rb_dendriform_to_quadri, rb_derive,
                       rb_double_product, rb_persists_under_twist,
                       total_product, tridend_to_dend, verify_parametric_family)
-from bihomalg.errors import (EvalSingular, IncompleteAssignment,
-                             InputAxiomsFail, NonzeroWeight,
+from bihomalg.errors import (DimensionMismatch, EvalSingular, FieldMismatch,
+                             IncompleteAssignment, InputAxiomsFail, NonzeroWeight,
                              TwistHypothesisViolated)
 from bihomalg.families import FAMILY_IDS, rb_family
 from bihomalg.cli import main
-from bihomalg.linalg import maps_commute, tensor2
+from bihomalg.linalg import StructureTable, maps_commute, tensor2
 from bihomalg.rota_baxter import (_double_product, _inner_map, _match,
                                   check_double_product_morphism)
 from bihomalg.scalars import RATIONAL_FUNCTION
@@ -176,6 +176,32 @@ def test_rb_on_dendriform_zero_and_identity(qx3, qx3_rb):
     with pytest.raises(NonzeroWeight):
         check_rb_on_dendriform(D, RBOperator(LinearMap.zero_map(Q, 3, 3),
                                              Q.one()))
+
+
+def test_rb_on_dendriform_refuses_a_weight_from_another_field():
+    """A weight over another field is refused as check_rota_baxter refuses
+    it, even a zero one, after the dimension test and before the weight's
+    value is read."""
+    F5 = FieldSpec.prime(5)
+    one, zero = F5.one(), F5.zero()
+    D = BiHomDendriform(F5, *[StructureTable.zero(F5, 2)] * 2,
+                        LinearMap.identity(F5, 2), LinearMap.identity(F5, 2))
+    A = BiHomAssociativeAlgebra.associative(F5, StructureTable.zero(F5, 2))
+    R = RBOperator(LinearMap.zero_map(F5, 2, 2), Q.zero())
+    with pytest.raises(FieldMismatch) as want:
+        check_rota_baxter(A, R)
+    for build in (check_rb_on_dendriform, rb_dendriform_to_quadri):
+        with pytest.raises(FieldMismatch) as got:
+            build(D, R)
+        assert str(got.value) == str(want.value)
+    for weight in (Q.one(), FieldSpec.prime(7).zero()):
+        with pytest.raises(FieldMismatch):
+            check_rb_on_dendriform(D, RBOperator(R.map, weight))
+    with pytest.raises(DimensionMismatch):
+        check_rb_on_dendriform(D, RBOperator(LinearMap.zero_map(F5, 3, 3), Q.one()))
+    with pytest.raises(NonzeroWeight):
+        check_rb_on_dendriform(D, RBOperator(R.map, one))
+    assert check_rb_on_dendriform(D, RBOperator(R.map, zero)).passed
 
 
 def test_rb_acts_on_its_own_dendriform(qx3, qx3_rb):

@@ -67,6 +67,12 @@ def test_index_to_matrix_refuses_an_index_outside_the_space(k):
         with pytest.raises(ValueError, match="matrix index k must be an int"):
             index_to_matrix(FieldSpec.prime(3), 2, bad)
     assert index_to_matrix(FieldSpec.prime(3), 2, 3 ** 4 - 1).entries[1][1].value == 2
+    for bad in (-1, 0, True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="matrix dimension n must be a positive int"):
+            index_to_matrix(FieldSpec.prime(3), bad, 0)
+    for field in (FieldSpec.rational(), FieldSpec.rational_function("a")):
+        with pytest.raises(ValueError, match="matrix field must be a prime field"):
+            index_to_matrix(field, 2, 0)
 
 
 def test_enumerate_rb_dim1_solution_sets():
@@ -462,6 +468,20 @@ def test_cli_trees_act(tmp_path, capsys, qx3, qx3_rb):
     out = capsys.readouterr().out.strip()
     # R(x . x) = R(x^2) = 0 at the truncation edge
     assert out == "[0, 0, 0]"
+
+
+def test_cli_trees_act_refuses_powers_past_the_limit(tmp_path, capsys):
+    """alpha^100000000 on one leaf is a usage error naming the tree, exit 2,
+    before any product (it used to compose alpha that many times)."""
+    A = BiHomAssociativeAlgebra(Q, StructureTable(Q, (((Q.one(),),),)),
+                                LinearMap(Q, ((Q.from_int(2),),)),
+                                LinearMap.identity(Q, 1))
+    src = write_spec(tmp_path, "a.json", A)
+    assert main(["trees", "act", "L[100000000,0]", src, '[["1"]]']) == 2
+    err = capsys.readouterr().err
+    assert "tree: the tree's map powers sum to more than 1000000" in err
+    assert main(["trees", "act", "L[3,0]", src, '[["1"]]']) == 0
+    assert capsys.readouterr().out.strip() == "[8]"
 
 
 def test_cli_trees_reduce(tmp_path, capsys):

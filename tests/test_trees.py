@@ -16,6 +16,7 @@ from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, PlanarBinaryTree,
                       tree_R, tree_alpha, tree_beta, trees)
 from bihomalg.errors import (BoundsExceeded, BudgetExceeded, FieldMismatch,
                              Indecomposable, InvalidArity, WrongAugmentation)
+from bihomalg.linalg import LinearMap
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -152,6 +153,35 @@ def test_action_eval_refuses_a_negative_map_power(qx3, qx3_rb):
               RBAugTree(LEAF, ((0, 0),), (-1,))):
         with pytest.raises(ValueError, match="got -1$"):
             action_eval(t, [xv], qx3, qx3_rb)
+
+
+def test_action_eval_refuses_powers_past_the_limit_before_any_product(
+        monkeypatch, qx3, qx3_rb):
+    """Each power is that many compositions, so a tree whose positive powers
+    sum past TREES_LIMIT is refused before the first one; a negative power
+    counts as none and is still refused by the power itself."""
+    assert trees.TREES_LIMIT == 10 ** 6
+    xv = Vector(Q, (Q.zero(), Q.one(), Q.zero()))
+    message = "^the tree's map powers sum to more than 1000000$"
+    past = [(BAugTree(LEAF, ((10 ** 8, 0),)), [xv], None),
+            (RBAugTree(LEAF, ((0, 0),), (10 ** 6 + 1,)), [xv], qx3_rb),
+            (parse_tree("(L[500000,0;0] L[0,500000;1]){0}"), [xv, xv], qx3_rb),
+            (RBAugTree(LEAF, ((-1, 10 ** 6 + 1),), (0,)), [xv], qx3_rb)]
+
+    def never(*args):
+        raise AssertionError("a product was computed")
+    with monkeypatch.context() as m:
+        m.setattr(LinearMap, "compose", never)
+        m.setattr(LinearMap, "apply", never)
+        for t, elements, R in past:
+            with pytest.raises(BudgetExceeded, match=message):
+                action_eval(t, elements, qx3, R)
+    monkeypatch.setattr(trees, "TREES_LIMIT", 3)
+    action_eval(parse_tree("(L[1,1;0] L[0,0;1]){0}"), [xv, xv], qx3, qx3_rb)
+    with pytest.raises(ValueError, match="got -1$"):
+        action_eval(RBAugTree(LEAF, ((-1, 3),), (0,)), [xv], qx3, qx3_rb)
+    with pytest.raises(BudgetExceeded):
+        action_eval(parse_tree("(L[1,1;0] L[0,0;1]){1}"), [xv, xv], qx3, qx3_rb)
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,7 @@ with those zeros stay because they reach the printed forms: over Q(params),
 `zero + c*0 + ...` keeps the denominators of c, e.g. `(a*a*a)/(a)` where a
 zero-skip would give `a*a`.
 
-So the Rota-Baxter-type checkers (rota_baxter._check_rb_type) pick their
+So the Rota-Baxter-type checkers (rota_baxter._rb_type) pick their
 kernels by field.  Over Q and F_p, whose values have one form, both sides
 are `compose` and `tensor2` chains over the operation's matrix.  Over
 Q(params) both are built by the table ops, and a violation prints their

@@ -10,8 +10,13 @@ The four Rota-Baxter-type checkers (check_rota_baxter,
 check_double_product_morphism, check_rb_on_dendriform,
 check_one_sided_baxter) each compare op(P(x), P(y)) with P(inner(x, y)),
 inner a sum of op(P(x), y), op(x, P(y)) and weight * op(x, y), in one
-evaluator pass of _check_rb_type, which also reads the caller's own rows
-and sub-check rows.  Over Q and F_p the sides are the matrix chains
+evaluator pass that also reads the caller's own rows and sub-check rows.
+They share one function, _rb_type, in two parts: the part built once per
+structure (the operations' matrices, the rows, the mats of alpha and beta)
+returns the part run once per operator (the dimension refusals, P's own
+mats, one _check_axioms pass).  A checker runs the two parts once each;
+search's second pass builds the first once per search and runs the second
+on every hit.  Over Q and F_p the sides are the matrix chains
 op o (P (x) P) and P o op o K, K the n^2 x n^2 map of inner's terms, built
 from P's stored entries.  Over Q(params) the table ops build both sides,
 since a violation prints their unreduced forms.  The constructors keep the
@@ -118,47 +123,66 @@ def _double_product(A: BiHomAssociativeAlgebra, R: RBOperator) -> StructureTable
     return _inner_table(A.mu, R.map, ("left", "right"), R.weight)
 
 
-def _check_rb_type(S, cap: int, ops, P: LinearMap, terms, weight=None,
-                   swap: bool = False, rows=(), sub_checks=()) -> CheckReport:
-    """The report, logging up to cap violations, of the row op(P(x), P(y))
-    == P(inner(x, y)) for each (tag, op) of ops, operations of S, inner the
-    sum that _inner_table(op, P, terms, weight) builds; swap puts P(inner)
-    on the left.  The caller's rows, then its sub_checks, over the names P,
-    alpha and beta (S's maps), are read in the same evaluator pass.  A P
-    that does not match S's dimension is refused, and so, for sub_checks,
-    are alpha and beta when they are not P's size and square.
+def _rb_type(S, ops, terms, weight=None, swap: bool = False, rows=(),
+             sub_checks=()):
+    """The check, prepared once for S, of the row op(P(x), P(y)) ==
+    P(inner(x, y)) for each (tag, op) of ops, operations of S, inner the sum
+    that _inner_table(op, P, terms, weight) builds; swap puts P(inner) on
+    the left.  The caller's rows, then its sub_checks, over the names P,
+    alpha and beta (S's maps), are read in the same evaluator pass.
+
+    It returns check(P, cap): the report, logging up to cap violations, for
+    the operator P.  The operations' matrices, the rows and the mats of
+    alpha and beta are built here, once; check refuses a P that does not
+    match S's dimension and, for sub_checks, alpha and beta when they are
+    not P's size and square, then builds P's own mats and runs one
+    _check_axioms pass.
 
     Over Q and F_p, whose values have one form, the sides are the matrix
     chains op o (P (x) P) and P o op o K, K = _inner_map(P, terms, weight),
     read by compose and tensor2.  Over Q(params) both are built by the table
     ops, whose unreduced forms are the ones a violation prints: compose
     skips the zero products that the table ops include."""
-    _match(S, P)
-    if sub_checks:
-        _square(P, S.alpha, S.beta)
-    n, rb_rows = P.rows, []
-    mats = _maps(P=P, alpha=S.alpha, beta=S.beta)
-    if P.field.kind == RATIONAL_FUNCTION:
-        for tag, op in ops:
-            inner = _inner_table(op, P, terms, weight)
-            mats[f"{tag}.twisted"] = (op.twist(P, P).as_matrix(), (n, n))
-            mats[f"{tag}.image"] = (inner.postcompose(P).as_matrix(), (n, n))
-            rb_rows.append((tag, (f"{tag}.twisted",), (f"{tag}.image",)))
-    else:
-        mats["K"] = (_inner_map(P, terms, weight), (n, n))
-        for tag, op in ops:
-            mats[tag] = (op.as_matrix(), (n, n))
-            rb_rows.append((tag, (tag, ("P", "P")), ("P", tag, "K")))
-    if swap:
-        rb_rows = [(tag, rhs, lhs) for tag, lhs, rhs in rb_rows]
-    return _check_axioms(mats, [*rb_rows, *rows], CheckReport(cap=cap), sub_checks)
+    n = S.dim
+    shared = _maps(alpha=S.alpha, beta=S.beta)
+    op_mats = {tag: (op.as_matrix(), (n, n)) for tag, op in ops}
+
+    def row(tag, lhs, rhs) -> tuple:
+        return (tag, rhs, lhs) if swap else (tag, lhs, rhs)
+    chain_rows = [*(row(tag, (tag, ("P", "P")), ("P", tag, "K")) for tag, _ in ops),
+                  *rows]
+    table_rows = [*(row(tag, (f"{tag}.twisted",), (f"{tag}.image",)) for tag, _ in ops),
+                  *rows]
+
+    def check(P: LinearMap, cap: int) -> CheckReport:
+        _match(S, P)
+        if sub_checks:
+            _square(P, S.alpha, S.beta)
+        mats, rb_rows = {**shared, "P": (P, (P.cols,))}, chain_rows
+        if P.field.kind == RATIONAL_FUNCTION:
+            rb_rows = table_rows
+            for tag, op in ops:
+                inner = _inner_table(op, P, terms, weight)
+                mats[f"{tag}.twisted"] = (op.twist(P, P).as_matrix(), (n, n))
+                mats[f"{tag}.image"] = (inner.postcompose(P).as_matrix(), (n, n))
+        else:
+            mats["K"] = (_inner_map(P, terms, weight), (n, n))
+            mats.update(op_mats)
+        return _check_axioms(mats, rb_rows, CheckReport(cap=cap), sub_checks)
+    return check
 
 
-def _check_rb_identity(A, R: RBOperator, cap=DEFAULT_VIOLATION_CAP,
-                       sub_checks=()) -> CheckReport:
-    """The Rota-Baxter identity part of check_rota_baxter."""
-    return _check_rb_type(A, cap, [("rota_baxter", A.mu)], R.map, ("left", "right"),
-                          R.weight, sub_checks=sub_checks)
+def _rb_identity(A, weight, sub_checks=()):
+    """The prepared check of the Rota-Baxter identity of the given weight on
+    A: the identity part of check_rota_baxter, with its sub_checks."""
+    return _rb_type(A, [("rota_baxter", A.mu)], ("left", "right"), weight,
+                    sub_checks=sub_checks)
+
+
+def _baxter_identity(A, side: str):
+    """The prepared check of check_one_sided_baxter for the given side."""
+    inner = "left" if side == "right" else "right"
+    return _rb_type(A, [(f"{side}_baxter", A.mu)], (inner,))
 
 
 def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -168,7 +192,7 @@ def check_rota_baxter(A: BiHomAssociativeAlgebra, R: RBOperator,
     Whether R commutes with alpha and beta is recorded in sub_checks but does
     not count as a violation.
     """
-    return _check_rb_identity(A, R, cap, COMMUTES)
+    return _rb_identity(A, R.weight, COMMUTES)(R.map, cap)
 
 
 def _require_rb(A: BiHomAssociativeAlgebra, R: RBOperator, caller: str,
@@ -198,8 +222,8 @@ def rb_derive(A: BiHomAssociativeAlgebra, R: RBOperator,
 def check_double_product_morphism(A: BiHomAssociativeAlgebra, R: RBOperator,
                                   cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """R(x * y) == R(x)R(y) where * is the Rota-Baxter double product."""
-    return _check_rb_type(A, cap, [("double_product_morphism", A.mu)], R.map,
-                          ("left", "right"), R.weight, swap=True)
+    return _rb_type(A, [("double_product_morphism", A.mu)], ("left", "right"),
+                    R.weight, swap=True)(R.map, cap)
 
 
 def rb_double_product(A: BiHomAssociativeAlgebra, R: RBOperator,
@@ -221,7 +245,7 @@ def check_rb_on_dendriform(D: BiHomDendriform, R: RBOperator,
     if not R.weight.is_zero():
         raise NonzeroWeight("Rota-Baxter on a dendriform algebra needs weight 0")
     ops = [("rb_dendriform_succ", D.succ), ("rb_dendriform_prec", D.prec)]
-    return _check_rb_type(D, cap, ops, R.map, ("right", "left"), rows=COMMUTES)
+    return _rb_type(D, ops, ("right", "left"), rows=COMMUTES)(R.map, cap)
 
 
 def rb_dendriform_to_quadri(D: BiHomDendriform, R: RBOperator) -> BiHomQuadri:
@@ -262,8 +286,7 @@ def commuting_pair_quadri(A: BiHomAssociativeAlgebra, R: RBOperator,
 def check_one_sided_baxter(A: BiHomAssociativeAlgebra, B: OneSidedBaxter,
                            cap: int = DEFAULT_VIOLATION_CAP) -> CheckReport:
     """Right: P(a)P(b) == P(P(a)b).  Left: Q(a)Q(b) == Q(aQ(b))."""
-    inner = "left" if B.side == "right" else "right"
-    return _check_rb_type(A, cap, [(f"{B.side}_baxter", A.mu)], B.map, (inner,))
+    return _baxter_identity(A, B.side)(B.map, cap)
 
 
 def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,

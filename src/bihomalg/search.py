@@ -13,8 +13,10 @@ failure.  It builds no LinearMap or Scalar.  Every hit is then verified a
 second time, by an independent method: the library's matrix checker (the
 identity part of check_rota_baxter, or check_one_sided_baxter), which over
 F_p reads both sides as `compose` and `tensor2` chains and shares no code
-with the walk.  The walk and the second pass both run in the calling
-process.
+with the walk.  That checker is prepared once per search, with the
+operation's matrix and the rows, and run on each hit with a violation cap
+of 1; a hit's matrix is decoded from its index by one divmod per entry.
+The walk and the second pass both run in the calling process.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import os
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, FieldMismatch
-from .linalg import LinearMap, _sparse
-from .rota_baxter import (OneSidedBaxter, RBOperator, _check_rb_identity,
-                          check_one_sided_baxter)
+from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
+from .linalg import LinearMap
+from .rota_baxter import _baxter_identity, _rb_identity
 from .scalars import PRIME, FieldSpec, Scalar, _ascii_int, _clip
 from .structures import BiHomAssociativeAlgebra
 
@@ -70,8 +71,18 @@ def index_to_matrix(field: FieldSpec, n: int, k: int) -> LinearMap:
         raise ValueError(f"matrix index k must be an int, got {_clip(repr(k))}")
     if not 0 <= k < field.p ** (n * n):
         raise ValueError(f"matrix index {_clip(str(k))} is outside [0, {field.p}^{n * n})")
-    flat = [k // field.p ** e % field.p for e in range(n * n)]
-    return LinearMap._of_cols(field, n, _sparse(field.ops.zero, (flat[j::n] for j in range(n))))
+    return _matrix_at(field, n, k)
+
+
+def _matrix_at(field: FieldSpec, n: int, k: int) -> LinearMap:
+    """The k-th n x n matrix over the prime field, unchecked: one divmod
+    per entry, row-major, each column's rows increasing."""
+    p, cols = field.p, [{} for _ in range(n)]
+    for e in range(n * n):
+        k, x = divmod(k, p)
+        if x:
+            cols[e % n][e // n] = x
+    return LinearMap._of_cols(field, n, cols)
 
 
 def _space_size(A: BiHomAssociativeAlgebra) -> int:
@@ -85,16 +96,21 @@ def _space_size(A: BiHomAssociativeAlgebra) -> int:
     return total
 
 
-def _passes(A, m, weight, side) -> bool:
-    """The second verification of a hit m: the library's matrix checker of
-    the Rota-Baxter identity at the given weight (the identity part of
-    check_rota_baxter, without its commutation sub-checks), or
-    check_one_sided_baxter when side is set.  It shares no code with the
-    walk's equations.  The checkers are looked up as module globals
-    on each call, so rebinding them takes effect."""
+def _second_pass(A, weight, side):
+    """The second verification, prepared once for A: the library's matrix
+    checker of the Rota-Baxter identity at the given weight (the identity
+    part of check_rota_baxter, without its commutation sub-checks), or of
+    check_one_sided_baxter when side is set, as check(m, cap).  It shares no
+    code with the walk's equations."""
     if side is None:
-        return _check_rb_identity(A, RBOperator(m, weight)).passed
-    return check_one_sided_baxter(A, OneSidedBaxter(m, side)).passed
+        return _rb_identity(A, weight)
+    return _baxter_identity(A, side)
+
+
+def _passes(A, m, weight, side) -> bool:
+    """Whether the hit m passes the second verification: the one-shot form
+    of _second_pass, prepared afresh on each call."""
+    return _second_pass(A, weight, side)(m, 1).passed
 
 
 def _equations(A, weight, side) -> list:
@@ -211,12 +227,15 @@ def _enumerate(A, weight, side) -> SearchResult:
     if side is None and (not isinstance(weight, Scalar) or weight.field != A.field):
         raise FieldMismatch(f"the weight {_clip(repr(weight))} is not in "
                             f"the algebra's field {A.field}")
+    n, (left, right, out) = A.dim, A.mu._shape()
+    if (left, right, out) != (n, n, n):
+        raise DimensionMismatch(f"the multiplication is {left}x{right}->{out}, "
+                                f"not {n}x{n}->{n} for the algebra dimension {n}")
     start = time.monotonic()
-    hits = sorted(_walk(A, weight, side))
-    operators = []
-    for k in hits:
-        m = index_to_matrix(A.field, A.dim, k)
-        if not _passes(A, m, weight, side):
+    check, operators = _second_pass(A, weight, side), []
+    for k in sorted(_walk(A, weight, side)):
+        m = _matrix_at(A.field, n, k)
+        if not check(m, 1).passed:
             raise AssertionError(f"the matrix checker rejects candidate {k}, "
                                  f"a hit of the pruned walk")
         operators.append(m)

@@ -15,12 +15,12 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       rb_derive, rb_double_product, search, serialize,
                       split_null_extension, tensor2, tensor_quadri,
                       trees, tridend_to_dend)
-from bihomalg import families
+from bihomalg import families, rota_baxter
 from bihomalg.cli import main
-from bihomalg.errors import BudgetExceeded, FieldMismatch
+from bihomalg.errors import BudgetExceeded, DimensionMismatch, FieldMismatch
 from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
 from bihomalg.search import BUDGET_ENV_VAR
-from conftest import truncated_poly_algebra
+from conftest import raw_report, truncated_poly_algebra
 
 # The benchmark's CLI cases on its committed Q(params) spec files, and the
 # stdout each printed when its golden was captured; perfbench is only read.
@@ -206,6 +206,128 @@ def test_weight_from_another_field_is_refused_before_the_walk(monkeypatch):
     for weight in (FieldSpec.prime(5).one(), FieldSpec.prime(5).zero(), Q.one()):
         with pytest.raises(FieldMismatch):
             enumerate_rb(A, weight)
+
+
+def test_a_multiplication_of_another_dimension_is_refused_before_the_walk(monkeypatch):
+    """A record's dimension is alpha's: a multiplication that is not
+    dim x dim -> dim is refused as check_rota_baxter refuses it, with
+    DimensionMismatch."""
+    f = FieldSpec.prime(3)
+    one = LinearMap.identity(f, 1)
+    square = prime_truncated(3, 2).mu  # 2 x 2 -> 2
+    rectangular = StructureTable(f, (((f.one(),), (f.one(),)),))  # 1 x 2 -> 1
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(search, "_walk", no_walk)
+    for mu in (square, rectangular):
+        A = BiHomAssociativeAlgebra(f, mu, one, one)
+        with pytest.raises(DimensionMismatch):
+            check_rota_baxter(A, RBOperator(one, f.zero()))
+        for find, arg in ((enumerate_rb, f.zero()), (enumerate_rb, f.one()),
+                          (enumerate_baxter, "left"), (enumerate_baxter, "right")):
+            with pytest.raises(DimensionMismatch, match=r"the multiplication is "
+                               rf"{mu.dim_left}x{mu.dim_right}->{mu.dim_out}, not 1x1->1"):
+                find(A, arg)
+
+
+def test_the_zero_dimensional_algebra_has_its_one_operator():
+    """Over F_p the dim-0 algebra has p^0 = 1 candidate, the empty map, and
+    it passes every identity."""
+    f = FieldSpec.prime(3)
+    empty = LinearMap.identity(f, 0)
+    A = BiHomAssociativeAlgebra(f, StructureTable.zero(f, 0), empty, empty)
+    assert check_rota_baxter(A, RBOperator(empty, f.zero())).passed
+    for res in (enumerate_rb(A, f.zero()), enumerate_rb(A, f.one()),
+                enumerate_baxter(A, "left"), enumerate_baxter(A, "right")):
+        assert (res.examined, res.found, res.operators, res.dim) == (1, 1, [empty], 0)
+
+
+def test_second_pass_is_built_once_per_search(monkeypatch):
+    """The operation's matrix is read once per search, not once per hit."""
+    A = prime_truncated(3, 3)
+    calls, as_matrix = [], StructureTable.as_matrix
+
+    def counting(self):
+        calls.append(self)
+        return as_matrix(self)
+
+    monkeypatch.setattr(StructureTable, "as_matrix", counting)
+    res = enumerate_rb(A, A.field.zero())
+    assert res.found > 1 and calls == [A.mu]
+
+
+def assert_prepared_check_is_the_checkers(A, weight, side, maps, cap):
+    """One prepared second pass, run on each of maps in turn, reports what a
+    fresh public checker reports on each: check_one_sided_baxter's whole
+    report when side is set, else the violations and total_violations of
+    check_rota_baxter, and no sub-checks; the prepared identity part of
+    check_rota_baxter, with its commutation sub-checks, gives its whole
+    report.  _passes, the one-shot form, agrees."""
+    second = search._second_pass(A, weight, side)
+    full = rota_baxter._rb_identity(A, weight, rota_baxter.COMMUTES)
+    for m in maps:
+        if side is None:
+            want = raw_report(check_rota_baxter(A, RBOperator(m, weight), cap))
+            assert raw_report(full(m, cap)) == want
+            violations, sub_checks, _, total = raw_report(second(m, cap))
+            assert (violations, sub_checks, total) == (want[0], {}, want[3])
+        else:
+            want = raw_report(check_one_sided_baxter(A, OneSidedBaxter(m, side), cap))
+            assert raw_report(second(m, cap)) == want
+        assert search._passes(A, m, weight, side) == (want[3] == 0)
+
+
+@st.composite
+def prime_operator_cases(draw):
+    """A BiHom-associative record over F_2, F_3 or F_5 at dim 1 or 2, its
+    multiplication random and alpha and beta the identity or random; a
+    weight or a side; the zero map, minus weight times the identity (a
+    Rota-Baxter operator of that weight) or the identity (a Baxter operator
+    of both sides), and random candidates, most of them failing."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    f = FieldSpec.prime(p)
+    ident = LinearMap.identity(f, n)
+
+    def candidate():
+        return index_to_matrix(f, n, draw(st.integers(0, p ** (n * n) - 1)))
+
+    alpha, beta = (draw(st.sampled_from([ident, candidate()])) for _ in range(2))
+    mu = StructureTable.from_matrix(f, LinearMap(f, tuple(tuple(
+        f.from_int(draw(st.integers(0, p - 1))) for _ in range(n * n))
+        for _ in range(n))), n, n)
+    side = draw(st.sampled_from([None, "left", "right"]))
+    weight = f.from_int(draw(st.integers(0, p - 1))) if side is None else None
+    solution = ident if side else ident.scale(-weight)
+    maps = [LinearMap.zero_map(f, n, n), solution,
+            *(candidate() for _ in range(draw(st.integers(1, 4))))]
+    return (BiHomAssociativeAlgebra(f, mu, alpha, beta), weight, side, maps,
+            draw(st.sampled_from([1, 16])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_operator_cases())
+def test_prepared_check_is_the_checkers_property(case):
+    assert_prepared_check_is_the_checkers(*case)
+
+
+def test_prepared_check_is_the_checkers_over_q_and_q_params(qx2, qx2_rb):
+    """Over Q, k[x]/(x^2) with its integration operator and a map that fails
+    every identity; over Q(a), the two-parameter algebra with a w0f2 member
+    and a perturbed one, whose sides are built by the table ops."""
+    o, z = Q.one(), Q.zero()
+    bad = LinearMap(Q, ((o, Q.from_int(2)), (z, Q.parse("1/3"))))
+    for weight, side in ((Q.zero(), None), (o, None), (None, "left"), (None, "right")):
+        assert_prepared_check_is_the_checkers(qx2, weight, side, [qx2_rb.map, bad], 16)
+    qa = FieldSpec.rational_function("a")
+    a = qa.parameter("a")
+    A = two_param_algebra(qa, a, qa.one())
+    R = rb_family("w0f2", qa, r1=a, r2=qa.one()).map
+    perturbed = R + LinearMap(qa, ((qa.one(), qa.zero()), (qa.zero(), qa.zero())))
+    for weight, side in ((qa.zero(), None), (None, "right")):
+        assert_prepared_check_is_the_checkers(A, weight, side, [R, perturbed], 16)
 
 
 def family_members(f):

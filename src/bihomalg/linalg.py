@@ -27,27 +27,44 @@ it logs.
 
 `LinearMap.compose` and `tensor2` visit only the stored entries and skip
 those that are zero, in the order of the dense loops: every entry of a
-product is `zero + a1*b1 + a2*b2 + ...` with k increasing (column by column,
-as in Gustavson's sparse product), and every Kronecker entry is one `a*b`.
-So each output entry comes from the same field operations as a dense
-evaluation, which matters over Q(params), where the printed (unreduced) form
-of a rational function depends on that sequence.  `CheckReport._compare`
-and `==` compare two maps or tables column by column, over the stored rows
-only.
+product is `a1*b1 + a2*b2 + ...` with k increasing (column by column, as in
+Gustavson's sparse product), and every Kronecker entry is one `a*b`.  So
+each output entry comes from the same field operations as a dense
+evaluation, less the dense loop's add to its starting zero (below).  That
+matters over Q(params), where the printed (unreduced) form of a rational
+function depends on that sequence.  `CheckReport._compare` and `==` compare
+two maps or tables column by column, over the stored rows only.
+
+Every sum follows one accumulation rule, in `compose`, `_combine` and
+`StructureTable.apply` (and, on a dict, in `rota_baxter._inner_map`): an
+accumulator that is still the zero object stores its first term as
+computed, and `ops.add` is called from the second term on.  The dense
+loop's `zero + t1` gives t1 byte for byte, so the rule changes no value,
+type or printed form, only the work: over Q `0 + y` is y, an int or a
+Fraction alike; over F_p `(0 + y) % p` is y; over Q(params) `add(zero, y)`
+is y's numerator and denominator dicts with the same coefficients and
+insertion order, as zero's denominator is the int unit {0: 1}, which
+`_poly_mul` copies.  The test is identity, `acc is ops.zero`, never
+equality: a sum that cancelled is added to as before, since over Q a
+`Fraction(0)` plus the int 3 is a Fraction, not the int 3, and over
+Q(params) a cancelled `({}, d)` is not the zero object.  (Over Q and F_p a
+computed int 0 is the zero object, and adding to it would give the next
+term unchanged.)
 
 `StructureTable.apply` visits the stored constants too and skips the zero
 ones, as its dense loop did.  Every other kernel reads a map or table
 densely, through `_dense()` (the nested public view) or `_columns()`, and
-so makes the mul and add calls of the dense loops: `+`, `scale`, `entries`,
-`LinearMap.apply` and `postcompose`.  `LinearMap.apply` and the table ops
-`compose_left`, `compose_right`, `twist` and `postcompose` form linear
-combinations of whole columns through `_combine`:
-`zero + c1*v1 + c2*v2 + ...` coordinate by coordinate, in term order,
-skipping a term whose coefficient c is zero but not the zero coordinates of
-its v (`compose_left` and `compose_right` take the coefficients c from a
-map's stored entries, as the missing ones would be skipped).  The products
+so makes the mul calls of the dense loops, and their add calls but the adds
+to a starting zero: `+`, `scale`, `entries`, `LinearMap.apply` and
+`postcompose`.  `LinearMap.apply` and the table ops `compose_left`,
+`compose_right`, `twist` and `postcompose` form linear combinations of
+whole columns through `_combine`: `c1*v1 + c2*v2 + ...` coordinate by
+coordinate, in term order, skipping a term whose coefficient c is zero but
+not the zero coordinates of its v (`compose_left` and `compose_right` take
+the coefficients c from a map's stored entries, as the missing ones would
+be skipped).  The products
 with those zeros stay because they reach the printed forms: over Q(params),
-`zero + c*0 + ...` keeps the denominators of c, e.g. `(a*a*a)/(a)` where a
+`c*0 + ...` keeps the denominators of c, e.g. `(a*a*a)/(a)` where a
 zero-skip would give `a*a`.
 
 So the Rota-Baxter-type checkers (rota_baxter._rb_type) pick their
@@ -98,13 +115,18 @@ def _nest(fn, depth: int, data) -> tuple:
 
 
 def _combine(ops, n: int, terms) -> tuple:
-    """zero + c1*v1 + c2*v2 + ... for (c, v) in terms, v of length n; terms
-    with c == 0 are skipped, zero coordinates of v are not."""
-    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-    out = [ops.zero] * n
+    """c1*v1 + c2*v2 + ... for (c, v) in terms, v of length n, coordinate by
+    coordinate in term order (ops.zero when every term is skipped); terms
+    with c == 0 are skipped, zero coordinates of v are not.  A coordinate
+    that is still the zero object stores its first product as computed, and
+    only later terms are added to it: the dense loop's `zero + c1*x1` is
+    `c1*x1` in value, type and form (see the module docstring)."""
+    add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
+    out = [zero] * n
     for c, v in terms:
         if not is_zero(c):
-            out = [add(acc, mul(c, x)) for acc, x in zip(out, v)]
+            out = [mul(c, x) if acc is zero else add(acc, mul(c, x))
+                   for acc, x in zip(out, v)]
     return tuple(out)
 
 
@@ -309,7 +331,8 @@ class LinearMap(_Matrix):
         _check(self.cols == other.rows, "composition dims differ", self, other)
         ops = self.field.ops
         add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
-        # each entry is zero + a1*b1 + a2*b2 + ..., k increasing
+        # each entry is a1*b1 + a2*b2 + ..., k increasing, its first term
+        # stored as computed
         left, out, zeros = self._d, [{}] * other.cols, [zero] * self.rows
         for j, col in enumerate(other._d):
             if not col:
@@ -320,7 +343,8 @@ class LinearMap(_Matrix):
                 if terms and not is_zero(b):
                     for i, a in terms.items():
                         if not is_zero(a):
-                            acc[i] = add(acc[i], mul(a, b))
+                            x = acc[i]
+                            acc[i] = mul(a, b) if x is zero else add(x, mul(a, b))
             out[j] = d = {}
             for i, x in enumerate(acc):
                 if x != zero:
@@ -448,8 +472,8 @@ class StructureTable(_Matrix):
         _check(u.dim == self.dim_left and v.dim == self.dim_right,
                "bilinear operand dims differ", self, u, v)
         ops, cols, r = self.field.ops, self._d, self.dim_right
-        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-        out = [ops.zero] * self.dim_out
+        add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
+        out = [zero] * self.dim_out
         for i, a in enumerate(u._d):
             if is_zero(a):
                 continue
@@ -459,7 +483,8 @@ class StructureTable(_Matrix):
                 ab = mul(a, b)
                 for k, x in cols[i * r + j].items():
                     if not is_zero(x):
-                        out[k] = add(out[k], mul(ab, x))
+                        y = out[k]
+                        out[k] = mul(ab, x) if y is zero else add(y, mul(ab, x))
         return Vector._of(self.field, tuple(out))
 
     def compose_left(self, f: LinearMap) -> "StructureTable":

@@ -357,7 +357,8 @@ class FieldSpec:
     # -- element builders --------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_fraction(Fraction(0))
+        """The Scalar that holds the field's zero object, ops.zero."""
+        return _scalar(self, self.ops.zero)
 
     def one(self) -> "Scalar":
         return self.from_fraction(Fraction(1))

@@ -231,6 +231,10 @@ def _enumerate(A, weight, side) -> SearchResult:
     if (left, right, out) != (n, n, n):
         raise DimensionMismatch(f"the multiplication is {left}x{right}->{out}, "
                                 f"not {n}x{n}->{n} for the algebra dimension {n}")
+    for name, m in (("alpha", A.alpha), ("beta", A.beta)):
+        if (m.rows, m.cols) != (n, n):
+            raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, "
+                                    f"not {n}x{n} for the algebra dimension {n}")
     start = time.monotonic()
     check, operators = _second_pass(A, weight, side), []
     for k in sorted(_walk(A, weight, side)):

@@ -71,27 +71,37 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
-def counted(monkeypatch, fn, *args):
+def counted(monkeypatch, fn, *args, to_zero=False):
     """fn(*args) and its (mul, add) call counts at the fields' ops tables,
-    which count a raw kernel's operations and a Scalar's alike."""
-    counts = {"mul": 0, "add": 0}
+    which count a raw kernel's operations and a Scalar's alike.  With
+    to_zero, a third count follows: the adds whose left operand is the
+    table's zero object (ops.zero, which FieldSpec.zero() holds), by
+    identity, not equality.  A kernel that stores each sum's first term as
+    computed makes none of them."""
+    counts = {"mul": 0, "add": 0, "to_zero": 0}
 
-    def counting(name, op):
+    def counting(name, op, left_is_zero):
         def wrapper(*xs):
             counts[name] += 1
+            if name == "add" and left_is_zero(xs):
+                counts["to_zero"] += 1
             return op(*xs)
         return wrapper
 
     with monkeypatch.context() as m:
         for cls in OPS_CLASSES.values():
-            for name in counts:
+            for name in ("mul", "add"):
                 raw = cls.__dict__[name]
                 if isinstance(raw, staticmethod):
-                    m.setattr(cls, name, staticmethod(counting(name, raw.__func__)))
-                else:
-                    m.setattr(cls, name, counting(name, raw))
+                    left_is_zero = lambda xs, zero=cls.zero: xs[0] is zero
+                    m.setattr(cls, name, staticmethod(
+                        counting(name, raw.__func__, left_is_zero)))
+                else:  # xs[0] is the table, which holds its zero
+                    left_is_zero = lambda xs: xs[1] is xs[0].zero
+                    m.setattr(cls, name, counting(name, raw, left_is_zero))
         result = fn(*args)
-    return result, (counts["mul"], counts["add"])
+    ops = counts["mul"], counts["add"]
+    return result, (ops + (counts["to_zero"],) if to_zero else ops)
 
 
 def raw_report(rep):

@@ -232,6 +232,37 @@ def test_a_multiplication_of_another_dimension_is_refused_before_the_walk(monkey
                 find(A, arg)
 
 
+def test_structure_maps_of_another_dimension_are_refused_before_the_walk(
+        monkeypatch, tmp_path, capsys):
+    """k[x]/(x^2) over F_3 with a 1x1 beta (or a 2x1 alpha): the walk reads
+    neither map, so the search refuses the record up front, with the
+    DimensionMismatch that check_rota_baxter raises on it.  The CLI's spec
+    reader refuses such a file before the search, with exit 2."""
+    f = FieldSpec.prime(3)
+    mu, two = prime_truncated(3, 2).mu, LinearMap.identity(f, 2)
+    records = {"beta": (two, LinearMap.identity(f, 1), "1x1"),
+               "alpha": (LinearMap(f, ((f.one(),), (f.zero(),))), two, "2x1")}
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(search, "_walk", no_walk)
+    for name, (alpha, beta, shape) in records.items():
+        A = BiHomAssociativeAlgebra(f, mu, alpha, beta)
+        with pytest.raises(DimensionMismatch):
+            check_rota_baxter(A, RBOperator(two, f.zero()))
+        for find, arg in ((enumerate_rb, f.zero()), (enumerate_rb, f.one()),
+                          (enumerate_baxter, "left"), (enumerate_baxter, "right")):
+            with pytest.raises(DimensionMismatch, match=rf"^{name} is {shape}, not 2x2 "
+                               r"for the algebra dimension 2$"):
+                find(A, arg)
+    A = BiHomAssociativeAlgebra(f, mu, two, LinearMap.identity(f, 1))
+    src = write_spec(tmp_path, "a.json", A)
+    assert main(["search", "rb", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "beta: expected a matrix with 2 rows" in err
+
+
 def test_the_zero_dimensional_algebra_has_its_one_operator():
     """Over F_p the dim-0 algebra has p^0 = 1 candidate, the empty map, and
     it passes every identity."""

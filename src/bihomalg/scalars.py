@@ -20,9 +20,14 @@ is_zero and eq on raw values, and the conversions unbox (a Scalar's value
 to its raw value), box (back), norm and from_fraction.  A raw value is an
 int or a Fraction over Q, an int in 0..p-1 over F_p, and a (numerator,
 denominator) pair of polynomial dicts over Q(params).  Over Q, norm turns
-an integral Fraction into an int: unbox, from_fraction and the containers
-of linalg and trees keep that form, and Scalar arithmetic keeps what the
-ops compute.
+an integral Fraction into an int.  unbox and from_fraction norm their
+value, and so do the constructors of the linalg and trees containers
+(through linalg._raw); the kernels of linalg and trees, and Scalar
+arithmetic, keep what the ops compute.  So a computed Q entry may be an
+integral Fraction: compose stores 1/2 - 1/2 + 3 as Fraction(3), and a free
+element scaled by 1/2 and then by 2 holds Fraction(1).  Such an entry
+prints, serializes and compares as the int does; norming every stored
+entry would cost every kernel a call.
 
 A polynomial maps packed monomials to nonzero coefficients (an int when
 integral, else a Fraction).  A packed monomial is one int holding the

@@ -10,13 +10,14 @@ first.  Grafting joins two trees under a fresh root whose power is 0.
 
 A FreeElement stores each term by its key alone, with the term's word and a
 window summary of four ints, and no tree.  It holds its coefficients as raw
-values of its field, as the containers of linalg do (over Q an int when
-integral, else a Fraction), and every kernel on it (`+`, `-`, `scale`,
-`map_terms`, `free_multiply` and the eliminator) computes through
-`field.ops` in the order of the old boxed loops, so it makes the same mul
-and add calls and builds no Scalar.  Its public `terms` is a live mapping
-over the raw dict that builds each tree from its key and boxes on read, and
-unboxes on write.
+values of its field, as the containers of linalg do (over Q an int or a
+Fraction: the constructor norms an integral value to an int, and the
+kernels keep what the ops compute; see scalars), and every kernel on it
+(`+`, `-`, `scale`, `map_terms`, `free_multiply` and the eliminator)
+computes through `field.ops` in the order of the old boxed loops, so it
+makes the same mul and add calls and builds no Scalar.  Its public `terms`
+is a live mapping over the raw dict that builds each tree from its key and
+boxes on read, and unboxes on write.
 """
 
 from __future__ import annotations
@@ -493,32 +494,46 @@ class FreeElement:
 
 
 def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
-    """Bilinear extension of grafting on generators (see _graft_terms)."""
+    """Bilinear extension of grafting on generators (see _graft_terms).
+    Each operand's keys are split once per call, and each product's key is
+    joined once."""
     _same_basis(x, y)
     mul = x.field.ops.mul
     out = FreeElement.zero(x.field, x.rank)
-    right = [((key, info), c2) for key, (info, c2) in y._t.items()]
+    right = [(_split(key, info), c2) for key, (info, c2) in y._t.items()]
     for key1, (info1, c1) in x._t.items():
-        term1 = (key1, info1)
+        term1 = _split(key1, info1)
         for term2, c2 in right:
-            out._accumulate(*_graft_terms(term1, term2), mul(c1, c2))
+            out._accumulate(*_joined(_graft_terms(term1, term2)), mul(c1, c2))
     return out
 
 
+def _split(key: str, info):
+    """A stored term as the product rule reads it: (shape text, word text,
+    info), the key split at its "|"."""
+    shape, _, word = key.partition("|")
+    return shape, word, info
+
+
+def _joined(term):
+    """The key and info under which a split term is stored."""
+    shape, word, info = term
+    return shape + "|" + word, info
+
+
 def _graft_terms(term1, term2):
-    """The product of two terms (key, info): its key, `(s1 s2){0}|w1,w2`
-    (no `{0}` unless RB-augmented), which is term_key of the grafted tree
-    and word, and its info.  Its summary joins the operands': the root's R
-    power 0 is no larger than theirs.  Terms of two kinds are refused with
-    WrongAugmentation, as graft refuses their trees."""
-    (key1, (w1, n1, a1, b1, r1)), (key2, (w2, n2, a2, b2, r2)) = term1, term2
+    """The product of two split terms (shape text, word text, info): the
+    shape `(s1 s2){0}` (no `{0}` unless RB-augmented), the word `w1,w2` and
+    the info, so that _joined gives term_key of the grafted tree and word.
+    Its summary joins the operands': the root's R power 0 is no larger than
+    theirs.  Terms of two kinds are refused with WrongAugmentation, as graft
+    refuses their trees."""
+    (s1, k1, (w1, n1, a1, b1, r1)), (s2, k2, (w2, n2, a2, b2, r2)) = term1, term2
     if (a1 < 0) != (a2 < 0) or (r1 < 0) != (r2 < 0):
         raise WrongAugmentation(
-            f"cannot graft {_kind(term1[1])} with {_kind(term2[1])}")
-    s1, _, k1 = key1.partition("|")
-    s2, _, k2 = key2.partition("|")
+            f"cannot graft {_kind(term1[2])} with {_kind(term2[2])}")
     root = "{0}" if r1 >= 0 else ""
-    return f"({s1} {s2}){root}|{k1},{k2}", (
+    return f"({s1} {s2}){root}", f"{k1},{k2}", (
         w1 + w2, n1 + n2, a1 if a1 > a2 else a2, b1 if b1 > b2 else b2,
         r1 if r1 > r2 else r2)
 
@@ -635,12 +650,19 @@ class _Eliminator:
 
     def insert(self, x: FreeElement) -> bool:
         """Reduce x and store it, scaled to coefficient one at its smallest
-        key, as the pivot there; False if it reduces to zero.  reduce made x
-        a copy, so a row whose coefficient there is the field's one itself,
-        as every seed's is, is stored unscaled.  Identity, not equality: a
-        Q(params) value equal to one may hold Fraction(1), and scaling by it
-        would change the stored values' types."""
-        x = self.reduce(x)
+        key, as the pivot there; False if it reduces to zero.
+
+        A row none of whose keys is a pivot is already reduced, so it is not
+        copied: insert takes ownership of x, as the build may of its queue
+        rows, which nothing else holds.  Every seed of a 3-leaf window is
+        such a row.  A row that meets a pivot goes through reduce, which
+        copies it.  A row whose coefficient at its smallest key is the
+        field's one itself, as every seed's is, is stored unscaled.
+        Identity, not equality: a Q(params) value equal to one may hold
+        Fraction(1), and scaling by it would change the stored values'
+        types."""
+        if not self.pivots.keys().isdisjoint(x._t):
+            x = self.reduce(x)
         if x.is_zero():
             return False
         key = min(x._t)
@@ -666,7 +688,14 @@ class TruncatedIdealReducer:
 
     Each seed is built as one two-term row: (t1 t2) beta(t3) with
     coefficient one and alpha(t1) (t2 t3) with -1, keyed by the product rule
-    of free_multiply (_graft_terms) on keys and summaries, with no tree.
+    of free_multiply (_graft_terms) on split terms, with no tree.  Each
+    generator's key, and each alpha or beta image's, is split once per
+    build; the (t1 t2) and (t2 t3) products are never joined into a key,
+    and a seed's two keys are joined once, when the seed is stored.  A row
+    none of whose keys is a pivot is stored as built, without a copy (see
+    _Eliminator.insert).  In a 3-leaf window that is every seed: each of a
+    seed's two terms names its triple, and their shapes differ, so no two
+    seeds share a key; and such a window has no closure products.
 
     The build closes the seeds that fit under grafting with the window's
     generators on either side, and takes no alpha or beta images: those of
@@ -717,10 +746,10 @@ class TruncatedIdealReducer:
         # because every ideal term has at least 3 leaves.
         by_leaves = {n: _bounded_generators(field, rank, n, bounds)
                      for n in range(1, max_leaves - 1)}
-        # the generators and their images as (key, info) terms
+        # the generators and their images as split terms, each key split once
         def term(g):
             (key, (info, _)), = g._t.items()
-            return key, info
+            return _split(key, info)
         terms = {n: [term(g) for g in gens] for n, gens in by_leaves.items()}
         alphas = {n: [(term(g), term(free_alpha(g))) for g in gens
                       if _has_room(g, 0, max_ab)] for n, gens in by_leaves.items()}
@@ -743,8 +772,8 @@ class TruncatedIdealReducer:
                         for t2, products in zip(terms[n2], right):
                             left = _graft_terms(t1, t2)
                             for (_, bt3), t23 in zip(betas[n3], products):
-                                k1, info1 = _graft_terms(left, bt3)
-                                k2, info2 = _graft_terms(at1, t23)
+                                k1, info1 = _joined(_graft_terms(left, bt3))
+                                k2, info2 = _joined(_graft_terms(at1, t23))
                                 seeds.append(FreeElement._of(field, rank, {
                                     k1: (info1, one), k2: (info2, minus_one)}))
         elim = _Eliminator()

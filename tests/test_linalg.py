@@ -14,6 +14,8 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, CheckReport,
 from bihomalg.errors import BiHomAlgError, DimensionMismatch, FieldMismatch
 from bihomalg.families import _evaluated
 from bihomalg.linalg import _check
+from bihomalg.scalars import scalar_to_str
+from bihomalg.specfile import serialize
 from bihomalg.structures import _decode, _tensor_tables, require
 from conftest import counted, integration_rb, truncated_poly_algebra
 
@@ -985,6 +987,23 @@ def test_compose_adds_to_a_sum_that_cancelled_over_q():
     add = Q.ops.add
     dense = add(add(add(Q.ops.zero, Fraction(1, 2)), Fraction(-1, 2)), 3)
     assert (type(got._d[0][0]), got._d[0][0]) == (type(dense), dense) == (Fraction, 3)
+
+
+def test_an_integral_fraction_entry_prints_and_compares_as_the_int():
+    """The constructors store an integral Q value as an int, and the kernels
+    keep what the ops compute, so compose stores 1/2 - 1/2 + 3 as
+    Fraction(3).  That entry prints 3 through `entries` and `serialize`, and
+    the map equals the one built with the int 3."""
+    f = LinearMap(Q, ((Q.parse("1/2"), Q.parse("-1/2"), Q.from_int(3)),))
+    g = LinearMap(Q, ((Q.one(),), (Q.one(),), (Q.one(),)))
+    got, want = f.compose(g), LinearMap(Q, ((Q.from_int(3),),))
+    assert (type(got._d[0][0]), type(want._d[0][0])) == (Fraction, int)
+    assert got == want and got.entries == want.entries
+    assert [[scalar_to_str(c) for c in row] for row in got.entries] == [["3"]]
+    zero = StructureTable.zero(Q, 1, 1, 1)
+    texts = [serialize({"structure": BiHomAssociativeAlgebra(
+        Q, zero, alpha, LinearMap.identity(Q, 1))}) for alpha in (got, want)]
+    assert texts[0] == texts[1] and '"3"' in texts[0]
 
 
 @pytest.mark.parametrize("shape, dims, constants", [

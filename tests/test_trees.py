@@ -17,6 +17,7 @@ from bihomalg import (BAugTree, FieldSpec, FreeElement, LEAF, PlanarBinaryTree,
 from bihomalg.errors import (BoundsExceeded, BudgetExceeded, FieldMismatch,
                              Indecomposable, InvalidArity, WrongAugmentation)
 from bihomalg.linalg import LinearMap
+from bihomalg.scalars import scalar_to_str
 from conftest import counted
 
 Q = FieldSpec.rational()
@@ -1258,3 +1259,83 @@ def test_parse_tree_matches_the_character_parser_property(text):
             return str(exc)
         return type(t), t
     assert outcome(parse_tree) == outcome(ref_parse_tree)
+
+
+# ---------------------------------------------------------------------------
+# insert stores a row that meets no pivot as it is; reduce never returns its
+# input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("meets", [False, True], ids=["no-pivot", "pivot"])
+def test_reduce_never_returns_its_input(reducers_311, field, meets):
+    """Both reduce paths return a new element with a dict of its own, for an
+    element that meets no pivot (nothing is subtracted) and for one that
+    meets a pivot, so a write through the result leaves the input as it
+    was."""
+    reducer = reducers_311[field.kind]
+    leaf = RBAugTree(LEAF, ((0, 0),), (0,))
+    terms = {ref_term_key(leaf, (0,)): (leaf, (0,), field.from_int(2))}
+    if meets:
+        key, pivot = next(iter(reducer._elim.pivots.items()))
+        tree, word, _ = pivot.terms[key]
+        terms[key] = (tree, word, field.from_int(3))
+    x = FreeElement(field, 1, terms)
+    assert any(key in reducer._elim.pivots for key in x.terms) == meets
+    before = raw_terms(x)
+    for reduce in (reducer.reduce, reducer._elim.reduce):
+        got = reduce(x)
+        assert got is not x and got._t is not x._t
+        for key in list(got.terms):
+            tree, word, c = got.terms[key]
+            got.terms[key] = (tree, word, c + field.one())
+        got.terms[ref_term_key(X_LEAF, (0,))] = (X_LEAF, (0,), field.one())
+        assert raw_terms(x) == before
+
+
+@pytest.mark.parametrize("field, bounds", [
+    (Q, window(3, 1, 1)), (FieldSpec.prime(5), window(3, 1, 1)),
+    (FieldSpec.rational_function("a"), window(3, 1, 1)), (Q, window(4, 1, 0))],
+    ids=["w311-Q", "w311-F5", "w311-Qa", "w410-Q"])
+def test_insert_stores_a_row_that_meets_no_pivot_as_it_is(field, bounds, monkeypatch):
+    """In a build, a row none of whose keys is a pivot, with the field's one
+    at its smallest key, is stored as that row itself, with exactly the raw
+    terms it had; a row that meets a pivot is reduced on a copy.  No row is
+    changed by insert.  Every (3,1,1) row meets no pivot, and in (4,1,0) 16
+    of the 272 do."""
+    rows = []
+    insert = trees._Eliminator.insert
+
+    def recording_insert(self, x):
+        met = any(key in self.pivots for key in x._t)
+        before = raw_terms(x)
+        inserted = insert(self, x)
+        rows.append((x, met, before, inserted))
+        return inserted
+
+    monkeypatch.setattr(trees._Eliminator, "insert", recording_insert)
+    pivots = TruncatedIdealReducer(field, 1, bounds)._elim.pivots
+    stored = {id(pivot) for pivot in pivots.values()}
+    met_rows = sum(met for _, met, _, _ in rows)
+    assert met_rows == (16 if bounds["max_leaves"] == 4 else 0)
+    kept = 0
+    for x, met, before, inserted in rows:
+        assert raw_terms(x) == before
+        if met:
+            assert id(x) not in stored
+        elif x._t[min(x._t)][1] is field.ops.one:
+            assert inserted and pivots[min(x._t)] is x
+            kept += 1
+    assert kept == len(rows) - met_rows
+
+
+def test_an_integral_fraction_coefficient_prints_and_compares_as_the_int():
+    """The constructor stores an integral Q coefficient as an int, and the
+    kernels keep what the ops compute: scaling by 1/2 and then by 2 stores
+    Fraction(1), which reads back as 1 and equals the generator."""
+    x = FreeElement.generator(Q, 1, X_LEAF, (0,))
+    y = x.scale(Q.parse("1/2")).scale(Q.from_int(2))
+    (info, c), = y._t.values()
+    assert (type(c), type(x._t[ref_term_key(X_LEAF, (0,))][1])) == (Fraction, int)
+    assert y == x and raw_terms(y) == raw_terms(x)
+    assert [scalar_to_str(c) for _, _, c in y.terms.values()] == ["1"]

@@ -10,14 +10,14 @@ left_action is A (x) M -> M and right_action is M (x) A -> M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DimensionMismatch, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, _join, _shifted, block_diag, tensor2
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
-                         DEFAULT_VIOLATION_CAP, _check_axioms, _commutes,
-                         _compatible, _refuse, require, yau_twist)
+                         DEFAULT_VIOLATION_CAP, _TWIST_PAIRS, _check_axioms,
+                         _commutes, _compatible, _refuse, _structure_mats,
+                         require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,8 @@ BIMODULE_AXIOMS = (
 
 
 def _bimodule_mats(A: BiHomAssociativeAlgebra, M: BiHomBimodule) -> dict:
-    n, m = A.dim, M.dim
-    return {"alpha": (A.alpha, (n,)), "beta": (A.beta, (n,)),
-            "mu": (A.mu.as_matrix(), (n, n)),
-            "alpha_M": (M.alpha_M, (m,)), "beta_M": (M.beta_M, (m,)),
-            "L": (M.left_action.as_matrix(), (n, m)),
-            "R": (M.right_action.as_matrix(), (m, n))}
+    return {**_structure_mats(A), "alpha_M": M.alpha_M, "beta_M": M.beta_M,
+            "L": M.left_action, "R": M.right_action}
 
 
 def check_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
@@ -93,7 +89,7 @@ def check_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """All module axioms: commuting structure maps on M, the four alpha/beta
     compatibilities with the actions, the left and right module identities,
     and the middle bimodule identity (the rows of BIMODULE_AXIOMS)."""
-    return _check_axioms(_bimodule_mats(A, M), BIMODULE_AXIOMS, CheckReport(cap=cap))
+    return _check_axioms(_bimodule_mats(A, M), BIMODULE_AXIOMS, cap)
 
 
 def split_null_extension(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
@@ -131,15 +127,12 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     The twist maps must be action-compatible endomorphisms that commute with
     each other and with the existing structure maps.
     """
-    mats = _bimodule_mats(A, M)
-    n, m = A.dim, M.dim
-    mats.update(atilde_A=(atilde_A, (n,)), btilde_A=(btilde_A, (n,)),
-                atilde_M=(atilde_M, (m,)), btilde_M=(btilde_M, (m,)))
+    mats = {**_bimodule_mats(A, M), "atilde_A": atilde_A, "btilde_A": btilde_A,
+            "atilde_M": atilde_M, "btilde_M": btilde_M}
     rows = [row for f in ("atilde", "btilde") for row in (
         _compatible(f"{f}_left_compat", f"{f}_M", "L", f"{f}_A", f"{f}_M"),
         _compatible(f"{f}_right_compat", f"{f}_M", "R", f"{f}_M", f"{f}_A"))]
-    rows += [_commutes(f"{f}M_{g}M", f"{f}_M", f"{g}_M") for f, g in
-             (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))]
+    rows += [_commutes(f"{f}M_{g}M", f"{f}_M", f"{g}_M") for f, g in _TWIST_PAIRS]
     _refuse(mats, rows, TwistHypothesisViolated)
     twisted_A = yau_twist(A, atilde_A, btilde_A)  # validates the algebra side
     return BiHomBimodule(
@@ -168,13 +161,12 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     n, m = A.dim, M.dim
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
-    mats = _bimodule_mats(A, M)
     succ, prec = _grb_products(M, pi)
-    mats.update(pi=(pi.map, (m,)), star=(succ + prec, (m, m)))
+    mats = {**_bimodule_mats(A, M), "pi": pi.map, "star": (succ + prec, (m, m))}
     # sub-checks: alpha_A pi = pi alpha_M, likewise beta
     commutes = [(f"commutes_{f}", (f, "pi"), ("pi", f"{f}_M")) for f in ("alpha", "beta")]
     return _check_axioms(mats, [("grb", ("mu", ("pi", "pi")), ("pi", "star"))],
-                         CheckReport(cap=cap), commutes)
+                         cap, commutes)
 
 
 def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,

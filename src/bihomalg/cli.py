@@ -239,6 +239,11 @@ def cmd_trees(args) -> int:
               "max_ab_power": _count(args.max_ab, "--max-ab", 0),
               "max_r_power": _count(args.max_r, "--max-r", 0)}
     doc, x = _load(args.element_file, _parse_element)
+    key = trees._outside(x, bounds)
+    if key is not None:  # before the build, which a window over budget refuses
+        _fail(args.element_file, f"term {_clip(repr(key))} lies outside the window "
+              f"--max-leaves {bounds['max_leaves']} --max-ab {bounds['max_ab_power']} "
+              f"--max-r {bounds['max_r_power']}")
     reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
     # a term key is the tree's text, "|" and the word
     out = [{"tree": key.partition("|")[0], "word": list(word), "coeff": scalar_to_str(c)}
@@ -284,9 +289,9 @@ def _parse_element(text: str) -> tuple[dict, trees.FreeElement]:
             _fail(f"{path}.word", f"length must equal the leaf count, {tree.leaves}")
         if any(not 0 <= w < rank for w in word):
             _fail(f"{path}.word", f"letter outside the basis range of rank {rank}")
-        x = x + trees.FreeElement.generator(
+        x._add_in(trees.FreeElement.generator(
             field, rank, tree, tuple(word),
-            _scalar(field, term.get("coeff"), f"{path}.coeff"))
+            _scalar(field, term.get("coeff"), f"{path}.coeff")))
     return doc, x
 
 

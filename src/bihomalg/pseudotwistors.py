@@ -15,7 +15,8 @@ from .linalg import LinearMap, StructureTable, tensor2, tensor3
 from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
                           _require_rb)
 from .structures import (BiHomAssociativeAlgebra, CheckReport, DEFAULT_VIOLATION_CAP,
-                         _check_axioms, _commutes, _refuse, require)
+                         _check_axioms, _commutes, _refuse, _structure_mats,
+                         require)
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,8 @@ PSEUDOTWISTOR_AXIOMS = (
 
 def _twistor_mats(A: BiHomAssociativeAlgebra, W) -> dict:
     n = A.dim
-    return {"alpha": (A.alpha, (n,)), "beta": (A.beta, (n,)),
-            "atilde": (W.atilde, (n,)), "btilde": (W.btilde, (n,)),
-            "mu": (A.mu.as_matrix(), (n, n)), "T": (W.T, (n, n))}
+    return {**_structure_mats(A), "atilde": W.atilde, "btilde": W.btilde,
+            "T": (W.T, (n, n))}
 
 
 def check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
@@ -83,10 +83,10 @@ def check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
     _dims_ok(n, W.T, W.companion)
     mats = _twistor_mats(A, W)
     mats.update(companion=(W.companion, (n, n, n)),
-                mu_T=(mats["mu"][0].compose(W.T), (n, n)),
-                atilde_alpha=(W.atilde.compose(A.alpha), (n,)),
-                btilde_beta=(W.btilde.compose(A.beta), (n,)))
-    return _check_axioms(mats, WEAK_AXIOMS, CheckReport(cap=cap))
+                mu_T=(A.mu.as_matrix().compose(W.T), (n, n)),
+                atilde_alpha=W.atilde.compose(A.alpha),
+                btilde_beta=W.btilde.compose(A.beta))
+    return _check_axioms(mats, WEAK_AXIOMS, cap)
 
 
 def induced_weak_companion(P: PseudotwistorWithCompanions) -> LinearMap:
@@ -110,7 +110,7 @@ def check_pseudotwistor(A: BiHomAssociativeAlgebra,
     mats = _twistor_mats(A, P)
     mats.update(t_left=(P.T1.compose(tensor2(P.T, ident)), (n, n, n)),
                 t_right=(P.T2.compose(tensor2(ident, P.T)), (n, n, n)))
-    return _check_axioms(mats, PSEUDOTWISTOR_AXIOMS, CheckReport(cap=cap))
+    return _check_axioms(mats, PSEUDOTWISTOR_AXIOMS, cap)
 
 
 def twisted_algebra(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
@@ -180,10 +180,9 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
             raise HypothesisViolated(
                 f"composition needs identity atilde/btilde on {name}")
     mats = _twistor_mats(A, Tw)
-    mats.update(id=(ident, (n,)), D=(Dw.T, (n, n)),
-                companion_D=(Dw.companion, (n, n, n)))
+    mats.update(id=ident, D=(Dw.T, (n, n)), companion_D=(Dw.companion, (n, n, n)))
     if mode == "general":
-        mu_t = mats["mu"][0].compose(Tw.T)
+        mu_t = A.mu.as_matrix().compose(Tw.T)
         mats.update(mu_T=(mu_t, (n, n)), mu_TD=(mu_t.compose(Dw.T), (n, n)))
     _refuse(mats, COMPOSE_HYPOTHESES[mode], HypothesisViolated)
     return WeakPseudotwistor(Tw.T.compose(Dw.T),

@@ -25,6 +25,11 @@ table ops over every field: their tables are the output.
 Every commutation the module checks is a _commutes row over named maps (P,
 alpha, beta, a second operator or the twist maps): a sub-check, a
 violation, or a hypothesis that _refuse turns into the caller's error.
+The mats of these rows hold the maps themselves, and the tables built from
+P over Q(params), each read by the evaluator on its own domain; only the
+operations' matrices, read once per structure, and K, a map on the tensor
+square, are given as (matrix, dims) pairs.  The evaluator builds each
+report.
 """
 
 from __future__ import annotations
@@ -69,11 +74,6 @@ class OneSidedBaxter:
 def _match(A, op_map: LinearMap) -> None:
     if op_map.rows != op_map.cols or op_map.rows != A.dim:
         raise DimensionMismatch("operator does not match the algebra dimension")
-
-
-def _maps(**maps) -> dict:
-    """The mats of _check_axioms for the named linear maps."""
-    return {name: (f, (f.cols,)) for name, f in maps.items()}
 
 
 def _square(*maps) -> None:
@@ -132,10 +132,10 @@ def _rb_type(S, ops, terms, weight=None, swap: bool = False, rows=(),
     alpha and beta (S's maps), are read in the same evaluator pass.
 
     It returns check(P, cap): the report, logging up to cap violations, for
-    the operator P.  The operations' matrices, the rows and the mats of
-    alpha and beta are built here, once; check refuses a P that does not
-    match S's dimension and, for sub_checks, alpha and beta when they are
-    not P's size and square, then builds P's own mats and runs one
+    the operator P.  The operations' matrices and the rows are built here,
+    once; check refuses a P that does not match S's dimension and, for
+    sub_checks, alpha and beta when they are not P's size and square, then
+    adds P and the maps or tables built from it to the mats and runs one
     _check_axioms pass.
 
     Over Q and F_p, whose values have one form, the sides are the matrix
@@ -144,8 +144,8 @@ def _rb_type(S, ops, terms, weight=None, swap: bool = False, rows=(),
     ops, whose unreduced forms are the ones a violation prints: compose
     skips the zero products that the table ops include."""
     n = S.dim
-    shared = _maps(alpha=S.alpha, beta=S.beta)
-    op_mats = {tag: (op.as_matrix(), (n, n)) for tag, op in ops}
+    shared = {"alpha": S.alpha, "beta": S.beta,
+              **{tag: (op.as_matrix(), (n, n)) for tag, op in ops}}
 
     def row(tag, lhs, rhs) -> tuple:
         return (tag, rhs, lhs) if swap else (tag, lhs, rhs)
@@ -158,17 +158,16 @@ def _rb_type(S, ops, terms, weight=None, swap: bool = False, rows=(),
         _match(S, P)
         if sub_checks:
             _square(P, S.alpha, S.beta)
-        mats, rb_rows = {**shared, "P": (P, (P.cols,))}, chain_rows
+        mats, rb_rows = {**shared, "P": P}, chain_rows
         if P.field.kind == RATIONAL_FUNCTION:
             rb_rows = table_rows
             for tag, op in ops:
                 inner = _inner_table(op, P, terms, weight)
-                mats[f"{tag}.twisted"] = (op.twist(P, P).as_matrix(), (n, n))
-                mats[f"{tag}.image"] = (inner.postcompose(P).as_matrix(), (n, n))
+                mats[f"{tag}.twisted"] = op.twist(P, P)
+                mats[f"{tag}.image"] = inner.postcompose(P)
         else:
             mats["K"] = (_inner_map(P, terms, weight), (n, n))
-            mats.update(op_mats)
-        return _check_axioms(mats, rb_rows, CheckReport(cap=cap), sub_checks)
+        return _check_axioms(mats, rb_rows, cap, sub_checks)
     return check
 
 
@@ -271,7 +270,7 @@ def commuting_pair_quadri(A: BiHomAssociativeAlgebra, R: RBOperator,
         if not op.weight.is_zero():
             raise InputAxiomsFail(f"commuting_pair_quadri: weight of {name} is nonzero")
         _require_rb(A, op, "commuting_pair_quadri", f" ({name})")
-    _refuse(_maps(R=R.map, P=P.map), [_commutes("R and P", "R", "P")],
+    _refuse({"R": R.map, "P": P.map}, [_commutes("R and P", "R", "P")],
             lambda pair: InputAxiomsFail(f"commuting_pair_quadri: {pair} do not commute"))
     rp = R.map.compose(P.map)
     return BiHomQuadri(
@@ -298,10 +297,10 @@ def _require_baxter_pair(A: BiHomAssociativeAlgebra, P: OneSidedBaxter,
     for op, name in ((P, "P"), (Q, "Q")):
         require(check_one_sided_baxter(A, op), caller, suffix=f" ({name})")
         _square(op.map, A.alpha, A.beta)
-        _refuse(_maps(P=op.map, alpha=A.alpha, beta=A.beta),
+        _refuse({"P": op.map, "alpha": A.alpha, "beta": A.beta},
                 [_commutes(f, "P", f) for f in ("alpha", "beta")],
                 lambda f: InputAxiomsFail(f"{caller}: {name} does not commute with {f}"))
-    _refuse(_maps(P=P.map, Q=Q.map), [_commutes("P and Q", "P", "Q")],
+    _refuse({"P": P.map, "Q": Q.map}, [_commutes("P and Q", "P", "Q")],
             lambda pair: InputAxiomsFail(f"{caller}: {pair} do not commute"))
 
 
@@ -322,7 +321,7 @@ def rb_persists_under_twist(A: BiHomAssociativeAlgebra, R: RBOperator,
     statement to apply; that is validated alongside the usual twist
     hypotheses."""
     _square(R.map, atilde, btilde)
-    _refuse(_maps(R=R.map, atilde=atilde, btilde=btilde),
+    _refuse({"R": R.map, "atilde": atilde, "btilde": btilde},
             [_commutes(f, f, "R") for f in ("atilde", "btilde")],
             lambda f: TwistHypothesisViolated(f"{f} does not commute with R"))
     twisted = yau_twist(A, atilde, btilde)

@@ -107,12 +107,6 @@ def _second_pass(A, weight, side):
     return _baxter_identity(A, side)
 
 
-def _passes(A, m, weight, side) -> bool:
-    """Whether the hit m passes the second verification: the one-shot form
-    of _second_pass, prepared afresh on each call."""
-    return _second_pass(A, weight, side)(m, 1).passed
-
-
 def _equations(A, weight, side) -> list:
     """The component equations of the identity, as quadratic forms over F_p
     in the entries of R: entry (a, b) is variable a*n + b, and variable n*n

@@ -8,10 +8,14 @@ records its sub-check rows (facts reported beside them, such as an operator
 commuting with alpha and beta) in the same pass.  A side is a chain of
 factors composed left to right, ((f1 o f2) o f3); a factor is a name, or a
 tuple of names meaning their Kronecker product, whose domain joins theirs.
-Each name is a matrix with declared domain dims, e.g. (n, m) for an action
-A (x) M -> M, and a violation's basis tuple is decoded through the lhs's
-last factor's domain.  A kind's derived operations are data too: DERIVED
-maps each name to its summands, added left to right, as "total" to OPS.
+The mats the evaluator reads map each name to the package's own object: a
+StructureTable, read as its matrix on the domain (dim_left, dim_right), so
+(n, m) for an action A (x) M -> M; a LinearMap, on the domain (cols,); or,
+for a map on a tensor square or cube, a (LinearMap, dims) pair.  A
+violation's basis tuple is decoded through the lhs's last factor's domain.
+The evaluator builds and returns the report itself, logging up to cap
+violations.  A kind's derived operations are data too: DERIVED maps each
+name to its summands, added left to right, as "total" to OPS.
 
 Checkers verify identities on basis tuples only (complete by linearity) and
 report *all* violations up to a cap, in a deterministic order.  Records never
@@ -101,25 +105,40 @@ def _compatible(tag: str, f, op, left, right) -> tuple:
     return (tag, (f, op), (op, (left, right)))
 
 
-def _check_axioms(mats: dict, rows, rep: CheckReport, sub_checks=()) -> CheckReport:
-    """Log the violations of rows into rep and return it, then record in
-    rep.sub_checks whether each row of sub_checks holds, logging and counting
-    none of their violations; mats maps each name to (matrix, domain dims).
-    Each distinct Kronecker factor is built once per call, however many rows
-    read it."""
+def _read(obj) -> tuple:
+    """A name's (matrix, domain dims) in mats: a table's matrix on
+    (dim_left, dim_right), a map on (cols,), or a pair as it is given."""
+    if isinstance(obj, tuple):
+        return obj
+    if isinstance(obj, StructureTable):
+        return obj.as_matrix(), (obj.dim_left, obj.dim_right)
+    return obj, (obj.cols,)
+
+
+def _check_axioms(mats: dict, rows, cap: int, sub_checks=()) -> CheckReport:
+    """The report of rows, logging up to cap violations, with
+    report.sub_checks recording whether each row of sub_checks holds,
+    logging and counting none of their violations.  mats maps each name to
+    a StructureTable, a LinearMap or a (LinearMap, dims) pair (see the
+    module docstring).  Each distinct factor is built once per call, however
+    many rows read it, and a name in a Kronecker factor is read once per
+    such factor."""
     factors = {}
 
     def compare(into: CheckReport, tag, lhs, rhs) -> CheckReport:
         for f in lhs + rhs:
             if f not in factors:
-                factors[f] = mats[f] if isinstance(f, str) else (
-                    reduce(tensor2, [mats[name][0] for name in f]),
-                    sum((mats[name][1] for name in f), ()))
+                if isinstance(f, str):
+                    factors[f] = _read(mats[f])
+                else:
+                    maps, dims = zip(*(_read(mats[name]) for name in f))
+                    factors[f] = reduce(tensor2, maps), sum(dims, ())
         left, right = (reduce(LinearMap.compose, [factors[f][0] for f in side])
                        for side in (lhs, rhs))
         into._compare(tag, left, right, factors[lhs[-1]][1])
         return into
 
+    rep = CheckReport(cap=cap)
     for row in rows:
         compare(rep, *row)
     for row in sub_checks:
@@ -127,10 +146,15 @@ def _check_axioms(mats: dict, rows, rep: CheckReport, sub_checks=()) -> CheckRep
     return rep
 
 
+# the commutations a Yau twist needs: of the twist maps with each other and
+# with the structure maps
+_TWIST_PAIRS = (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))
+
+
 def _refuse(mats: dict, rows, error) -> None:
     """Raise error(id) with the id of the first of rows that fails, if any:
     the probe of a construction's hypotheses, which logs one violation."""
-    probe = _check_axioms(mats, rows, CheckReport(cap=1))
+    probe = _check_axioms(mats, rows, 1)
     if not probe.passed:
         raise error(probe.failed_axioms()[0])
 
@@ -145,6 +169,12 @@ class _Derived(dict):
 
     def __radd__(self, names: tuple) -> tuple:
         return names + tuple(self)
+
+
+def _structure_mats(S) -> dict:
+    """The mats of S's structure maps, alpha and beta, and of its stored
+    operations, those of OPS."""
+    return {"alpha": S.alpha, "beta": S.beta, **{tag: getattr(S, tag) for tag in S.OPS}}
 
 
 def _operation(S, name: str) -> StructureTable:
@@ -270,12 +300,10 @@ def check_structure(S: Structure, cap: int = DEFAULT_VIOLATION_CAP) -> CheckRepo
     and AXIOMS over alpha, beta and the operations of OPS and DERIVED."""
     if not isinstance(S, Structure):
         raise TypeError(f"not a structure: {S!r}")
-    n = S.dim
-    mats = {"alpha": (S.alpha, (n,)), "beta": (S.beta, (n,))}
-    for name in S.OPS + S.DERIVED:
-        mats[name] = (_operation(S, name).as_matrix(), (n, n))
+    mats = _structure_mats(S)
+    mats.update((name, _operation(S, name)) for name in S.DERIVED)
     rows = (_commutes("alpha_beta_commute", "alpha", "beta"), *S.MULTS, *S.AXIOMS)
-    return _check_axioms(mats, rows, CheckReport(cap=cap))
+    return _check_axioms(mats, rows, cap)
 
 
 def check_bihom_associative(A: BiHomAssociativeAlgebra,
@@ -305,14 +333,10 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
     """Twist every operation to x <>' y = atilde(x) <> btilde(y) and compose
     the structure maps.  Hypotheses (multiplicativity and pairwise
     commutation) are checked up front and violations refuse the twist."""
-    n = S.dim
-    mats = {"atilde": (atilde, (n,)), "btilde": (btilde, (n,)),
-            "alpha": (S.alpha, (n,)), "beta": (S.beta, (n,))}
-    mats.update((tag, (getattr(S, tag).as_matrix(), (n, n))) for tag in S.OPS)
+    mats = {**_structure_mats(S), "atilde": atilde, "btilde": btilde}
     rows = [_compatible(f"{f}_mult_{tag}", f, tag, f, f)
             for tag in S.OPS for f in ("atilde", "btilde")]
-    rows += [_commutes(f"{f}_{g}", f, g) for f, g in
-             (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))]
+    rows += [_commutes(f"{f}_{g}", f, g) for f, g in _TWIST_PAIRS]
     _refuse(mats, rows, TwistHypothesisViolated)
     twisted = {tag: getattr(S, tag).twist(atilde, btilde) for tag in S.OPS}
     return replace(S, alpha=atilde.compose(S.alpha), beta=btilde.compose(S.beta),

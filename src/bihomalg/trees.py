@@ -447,14 +447,19 @@ class FreeElement:
         else:
             terms[key] = (info, coeff)
 
+    def _add_in(self, other: "FreeElement") -> None:
+        """Add other's terms into self, in place, term by term in other's
+        order: the field operations and term order of self + other."""
+        _same_basis(self, other)
+        for key, (info, c) in other._t.items():
+            self._accumulate(key, info, c)
+
     def copy(self) -> "FreeElement":
         return FreeElement._of(self.field, self.rank, dict(self._t))
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
-        _same_basis(self, other)
         out = self.copy()
-        for key, (info, c) in other._t.items():
-            out._accumulate(key, info, c)
+        out._add_in(other)
         return out
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
@@ -598,11 +603,16 @@ def _act(node, powers, vps, elements, A, rmap):
 # ---------------------------------------------------------------------------
 
 def _element_fits(x: FreeElement, bounds) -> bool:
-    """Whether every term of x is RB-augmented and inside the window, read
-    from the terms' summaries."""
+    """Whether every term of x is RB-augmented and inside the window."""
+    return _outside(x, bounds) is None
+
+
+def _outside(x: FreeElement, bounds):
+    """The key of the first stored term of x that is not RB-augmented or
+    not inside the window, read from the terms' summaries, or None."""
     leaves, ab, r = bounds["max_leaves"], bounds["max_ab_power"], bounds["max_r_power"]
-    return all(n <= leaves and a <= ab and b <= ab and 0 <= f <= r
-               for (_, n, a, b, f), _ in x._t.values())
+    return next((key for key, ((_, n, a, b, f), _) in x._t.items()
+                 if not (n <= leaves and a <= ab and b <= ab and 0 <= f <= r)), None)
 
 
 def _has_room(x: FreeElement, side: int, max_power: int) -> bool:

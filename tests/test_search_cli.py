@@ -15,10 +15,11 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       rb_derive, rb_double_product, search, serialize,
                       split_null_extension, tensor2, tensor_quadri,
                       trees, tridend_to_dend)
-from bihomalg import families, rota_baxter
+from bihomalg import cli, families, rota_baxter
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded, DimensionMismatch, FieldMismatch
 from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
+from bihomalg.scalars import _clip
 from bihomalg.search import BUDGET_ENV_VAR
 from conftest import raw_report, truncated_poly_algebra
 
@@ -124,7 +125,7 @@ def assert_walk_agrees_with_matrix_checker(A, w, cases=("0", "w", "left", "right
         weight, side = {"0": (f.zero(), None), "w": (f.from_int(w), None)}.get(
             case, (None, case))
         want = [k for k in range(f.p ** (n * n))
-                if search._passes(A, index_to_matrix(f, n, k), weight, side)]
+                if search._second_pass(A, weight, side)(index_to_matrix(f, n, k), 1).passed]
         assert sorted(search._walk(A, weight, side)) == want, (weight, side)
 
 
@@ -295,7 +296,7 @@ def assert_prepared_check_is_the_checkers(A, weight, side, maps, cap):
     report when side is set, else the violations and total_violations of
     check_rota_baxter, and no sub-checks; the prepared identity part of
     check_rota_baxter, with its commutation sub-checks, gives its whole
-    report.  _passes, the one-shot form, agrees."""
+    report.  A second pass prepared afresh for each map agrees."""
     second = search._second_pass(A, weight, side)
     full = rota_baxter._rb_identity(A, weight, rota_baxter.COMMUTES)
     for m in maps:
@@ -307,7 +308,7 @@ def assert_prepared_check_is_the_checkers(A, weight, side, maps, cap):
         else:
             want = raw_report(check_one_sided_baxter(A, OneSidedBaxter(m, side), cap))
             assert raw_report(second(m, cap)) == want
-        assert search._passes(A, m, weight, side) == (want[3] == 0)
+        assert search._second_pass(A, weight, side)(m, 1).passed == (want[3] == 0)
 
 
 @st.composite
@@ -652,6 +653,95 @@ def test_cli_trees_reduce(tmp_path, capsys):
     assert out["terms"] == []
 
 
+def _element_file(path, terms, field=None, rank=1):
+    path.write_text(json.dumps({"field": field or {"kind": "rational"}, "rank": rank,
+                                "terms": [{"tree": t, "word": w, "coeff": c}
+                                          for t, w, c in terms]}))
+    return str(path.name)
+
+
+# a 6-leaf tree, whose key is clipped in a refusal
+LONG = "(" * 5 + "L[0,0;0] " + " ".join(["L[0,0;0]){0}"] * 5)
+INSIDE = "((L[0,0;0] L[0,0;0]){0} L[0,1;0]){0}"
+
+
+def test_cli_trees_reduce_refuses_a_term_outside_the_window_before_the_build(
+        tmp_path, capsys, monkeypatch):
+    """The first stored term outside the window is refused (exit 2), naming
+    the file, the term's key clipped to 60 characters and the window, before
+    the reducer is built, and before a window over budget is refused.  A
+    term that cancels or has coefficient 0 is not stored, so it is
+    accepted."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(terms, leaves):
+        elt = _element_file(tmp_path / "elt.json", terms)
+        code = main(["trees", "reduce", elt, "--max-leaves", leaves, "--max-ab", "1",
+                     "--max-r", "1"])
+        return code, capsys.readouterr()
+
+    gone = [("L[2,0;0]", [0], "1"), (INSIDE, [0, 0, 0], "1"), ("L[2,0;0]", [0], "-1"),
+            ("L[0,0;5]", [0], "0")]
+    code, out = run(gone, "3")
+    assert code == 0 and json.loads(out.out)["terms"] != []
+    built = []
+    monkeypatch.setattr(trees, "truncated_ideal_reduce", lambda *a: built.append(a))
+    key = trees.FreeElement.term_key(trees.parse_tree(LONG), (0,) * 6)
+    assert run([*gone, (LONG, [0] * 6, "3"), ("L[0,0;2]", [0], "1")], "3") == (2, (
+        "", f"error: elt.json: term {_clip(repr(key))} lies outside the window "
+        "--max-leaves 3 --max-ab 1 --max-r 1\n"))
+    assert _clip(repr(key)).endswith("…")
+    # a window of 9 leaves is over budget; the element is refused first
+    assert run([(INSIDE, [0, 0, 0], "1"), ("L[0,0;2]", [0], "1")], "9") == (2, (
+        "", "error: elt.json: term 'L[0,0;2]|0' lies outside the window "
+        "--max-leaves 9 --max-ab 1 --max-r 1\n"))
+    assert built == []
+
+
+TREE_POOL = ["L[0,0;0]", "L[1,0;0]", "L[0,0;1]", "(L[0,0;0] L[0,0;0]){0}",
+             "(L[0,1;0] L[0,0;0]){1}", INSIDE]
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbolic=st.booleans(),
+       rank=st.integers(1, 2),
+       picks=st.lists(st.tuples(st.integers(0, len(TREE_POOL) - 1),
+                                st.integers(0, 7),
+                                st.sampled_from(["1", "-1", "2", "-2", "1/2", "0",
+                                                 "-1/2", "3"])), max_size=30))
+def test_parse_element_adds_as_repeated_plus_does(symbolic, rank, picks):
+    """The element file's parse gives the raw terms (keys, order, values and
+    their types) of adding one generator per term with `+`, repeats,
+    cancellations and terms that come back after cancelling included, and it
+    calls neither FreeElement.__add__ nor copy, over Q and Q(a)."""
+    F, field = ((FieldSpec.rational_function("a"),
+                 {"kind": "rational_function", "params": ["a"]}) if symbolic
+                else (Q, {"kind": "rational"}))
+    terms = []
+    for n, (i, w, c) in enumerate(picks):
+        tree = trees.parse_tree(TREE_POOL[i])
+        word = [(w >> b) % rank for b in range(tree.leaves)]
+        if symbolic and n % 2:
+            c = f"({c})*a"
+        terms.append((TREE_POOL[i], word, c))
+    text = json.dumps({"field": field, "rank": rank, "terms": [
+        {"tree": t, "word": w, "coeff": c} for t, w, c in terms]})
+    want = trees.FreeElement.zero(F, rank)
+    for t, w, c in terms:
+        want = want + trees.FreeElement.generator(F, rank, trees.parse_tree(t),
+                                                  tuple(w), F.parse(c))
+    calls = []
+    add, copy = trees.FreeElement.__add__, trees.FreeElement.copy
+    try:
+        trees.FreeElement.__add__ = lambda x, y: calls.append("+") or add(x, y)
+        trees.FreeElement.copy = lambda x: calls.append("copy") or copy(x)
+        _, got = cli._parse_element(text)
+    finally:
+        trees.FreeElement.__add__, trees.FreeElement.copy = add, copy
+    assert calls == []
+    assert repr(list(got._t.items())) == repr(list(want._t.items()))
+
+
 def test_cli_search(tmp_path, capsys):
     A = idempotent_line(3)
     src = write_spec(tmp_path, "a.json", A)
@@ -850,6 +940,7 @@ MALFORMED_JSON_FILES = {
     "trees-enumerate-n-negative", "atilde-not-a-matrix", "atilde-wrong-shape",
     "samples-not-objects", "samples-unknown-key", *MALFORMED_FIELD_P,
     *MALFORMED_ARGS, "trees-reduce-tree-without-powers",
+    "trees-reduce-member-outside-window",
     "field-params-long-name", "field-kind-long", "field-p-4001-digits",
     *MALFORMED_WINDOWS, *MALFORMED_SAMPLES])
 def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
@@ -884,6 +975,17 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
         path.write_text(text)
         argv = [str(path) if a == "FILE" else a for a in argv]
         expected = f"{path}: {expected}"
+    elif case == "trees-reduce-member-outside-window":
+        # the benchmark's ideal member has alpha and beta powers 1; a
+        # relative path keeps the line short
+        (tmp_path / "member.json").write_text(
+            (BENCH / "inputs" / "trees_member.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        argv = ["trees", "reduce", "member.json", "--max-leaves", "3",
+                "--max-ab", "0", "--max-r", "1"]
+        expected = ("error: member.json: term '((L[0,0;0] L[0,0;0]){0} "
+                    "L[1,1;1]){0}|0,0,0' lies outside the window "
+                    "--max-leaves 3 --max-ab 0 --max-r 1\n")
     elif case == "trees-reduce-tree-without-powers":
         element = tmp_path / "elt.json"
         element.write_text(json.dumps({

@@ -16,8 +16,8 @@ from .linalg import LinearMap, StructureTable, _join, _shifted, block_diag, tens
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
                          DEFAULT_VIOLATION_CAP, _TWIST_PAIRS, _check_axioms,
-                         _commutes, _compatible, _refuse, _structure_mats,
-                         require, yau_twist)
+                         _commutes, _compatible, _refuse, _square_ok,
+                         _structure_mats, require, yau_twist)
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,8 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     The twist maps must be action-compatible endomorphisms that commute with
     each other and with the existing structure maps.
     """
+    _square_ok(A.dim, atilde_A=atilde_A, btilde_A=btilde_A)
+    _square_ok(M.dim, atilde_M=atilde_M, btilde_M=btilde_M)
     mats = {**_bimodule_mats(A, M), "atilde_A": atilde_A, "btilde_A": btilde_A,
             "atilde_M": atilde_M, "btilde_M": btilde_M}
     rows = [row for f in ("atilde", "btilde") for row in (

@@ -44,12 +44,15 @@ class PseudotwistorWithCompanions:
         return self.atilde.rows
 
 
-def _dims_ok(n: int, T: LinearMap, *cubes: LinearMap) -> None:
+def _dims_ok(n: int, T: LinearMap, *cubes: LinearMap,
+             names: tuple[str, str] = ("T", "companion")) -> None:
+    """Refuse a T off the tensor square or a cube map off the tensor cube,
+    naming it by names: T's, then the cube maps'."""
     if (T.rows, T.cols) != (n * n, n * n):
-        raise DimensionMismatch("T must act on the tensor square")
+        raise DimensionMismatch(f"{names[0]} must act on the tensor square")
     for c in cubes:
         if (c.rows, c.cols) != (n ** 3, n ** 3):
-            raise DimensionMismatch("companion must act on the tensor cube")
+            raise DimensionMismatch(f"{names[1]} must act on the tensor cube")
 
 
 T_COMMUTES = tuple(_commutes(f"T_commutes_{f}", "T", (f, f))
@@ -174,6 +177,8 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
     if mode not in COMPOSE_HYPOTHESES:
         raise ValueError(f"mode must be 'general' or 'commuting', got {mode!r}")
     n = A.dim
+    _dims_ok(n, Tw.T, Tw.companion)
+    _dims_ok(n, Dw.T, Dw.companion, names=("D", "companion_D"))
     ident = LinearMap.identity(A.field, n)
     for name, W in (("T", Tw), ("D", Dw)):
         if W.atilde != ident or W.btilde != ident:

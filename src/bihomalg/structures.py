@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import product
 from operator import add
 
-from .errors import InputAxiomsFail, TwistHypothesisViolated
+from .errors import DimensionMismatch, InputAxiomsFail, TwistHypothesisViolated
 from .linalg import LinearMap, StructureTable, _differing_columns, tensor2
 from .scalars import FieldSpec
 
@@ -149,6 +149,14 @@ def _check_axioms(mats: dict, rows, cap: int, sub_checks=()) -> CheckReport:
 # the commutations a Yau twist needs: of the twist maps with each other and
 # with the structure maps
 _TWIST_PAIRS = (("atilde", "btilde"), *product(("atilde", "btilde"), ("alpha", "beta")))
+
+
+def _square_ok(n: int, **maps: LinearMap) -> None:
+    """Refuse with DimensionMismatch, naming it, the first of maps that is
+    not n x n, before any row composes it."""
+    for name, m in maps.items():
+        if (m.rows, m.cols) != (n, n):
+            raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, not {n}x{n}")
 
 
 def _refuse(mats: dict, rows, error) -> None:
@@ -333,6 +341,7 @@ def yau_twist(S: Structure, atilde: LinearMap, btilde: LinearMap) -> Structure:
     """Twist every operation to x <>' y = atilde(x) <> btilde(y) and compose
     the structure maps.  Hypotheses (multiplicativity and pairwise
     commutation) are checked up front and violations refuse the twist."""
+    _square_ok(S.dim, atilde=atilde, btilde=btilde)
     mats = {**_structure_mats(S), "atilde": atilde, "btilde": btilde}
     rows = [_compatible(f"{f}_mult_{tag}", f, tag, f, f)
             for tag in S.OPS for f in ("atilde", "btilde")]

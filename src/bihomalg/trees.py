@@ -84,14 +84,20 @@ def enumerate_trees(n: int) -> list[PlanarBinaryTree]:
 
 
 def _enumerate(n: int) -> list[PlanarBinaryTree]:
-    if n == 1:
-        return [LEAF]
-    out = []
-    for p in range(1, n):
-        rights = _enumerate(n - p)
-        for t1 in _enumerate(p):
-            out.extend(PlanarBinaryTree(t1, t2) for t2 in rights)
-    return out
+    """The trees of n leaves, bottom up: the list for k leaves is built once,
+    for k = 2 .. n, from the lists for fewer leaves, so every tree of fewer
+    than n leaves is one object, shared by each tree it is a subtree of.
+    The order is that of the recursion on the split point, p = 1 .. k-1,
+    then the left subtree, then the right one."""
+    by_leaves = [None, [LEAF]]
+    for k in range(2, n + 1):
+        out = []
+        for p in range(1, k):
+            rights = by_leaves[k - p]
+            for t1 in by_leaves[p]:
+                out.extend(PlanarBinaryTree(t1, t2) for t2 in rights)
+        by_leaves.append(out)
+    return by_leaves[n]
 
 
 @dataclass(frozen=True)
@@ -500,8 +506,8 @@ class FreeElement:
 
 def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
     """Bilinear extension of grafting on generators (see _graft_terms).
-    Each operand's keys are split once per call, and each product's key is
-    joined once."""
+    Each operand's keys are split once per call, and each product's key and
+    summary are one product-rule call."""
     _same_basis(x, y)
     mul = x.field.ops.mul
     out = FreeElement.zero(x.field, x.rank)
@@ -509,7 +515,7 @@ def free_multiply(x: FreeElement, y: FreeElement) -> FreeElement:
     for key1, (info1, c1) in x._t.items():
         term1 = _split(key1, info1)
         for term2, c2 in right:
-            out._accumulate(*_joined(_graft_terms(term1, term2)), mul(c1, c2))
+            out._accumulate(*_graft_terms(term1, term2), mul(c1, c2))
     return out
 
 
@@ -520,17 +526,11 @@ def _split(key: str, info):
     return shape, word, info
 
 
-def _joined(term):
-    """The key and info under which a split term is stored."""
-    shape, word, info = term
-    return shape + "|" + word, info
-
-
 def _graft_terms(term1, term2):
-    """The product of two split terms (shape text, word text, info): the
-    shape `(s1 s2){0}` (no `{0}` unless RB-augmented), the word `w1,w2` and
-    the info, so that _joined gives term_key of the grafted tree and word.
-    Its summary joins the operands': the root's R power 0 is no larger than
+    """The product of two split terms (shape text, word text, info), as the
+    key and info it is stored under: the key `(s1 s2){0}|w1,w2` (no `{0}`
+    unless RB-augmented) is term_key of the grafted tree and word.  Its
+    summary joins the operands': the root's R power 0 is no larger than
     theirs.  Terms of two kinds are refused with WrongAugmentation, as graft
     refuses their trees."""
     (s1, k1, (w1, n1, a1, b1, r1)), (s2, k2, (w2, n2, a2, b2, r2)) = term1, term2
@@ -538,7 +538,7 @@ def _graft_terms(term1, term2):
         raise WrongAugmentation(
             f"cannot graft {_kind(term1[2])} with {_kind(term2[2])}")
     root = "{0}" if r1 >= 0 else ""
-    return f"({s1} {s2}){root}", f"{k1},{k2}", (
+    return f"({s1} {s2}){root}|{k1},{k2}", (
         w1 + w2, n1 + n2, a1 if a1 > a2 else a2, b1 if b1 > b2 else b2,
         r1 if r1 > r2 else r2)
 
@@ -667,18 +667,26 @@ class _Eliminator:
         rows, which nothing else holds.  Every seed of a 3-leaf window is
         such a row.  A row that meets a pivot goes through reduce, which
         copies it.  A row whose coefficient at its smallest key is the
-        field's one itself, as every seed's is, is stored unscaled.
-        Identity, not equality: a Q(params) value equal to one may hold
-        Fraction(1), and scaling by it would change the stored values'
-        types."""
-        if not self.pivots.keys().isdisjoint(x._t):
+        field's one in the very form of ops.one, part for part of the same
+        types, as every seed's is, is stored unscaled: scaling by it would
+        give back every value and type the row holds.  Over Q(params) that
+        includes the new pair ({0: 1}, {0: 1}) that ops.mul(one, one) makes
+        for a closure row, but not a pair holding Fraction(1): scaling by
+        it turns int coefficients into Fractions, so that row, like one led
+        by an integral Fraction(1) over Q, keeps its scaled copy."""
+        t = x._t
+        if not self.pivots.keys().isdisjoint(t):
             x = self.reduce(x)
-        if x.is_zero():
+            t = x._t
+        if not t:
             return False
-        key = min(x._t)
-        c, ops = x._t[key][1], x.field.ops
-        # over Q, ops.inv gives Fraction(1, c): normed, a unit stays an int
-        self.pivots[key] = x if c is ops.one else x._scaled(ops.norm(ops.inv(c)))
+        key = min(t)
+        c, ops = t[key][1], x.field.ops
+        one = ops.one
+        if c is not one and not (c == one and repr(c) == repr(one)):
+            # over Q, ops.inv gives Fraction(1, c): normed, a unit stays an int
+            x = x._scaled(ops.norm(ops.inv(c)))
+        self.pivots[key] = x
         return True
 
 
@@ -700,12 +708,16 @@ class TruncatedIdealReducer:
     coefficient one and alpha(t1) (t2 t3) with -1, keyed by the product rule
     of free_multiply (_graft_terms) on split terms, with no tree.  Each
     generator's key, and each alpha or beta image's, is split once per
-    build; the (t1 t2) and (t2 t3) products are never joined into a key,
-    and a seed's two keys are joined once, when the seed is stored.  A row
-    none of whose keys is a pivot is stored as built, without a copy (see
-    _Eliminator.insert).  In a 3-leaf window that is every seed: each of a
-    seed's two terms names its triple, and their shapes differ, so no two
-    seeds share a key; and such a window has no closure products.
+    build.  The product rule gives a product's stored key and summary in
+    one call, so each of a seed's two terms costs one call; the (t1 t2) and
+    (t2 t3) products, which each serve a whole row of seeds, cost one call
+    each and are split once to be grafted again.  The (3,2,1) rank-1 build
+    makes 5,616 calls: 2 for each of its 2,592 seeds and 432 for the
+    shared products.  A row none of whose keys is a pivot is stored as
+    built, without a copy (see _Eliminator.insert).  In a 3-leaf window
+    that is every seed: each of a seed's two terms names its triple, and
+    their shapes differ, so no two seeds share a key; and such a window has
+    no closure products.
 
     The build closes the seeds that fit under grafting with the window's
     generators on either side, and takes no alpha or beta images: those of
@@ -776,14 +788,14 @@ class TruncatedIdealReducer:
                     if not (alphas[n1] and betas[n3]):
                         continue
                     # t2 t3 for the whole (n2, n3) block, dropped after it
-                    right = [[_graft_terms(t2, t3) for t3, _ in betas[n3]]
+                    right = [[_split(*_graft_terms(t2, t3)) for t3, _ in betas[n3]]
                              for t2 in terms[n2]]
                     for t1, at1 in alphas[n1]:
                         for t2, products in zip(terms[n2], right):
-                            left = _graft_terms(t1, t2)
+                            left = _split(*_graft_terms(t1, t2))
                             for (_, bt3), t23 in zip(betas[n3], products):
-                                k1, info1 = _joined(_graft_terms(left, bt3))
-                                k2, info2 = _joined(_graft_terms(at1, t23))
+                                k1, info1 = _graft_terms(left, bt3)
+                                k2, info2 = _graft_terms(at1, t23)
                                 seeds.append(FreeElement._of(field, rank, {
                                     k1: (info1, one), k2: (info2, minus_one)}))
         elim = _Eliminator()

@@ -1,5 +1,6 @@
 """Every refusing constructor names what failed: InputAxiomsFail.which is
-pinned per constructor, since the CLI prints it verbatim on stderr."""
+pinned per constructor, since the CLI prints it verbatim on stderr, and so
+is the DimensionMismatch that names a wrong-size argument."""
 
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, BiHomDendriform,
                       LinearMap, OneSidedBaxter, RBOperator, StructureTable,
                       WeakPseudotwistor, baxter_pair_product,
                       baxter_pair_pseudotwistor, commuting_pair_quadri,
+                      compose_pseudotwistors,
                       evaluate_rb_family, evaluate_two_param_algebra, grb_hat,
                       grb_to_dendriform, grb_transpose_actions,
                       quadri_projections, rb_dendriform_to_quadri, rb_derive,
                       rb_double_product, rb_pseudotwistor, split_null_extension,
                       tensor_quadri, total_product, tridend_to_dend,
-                      twisted_algebra)
-from bihomalg.errors import InputAxiomsFail
+                      twisted_algebra, yau_twist, yau_twist_bimodule)
+from bihomalg.errors import DimensionMismatch, InputAxiomsFail
 from conftest import integration_rb, truncated_poly_algebra
 
 Q = FieldSpec.rational()
@@ -71,6 +73,13 @@ def _swap_twistor(n):
     ident = LinearMap.identity(Q, n)
     return WeakPseudotwistor(LinearMap(Q, tuple(tuple(r) for r in entries)),
                              LinearMap.identity(Q, n ** 3), ident, ident)
+
+
+def _identity_twistor(square, cube):
+    """Identity T and companion of sizes square and cube, with the dim-2
+    identity as atilde and btilde."""
+    return WeakPseudotwistor(LinearMap.identity(Q, square),
+                             LinearMap.identity(Q, cube), ID2, ID2)
 
 
 CASES = {
@@ -167,13 +176,31 @@ CASES = {
     "rb_pseudotwistor": (
         lambda: rb_pseudotwistor(TWO_PARAM, NONCOMMUTING_RB),
         "rb_pseudotwistor: commutes_alpha"),
+    # a wrong-size argument is refused, by name, before any composition
+    "yau_twist_size": (
+        lambda: yau_twist(QX2, ID3, ID2),
+        DimensionMismatch("atilde is 3x3, not 2x2")),
+    "yau_twist_bimodule_size": (
+        lambda: yau_twist_bimodule(QX2, BiHomBimodule.regular(QX2), ID2, ID2, ID2, ID3),
+        DimensionMismatch("btilde_M is 3x3, not 2x2")),
+    "compose_pseudotwistors_D": (
+        lambda: compose_pseudotwistors(QX2, _swap_twistor(2),
+                                       _identity_twistor(5, 8), "general"),
+        DimensionMismatch("D must act on the tensor square")),
+    "compose_pseudotwistors_companion_D": (
+        lambda: compose_pseudotwistors(QX2, _swap_twistor(2),
+                                       _identity_twistor(4, 4), "commuting"),
+        DimensionMismatch("companion_D must act on the tensor cube")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_refusal_names_what_failed(case):
-    build, which = CASES[case]
-    with pytest.raises(InputAxiomsFail) as info:
+    """A case pins InputAxiomsFail.which, or the whole error it expects."""
+    build, want = CASES[case]
+    if isinstance(want, str):
+        want = InputAxiomsFail(want)
+    with pytest.raises(type(want)) as info:
         build()
-    assert info.value.which == which
-    assert str(info.value) == f"input axioms fail: {which}"
+    assert getattr(info.value, "which", None) == getattr(want, "which", None)
+    assert str(info.value) == str(want)

@@ -536,8 +536,28 @@ def test_tree_ops_one_branch_per_kind_property(t1, t2):
 
 
 def test_enumerate_trees_matches_reference():
-    for n in range(1, 8):
+    for n in range(1, 11):
         assert enumerate_trees(n) == ref_enumerate_trees(n)
+    assert len(enumerate_trees(10)) == 4862
+
+
+def test_enumerate_trees_builds_each_subtree_once():
+    """One call builds each tree of at most n leaves once: the 8-leaf trees
+    and all their subtrees are 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429 = 626
+    objects, one per distinct tree.  A recursion that lists the smaller
+    trees again at every split makes the same trees many times over."""
+    seen = {}
+
+    def walk(t):
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if not t.is_leaf:
+                walk(t.left)
+                walk(t.right)
+
+    for t in enumerate_trees(8):
+        walk(t)
+    assert len(seen) == len(set(seen.values())) == sum(trees._tree_counts(8)) == 626
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
@@ -681,8 +701,9 @@ def window(leaves, ab, r):
 # of products
 @pytest.mark.parametrize("bounds, count, field", [
     (window(3, 1, 1), 128, Q), (window(3, 2, 1), 2592, Q), (window(4, 1, 0), 272, Q),
-    (window(4, 2, 0), 12636, Q), (window(3, 2, 1), 2592, FieldSpec.rational_function("a"))],
-    ids=["w311", "w321", "w410", "w420", "w321-qa"])
+    (window(4, 2, 0), 12636, Q), (window(3, 2, 1), 2592, FieldSpec.rational_function("a")),
+    (window(4, 1, 0), 272, FieldSpec.rational_function("a"))],
+    ids=["w311", "w321", "w410", "w420", "w321-qa", "w410-Qa"])
 def test_build_pivots_match_unpruned_build(bounds, count, field):
     got = TruncatedIdealReducer(field, 1, bounds)._elim.pivots
     want = ref_build(field, 1, bounds)
@@ -752,6 +773,30 @@ def test_build_makes_only_what_the_window_keeps(window_311, monkeypatch):
     assert len(products) <= 400
     assert images
     assert all(trees._element_fits(x, window_311) for x in products + images)
+
+
+def test_build_makes_one_product_rule_call_per_stored_key(monkeypatch):
+    """The (3,2,1) rank-1 build calls the product rule once for each of the
+    two terms of its 2,592 seeds, and once for each of the 432 (t1 t2) and
+    (t2 t3) products that rows of seeds share: 5,616 calls.  Every stored
+    key is the very string one of these calls returned, so no later call
+    joins a key.  A build that joins each seed term's key from a split
+    product makes 5,184 calls more."""
+    made = []
+    graft_terms = trees._graft_terms
+
+    def recording(term1, term2):
+        made.append(graft_terms(term1, term2))
+        return made[-1]
+
+    monkeypatch.setattr(trees, "_graft_terms", recording)
+    pivots = TruncatedIdealReducer(Q, 1, window(3, 2, 1))._elim.pivots
+    assert len(pivots) == 2592
+    stored = [key for x in pivots.values() for key in x._t]
+    returned = {id(result[0]) for result in made}
+    assert len(stored) == 2 * 2592
+    assert all(id(key) in returned for key in stored)
+    assert len(made) == len(stored) + 432 == 5616
 
 
 def test_closure_takes_no_alpha_or_beta_images(monkeypatch):
@@ -1293,16 +1338,31 @@ def test_reduce_never_returns_its_input(reducers_311, field, meets):
         assert raw_terms(x) == before
 
 
+def same_raw(a, b) -> bool:
+    """Whether raw values (or terms) a and b are equal and of the same
+    types, part for part, dict keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_raw, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_raw(a[k], b[k]) for k in a)
+    return a == b
+
+
 @pytest.mark.parametrize("field, bounds", [
     (Q, window(3, 1, 1)), (FieldSpec.prime(5), window(3, 1, 1)),
-    (FieldSpec.rational_function("a"), window(3, 1, 1)), (Q, window(4, 1, 0))],
-    ids=["w311-Q", "w311-F5", "w311-Qa", "w410-Q"])
+    (FieldSpec.rational_function("a"), window(3, 1, 1)), (Q, window(4, 1, 0)),
+    (FieldSpec.rational_function("a"), window(4, 1, 0))],
+    ids=["w311-Q", "w311-F5", "w311-Qa", "w410-Q", "w410-Qa"])
 def test_insert_stores_a_row_that_meets_no_pivot_as_it_is(field, bounds, monkeypatch):
     """In a build, a row none of whose keys is a pivot, with the field's one
     at its smallest key, is stored as that row itself, with exactly the raw
     terms it had; a row that meets a pivot is reduced on a copy.  No row is
     changed by insert.  Every (3,1,1) row meets no pivot, and in (4,1,0) 16
-    of the 272 do."""
+    of the 272 do.  Over Q(a), the one at a closure row's smallest key is
+    the product of two ones, a new pair of the form of ops.one, and scaling
+    by it would give back exactly the row's raw terms."""
     rows = []
     insert = trees._Eliminator.insert
 
@@ -1323,10 +1383,35 @@ def test_insert_stores_a_row_that_meets_no_pivot_as_it_is(field, bounds, monkeyp
         assert raw_terms(x) == before
         if met:
             assert id(x) not in stored
-        elif x._t[min(x._t)][1] is field.ops.one:
+        elif same_raw(lead := x._t[min(x._t)][1], field.ops.one):
             assert inserted and pivots[min(x._t)] is x
+            ops = field.ops
+            assert same_raw(x._t, x._scaled(ops.norm(ops.inv(lead)))._t)
             kept += 1
     assert kept == len(rows) - met_rows
+
+
+def test_insert_scales_a_row_whose_lead_holds_fraction_one():
+    """Over Q(a), a row whose smallest key holds ({0: 1}, {0: 1}) made by
+    ops.mul is stored as it is, and one holding ({0: Fraction(1)}, {0: 1}),
+    equal to one but of other types, is stored as its scaled copy, whose
+    int coefficients the scaling turns into Fractions."""
+    field = FieldSpec.rational_function("a")
+    ops = field.ops
+    t = parse_tree("((L[0,0;0] L[0,0;0]){0} L[0,1;0]){0}")
+    u = parse_tree("(L[1,0;0] (L[0,0;0] L[0,0;0]){0}){0}")
+    word = (0, 0, 0)
+    for lead, stored_as_is in ((ops.mul(ops.one, ops.one), True),
+                               (({0: Fraction(1)}, {0: 1}), False)):
+        x = FreeElement(field, 1, {ref_term_key(t, word): (t, word, field.one()),
+                                   ref_term_key(u, word): (u, word, field.from_int(2))})
+        key = min(x._t)
+        x._t[key] = (x._t[key][0], lead)
+        elim = trees._Eliminator()
+        assert elim.insert(x)
+        pivot, scaled = elim.pivots[key], x._scaled(ops.norm(ops.inv(lead)))
+        assert (pivot is x) == stored_as_is == same_raw(x._t, scaled._t)
+        assert same_raw(pivot._t, scaled._t) and pivot == x
 
 
 def test_an_integral_fraction_coefficient_prints_and_compares_as_the_int():

@@ -15,8 +15,8 @@ from .linalg import LinearMap, StructureTable, tensor2, tensor3
 from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
                           _require_rb)
 from .structures import (BiHomAssociativeAlgebra, CheckReport, DEFAULT_VIOLATION_CAP,
-                         _check_axioms, _commutes, _refuse, _structure_mats,
-                         require)
+                         _check_axioms, _commutes, _refuse, _square_ok,
+                         _structure_mats, require)
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,12 @@ class PseudotwistorWithCompanions:
         return self.atilde.rows
 
 
-def _dims_ok(n: int, T: LinearMap, *cubes: LinearMap,
-             names: tuple[str, str] = ("T", "companion")) -> None:
-    """Refuse a T off the tensor square or a cube map off the tensor cube,
-    naming it by names: T's, then the cube maps'."""
+def _dims_ok(n: int, T: LinearMap, *cubes: LinearMap) -> None:
     if (T.rows, T.cols) != (n * n, n * n):
-        raise DimensionMismatch(f"{names[0]} must act on the tensor square")
+        raise DimensionMismatch("T must act on the tensor square")
     for c in cubes:
         if (c.rows, c.cols) != (n ** 3, n ** 3):
-            raise DimensionMismatch(f"{names[1]} must act on the tensor cube")
+            raise DimensionMismatch("companion must act on the tensor cube")
 
 
 T_COMMUTES = tuple(_commutes(f"T_commutes_{f}", "T", (f, f))
@@ -177,8 +174,8 @@ def compose_pseudotwistors(A: BiHomAssociativeAlgebra, Tw: WeakPseudotwistor,
     if mode not in COMPOSE_HYPOTHESES:
         raise ValueError(f"mode must be 'general' or 'commuting', got {mode!r}")
     n = A.dim
-    _dims_ok(n, Tw.T, Tw.companion)
-    _dims_ok(n, Dw.T, Dw.companion, names=("D", "companion_D"))
+    _square_ok(n * n, T=Tw.T, D=Dw.T)
+    _square_ok(n ** 3, companion_T=Tw.companion, companion_D=Dw.companion)
     ident = LinearMap.identity(A.field, n)
     for name, W in (("T", Tw), ("D", Dw)):
         if W.atilde != ident or W.btilde != ident:

@@ -106,7 +106,7 @@ def _rows_arg(text: str, name: str) -> list:
 
 
 def _matrix_arg(field, text, name, dim):
-    return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name)
+    return _matrix(field, _rows_arg(text, f"--{name}"), dim, dim, name, {})
 
 
 def _structure(parts: dict, path: str, need: str | None, command: str):
@@ -228,7 +228,7 @@ def cmd_trees(args) -> int:
         t = _tree_arg(args.tree, "tree")
         raw = _rows_arg(args.elements, "elements")
         elements = [Vector(A.field, row) for row in
-                    _matrix(A.field, raw, t.leaves, A.dim, "elements").entries]
+                    _matrix(A.field, raw, t.leaves, A.dim, "elements", {}).entries]
         R = (_need(parts, "rota_baxter", args.spec)
              if isinstance(t, trees.RBAugTree) else None)
         result = _within_budget("tree", trees.action_eval, t, elements, A, R)

@@ -32,8 +32,25 @@ Gustavson's sparse product), and every Kronecker entry is one `a*b`.  So
 each output entry comes from the same field operations as a dense
 evaluation, less the dense loop's add to its starting zero (below).  That
 matters over Q(params), where the printed (unreduced) form of a rational
-function depends on that sequence.  `CheckReport._compare` and `==` compare
-two maps or tables column by column, over the stored rows only.
+function depends on that sequence.  As in Gustavson's product, `compose`
+sums a column in an accumulator of the rows its products touch, a dict,
+not a slot per row: it reads the dict out in increasing row order (by row
+alone, as raw values do not order) and drops the sums structurally equal
+to `ops.zero`, and a column of one entry keeps its accumulator dict.  Its
+work is its multiply-adds and its output entries, not rows times nonempty
+columns.  `CheckReport._compare` and `==` compare two maps or tables column
+by column, over the stored rows only.
+
+`+` of two maps or two tables merges their stored entries column by
+column: `ops.add` where both store a row, the stored value where one does,
+and the other operand's dict itself where a column is empty; a sum
+structurally equal to `ops.zero` is dropped.  That is the dense sum byte
+for byte, as `add(x, zero)` and `add(zero, y)` are x and y in value, type
+and dict order (over Q(params) `_poly_mul` copies a polynomial times the
+int unit, and `_poly_add` copies one plus {}).  `scale` stays dense: over
+Q(params) `c*zero` is `({}, q_c)`, a zero with c's denominator, which is
+stored, so skipping the missing entries would change bytes.  So do the
+table ops' sums, `_combine` (below).
 
 Every sum follows one accumulation rule, in `compose`, `_combine` and
 `StructureTable.apply` (and, on a dict, in `rota_baxter._inner_map`): an
@@ -55,7 +72,7 @@ term unchanged.)
 ones, as its dense loop did.  Every other kernel reads a map or table
 densely, through `_dense()` (the nested public view) or `_columns()`, and
 so makes the mul calls of the dense loops, and their add calls but the adds
-to a starting zero: `+`, `scale`, `entries`, `LinearMap.apply` and
+to a starting zero: `scale`, `entries`, `LinearMap.apply` and
 `postcompose`.  `LinearMap.apply` and the table ops `compose_left`,
 `compose_right`, `twist` and `postcompose` form linear combinations of
 whole columns through `_combine`: `c1*v1 + c2*v2 + ...` coordinate by
@@ -140,10 +157,6 @@ class _Raw:
     def _boxed(self):
         return _nest(partial(_scalar, self.field), self._depth, self._dense())
 
-    def __add__(self, other):
-        _check(self._shape() == other._shape(), self._sum_dims, self, other)
-        return self._map(self.field.ops.add, other)
-
     def __sub__(self, other):
         return self + other.scale(-self.field.one())
 
@@ -167,7 +180,7 @@ class _Raw:
 
 class Vector(_Raw):
     __slots__ = ()
-    _depth, _public, _sum_dims = 1, "coords", "vector dims differ"
+    _depth, _public = 1, "coords"
     coords = property(_Raw._boxed)
 
     def __init__(self, field: FieldSpec, coords):
@@ -184,6 +197,10 @@ class Vector(_Raw):
 
     def _map(self, fn, *others) -> "Vector":
         return Vector._of(self.field, tuple(map(fn, self._d, *(o._d for o in others))))
+
+    def __add__(self, other: "Vector") -> "Vector":
+        _check(self.dim == other.dim, "vector dims differ", self, other)
+        return self._map(self.field.ops.add, other)
 
     def _equal(self, other) -> bool:
         return all(map(self.field.ops.eq, self._d, other._d))
@@ -232,7 +249,7 @@ class _Matrix(_Raw):
     """A matrix of `rows` rows, sparse by column: `_d[j]` holds column j
     (see the module docstring).  LinearMap and StructureTable share it; each
     gives _set, which stores its shape, and _like, which makes one of that
-    shape from dense columns."""
+    shape from column dicts."""
 
     __slots__ = ("rows",)
 
@@ -267,10 +284,29 @@ class _Matrix(_Raw):
             dense[i] = x
         return Vector._of(self.field, tuple(dense))
 
-    def _map(self, fn, *others):
+    def _map(self, fn):
         """fn on the entries, column by column, missing ones included."""
-        columns = zip(self._columns(), *(other._columns() for other in others))
-        return self._like(map(fn, *cols) for cols in columns)
+        return self._like(_sparse(self.field.ops.zero, (map(fn, col) for col in self._columns())))
+
+    def __add__(self, other):
+        """The sum, column by column over the stored rows: ops.add where both
+        operands store a row, the stored value where one does, an empty
+        column's partner as it is (see the module docstring)."""
+        _check(self._shape() == other._shape(), self._sum_dims, self, other)
+        add, zero, out = self.field.ops.add, self.field.ops.zero, []
+        for a, b in zip(self._d, other._d):
+            if not (a and b):
+                out.append(a or b)
+                continue
+            out.append(d := {})
+            for i in (a if a.keys() == b.keys() else sorted(a.keys() | b.keys())):
+                if i not in b:
+                    d[i] = a[i]
+                elif i not in a:
+                    d[i] = b[i]
+                elif (x := add(a[i], b[i])) != zero:
+                    d[i] = x
+        return self._like(out)
 
     def _equal(self, other) -> bool:
         return next(_differing_columns(self, other), None) is None
@@ -299,8 +335,8 @@ class LinearMap(_Matrix):
         self.field, self.rows, self._d = field, rows, tuple(cols) if rows else ()
         return self
 
-    def _like(self, columns) -> "LinearMap":
-        return self._of_dense(self.rows, columns)
+    def _like(self, cols) -> "LinearMap":
+        return self._of_cols(self.field, self.rows, cols)
 
     def _dense(self) -> tuple:
         return tuple(zip(*self._columns())) if self._d else ((),) * self.rows
@@ -332,23 +368,32 @@ class LinearMap(_Matrix):
         ops = self.field.ops
         add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
         # each entry is a1*b1 + a2*b2 + ..., k increasing, its first term
-        # stored as computed
-        left, out, zeros = self._d, [{}] * other.cols, [zero] * self.rows
+        # stored as computed; a column sums in a dict of the rows its
+        # products touch, read out in increasing row order
+        left, out = self._d, [{}] * other.cols
         for j, col in enumerate(other._d):
             if not col:
                 continue
-            acc = zeros[:]
+            acc = {}
             for k, b in col.items():
                 terms = left[k]
                 if terms and not is_zero(b):
                     for i, a in terms.items():
                         if not is_zero(a):
-                            x = acc[i]
-                            acc[i] = mul(a, b) if x is zero else add(x, mul(a, b))
-            out[j] = d = {}
-            for i, x in enumerate(acc):
+                            if i in acc and (x := acc[i]) is not zero:
+                                acc[i] = add(x, mul(a, b))
+                            else:
+                                acc[i] = mul(a, b)
+            if len(acc) > 1:
+                out[j] = d = {}
+                for i in sorted(acc):
+                    x = acc[i]
+                    if x != zero:
+                        d[i] = x
+            elif acc:
+                (x,) = acc.values()
                 if x != zero:
-                    d[i] = x
+                    out[j] = acc
         return LinearMap._of_cols(self.field, self.rows, out)
 
     def power(self, k: int) -> "LinearMap":
@@ -428,7 +473,7 @@ class StructureTable(_Matrix):
     _depth, _public, _sum_dims = 3, "constants", "table sum dims differ"
     constants = property(_Raw._boxed)  # c[i][j][k]
     dim_out = _Matrix.rows  # the matrix's rows
-    __add__, scale = _Raw.__add__, _Raw.scale  # the table ops are all its own
+    __add__, scale = _Matrix.__add__, _Raw.scale  # the table ops are all its own
 
     def __init__(self, field: FieldSpec, constants):
         c = _nest(partial(_raw, field), 3, constants)
@@ -442,8 +487,8 @@ class StructureTable(_Matrix):
         self.dim_left, self.dim_right = dim_left, dim_right
         return self
 
-    def _like(self, columns) -> "StructureTable":
-        return self._of_dense(self.rows, columns, self.dim_left, self.dim_right)
+    def _like(self, cols) -> "StructureTable":
+        return self._of_cols(self.field, self.rows, cols, self.dim_left, self.dim_right)
 
     def _dense(self) -> tuple:
         cols, r = self._columns(), self.dim_right

@@ -8,10 +8,12 @@ parse_spec(serialize(x)) reproduces x exactly.
 from __future__ import annotations
 
 import json
+from functools import partial
+from itertools import chain
 
 from .bimodules import BiHomBimodule, GRBOperator
 from .errors import SpecFileError
-from .linalg import LinearMap, StructureTable, _nest
+from .linalg import LinearMap, StructureTable, _nest, _sparse
 from .pseudotwistors import WeakPseudotwistor
 from .rota_baxter import OneSidedBaxter, RBOperator
 from .scalars import FieldSpec, Scalar, _clip, scalar_to_str
@@ -52,27 +54,43 @@ def _scalar(field: FieldSpec, value, path: str) -> Scalar:
         _fail(path, f"bad scalar literal {_clip(repr(value))}: {_clip(str(exc))}")
 
 
-def _nested(field: FieldSpec, value, path: str, shape) -> tuple:
-    """value as nested tuples of Scalars; shape holds one (length, refusal)
-    pair per level, outermost first."""
-    if not shape:
-        return _scalar(field, value, path)
+def _nested(field: FieldSpec, value, path: str, shape, parsed: dict) -> tuple:
+    """value as nested tuples of raw values, normed as the containers store
+    them; shape holds one (length, refusal) pair per level, outermost first.
+    parsed maps each literal text already read to its raw value, so a text
+    is parsed once (the values are never changed, so entries may share
+    them), and a bad one is refused where it first occurs; an entry's path
+    is written out only for a text not read before."""
     (n, msg), rest = shape[0], shape[1:]
     if not isinstance(value, list) or len(value) != n:
         _fail(path, msg)
-    return tuple(_nested(field, x, f"{path}[{i}]", rest) for i, x in enumerate(value))
+    if rest:
+        return tuple(_nested(field, x, f"{path}[{i}]", rest, parsed)
+                     for i, x in enumerate(value))
+    out = []
+    for i, x in enumerate(value):
+        raw = parsed.get(x) if isinstance(x, str) else None
+        if raw is None:
+            raw = parsed[x] = field.ops.norm(_scalar(field, x, f"{path}[{i}]")._v)
+        out.append(raw)
+    return tuple(out)
 
 
-def _matrix(field: FieldSpec, value, rows: int, cols: int, path: str) -> LinearMap:
-    return LinearMap(field, _nested(field, value, path, (
-        (rows, f"expected a matrix with {rows} rows"), (cols, f"expected {cols} entries"))))
+def _matrix(field: FieldSpec, value, rows: int, cols: int, path: str,
+            parsed: dict) -> LinearMap:
+    entries = _nested(field, value, path, (
+        (rows, f"expected a matrix with {rows} rows"), (cols, f"expected {cols} entries")),
+        parsed)
+    return LinearMap._of_cols(field, rows, _sparse(field.ops.zero, zip(*entries)))
 
 
-def _table(field: FieldSpec, value, dl: int, dr: int, do: int,
-           path: str) -> StructureTable:
-    return StructureTable(field, _nested(field, value, path, (
+def _table(field: FieldSpec, value, dl: int, dr: int, do: int, path: str,
+           parsed: dict) -> StructureTable:
+    constants = _nested(field, value, path, (
         (dl, f"expected {dl} rows of structure constants"),
-        (dr, f"expected {dr} columns"), (do, f"expected {do} coefficients"))))
+        (dr, f"expected {dr} columns"), (do, f"expected {do} coefficients")), parsed)
+    return StructureTable._of_cols(field, do, _sparse(
+        field.ops.zero, chain.from_iterable(constants)), dl, dr)
 
 
 def _object(value, path: str) -> dict:
@@ -124,6 +142,8 @@ def parse_spec(text: str) -> dict:
         if key not in doc:
             _fail("document", f"missing required key {key!r}")
     field = _parse_field(doc["field"], "field")
+    parsed = {}  # each literal text of the document is parsed once
+    matrix, table = (partial(read, field, parsed=parsed) for read in (_matrix, _table))
     dim = _positive_int(doc["dim"], "dim")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in KIND_TABLES:
@@ -133,17 +153,16 @@ def parse_spec(text: str) -> dict:
     for name in KIND_TABLES[kind]:
         if name not in doc_tables:
             _fail("tables", f"kind {kind!r} needs table {name!r}")
-        tables[name] = _table(field, doc_tables[name], dim, dim, dim,
-                              f"tables.{name}")
-    alpha = _matrix(field, doc["alpha"], dim, dim, "alpha")
-    beta = _matrix(field, doc["beta"], dim, dim, "beta")
+        tables[name] = table(doc_tables[name], dim, dim, dim, f"tables.{name}")
+    alpha = matrix(doc["alpha"], dim, dim, "alpha")
+    beta = matrix(doc["beta"], dim, dim, "beta")
     structure = KIND_CLASSES[kind](field, *[tables[n] for n in KIND_TABLES[kind]],
                                    alpha, beta)
     out = {"structure": structure}
     if "rota_baxter" in doc:
         block = _object(doc["rota_baxter"], "rota_baxter")
         out["rota_baxter"] = RBOperator(
-            _matrix(field, block.get("matrix"), dim, dim, "rota_baxter.matrix"),
+            matrix(block.get("matrix"), dim, dim, "rota_baxter.matrix"),
             _scalar(field, block.get("weight", "0"), "rota_baxter.weight"))
     if "baxter" in doc:
         block = _object(doc["baxter"], "baxter")
@@ -151,7 +170,7 @@ def parse_spec(text: str) -> dict:
         if side not in ("left", "right"):
             _fail("baxter.side", "must be 'left' or 'right'")
         out["baxter"] = OneSidedBaxter(
-            _matrix(field, block.get("matrix"), dim, dim, "baxter.matrix"), side)
+            matrix(block.get("matrix"), dim, dim, "baxter.matrix"), side)
     if "bimodule" in doc:
         if kind != "assoc":
             _fail("bimodule", "bimodules attach to an associative structure")
@@ -159,23 +178,21 @@ def parse_spec(text: str) -> dict:
         m = _positive_int(block.get("dim"), "bimodule.dim")
         out["bimodule"] = BiHomBimodule(
             structure,
-            _matrix(field, block.get("alpha_M"), m, m, "bimodule.alpha_M"),
-            _matrix(field, block.get("beta_M"), m, m, "bimodule.beta_M"),
-            _table(field, block.get("left_action"), dim, m, m,
-                   "bimodule.left_action"),
-            _table(field, block.get("right_action"), m, dim, m,
-                   "bimodule.right_action"))
+            matrix(block.get("alpha_M"), m, m, "bimodule.alpha_M"),
+            matrix(block.get("beta_M"), m, m, "bimodule.beta_M"),
+            table(block.get("left_action"), dim, m, m, "bimodule.left_action"),
+            table(block.get("right_action"), m, dim, m, "bimodule.right_action"))
         if "grb" in block:
             out["grb"] = GRBOperator(
-                _matrix(field, block["grb"], dim, m, "bimodule.grb"))
+                matrix(block["grb"], dim, m, "bimodule.grb"))
     if "twistor" in doc:
         block = _object(doc["twistor"], "twistor")
         n2, n3 = dim * dim, dim ** 3
         out["twistor"] = WeakPseudotwistor(
-            _matrix(field, block.get("T"), n2, n2, "twistor.T"),
-            _matrix(field, block.get("companion"), n3, n3, "twistor.companion"),
-            _matrix(field, block.get("atilde"), dim, dim, "twistor.atilde"),
-            _matrix(field, block.get("btilde"), dim, dim, "twistor.btilde"))
+            matrix(block.get("T"), n2, n2, "twistor.T"),
+            matrix(block.get("companion"), n3, n3, "twistor.companion"),
+            matrix(block.get("atilde"), dim, dim, "twistor.atilde"),
+            matrix(block.get("btilde"), dim, dim, "twistor.btilde"))
     return out
 
 

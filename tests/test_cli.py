@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec, GRBOperator,
-                      LinearMap, StructureTable, WeakPseudotwistor, cli, parse_scalar,
-                      rb_derive, tensor2, tensor_quadri, tridend_to_dend)
+                      LinearMap, RBOperator, StructureTable, WeakPseudotwistor, cli,
+                      parse_scalar, rb_derive, tensor2, tensor_quadri, tridend_to_dend)
+from bihomalg.errors import SpecFileError
 from bihomalg.specfile import parse_spec, serialize
 from conftest import integration_rb, truncated_poly_algebra
 
@@ -718,6 +719,52 @@ def test_parameter_names_round_trip_through_a_spec_file(names):
     A = BiHomAssociativeAlgebra.associative(field, StructureTable(field, (((c,),),)))
     back = parse_spec(serialize({"structure": A}))["structure"]
     assert back.field == field and back == A
+
+
+def test_a_spec_parses_each_literal_once_and_serializes_as_before(monkeypatch):
+    """A document that repeats "1/2" and "b*(1-a)/a": each distinct literal
+    of its tables and maps is parsed once and its entries share the raw
+    value, and the parts hold the raw values (types and dict orders
+    included) and serialize to the bytes of the parts built from one Scalar
+    per entry.  A bad literal that recurs is refused at its first place."""
+    field = FieldSpec.rational_function("a", "b")
+    half, c = "1/2", "b*(1-a)/a"
+    doc = {"field": {"kind": "rational_function", "params": ["a", "b"]}, "dim": 2,
+           "kind": "assoc", "tables": {"mu": [[[half, c], [c, "0"]], [["0", half], [half, c]]]},
+           "alpha": [[half, "0"], [c, "1"]], "beta": [["1", c], ["0", half]],
+           "rota_baxter": {"matrix": [[c, half], ["0", c]], "weight": "a"}}
+    seen = []
+    parse = FieldSpec.parse
+    monkeypatch.setattr(FieldSpec, "parse", lambda f, text: seen.append(text) or parse(f, text))
+    parts = parse_spec(json.dumps(doc))
+    monkeypatch.undo()
+    assert sorted(seen) == sorted([half, c, "0", "1", "a"])
+    S, R = parts["structure"], parts["rota_baxter"]
+    assert S.mu._d[0][0] is S.alpha._d[0][0] is R.map._d[1][0]
+
+    def boxed(block, depth):
+        if depth == 0:
+            return field.parse(block)
+        return tuple(boxed(x, depth - 1) for x in block)
+
+    want = {"structure": BiHomAssociativeAlgebra(
+                field, StructureTable(field, boxed(doc["tables"]["mu"], 3)),
+                LinearMap(field, boxed(doc["alpha"], 2)), LinearMap(field, boxed(doc["beta"], 2))),
+            "rota_baxter": RBOperator(LinearMap(field, boxed(doc["rota_baxter"]["matrix"], 2)),
+                                      field.parse("a"))}
+    for got, exp in ((S.mu, want["structure"].mu), (S.alpha, want["structure"].alpha),
+                     (S.beta, want["structure"].beta), (R.map, want["rota_baxter"].map)):
+        assert repr([list(col.items()) for col in got._d]) == repr(
+            [list(col.items()) for col in exp._d])
+    assert serialize(parts) == serialize(want)
+    doc["tables"]["mu"][1][0][1] = doc["alpha"][0][1] = "1/(a-a)"
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(json.dumps(doc))
+    assert str(info.value).startswith("tables.mu[1][0][1]: bad scalar literal '1/(a-a)': ")
+    doc["tables"]["mu"][1][0][1] = 2
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(json.dumps(doc))
+    assert str(info.value) == "tables.mu[1][0][1]: scalars must be literal strings, got int"
 
 
 def test_a_parameter_name_the_grammar_cannot_read_exits_2_naming_it(tmp_path):

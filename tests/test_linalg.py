@@ -917,6 +917,16 @@ SUMMING = {"LinearMap.apply", "LinearMap.compose", "LinearMap.power",
            "StructureTable.apply", "StructureTable.compose_left",
            "StructureTable.compose_right", "StructureTable.twist",
            "StructureTable.postcompose"}
+# the sums that merge the stored entries of their two operands, each mapped
+# to the two operands it adds
+MERGING = {"LinearMap.__add__": lambda x, y: (x, y),
+           "LinearMap.__sub__": lambda x, y: (x, y.scale(-x.field.one())),
+           "StructureTable.__add__": lambda x, y: (x, y)}
+
+
+def stored_in_both(x, y) -> int:
+    """The (column, row) pairs that both x and y store."""
+    return sum(len(a.keys() & b.keys()) for a, b in zip(x._d, y._d))
 
 
 @pytest.mark.parametrize("name", list(RAW_KERNELS))
@@ -929,6 +939,10 @@ def test_raw_kernels_match_boxed_bodies_property(name, data):
         got, got_ops = counted(monkeypatch, outcome, fn, *args, to_zero=True)
         want, want_ops = counted(monkeypatch, outcome, reference, *args, to_zero=True)
     assert typed(got) == typed(want)
+    if name in MERGING:
+        # the reference's muls (a difference scales densely), and one add
+        # per row that both operands store
+        want_ops = want_ops[0], stored_in_both(*MERGING[name](*args)), 0
     assert got_ops == (accumulated(want_ops) if name in SUMMING else want_ops)
 
 
@@ -974,6 +988,63 @@ def test_add_to_the_zero_object_gives_the_other_operand_property(field, data):
     y = data.draw(raw_values(field))
     got = field.ops.add(field.ops.zero, y)
     assert (type(got), repr(got)) == (type(y), repr(y))
+
+
+QA = FieldSpec.rational_function("a")
+
+
+def parsed_map(field, rows):
+    return LinearMap(field, tuple(tuple(field.parse(x) for x in row) for row in rows))
+
+
+def stored(x):
+    """Each column's stored entries as (row, type, repr of the raw value),
+    in dict order: the rows must increase."""
+    return [[(i, type(v).__name__, repr(v)) for i, v in col.items()] for col in x._d]
+
+
+@pytest.mark.parametrize("field, f, g, want", [
+    (Q, [["0", "1"], ["0", "0"], ["1", "0"]], [["1"], ["1"]],
+     [[(0, "int", "1"), (2, "int", "1")]]),
+    (Q, [["1/2", "-1/2"], ["1", "1"]], [["1"], ["1"]], [[(1, "int", "2")]]),
+    (F5, [["2", "3"]], [["1"], ["1"]], [[]]),
+    (QA, [["1/a", "-1/a"]], [["1"], ["1"]], [[(0, "tuple", "({}, {2: 1})")]]),
+    (Q, [["0"], ["3"]], [["2"]], [[(1, "int", "6")]]),
+], ids=["later-k-lower-row", "cancels-Q", "cancels-F5", "cancels-to-stored-Qa", "one-entry"])
+def test_compose_accumulates_over_the_touched_rows(field, f, g, want):
+    """compose sums each column in a dict of the rows its products touch:
+    rows read out increasing though a later k touched a lower row first, a
+    sum structurally equal to zero dropped (1/2 - 1/2 over Q, 2 + 3 over
+    F_5), a cancelled Q(a) sum ({}, a^2) kept with its form, and a column of
+    one entry; each as the dense loop gives it."""
+    f, g = parsed_map(field, f), parsed_map(field, g)
+    got = f.compose(g)
+    assert stored(got) == want
+    assert typed(got) == typed(old_compose(f, g))
+
+
+@pytest.mark.parametrize("field, x, y, want", [
+    (Q, [["1", "0"], ["0", "0"]], [["0", "0"], ["2", "3"]],
+     [[(0, "int", "1"), (1, "int", "2")], [(1, "int", "3")]]),
+    (Q, [["1", "1/2"], ["1", "0"]], [["-1", "-1/2"], ["1", "0"]], [[(1, "int", "2")], []]),
+    (F5, [["2"]], [["3"]], [[]]),
+    (QA, [["0/a"], ["0"]], [["0"], ["1"]],
+     [[(0, "tuple", "({}, {1: 1})"), (1, "tuple", "({0: 1}, {0: 1})")]]),
+], ids=["one-side", "cancels-Q", "cancels-F5", "stored-zero-Qa"])
+def test_sums_merge_the_stored_entries(field, x, y, want):
+    """+ of maps and of tables adds where both operands store a row, keeps
+    the stored value where one does (a stored ({}, a) too), takes an empty
+    column's partner as it is and drops a sum structurally equal to zero;
+    each as the dense loop gives it."""
+    x, y = parsed_map(field, x), parsed_map(field, y)
+    tables = [StructureTable.from_matrix(field, m, 1, m.cols) for m in (x, y)]
+    for got, want_dense in ((x + y, old_map_add(x, y)),
+                            (tables[0] + tables[1], old_table_add(*tables))):
+        assert stored(got) == want
+        assert typed(got) == typed(want_dense)
+        for a, b, col in zip(x._d, y._d, got._d):
+            if not (a and b):
+                assert col is (a or b)
 
 
 def test_compose_adds_to_a_sum_that_cancelled_over_q():

@@ -306,7 +306,7 @@ def cmd_search(args) -> int:
         find, arg = search.enumerate_baxter, args.side
     result = _within_budget(search.BUDGET_ENV_VAR, find, A, arg, jobs)
     for m in result.operators:
-        print(json.dumps(_block(m)))
+        print(json.dumps(_block(m, {})))
     print(f"examined {result.examined}, found {result.found}, "
           f"elapsed {result.elapsed:.3f}s", file=sys.stderr)
     return 0

@@ -41,6 +41,22 @@ work is its multiply-adds and its output entries, not rows times nonempty
 columns.  `CheckReport._compare` and `==` compare two maps or tables column
 by column, over the stored rows only.
 
+`_compose_kron(h, f, g)` is `h.compose(tensor2(f, g))` entry for entry
+without building f (x) g, the rule for Kronecker products that Van Loan
+states (The ubiquitous Kronecker product, 2000), in Gustavson's column at a
+time.  It keeps the two calls' order of field operations: it visits the
+columns j1*g.cols + j2 of f (x) g that tensor2 stores, skipping an empty
+column of f or g as tensor2 does, and in each the rows k = i1*g.rows + i2
+increasing; it makes the Kronecker value `mul(f[i1][j1], g[i2][j2])` of
+two nonzero factors only where column k of h stores an entry, and sums
+`mul(h[i][k], value)` over h's nonzero entries as `compose` does (first
+term stored as computed, the `is zero` test, rows read out increasing, sums
+structurally equal to `ops.zero` dropped).  So its adds are those of the
+two calls and its muls are no more, fewer by the Kronecker values in rows
+where h stores nothing.  It refuses what they refuse, the
+field of f against g's, then "composition dims differ", then h's field
+against f's.
+
 `+` of two maps or two tables merges their stored entries column by
 column: `ops.add` where both store a row, the stored value where one does,
 and the other operand's dict itself where a column is empty; a sum
@@ -443,6 +459,51 @@ def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
                                 d[r0 + i2] = mul(a, b)
         out += block
     return LinearMap._of_cols(f.field, f.rows * g.rows, out)
+
+
+def _compose_kron(h: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
+    """h.compose(tensor2(f, g)) entry for entry, without building f (x) g:
+    column j1*g.cols + j2 of the Kronecker product is visited row k =
+    i1*g.rows + i2 increasing, and its value f[i1][j1]*g[i2][j2] is made
+    only where column k of h stores an entry, then summed as compose sums
+    it (see the module docstring)."""
+    if f.field is not g.field:
+        _join(f.field, g.field)
+    _check(h.cols == f.rows * g.rows, "composition dims differ", h, f)
+    ops = h.field.ops
+    add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
+    left, m, n = h._d, g.rows, g.cols
+    g_cols = [(j, col) for j, col in enumerate(g._d) if col]
+    out = [{}] * (f.cols * n)
+    for j1, f_col in enumerate(f._d):
+        if not f_col:
+            continue
+        for j2, g_col in g_cols:
+            acc = {}
+            for i1, a in f_col.items():
+                if not is_zero(a):
+                    r0 = i1 * m
+                    for i2, b in g_col.items():
+                        terms = left[r0 + i2]
+                        if terms and not is_zero(b):
+                            kv = mul(a, b)
+                            for i, x in terms.items():
+                                if not is_zero(x):
+                                    if i in acc and (y := acc[i]) is not zero:
+                                        acc[i] = add(y, mul(x, kv))
+                                    else:
+                                        acc[i] = mul(x, kv)
+            if len(acc) > 1:
+                out[j1 * n + j2] = d = {}
+                for i in sorted(acc):
+                    x = acc[i]
+                    if x != zero:
+                        d[i] = x
+            elif acc:
+                (x,) = acc.values()
+                if x != zero:
+                    out[j1 * n + j2] = acc
+    return LinearMap._of_cols(h.field, h.rows, out)
 
 
 def tensor3(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:

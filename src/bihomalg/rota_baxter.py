@@ -140,19 +140,22 @@ def _rb_type(S, ops, terms, weight=None, swap: bool = False, rows=(),
 
     Over Q and F_p, whose values have one form, the sides are the matrix
     chains op o (P (x) P) and P o op o K, K = _inner_map(P, terms, weight),
-    read by compose and tensor2.  Over Q(params) both are built by the table
-    ops, whose unreduced forms are the ones a violation prints: compose
-    skips the zero products that the table ops include."""
+    read by compose (P (x) P composed in place when one operation reads
+    it, else built once by tensor2).  The rows are tuples, hashable, so the
+    evaluator's plan for them is made once, not per operator.  Over
+    Q(params) both are built by the table ops, whose unreduced forms are
+    the ones a violation prints: compose skips the zero products that the
+    table ops include."""
     n = S.dim
     shared = {"alpha": S.alpha, "beta": S.beta,
               **{tag: (op.as_matrix(), (n, n)) for tag, op in ops}}
 
     def row(tag, lhs, rhs) -> tuple:
         return (tag, rhs, lhs) if swap else (tag, lhs, rhs)
-    chain_rows = [*(row(tag, (tag, ("P", "P")), ("P", tag, "K")) for tag, _ in ops),
-                  *rows]
-    table_rows = [*(row(tag, (f"{tag}.twisted",), (f"{tag}.image",)) for tag, _ in ops),
-                  *rows]
+    chain_rows = (*(row(tag, (tag, ("P", "P")), ("P", tag, "K")) for tag, _ in ops),
+                  *rows)
+    table_rows = (*(row(tag, (f"{tag}.twisted",), (f"{tag}.image",)) for tag, _ in ops),
+                  *rows)
 
     def check(P: LinearMap, cap: int) -> CheckReport:
         _match(S, P)

@@ -204,10 +204,22 @@ def _field_block(field: FieldSpec):
     return {"kind": "rational_function", "params": list(field.params)}
 
 
-def _block(x: LinearMap | StructureTable):
+def _block(x: LinearMap | StructureTable, memo: dict):
     """The literals of a matrix's or table's entries, nested as `entries` or
-    `constants` read them."""
-    return _nest(x.field.ops.to_str, x._depth, x._dense())
+    `constants` read them.  memo, one per serialize call, maps the id of
+    each field's ops table to a dict from the id of each raw value to the
+    value and its literal: a value is formatted once per call however many
+    entries hold it (parse_spec shares one raw object per literal), and
+    the memo keeps it alive, so no other value takes its id."""
+    to_str = x.field.ops.to_str
+    seen = memo.setdefault(id(x.field.ops), {})
+
+    def literal(v) -> str:
+        hit = seen.get(id(v))
+        if hit is None:
+            seen[id(v)] = hit = v, to_str(v)
+        return hit[1]
+    return _nest(literal, x._depth, x._dense())
 
 
 def _structure_kind(structure) -> str:
@@ -223,36 +235,37 @@ def serialize(parts: dict) -> str:
     parse_spec's own SpecFileError, so parse_spec reads back all it writes."""
     structure = parts["structure"]
     kind = _structure_kind(structure)
+    block = partial(_block, memo={})
     doc = {
         "field": _field_block(structure.field),
         "dim": _positive_int(structure.dim, "dim"),
         "kind": kind,
-        "tables": {name: _block(getattr(structure, name))
+        "tables": {name: block(getattr(structure, name))
                    for name in KIND_TABLES[kind]},
-        "alpha": _block(structure.alpha),
-        "beta": _block(structure.beta),
+        "alpha": block(structure.alpha),
+        "beta": block(structure.beta),
     }
     if "rota_baxter" in parts:
         R = parts["rota_baxter"]
-        doc["rota_baxter"] = {"matrix": _block(R.map),
+        doc["rota_baxter"] = {"matrix": block(R.map),
                               "weight": scalar_to_str(R.weight)}
     if "baxter" in parts:
         B = parts["baxter"]
-        doc["baxter"] = {"matrix": _block(B.map), "side": B.side}
+        doc["baxter"] = {"matrix": block(B.map), "side": B.side}
     if "bimodule" in parts:
         M = parts["bimodule"]
-        block = {"dim": _positive_int(M.dim, "bimodule.dim"),
-                 "alpha_M": _block(M.alpha_M),
-                 "beta_M": _block(M.beta_M),
-                 "left_action": _block(M.left_action),
-                 "right_action": _block(M.right_action)}
+        module = {"dim": _positive_int(M.dim, "bimodule.dim"),
+                  "alpha_M": block(M.alpha_M),
+                  "beta_M": block(M.beta_M),
+                  "left_action": block(M.left_action),
+                  "right_action": block(M.right_action)}
         if "grb" in parts:
-            block["grb"] = _block(parts["grb"].map)
-        doc["bimodule"] = block
+            module["grb"] = block(parts["grb"].map)
+        doc["bimodule"] = module
     if "twistor" in parts:
         W = parts["twistor"]
-        doc["twistor"] = {"T": _block(W.T),
-                          "companion": _block(W.companion),
-                          "atilde": _block(W.atilde),
-                          "btilde": _block(W.btilde)}
+        doc["twistor"] = {"T": block(W.T),
+                          "companion": block(W.companion),
+                          "atilde": block(W.atilde),
+                          "btilde": block(W.btilde)}
     return json.dumps(doc, indent=2)

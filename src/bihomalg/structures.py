@@ -8,7 +8,9 @@ records its sub-check rows (facts reported beside them, such as an operator
 commuting with alpha and beta) in the same pass.  A side is a chain of
 factors composed left to right, ((f1 o f2) o f3); a factor is a name, or a
 tuple of names meaning their Kronecker product, whose domain joins theirs.
-The mats the evaluator reads map each name to the package's own object: a
+A Kronecker factor that only one side reads, as its last factor, is
+composed in place, never built (see _check_axioms).  The mats the
+evaluator reads map each name to the package's own object: a
 StructureTable, read as its matrix on the domain (dim_left, dim_right), so
 (n, m) for an action A (x) M -> M; a LinearMap, on the domain (cols,); or,
 for a map on a tensor square or cube, a (LinearMap, dims) pair.  A
@@ -25,13 +27,15 @@ Classical (unadorned) structures are the special case alpha = beta = id.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import add
 
 from .errors import DimensionMismatch, InputAxiomsFail, TwistHypothesisViolated
-from .linalg import LinearMap, StructureTable, _differing_columns, tensor2
+from .linalg import (LinearMap, StructureTable, _compose_kron, _differing_columns, _join,
+                     tensor2)
 from .scalars import FieldSpec
 
 DEFAULT_VIOLATION_CAP = 16
@@ -115,15 +119,45 @@ def _read(obj) -> tuple:
     return obj, (obj.cols,)
 
 
+@lru_cache(maxsize=256)
+def _fused(rows: tuple, sub_checks: tuple) -> frozenset:
+    """The Kronecker factors of rows and sub_checks that _check_axioms
+    composes in place: each one read exactly once, counting every position,
+    as the last factor of a side that has a factor before it.  The rows are
+    the package's own, a few dozen distinct tuples, so each plan is made
+    once per process."""
+    sides = [side for _, lhs, rhs in rows + sub_checks for side in (lhs, rhs)]
+    reads = Counter(f for side in sides for f in side if isinstance(f, tuple))
+    return frozenset(side[-1] for side in sides
+                     if len(side) > 1 and reads[side[-1]] == 1)
+
+
 def _check_axioms(mats: dict, rows, cap: int, sub_checks=()) -> CheckReport:
     """The report of rows, logging up to cap violations, with
     report.sub_checks recording whether each row of sub_checks holds,
     logging and counting none of their violations.  mats maps each name to
     a StructureTable, a LinearMap or a (LinearMap, dims) pair (see the
-    module docstring).  Each distinct factor is built once per call, however
-    many rows read it, and a name in a Kronecker factor is read once per
-    such factor."""
-    factors = {}
+    module docstring).
+
+    A Kronecker factor that the rows and sub_checks read exactly once, as
+    the last factor of a side after at least one other, is never built:
+    that side is _compose_kron(h, f, g), h the composite of the factors
+    before it, which makes only the Kronecker entries that h reads.  Every
+    other Kronecker factor is built once per call by tensor2, however many
+    rows read it, and every factor is resolved, its fields joined, before
+    a row composes; a name in a Kronecker factor is read once per such
+    factor.  The plan, which factors to fuse, is made once per distinct
+    rows and sub_checks (_fused)."""
+    rows, sub_checks = tuple(rows), tuple(sub_checks)
+    fused, factors = _fused(rows, sub_checks), {}
+
+    def side_map(side) -> LinearMap:
+        maps = [factors[f][0] for f in side]
+        if side[-1] not in fused:
+            return reduce(LinearMap.compose, maps)
+        *kron, last = maps.pop()
+        return _compose_kron(reduce(LinearMap.compose, maps), reduce(tensor2, kron),
+                             last)
 
     def compare(into: CheckReport, tag, lhs, rhs) -> CheckReport:
         for f in lhs + rhs:
@@ -132,10 +166,14 @@ def _check_axioms(mats: dict, rows, cap: int, sub_checks=()) -> CheckReport:
                     factors[f] = _read(mats[f])
                 else:
                     maps, dims = zip(*(_read(mats[name]) for name in f))
-                    factors[f] = reduce(tensor2, maps), sum(dims, ())
-        left, right = (reduce(LinearMap.compose, [factors[f][0] for f in side])
-                       for side in (lhs, rhs))
-        into._compare(tag, left, right, factors[lhs[-1]][1])
+                    if f not in fused:
+                        maps = reduce(tensor2, maps)
+                    else:  # refuse, as tensor2 would here, maps over two fields
+                        for m in maps:
+                            if m.field is not maps[0].field:
+                                _join(*(x.field for x in maps))
+                    factors[f] = maps, sum(dims, ())
+        into._compare(tag, side_map(lhs), side_map(rhs), factors[lhs[-1]][1])
         return into
 
     rep = CheckReport(cap=cap)

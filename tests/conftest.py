@@ -1,14 +1,18 @@
 """Shared builders for concrete algebras used across the test modules, and
 a field-operation counter."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
                       RBOperator, Scalar, StructureTable)
 from bihomalg.errors import BiHomAlgError
+from bihomalg.linalg import tensor2
 from bihomalg.scalars import OPS_CLASSES
+from bihomalg.structures import _read
 
 
 def truncated_poly_algebra(field: FieldSpec, degree: int) -> BiHomAssociativeAlgebra:
@@ -125,3 +129,39 @@ def against_reference(fn, reference, *args):
         got, got_ops = counted(monkeypatch, outcome, fn)
         want, want_ops = counted(monkeypatch, outcome, reference)
     return got, want, got_ops, want_ops
+
+
+def kron_skipped_muls(mats, rows) -> int:
+    """The muls of tensor2 that the evaluator skips on rows (a checker's
+    rows and sub-check rows together), mats as the evaluator reads them.
+    A Kronecker factor read once over all the rows, as the last factor of a
+    side after another, is composed in place: of its entries f[i1][j1] *
+    g[i2][j2], those in a row k = i1*g.rows + i2 where column k of the
+    composite h before it stores no entry are never made."""
+    sides = [side for _, lhs, rhs in rows for side in (lhs, rhs)]
+    reads = Counter(f for side in sides for f in side if isinstance(f, tuple))
+
+    def matrix(factor):
+        if isinstance(factor, str):
+            return _read(mats[factor])[0]
+        return reduce(tensor2, (_read(mats[name])[0] for name in factor))
+
+    skipped = 0
+    for side in sides:
+        if len(side) > 1 and reads[side[-1]] == 1:
+            h = reduce(LinearMap.compose, map(matrix, side[:-1]))
+            *kron, g = (_read(mats[name])[0] for name in side[-1])
+            f, is_zero = reduce(tensor2, kron), g.field.ops.is_zero
+
+            def row_counts(m):
+                counts = [0] * m.rows
+                for col in m._d:
+                    for i, x in col.items():
+                        counts[i] += not is_zero(x)
+                return counts
+
+            in_f, in_g = row_counts(f), row_counts(g)
+            read = [bool(col) for col in h._d]
+            skipped += sum(in_f[i1] * in_g[i2] for i1 in range(f.rows)
+                           for i2 in range(g.rows) if not read[i1 * g.rows + i2])
+    return skipped

@@ -1,6 +1,7 @@
 """`cli.main` in one process: the parser it shares across calls, and a fuzz
 over argv."""
 
+import copy
 import io
 import json
 import os
@@ -261,7 +262,10 @@ DROP = object()
 def edited(doc, edits):
     """A copy of doc with each (block, key, value) edit made in turn: block
     None for a top-level key, value DROP to delete the key.  An edit inside
-    a block that an earlier edit replaced by a non-object is skipped."""
+    a block that an earlier edit replaced by a non-object is skipped.  Each
+    value is copied: a strategy may hand out one object in every example,
+    and storing it by reference would let a later edit change it, or make
+    the document contain itself."""
     doc = json.loads(json.dumps(doc))
     for block, key, value in edits:
         target = doc if block is None else doc[block]
@@ -269,8 +273,20 @@ def edited(doc, edits):
             if value is DROP:
                 del target[key]
             else:
-                target[key] = value
+                target[key] = copy.deepcopy(value)
     return doc
+
+
+def test_edited_copies_each_value():
+    """One object given to two edits, the second inside the block the first
+    set, is stored twice as a copy: the document does not contain itself
+    and the object keeps its keys for the next example."""
+    shared = {"kind": "rational"}
+    doc = edited({"dim": 1}, [(None, "rota_baxter", shared),
+                              ("rota_baxter", "matrix", shared)])
+    assert json.loads(json.dumps(doc)) == {
+        "dim": 1, "rota_baxter": {"kind": "rational", "matrix": {"kind": "rational"}}}
+    assert shared == {"kind": "rational"}
 
 
 ZERO_TABLE = [[["0", "0"], ["0", "0"]]] * 2

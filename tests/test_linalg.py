@@ -13,7 +13,7 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, CheckReport,
                       tensor_quadri, tridend_to_dend)
 from bihomalg.errors import BiHomAlgError, DimensionMismatch, FieldMismatch
 from bihomalg.families import _evaluated
-from bihomalg.linalg import _check
+from bihomalg.linalg import _check, _compose_kron
 from bihomalg.scalars import scalar_to_str
 from bihomalg.specfile import serialize
 from bihomalg.structures import _decode, _tensor_tables, require
@@ -1060,6 +1060,71 @@ def test_compose_adds_to_a_sum_that_cancelled_over_q():
     assert (type(got._d[0][0]), got._d[0][0]) == (type(dense), dense) == (Fraction, 3)
 
 
+@st.composite
+def compose_kron_operands(draw):
+    """(h, f, g) over Q, F_5 or Q(a, b), sparse with empty columns and,
+    over Q(a, b), stored zeros ({}, a); now and then h's columns miss
+    f.rows * g.rows by one, or one operand is over another field."""
+    fields = SPARSE_FIELDS
+    field = draw(st.sampled_from(fields))
+    r1, c1, r2, c2, rows = (draw(st.integers(1, 3)) for _ in range(5))
+    cols = r1 * r2 + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    shapes = [(rows, cols), (r1, c1), (r2, c2)]
+    over = [field] * 3
+    if draw(st.integers(0, 9)) == 0:
+        over[draw(st.integers(0, 2))] = draw(st.sampled_from(fields))
+    return tuple(draw(sparse_matrix(x, *shape)) for x, shape in zip(over, shapes))
+
+
+def kron_reference(h, f, g):
+    return h.compose(tensor2(f, g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(compose_kron_operands())
+def test_compose_kron_is_compose_after_tensor2_property(operands):
+    """_compose_kron(h, f, g) is h.compose(tensor2(f, g)) in raw values,
+    types and dict order, or the same refusal; it makes the same adds and
+    no more muls, as it makes a Kronecker entry only where h reads it."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, (got_mul, got_add) = counted(monkeypatch, outcome, _compose_kron, *operands)
+        want, (want_mul, want_add) = counted(monkeypatch, outcome, kron_reference,
+                                             *operands)
+    if isinstance(want, BiHomAlgError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert typed(got) == typed(want) and stored(got) == stored(want)
+    assert got_mul <= want_mul and got_add == want_add
+
+
+@pytest.mark.parametrize("field", [Q, F5, QA], ids=["Q", "F_5", "Q(a)"])
+def test_compose_kron_makes_only_the_entries_h_reads(field):
+    """h reads rows 0 and 3 of f (x) g, the identity (x) [[1, 1], [0, 1]]:
+    of its 6 entries, the 3 in rows 1 and 2 are never made, and the result
+    is the reference's."""
+    h = parsed_map(field, [["2", "0", "0", "1"]])
+    f = parsed_map(field, [["1", "0"], ["0", "1"]])
+    g = parsed_map(field, [["1", "1"], ["0", "1"]])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, got_ops = counted(monkeypatch, _compose_kron, h, f, g)
+        want, want_ops = counted(monkeypatch, kron_reference, h, f, g)
+    assert typed(got) == typed(want)
+    assert got_ops == (want_ops[0] - 3, want_ops[1])
+
+
+def test_compose_kron_keeps_the_operand_order_over_q_params():
+    """Over Q(a, b) a product of two two-term denominators keeps the dict
+    order of its left factor's terms, so f[i1][j1] * g[i2][j2] and h's entry
+    times it must be taken in that order: here g * f would print another
+    form of the same value."""
+    f = parsed_map(QAB, [["b/(a + 1)"]])
+    g = parsed_map(QAB, [["1/(a - b)", "a*b - 3"]])
+    h = parsed_map(QAB, [["a*a + 2*b + 1"], ["1/(a - b)"]])
+    got, want = _compose_kron(h, f, g), kron_reference(h, f, g)
+    assert typed(got) == typed(want)
+    assert typed(got) != typed(kron_reference(h, g, f))
+
+
 def test_an_integral_fraction_entry_prints_and_compares_as_the_int():
     """The constructors store an integral Q value as an int, and the kernels
     keep what the ops compute, so compose stores 1/2 - 1/2 + 3 as
@@ -1123,6 +1188,11 @@ def test_raw_kernels_match_boxed_bodies_at_dim_9(field, c):
     assert (got.rows, got.cols) == (9, 729)
     assert typed(got) == typed(want) and got_ops == accumulated(want_ops)
     assert got_ops[0] > 0 and not got.is_zero()
+    # composed in place, the same map from no more muls
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fused, fused_ops = counted(monkeypatch, _compose_kron, mu, alpha, mu)
+    assert typed(fused) == typed(got)
+    assert fused_ops[0] <= kron_ops[0] + got_ops[0] and fused_ops[1] == got_ops[1]
 
 
 def test_scale_keeps_the_computed_zeros_over_q_params():

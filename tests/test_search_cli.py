@@ -15,7 +15,7 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       rb_derive, rb_double_product, search, serialize,
                       split_null_extension, tensor2, tensor_quadri,
                       trees, tridend_to_dend)
-from bihomalg import cli, families, rota_baxter
+from bihomalg import cli, families, rota_baxter, specfile
 from bihomalg.cli import main
 from bihomalg.errors import BudgetExceeded, DimensionMismatch, FieldMismatch
 from bihomalg.families import FAMILY_IDS, rb_family, two_param_algebra
@@ -463,6 +463,41 @@ def test_spec_round_trip(qx3, qx3_rb):
         assert back.keys() == parts.keys()
         assert all(back[key] == parts[key] for key in parts)
         assert serialize(back) == text
+
+
+def test_serialize_formats_each_raw_value_once(monkeypatch, qx3, qx3_rb):
+    """One to_str call per distinct raw object of a serialize call, on every
+    block read back by parse_spec (which shares one raw object per
+    literal), over Q and Q(a, b); the text is the one that formats every
+    entry on its own."""
+    qab = FieldSpec.rational_function("a", "b")
+    a, b = qab.parameter("a"), qab.parameter("b")
+    R_ab = RBOperator(LinearMap(qab, ((a, qab.parse("1/(a - b)")),
+                                      (qab.zero(), b * b))), a)
+    for parts in (every_block(qx3, qx3_rb),
+                  every_block(two_param_algebra(qab, a, b), R_ab)):
+        parts = parse_spec(serialize(parts))
+        ops = parts["structure"].field.ops
+        entries = []
+
+        def each_entry(x, memo):
+            values = x._dense()
+            for _ in range(x._depth - 1):
+                values = [v for part in values for v in part]
+            entries.extend(values)
+            return specfile._nest(x.field.ops.to_str, x._depth, x._dense())
+
+        with monkeypatch.context() as m:
+            m.setattr(specfile, "_block", each_entry)
+            want = serialize(parts)
+        calls, to_str = [], ops.to_str
+        with monkeypatch.context() as m:
+            m.setattr(ops, "to_str", lambda v: (calls.append(v), to_str(v))[1],
+                      raising=False)
+            got = serialize(parts)
+        assert got == want
+        # the weight is formatted on its own, outside any block
+        assert len(calls) == len({id(v) for v in entries}) + 1 < len(entries)
 
 
 def test_spec_rejects_floats_and_bad_kind():

@@ -16,11 +16,11 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomDendriform, BiHomQuadri,
                       evaluate_two_param_algebra, two_param_algebra,
                       quadri_projections, rb_derive, tensor2, tensor_quadri,
                       total_product, tridend_to_dend, yau_twist)
-from bihomalg.errors import InputAxiomsFail, TwistHypothesisViolated
+from bihomalg.errors import FieldMismatch, InputAxiomsFail, TwistHypothesisViolated
 from bihomalg import structures
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport, Structure
 from conftest import (against_reference, counted, integration_rb,
-                      truncated_poly_algebra)
+                      kron_skipped_muls, truncated_poly_algebra)
 from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
 
 Q = FieldSpec.rational()
@@ -214,24 +214,38 @@ def dim3_structures():
     return A, D, T, rb_dendriform_to_quadri(D, R)
 
 
-@pytest.mark.parametrize("kind, calls", [
-    (BiHomAssociativeAlgebra, 4), (BiHomDendriform, 8),
-    (BiHomTridendriform, 10), (BiHomQuadri, 20)],
+@pytest.mark.parametrize("kind, built, fused", [
+    (BiHomAssociativeAlgebra, 0, 4), (BiHomDendriform, 2, 6),
+    (BiHomTridendriform, 8, 2), (BiHomQuadri, 2, 18)],
     ids=["assoc", "dend", "tridend", "quadri"])
-def test_check_structure_builds_each_kronecker_factor_once(kind, calls, monkeypatch):
-    """alpha (x) alpha and beta (x) beta serve every MULTS row, and the
-    tridendriform AXIOMS read 8 distinct factors in 14 uses: one tensor2
-    per use would make 4, 10, 20 and 26 calls."""
+def test_check_structure_builds_each_kronecker_factor_once(kind, built, fused,
+                                                           monkeypatch):
+    """alpha (x) alpha and beta (x) beta serve every MULTS row of a kind
+    with two or more operations, and the tridendriform AXIOMS read 8
+    distinct factors in 14 uses, 6 of them twice: each of those is built
+    once by tensor2.  A factor read once is composed in place instead, so
+    one tensor2 per use would make 4, 10, 20 and 26 calls."""
     S = next(S for S in dim3_structures() if type(S) is kind)
-    made = []
+    made, composed = [], []
 
-    def counting(*maps):
-        made.append(maps)
-        return tensor2(*maps)
+    def counting(calls, fn):
+        return lambda *maps: (calls.append(maps), fn(*maps))[1]
 
-    monkeypatch.setattr(structures, "tensor2", counting)
+    monkeypatch.setattr(structures, "tensor2", counting(made, tensor2))
+    monkeypatch.setattr(structures, "_compose_kron",
+                        counting(composed, structures._compose_kron))
     assert check_structure(S).passed
-    assert S.dim == 3 and len(made) == calls
+    assert S.dim == 3 and (len(made), len(composed)) == (built, fused)
+
+
+def test_a_pair_composed_in_place_refuses_two_fields_before_any_side():
+    """A Kronecker factor composed in place joins its maps' fields when the
+    row's factors are read, before any side composes, where tensor2 would
+    have refused it: here h o k would fail on its dims first."""
+    mats = {"h": LinearMap.identity(Q, 2), "k": LinearMap.identity(Q, 3),
+            "f": LinearMap.identity(Q, 1), "g": LinearMap.identity(FieldSpec.prime(5), 2)}
+    with pytest.raises(FieldMismatch, match="^cannot combine values over"):
+        structures._check_axioms(mats, [("row", ("h", "k", ("f", "g")), ("h",))], 16)
 
 
 def test_structure_records_keep_their_dataclass_behaviour():
@@ -443,9 +457,13 @@ def test_table_checkers_match_hand_written_property(kind, data):
         want, (want_mul, want_add) = counted(monkeypatch, reference, S, cap)
     assert raw_violations(got) == raw_violations(want)
     assert got.cap == want.cap and got.sub_checks == want.sub_checks == {}
-    # the checker builds each Kronecker factor once, the reference per use
-    uses = [f for _, lhs, rhs in kind.MULTS + kind.AXIOMS for f in lhs + rhs]
-    assert got_mul == want_mul - repeated_factor_muls(check_structure_mats(S), uses)
+    # the checker builds each Kronecker factor once, the reference per use,
+    # and composes a factor read once in place, making only the entries read
+    rows = kind.MULTS + kind.AXIOMS
+    mats = check_structure_mats(S)
+    uses = [f for _, lhs, rhs in rows for f in lhs + rhs]
+    assert got_mul == (want_mul - repeated_factor_muls(mats, uses)
+                       - kron_skipped_muls(mats, rows))
     assert got_add <= want_add
     assert got.total_violations >= len(got.violations)
     if cap == 10 ** 6:
@@ -492,9 +510,13 @@ def test_yau_twist_rows_match_hand_written_property(kind, data):
                                                      S, atilde, btilde)
     assert got == want
     # the probe builds atilde (x) atilde and btilde (x) btilde once, the
-    # reference once per operation
+    # reference once per operation; with one operation, it composes each in
+    # place
+    mats = {"atilde": atilde, "btilde": btilde,
+            **{tag: getattr(S, tag) for tag in S.OPS}}
+    rows = [(tag, (f, tag), (tag, (f, f))) for tag in S.OPS for f in ("atilde", "btilde")]
     uses = [(f, f) for _ in S.OPS for f in ("atilde", "btilde")]
-    saved = repeated_factor_muls({"atilde": atilde, "btilde": btilde}, uses)
+    saved = repeated_factor_muls(mats, uses) + kron_skipped_muls(mats, rows)
     assert got_ops == (want_ops[0] - saved, want_ops[1])
 
 

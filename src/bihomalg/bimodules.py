@@ -4,7 +4,8 @@ module into the algebra satisfying the Rota-Baxter identity through the
 actions).
 
 Actions are rectangular structure tables with an explicit operand order:
-left_action is A (x) M -> M and right_action is M (x) A -> M.
+left_action is A (x) M -> M and right_action is M (x) A -> M.  A map after
+pi (x) id or id (x) pi is composed in place (linalg._compose_kron).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, TwistHypothesisViolated
-from .linalg import LinearMap, StructureTable, _join, _shifted, block_diag, tensor2
+from .linalg import LinearMap, StructureTable, _compose_kron, _join, _shifted, block_diag
 from .rota_baxter import RBOperator
 from .structures import (BiHomAssociativeAlgebra, BiHomDendriform, CheckReport,
                          DEFAULT_VIOLATION_CAP, _TWIST_PAIRS, _check_axioms,
@@ -146,11 +147,11 @@ def yau_twist_bimodule(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
 
 
 def _grb_products(M: BiHomBimodule, pi: GRBOperator) -> tuple[LinearMap, LinearMap]:
-    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M, through
-    the matrices L: A (x) M -> M and R: M (x) A -> M of M's actions."""
+    """m > n = pi(m).n and m < n = m.pi(n) as maps M (x) M -> M: the
+    matrices L and R of M's actions after pi (x) id and id (x) pi."""
     L, R = M.left_action.as_matrix(), M.right_action.as_matrix()
     ident = LinearMap.identity(pi.map.field, L.rows)
-    return L.compose(tensor2(pi.map, ident)), R.compose(tensor2(ident, pi.map))
+    return _compose_kron(L, pi.map, ident), _compose_kron(R, ident, pi.map)
 
 
 def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
@@ -218,11 +219,9 @@ def grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     base = BiHomAssociativeAlgebra(field, star, M.alpha_M, M.beta_M)
     # left: M (x) A -> A, m ._pi a
     left = StructureTable.from_matrix(
-        field, mu.compose(tensor2(pi.map, id_n))
-        - pi.map.compose(R), m, n)
+        field, _compose_kron(mu, pi.map, id_n) - pi.map.compose(R), m, n)
     # right: A (x) M -> A, a ._pi m
     right = StructureTable.from_matrix(
-        field, mu.compose(tensor2(id_n, pi.map))
-        - pi.map.compose(L), n, m)
+        field, _compose_kron(mu, id_n, pi.map) - pi.map.compose(L), n, m)
     module = BiHomBimodule(base, A.alpha, A.beta, left, right)
     return module, split_null_extension(base, module)

@@ -245,9 +245,10 @@ def cmd_trees(args) -> int:
               f"--max-leaves {bounds['max_leaves']} --max-ab {bounds['max_ab_power']} "
               f"--max-r {bounds['max_r_power']}")
     reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
-    # a term key is the tree's text, "|" and the word
-    out = [{"tree": key.partition("|")[0], "word": list(word), "coeff": scalar_to_str(c)}
-           for key, (_, word, c) in sorted(reduced.terms.items())]
+    # a term key is the tree's text, "|" and the word (info[0]); none is parsed
+    to_str = reduced.field.ops.to_str
+    out = [{"tree": key.partition("|")[0], "word": list(info[0]), "coeff": to_str(c)}
+           for key, (info, c) in sorted(reduced._t.items())]
     print(json.dumps({"field": doc["field"], "rank": doc["rank"],
                       "terms": out}, indent=2))
     return 0

@@ -41,21 +41,21 @@ work is its multiply-adds and its output entries, not rows times nonempty
 columns.  `CheckReport._compare` and `==` compare two maps or tables column
 by column, over the stored rows only.
 
-`_compose_kron(h, f, g)` is `h.compose(tensor2(f, g))` entry for entry
-without building f (x) g, the rule for Kronecker products that Van Loan
-states (The ubiquitous Kronecker product, 2000), in Gustavson's column at a
-time.  It keeps the two calls' order of field operations: it visits the
-columns j1*g.cols + j2 of f (x) g that tensor2 stores, skipping an empty
-column of f or g as tensor2 does, and in each the rows k = i1*g.rows + i2
-increasing; it makes the Kronecker value `mul(f[i1][j1], g[i2][j2])` of
-two nonzero factors only where column k of h stores an entry, and sums
-`mul(h[i][k], value)` over h's nonzero entries as `compose` does (first
-term stored as computed, the `is zero` test, rows read out increasing, sums
-structurally equal to `ops.zero` dropped).  So its adds are those of the
-two calls and its muls are no more, fewer by the Kronecker values in rows
-where h stores nothing.  It refuses what they refuse, the
-field of f against g's, then "composition dims differ", then h's field
-against f's.
+`_compose_kron(h, f, g)` is `h.compose(K)` for K = `tensor2(f, g)`, entry
+for entry, without building K: the rule for Kronecker products that Van
+Loan states (The ubiquitous Kronecker product, 2000), in Gustavson's
+column at a time.  It keeps the two calls' order of field operations: it
+visits the columns j1*g.cols + j2 of K that tensor2 stores, skipping an
+empty column of f or g as tensor2 does, and in each the rows k =
+i1*g.rows + i2 increasing; it makes the Kronecker value
+`mul(f[i1][j1], g[i2][j2])` of two nonzero factors only where column k of
+h stores an entry, and sums `mul(h[i][k], value)` as `compose` does.  So
+its adds are those of the two calls and its muls are no more, fewer by
+the Kronecker values in rows where h stores nothing.  It refuses what they
+refuse: the field of f against g's, then "composition dims differ", then
+h's field against f's.  The package composes a map after a Kronecker
+product only through it, or after a factor that several rows of one check
+read, which `tensor2` builds once.
 
 `+` of two maps or two tables merges their stored entries column by
 column: `ops.add` where both store a row, the stored value where one does,
@@ -68,21 +68,21 @@ Q(params) `c*zero` is `({}, q_c)`, a zero with c's denominator, which is
 stored, so skipping the missing entries would change bytes.  So do the
 table ops' sums, `_combine` (below).
 
-Every sum follows one accumulation rule, in `compose`, `_combine` and
-`StructureTable.apply` (and, on a dict, in `rota_baxter._inner_map`): an
-accumulator that is still the zero object stores its first term as
-computed, and `ops.add` is called from the second term on.  The dense
-loop's `zero + t1` gives t1 byte for byte, so the rule changes no value,
-type or printed form, only the work: over Q `0 + y` is y, an int or a
-Fraction alike; over F_p `(0 + y) % p` is y; over Q(params) `add(zero, y)`
-is y's numerator and denominator dicts with the same coefficients and
-insertion order, as zero's denominator is the int unit {0: 1}, which
-`_poly_mul` copies.  The test is identity, `acc is ops.zero`, never
-equality: a sum that cancelled is added to as before, since over Q a
-`Fraction(0)` plus the int 3 is a Fraction, not the int 3, and over
-Q(params) a cancelled `({}, d)` is not the zero object.  (Over Q and F_p a
-computed int 0 is the zero object, and adding to it would give the next
-term unchanged.)
+Every sum follows one accumulation rule, in `compose`, `_compose_kron`,
+`_combine` and `StructureTable.apply` (and, on a dict, in
+`rota_baxter._inner_map`): an accumulator that is still the zero object
+stores its first term as computed, and `ops.add` is called from the second
+term on.  The dense loop's `zero + t1` gives t1 byte for byte, so the rule
+changes no value, type or printed form, only the work: over Q `0 + y` is
+y, an int or a Fraction alike; over F_p `(0 + y) % p` is y; over Q(params)
+`add(zero, y)` is y's numerator and denominator dicts with the same
+coefficients and insertion order, as zero's denominator is the int unit
+{0: 1}, which `_poly_mul` copies.  The test is identity, `acc is
+ops.zero`, never equality: a sum that cancelled is added to as before,
+since over Q a `Fraction(0)` plus the int 3 is a Fraction, not the int 3,
+and over Q(params) a cancelled `({}, d)` is not the zero object.  (Over Q
+and F_p a computed int 0 is the zero object, and adding to it would give
+the next term unchanged.)
 
 `StructureTable.apply` visits the stored constants too and skips the zero
 ones, as its dense loop did.  Every other kernel reads a map or table
@@ -462,7 +462,7 @@ def tensor2(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def _compose_kron(h: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
-    """h.compose(tensor2(f, g)) entry for entry, without building f (x) g:
+    """h.compose(K) for K = tensor2(f, g), entry for entry, without building K:
     column j1*g.cols + j2 of the Kronecker product is visited row k =
     i1*g.rows + i2 increasing, and its value f[i1][j1]*g[i2][j2] is made
     only where column k of h stores an entry, then summed as compose sums

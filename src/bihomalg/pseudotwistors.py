@@ -3,7 +3,8 @@ associative algebras, materialized as exact matrices on the tensor square
 (n^2 x n^2) and tensor cube (n^3 x n^3) in the lexicographic basis.
 
 Every defining identity is an exact matrix equality of composed Kronecker
-products, a row read by the identity evaluator of bihomalg.structures.
+products, a row read by the identity evaluator of bihomalg.structures, and
+a companion after a Kronecker factor is composed in place (_compose_kron).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, HypothesisViolated
-from .linalg import LinearMap, StructureTable, tensor2, tensor3
+from .linalg import LinearMap, StructureTable, _compose_kron, tensor2, tensor3
 from .rota_baxter import (OneSidedBaxter, RBOperator, _require_baxter_pair,
                           _require_rb)
 from .structures import (BiHomAssociativeAlgebra, CheckReport, DEFAULT_VIOLATION_CAP,
@@ -92,9 +93,8 @@ def check_weak_pseudotwistor(A: BiHomAssociativeAlgebra, W: WeakPseudotwistor,
 def induced_weak_companion(P: PseudotwistorWithCompanions) -> LinearMap:
     """T1 (T (x) id) (atilde (x) T), the weak companion a full pseudotwistor
     induces."""
-    n = P.dim
-    ident = LinearMap.identity(P.T.field, n)
-    return P.T1.compose(tensor2(P.T, ident)).compose(tensor2(P.atilde, P.T))
+    ident = LinearMap.identity(P.T.field, P.dim)
+    return _compose_kron(_compose_kron(P.T1, P.T, ident), P.atilde, P.T)
 
 
 def as_weak(P: PseudotwistorWithCompanions) -> WeakPseudotwistor:
@@ -108,8 +108,8 @@ def check_pseudotwistor(A: BiHomAssociativeAlgebra,
     _dims_ok(n, P.T, P.T1, P.T2)
     ident = LinearMap.identity(A.field, n)
     mats = _twistor_mats(A, P)
-    mats.update(t_left=(P.T1.compose(tensor2(P.T, ident)), (n, n, n)),
-                t_right=(P.T2.compose(tensor2(ident, P.T)), (n, n, n)))
+    mats.update(t_left=(_compose_kron(P.T1, P.T, ident), (n, n, n)),
+                t_right=(_compose_kron(P.T2, ident, P.T), (n, n, n)))
     return _check_axioms(mats, PSEUDOTWISTOR_AXIOMS, cap)
 
 

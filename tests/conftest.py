@@ -1,5 +1,5 @@
 """Shared builders for concrete algebras used across the test modules, and
-a field-operation counter."""
+field-operation and kernel-call counters."""
 
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 
 from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
                       RBOperator, Scalar, StructureTable)
+from bihomalg import bimodules, pseudotwistors, structures
 from bihomalg.errors import BiHomAlgError
 from bihomalg.linalg import tensor2
 from bihomalg.scalars import OPS_CLASSES
@@ -131,13 +132,30 @@ def against_reference(fn, reference, *args):
     return got, want, got_ops, want_ops
 
 
+def kron_skipped(h, f, g) -> int:
+    """The muls of tensor2(f, g) that _compose_kron(h, f, g) never makes:
+    of the Kronecker entries f[i1][j1] * g[i2][j2], those in a row k =
+    i1*g.rows + i2 where column k of h stores no entry."""
+    is_zero = g.field.ops.is_zero
+
+    def row_counts(m):
+        counts = [0] * m.rows
+        for col in m._d:
+            for i, x in col.items():
+                counts[i] += not is_zero(x)
+        return counts
+
+    in_f, in_g = row_counts(f), row_counts(g)
+    read = [bool(col) for col in h._d]
+    return sum(in_f[i1] * in_g[i2] for i1 in range(f.rows)
+               for i2 in range(g.rows) if not read[i1 * g.rows + i2])
+
+
 def kron_skipped_muls(mats, rows) -> int:
     """The muls of tensor2 that the evaluator skips on rows (a checker's
     rows and sub-check rows together), mats as the evaluator reads them.
     A Kronecker factor read once over all the rows, as the last factor of a
-    side after another, is composed in place: of its entries f[i1][j1] *
-    g[i2][j2], those in a row k = i1*g.rows + i2 where column k of the
-    composite h before it stores no entry are never made."""
+    side after another, is composed in place (kron_skipped)."""
     sides = [side for _, lhs, rhs in rows for side in (lhs, rhs)]
     reads = Counter(f for side in sides for f in side if isinstance(f, tuple))
 
@@ -151,17 +169,25 @@ def kron_skipped_muls(mats, rows) -> int:
         if len(side) > 1 and reads[side[-1]] == 1:
             h = reduce(LinearMap.compose, map(matrix, side[:-1]))
             *kron, g = (_read(mats[name])[0] for name in side[-1])
-            f, is_zero = reduce(tensor2, kron), g.field.ops.is_zero
-
-            def row_counts(m):
-                counts = [0] * m.rows
-                for col in m._d:
-                    for i, x in col.items():
-                        counts[i] += not is_zero(x)
-                return counts
-
-            in_f, in_g = row_counts(f), row_counts(g)
-            read = [bool(col) for col in h._d]
-            skipped += sum(in_f[i1] * in_g[i2] for i1 in range(f.rows)
-                           for i2 in range(g.rows) if not read[i1 * g.rows + i2])
+            skipped += kron_skipped(h, reduce(tensor2, kron), g)
     return skipped
+
+
+def kernel_calls(monkeypatch, fn, *args):
+    """fn(*args) and its (tensor2, _compose_kron) call counts, counted where
+    the checkers and constructors call them."""
+    calls = {"tensor2": 0, "_compose_kron": 0}
+
+    def counting(name, kernel):
+        def wrapper(*maps):
+            calls[name] += 1
+            return kernel(*maps)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for module in (structures, bimodules, pseudotwistors):
+            for name in calls:
+                if hasattr(module, name):
+                    m.setattr(module, name, counting(name, getattr(module, name)))
+        result = fn(*args)
+    return result, (calls["tensor2"], calls["_compose_kron"])

@@ -1,10 +1,12 @@
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, BiHomDendriform, FieldSpec,
                       GRBOperator, LinearMap,
                       StructureTable, check_bihom_associative, check_bimodule,
                       check_dendriform, check_grb, check_rota_baxter,
@@ -13,11 +15,12 @@ from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
                       yau_twist, yau_twist_bimodule)
 from bihomalg.errors import (DimensionMismatch, InputAxiomsFail, SpecFileError,
                              TwistHypothesisViolated)
-from bihomalg.bimodules import BIMODULE_AXIOMS, _bimodule_mats
+from bihomalg.bimodules import BIMODULE_AXIOMS, _bimodule_mats, _require_grb
 from bihomalg.specfile import parse_spec, serialize
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
-from conftest import against_reference, kron_skipped_muls, raw_report
-from test_linalg import QAB, SPARSE_FIELDS, sparse_matrix
+from conftest import (against_reference, integration_rb, kron_skipped,
+                      kron_skipped_muls, raw_report, truncated_poly_algebra)
+from test_linalg import QAB, SPARSE_FIELDS, entry_pool, sparse_matrix, stored
 from test_structures import _commute_check
 
 Q = FieldSpec.rational()
@@ -367,9 +370,110 @@ def test_grb_rows_match_hand_written_property(data):
     pi = GRBOperator(data.draw(sparse_matrix(A.field, A.dim, M.dim)))
     got, want, got_ops, want_ops = against_reference(check_grb, ref_check_grb, A, M, pi)
     assert raw_report(got) == raw_report(want)
-    # pi (x) pi is composed in place
+    # pi (x) pi is composed in place, and so are L after pi (x) id and R
+    # after id (x) pi, which the reference builds
     rows = [("grb", ("mu", ("pi", "pi")), ("pi", "star"))]
-    skipped = kron_skipped_muls({"mu": A.mu, "pi": pi.map}, rows)
+    skipped = (kron_skipped_muls({"mu": A.mu, "pi": pi.map}, rows)
+               + grb_products_skipped(M, pi))
+    assert got_ops == (want_ops[0] - skipped, want_ops[1])
+
+
+def grb_products_skipped(M: BiHomBimodule, pi: GRBOperator) -> int:
+    """The muls of tensor2 that _grb_products never makes: L after
+    pi (x) id and R after id (x) pi are composed in place."""
+    ident = LinearMap.identity(pi.map.field, M.dim)
+    return (kron_skipped(M.left_action.as_matrix(), pi.map, ident)
+            + kron_skipped(M.right_action.as_matrix(), ident, pi.map))
+
+
+# -- the constructors compose after pi (x) id and id (x) pi in place --------
+#    grb_to_dendriform and grb_transpose_actions as they were written with
+#    tensor2 then compose, kept as the reference.
+
+def ref_grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator) -> BiHomDendriform:
+    A = M.algebra
+    succ, prec = _grb_products(M, pi)
+    return BiHomDendriform(A.field,
+                           StructureTable.from_matrix(A.field, prec, M.dim, M.dim),
+                           StructureTable.from_matrix(A.field, succ, M.dim, M.dim),
+                           M.alpha_M, M.beta_M)
+
+
+def ref_grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
+                              pi: GRBOperator):
+    _require_grb(A, M, pi, "grb_transpose_actions")
+    n, m = A.dim, M.dim
+    field = A.field
+    mu, L, R = A.mu.as_matrix(), M.left_action.as_matrix(), M.right_action.as_matrix()
+    id_n = LinearMap.identity(field, n)
+    succ, prec = _grb_products(M, pi)
+    star = StructureTable.from_matrix(field, succ + prec, m, m)
+    base = BiHomAssociativeAlgebra(field, star, M.alpha_M, M.beta_M)
+    left = StructureTable.from_matrix(
+        field, mu.compose(tensor2(pi.map, id_n)) - pi.map.compose(R), m, n)
+    right = StructureTable.from_matrix(
+        field, mu.compose(tensor2(id_n, pi.map)) - pi.map.compose(L), n, m)
+    module = BiHomBimodule(base, A.alpha, A.beta, left, right)
+    return module, split_null_extension(base, module)
+
+
+def raw_forms(x):
+    """The maps and tables in x, a record or a tuple opened field by field,
+    as stored: rows, value types and reprs in dict order."""
+    if isinstance(x, (LinearMap, StructureTable)):
+        return stored(x)
+    if isinstance(x, tuple):
+        return [raw_forms(y) for y in x]
+    if is_dataclass(x):
+        return [raw_forms(getattr(x, f.name)) for f in fields(x)]
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grb_to_dendriform_matches_tensor2_then_compose_property(data):
+    A, M = data.draw(random_bimodule())
+    pi = GRBOperator(data.draw(sparse_matrix(A.field, A.dim, M.dim)))
+    got, want, got_ops, want_ops = against_reference(
+        partial(grb_to_dendriform, check=False), ref_grb_to_dendriform, M, pi)
+    assert isinstance(want, BiHomDendriform) and got == want
+    assert raw_forms(got) == raw_forms(want)
+    assert got_ops == (want_ops[0] - grb_products_skipped(M, pi), want_ops[1])
+
+
+@st.composite
+def grb_instance(draw):
+    """(A, M, pi) with pi a generalized Rota-Baxter operator, over Q, F_5 or
+    Q(a, b), on A = k[x]/(x^3): c R on the regular bimodule, R the
+    integration operator (the identity is homogeneous in pi, so any c
+    serves), or, on a 2-dim module with zero actions, a pi into span{x^2},
+    whose square is zero."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    A = truncated_poly_algebra(field, 3)
+    nonzero = st.sampled_from(entry_pool(field)[1])
+    if draw(st.booleans()):
+        c = draw(nonzero)
+        return A, BiHomBimodule.regular(A), GRBOperator(integration_rb(field, 3).map.scale(c))
+    ident, zero = LinearMap.identity(field, 2), field.zero()
+    top = tuple(draw(st.one_of(nonzero, st.just(zero))) for _ in range(2))
+    return (A, BiHomBimodule.zero_actions(A, ident, ident),
+            GRBOperator(LinearMap(field, ((zero, zero), (zero, zero), top))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grb_instance())
+def test_grb_transpose_actions_matches_tensor2_then_compose_property(instance):
+    """The module tables and the extension, in values, types and dict
+    order; A's multiplication after pi (x) id and id (x) pi, like L and R
+    in _grb_products, is composed in place."""
+    A, M, pi = instance
+    got, want, got_ops, want_ops = against_reference(
+        grb_transpose_actions, ref_grb_transpose_actions, A, M, pi)
+    assert isinstance(want, tuple) and got == want
+    assert raw_forms(got) == raw_forms(want)
+    mu, id_n = A.mu.as_matrix(), LinearMap.identity(A.field, A.dim)
+    skipped = (grb_products_skipped(M, pi) + kron_skipped(mu, pi.map, id_n)
+               + kron_skipped(mu, id_n, pi.map))
     assert got_ops == (want_ops[0] - skipped, want_ops[1])
 
 

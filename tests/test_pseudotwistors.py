@@ -3,21 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihomalg import (BiHomAssociativeAlgebra, FieldSpec, LinearMap,
+from bihomalg import (BiHomAssociativeAlgebra, BiHomBimodule, FieldSpec,
+                      GRBOperator, LinearMap,
                       OneSidedBaxter, PseudotwistorWithCompanions, RBOperator,
                       WeakPseudotwistor, as_weak, baxter_pair_pseudotwistor,
                       baxter_pair_product, check_bihom_associative,
                       check_pseudotwistor, check_weak_pseudotwistor,
-                      compose_pseudotwistors, evaluate_two_param_algebra,
+                      check_grb, compose_pseudotwistors,
+                      evaluate_two_param_algebra, induced_weak_companion,
                       evaluate_rb_family, rb_double_product, rb_pseudotwistor,
                       tensor2, twisted_algebra)
 from bihomalg.errors import (DimensionMismatch, HypothesisViolated,
                              InputAxiomsFail)
 from bihomalg.pseudotwistors import _dims_ok
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
-from conftest import against_reference, raw_report
+from conftest import against_reference, kernel_calls, kron_skipped, raw_report
 from test_bimodules import maybe_identity as maybe_identity_of, random_algebra
-from test_linalg import SPARSE_FIELDS
+from test_linalg import SPARSE_FIELDS, stored
 
 Q = FieldSpec.rational()
 
@@ -295,6 +297,52 @@ def test_twistor_rows_match_hand_written_property(kind, data):
     got, want, got_ops, want_ops = against_reference(check, reference, A, W, cap)
     assert raw_report(got) == raw_report(want)
     assert got_ops[0] <= want_ops[0] and got_ops[1] <= want_ops[1]
+
+
+def ref_induced_weak_companion(P: PseudotwistorWithCompanions) -> LinearMap:
+    ident = LinearMap.identity(P.T.field, P.dim)
+    return P.T1.compose(tensor2(P.T, ident)).compose(tensor2(P.atilde, P.T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_induced_weak_companion_matches_tensor2_then_compose_property(data):
+    """T1 after T (x) id, then after atilde (x) T, each composed in place:
+    the reference's map in values, types and dict order, from its adds and
+    fewer muls by the Kronecker entries neither composite reads."""
+    _, P = data.draw(twistor_args("full"))
+    got, want, got_ops, want_ops = against_reference(
+        induced_weak_companion, ref_induced_weak_companion, P)
+    assert isinstance(want, LinearMap) and stored(got) == stored(want)
+    ident = LinearMap.identity(P.T.field, P.dim)
+    inner = P.T1.compose(tensor2(P.T, ident))
+    skipped = kron_skipped(P.T1, P.T, ident) + kron_skipped(inner, P.atilde, P.T)
+    assert got_ops == (want_ops[0] - skipped, want_ops[1])
+
+
+def identity_full(A):
+    n, field = A.dim, A.field
+    ident3 = LinearMap.identity(field, n ** 3)
+    return PseudotwistorWithCompanions(LinearMap.identity(field, n * n), ident3, ident3,
+                                       LinearMap.identity(field, n),
+                                       LinearMap.identity(field, n))
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("check_grb", (0, 3)), ("check_pseudotwistor", (6, 4)),
+    ("induced_weak_companion", (0, 2))])
+def test_each_kronecker_factor_composed_after_once_is_never_built(name, calls, qx3,
+                                                                  qx3_rb, monkeypatch):
+    """(tensor2, _compose_kron) calls.  check_grb composes mu after pi (x) pi
+    and L and R after pi (x) id and id (x) pi; check_pseudotwistor builds the
+    four (f (x) f) of T_COMMUTES and alpha (x) mu and mu (x) beta, each read
+    twice, and composes t_left, t_right and the two factors after them in
+    place; induced_weak_companion composes its two factors in place."""
+    M, pi, P = BiHomBimodule.regular(qx3), GRBOperator(qx3_rb.map), identity_full(qx3)
+    run = {"check_grb": lambda: check_grb(qx3, M, pi).passed,
+           "check_pseudotwistor": lambda: check_pseudotwistor(qx3, P).passed,
+           "induced_weak_companion": lambda: induced_weak_companion(P) == P.T1}[name]
+    assert kernel_calls(monkeypatch, run) == (True, calls)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from conftest import raw_report, truncated_poly_algebra
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.append(str(BENCH))
 import wl_symbolic  # noqa: E402
+import wl_trees  # noqa: E402
 
 Q = FieldSpec.rational()
 
@@ -1103,6 +1104,24 @@ def test_cli_malformed_input_exits_2_naming_it(case, tmp_path, capsys, qx2,
 def test_cli_replays_the_benchmark_goldens(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (BENCH / "golden" / f"cli_{name}.out").read_text()
+
+
+def test_cli_trees_reduce_writes_the_stored_terms_without_parsing_them(
+        monkeypatch, capsys):
+    """The ideal member reduces to no terms and the generic element keeps
+    four; both print their goldens, from the same parse_tree calls (reading
+    the file and building the window): no output key is parsed back into a
+    tree."""
+    parse, texts, calls = trees.parse_tree, [], {}
+    monkeypatch.setattr(trees, "parse_tree", lambda text: (texts.append(text), parse(text))[1])
+    for name, argv in wl_trees.CLI_CASES:
+        if name.startswith("trees_reduce"):
+            texts.clear()
+            assert main(argv) == 0
+            golden = (BENCH / "golden" / f"cli_{name}.out").read_text()
+            assert capsys.readouterr().out == golden
+            calls[name] = len(texts)
+    assert calls["trees_reduce_member"] == calls["trees_reduce_generic"] > 0
 
 
 # a non-ASCII digit in a tree or scalar literal: '²' was passed to int(),

@@ -161,6 +161,12 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     Commutation of pi with the structure maps (alpha_A pi = pi alpha_M and
     likewise for beta) is reported in sub_checks.
     """
+    return _check_grb(A, M, pi, cap)[0]
+
+
+def _check_grb(A, M, pi, cap=DEFAULT_VIOLATION_CAP):
+    """check_grb's report, and the two products of _grb_products it read,
+    which the constructors reuse for their tables."""
     n, m = A.dim, M.dim
     if (pi.map.rows, pi.map.cols) != (n, m):
         raise DimensionMismatch("pi must map M into A")
@@ -169,7 +175,7 @@ def check_grb(A: BiHomAssociativeAlgebra, M: BiHomBimodule, pi: GRBOperator,
     # sub-checks: alpha_A pi = pi alpha_M, likewise beta
     commutes = [(f"commutes_{f}", (f, "pi"), ("pi", f"{f}_M")) for f in ("alpha", "beta")]
     return _check_axioms(mats, [("grb", ("mu", ("pi", "pi")), ("pi", "star"))],
-                         cap, commutes)
+                         cap, commutes), (succ, prec)
 
 
 def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
@@ -188,7 +194,11 @@ def grb_hat(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
 
 
 def _require_grb(A, M, pi, caller):
-    require(check_grb(A, M, pi), caller, ("commutes_alpha", "commutes_beta"))
+    """Refuse a pi that fails check_grb, as `caller`; else its two products,
+    made once for the check and the caller's tables."""
+    report, products = _check_grb(A, M, pi)
+    require(report, caller, ("commutes_alpha", "commutes_beta"))
+    return products
 
 
 def grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator,
@@ -196,8 +206,9 @@ def grb_to_dendriform(M: BiHomBimodule, pi: GRBOperator,
     """m > n = pi(m).n and m < n = m.pi(n), a dendriform structure on M."""
     A = M.algebra
     if check:
-        _require_grb(A, M, pi, "grb_to_dendriform")
-    succ, prec = _grb_products(M, pi)
+        succ, prec = _require_grb(A, M, pi, "grb_to_dendriform")
+    else:
+        succ, prec = _grb_products(M, pi)
     return BiHomDendriform(A.field,
                            StructureTable.from_matrix(A.field, prec, M.dim, M.dim),
                            StructureTable.from_matrix(A.field, succ, M.dim, M.dim),
@@ -209,12 +220,11 @@ def grb_transpose_actions(A: BiHomAssociativeAlgebra, M: BiHomBimodule,
     """Make A a bimodule over (M, *_pi) via m ._pi a = pi(m)a - pi(m.a) and
     a ._pi m = a pi(m) - pi(a.m).  Returns (bimodule, its split null
     extension M |x A)."""
-    _require_grb(A, M, pi, "grb_transpose_actions")
+    succ, prec = _require_grb(A, M, pi, "grb_transpose_actions")
     n, m = A.dim, M.dim
     field = A.field
     mu, L, R = A.mu.as_matrix(), M.left_action.as_matrix(), M.right_action.as_matrix()
     id_n = LinearMap.identity(field, n)
-    succ, prec = _grb_products(M, pi)
     star = StructureTable.from_matrix(field, succ + prec, m, m)
     base = BiHomAssociativeAlgebra(field, star, M.alpha_M, M.beta_M)
     # left: M (x) A -> A, m ._pi a

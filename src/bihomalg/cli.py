@@ -245,10 +245,12 @@ def cmd_trees(args) -> int:
               f"--max-leaves {bounds['max_leaves']} --max-ab {bounds['max_ab_power']} "
               f"--max-r {bounds['max_r_power']}")
     reduced = _within_budget("--max-leaves", trees.truncated_ideal_reduce, x, bounds)
-    # a term key is the tree's text, "|" and the word (info[0]); none is parsed
+    # a term key is the tree's text, "|" and the word; no tree is parsed
     to_str = reduced.field.ops.to_str
-    out = [{"tree": key.partition("|")[0], "word": list(info[0]), "coeff": to_str(c)}
-           for key, (info, c) in sorted(reduced._t.items())]
+    out = []
+    for key, (_, c) in sorted(reduced._t.items()):
+        tree, _, word = key.partition("|")
+        out.append({"tree": tree, "word": list(trees._word(word)), "coeff": to_str(c)})
     print(json.dumps({"field": doc["field"], "rank": doc["rank"],
                       "terms": out}, indent=2))
     return 0

@@ -8,16 +8,16 @@ RB-augmented variant additionally carries one nonnegative power on *every*
 vertex (leaves and internal nodes alike), stored in preorder with the root
 first.  Grafting joins two trees under a fresh root whose power is 0.
 
-A FreeElement stores each term by its key alone, with the term's word and a
-window summary of four ints, and no tree.  It holds its coefficients as raw
-values of its field, as the containers of linalg do (over Q an int or a
-Fraction: the constructor norms an integral value to an int, and the
-kernels keep what the ops compute; see scalars), and every kernel on it
-(`+`, `-`, `scale`, `map_terms`, `free_multiply` and the eliminator)
-computes through `field.ops` in the order of the old boxed loops, so it
-makes the same mul and add calls and builds no Scalar.  Its public `terms`
-is a live mapping over the raw dict that builds each tree from its key and
-boxes on read, and unboxes on write.
+A FreeElement stores each term by its key alone, with the term's window
+summary of four ints and no tree or word: the key spells both.  It holds
+its coefficients as raw values of its field, as the containers of linalg
+do (over Q an int or a Fraction: the constructor norms an integral value to
+an int, and the kernels keep what the ops compute; see scalars), and every
+kernel on it (`+`, `-`, `scale`, `map_terms`, `free_multiply` and the
+eliminator) computes through `field.ops` in the order of the old boxed
+loops, so it makes the same mul and add calls and builds no Scalar.  Its
+public `terms` is a live mapping over the raw dict that builds each tree
+and word from its key and boxes on read, and unboxes on write.
 """
 
 from __future__ import annotations
@@ -315,20 +315,28 @@ def _summary(t) -> tuple[int, int, int, int]:
 
 def _kind(info) -> str:
     """The name of the tree class a term's info stands for."""
-    _, _, a, _, r = info
+    _, a, _, r = info
     return "RBAugTree" if r >= 0 else "BAugTree" if a >= 0 else "PlanarBinaryTree"
 
 
 def _keyed(tree, word):
-    """A term's key and info: its word and its window summary."""
-    return FreeElement.term_key(tree, word), (word, *_summary(tree))
+    """A term's key and info, its window summary.  The word is read back
+    from the key alone, so ValueError refuses a letter that is not an int."""
+    if not all(type(w) is int for w in word):
+        raise ValueError(f"leaf word letters must be ints, got {_clip(repr(word))}")
+    return FreeElement.term_key(tree, word), _summary(tree)
 
 
-def _tree_of(key: str):
-    """The tree a term key names; a key with no powers names a plain tree."""
-    text = key.partition("|")[0]
+def _tree_of(text: str):
+    """The tree a term key's text before its "|" names; text with no powers
+    names a plain tree."""
     t = parse_tree(text)
     return t if "[" in text else t.tree
+
+
+def _word(text: str) -> tuple[int, ...]:
+    """The word a term key's text after its "|" spells."""
+    return tuple(map(int, text.split(","))) if text else ()
 
 
 class _Terms(MutableMapping):
@@ -344,8 +352,9 @@ class _Terms(MutableMapping):
         self._x = x
 
     def __getitem__(self, key):
-        info, c = self._x._t[key]
-        return _tree_of(key), info[0], _scalar(self._x.field, c)
+        c = self._x._t[key][1]
+        shape, _, word = key.partition("|")
+        return _tree_of(shape), _word(word), _scalar(self._x.field, c)
 
     def __setitem__(self, key, term):
         tree, word, c = term
@@ -388,10 +397,11 @@ class FreeElement:
     Keys are canonical serializations so the term order is reproducible.
 
     A term is its key, `serialize_tree(tree) + "|" + word`: the private dict
-    `_t` maps each key to its info and its coefficient, and holds no tree.
-    The info is the word and the window summary of _summary, four ints, so
+    `_t` maps each key to its info and its coefficient, and holds no tree
+    and no word.  The info is the window summary of _summary, four ints, so
     the product rule and the reducer's window checks read no key.  A tree is
-    built from its key only where one is read: a `terms` read and map_terms.
+    built from its key only where one is read, a `terms` read and
+    map_terms, and the word is parsed from it only by a `terms` read.
 
     The coefficients are raw values of `field` (see linalg).  Only nonzero
     values are stored (the constructor and a write through `terms` drop a
@@ -499,8 +509,10 @@ class FreeElement:
     def map_terms(self, fn) -> "FreeElement":
         """Apply a tree map to every basis term, keeping words and coefficients."""
         out = FreeElement.zero(self.field, self.rank)
-        for key, (info, coeff) in self._t.items():
-            out._accumulate(*_keyed(fn(_tree_of(key)), info[0]), coeff)
+        for key, (_, coeff) in self._t.items():
+            shape, _, word = key.partition("|")
+            tree = fn(_tree_of(shape))
+            out._accumulate(serialize_tree(tree) + "|" + word, _summary(tree), coeff)
         return out
 
 
@@ -533,13 +545,13 @@ def _graft_terms(term1, term2):
     summary joins the operands': the root's R power 0 is no larger than
     theirs.  Terms of two kinds are refused with WrongAugmentation, as graft
     refuses their trees."""
-    (s1, k1, (w1, n1, a1, b1, r1)), (s2, k2, (w2, n2, a2, b2, r2)) = term1, term2
+    (s1, k1, (n1, a1, b1, r1)), (s2, k2, (n2, a2, b2, r2)) = term1, term2
     if (a1 < 0) != (a2 < 0) or (r1 < 0) != (r2 < 0):
         raise WrongAugmentation(
             f"cannot graft {_kind(term1[2])} with {_kind(term2[2])}")
     root = "{0}" if r1 >= 0 else ""
     return f"({s1} {s2}){root}|{k1},{k2}", (
-        w1 + w2, n1 + n2, a1 if a1 > a2 else a2, b1 if b1 > b2 else b2,
+        n1 + n2, a1 if a1 > a2 else a2, b1 if b1 > b2 else b2,
         r1 if r1 > r2 else r2)
 
 
@@ -611,14 +623,14 @@ def _outside(x: FreeElement, bounds):
     """The key of the first stored term of x that is not RB-augmented or
     not inside the window, read from the terms' summaries, or None."""
     leaves, ab, r = bounds["max_leaves"], bounds["max_ab_power"], bounds["max_r_power"]
-    return next((key for key, ((_, n, a, b, f), _) in x._t.items()
+    return next((key for key, ((n, a, b, f), _) in x._t.items()
                  if not (n <= leaves and a <= ab and b <= ab and 0 <= f <= r)), None)
 
 
 def _has_room(x: FreeElement, side: int, max_power: int) -> bool:
     """Whether every term's largest power of component `side` (0 for alpha,
     1 for beta) is below max_power, so that map's image keeps it."""
-    return all(info[2 + side] < max_power for info, _ in x._t.values())
+    return all(info[1 + side] < max_power for info, _ in x._t.values())
 
 
 def _bounded_generators(field, rank, n, bounds):
@@ -713,8 +725,11 @@ class TruncatedIdealReducer:
     (t2 t3) products, which each serve a whole row of seeds, cost one call
     each and are split once to be grafted again.  The (3,2,1) rank-1 build
     makes 5,616 calls: 2 for each of its 2,592 seeds and 432 for the
-    shared products.  A row none of whose keys is a pivot is stored as
-    built, without a copy (see _Eliminator.insert).  In a 3-leaf window
+    shared products.  A seed row holds six objects the garbage collector
+    tracks: the FreeElement, its dict, and per term the (info, coefficient)
+    pair and the summary; the keys are strings, and the words live in them.
+    A row none of whose keys is a pivot is stored as built, without a copy
+    (see _Eliminator.insert).  In a 3-leaf window
     that is every seed: each of a seed's two terms names its triple, and
     their shapes differ, so no two seeds share a key; and such a window has
     no closure products.
@@ -782,40 +797,42 @@ class TruncatedIdealReducer:
         ops, seeds = field.ops, []
         one = ops.one
         minus_one = ops.mul(ops.neg(one), one)
+        row, seed, graft = FreeElement._of, seeds.append, _graft_terms
         for n1 in range(1, max_leaves - 1):
             for n2 in range(1, max_leaves - n1):
                 for n3 in range(1, max_leaves - n1 - n2 + 1):
                     if not (alphas[n1] and betas[n3]):
                         continue
                     # t2 t3 for the whole (n2, n3) block, dropped after it
-                    right = [[_split(*_graft_terms(t2, t3)) for t3, _ in betas[n3]]
+                    right = [[_split(*graft(t2, t3)) for t3, _ in betas[n3]]
                              for t2 in terms[n2]]
                     for t1, at1 in alphas[n1]:
                         for t2, products in zip(terms[n2], right):
-                            left = _split(*_graft_terms(t1, t2))
+                            left = _split(*graft(t1, t2))
                             for (_, bt3), t23 in zip(betas[n3], products):
-                                k1, info1 = _graft_terms(left, bt3)
-                                k2, info2 = _graft_terms(at1, t23)
-                                seeds.append(FreeElement._of(field, rank, {
-                                    k1: (info1, one), k2: (info2, minus_one)}))
+                                k1, info1 = graft(left, bt3)
+                                k2, info2 = graft(at1, t23)
+                                seed(row(field, rank, {k1: (info1, one),
+                                                       k2: (info2, minus_one)}))
+        # the queue is LIFO; every ideal row has at least 3 leaves, so only a
+        # window of more leaves grafts generators onto its pivots
         elim = _Eliminator()
-        queue = seeds
+        insert, queue, grafts = elim.insert, seeds, max_leaves > 3
         while queue:
             g = queue.pop()
-            if not elim.insert(g):
-                continue
-            g_leaves = next(iter(g._t.values()))[0][1]
-            for n in range(1, max_leaves - g_leaves + 1):
-                for other in by_leaves[n]:
-                    queue.append(free_multiply(g, other))
-                    queue.append(free_multiply(other, g))
+            if insert(g) and grafts:
+                g_leaves = next(iter(g._t.values()))[0][0]
+                for n in range(1, max_leaves - g_leaves + 1):
+                    for other in by_leaves[n]:
+                        queue.append(free_multiply(g, other))
+                        queue.append(free_multiply(other, g))
         self._elim = elim
 
     def reduce(self, x: FreeElement) -> FreeElement:
         _same_basis(self, x)
         if not _element_fits(x, self.bounds):
             for info, _ in x._t.values():
-                if info[4] < 0:
+                if info[3] < 0:
                     raise WrongAugmentation(
                         f"the reducer needs RB-augmented terms, not {_kind(info)}")
             raise BoundsExceeded("element does not fit within the stated bounds")

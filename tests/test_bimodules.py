@@ -18,8 +18,9 @@ from bihomalg.errors import (DimensionMismatch, InputAxiomsFail, SpecFileError,
 from bihomalg.bimodules import BIMODULE_AXIOMS, _bimodule_mats, _require_grb
 from bihomalg.specfile import parse_spec, serialize
 from bihomalg.structures import DEFAULT_VIOLATION_CAP, CheckReport
-from conftest import (against_reference, integration_rb, kron_skipped,
-                      kron_skipped_muls, raw_report, truncated_poly_algebra)
+from conftest import (against_reference, counted, integration_rb, kernel_calls,
+                      kron_skipped, kron_skipped_muls, raw_report,
+                      truncated_poly_algebra)
 from test_linalg import QAB, SPARSE_FIELDS, entry_pool, sparse_matrix, stored
 from test_structures import _commute_check
 
@@ -184,6 +185,21 @@ def test_grb_to_dendriform(qx3, qx3_rb):
     assert D.succ == qx3.mu.compose_left(qx3_rb.map)
     with pytest.raises(InputAxiomsFail):
         grb_to_dendriform(M, GRBOperator(LinearMap.identity(Q, 3)))
+
+
+@pytest.mark.parametrize("name, composed", [
+    ("grb_to_dendriform", 3), ("grb_transpose_actions", 15)])
+def test_grb_constructors_make_the_products_once(name, composed, qx3, qx3_rb,
+                                                 monkeypatch):
+    """(tensor2, _compose_kron) calls on the regular bimodule of k[x]/(x^3).
+    The check and the constructor's own tables read one pair of products
+    L (pi (x) id) and R (id (x) pi), so each is composed once: making them
+    again after the check costs 2 calls more (5 and 17)."""
+    M, pi = BiHomBimodule.regular(qx3), GRBOperator(qx3_rb.map)
+    run = {"grb_to_dendriform": lambda: grb_to_dendriform(M, pi),
+           "grb_transpose_actions": lambda: grb_transpose_actions(qx3, M, pi)}[name]
+    result, calls = kernel_calls(monkeypatch, run)
+    assert result is not None and calls == (0, composed)
 
 
 def test_grb_transpose_actions(qx3, qx3_rb):
@@ -464,17 +480,21 @@ def grb_instance(draw):
 @given(grb_instance())
 def test_grb_transpose_actions_matches_tensor2_then_compose_property(instance):
     """The module tables and the extension, in values, types and dict
-    order; A's multiplication after pi (x) id and id (x) pi, like L and R
-    in _grb_products, is composed in place."""
+    order; A's multiplication after pi (x) id and id (x) pi is composed in
+    place.  L and R after pi (x) id and id (x) pi are made once, for the
+    check and the tables: the reference checks through _require_grb and
+    then makes them again with tensor2, every operation of which is more."""
     A, M, pi = instance
     got, want, got_ops, want_ops = against_reference(
         grb_transpose_actions, ref_grb_transpose_actions, A, M, pi)
     assert isinstance(want, tuple) and got == want
     assert raw_forms(got) == raw_forms(want)
     mu, id_n = A.mu.as_matrix(), LinearMap.identity(A.field, A.dim)
-    skipped = (grb_products_skipped(M, pi) + kron_skipped(mu, pi.map, id_n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, (again_muls, again_adds) = counted(monkeypatch, _grb_products, M, pi)
+    skipped = (again_muls + kron_skipped(mu, pi.map, id_n)
                + kron_skipped(mu, id_n, pi.map))
-    assert got_ops == (want_ops[0] - skipped, want_ops[1])
+    assert got_ops == (want_ops[0] - skipped, want_ops[1] - again_adds)
 
 
 @settings(max_examples=40, deadline=None)

@@ -718,6 +718,21 @@ def test_the_valid_element_file_reduces(tmp_path):
     assert json.loads(out)["terms"] == [{"tree": "L[1,1;1]", "word": [0], "coeff": "(1)/(2)"}]
 
 
+def test_a_word_with_letters_of_several_digits_prints_as_its_ints(tmp_path):
+    """The word is read from the term key "tree|11,0,10": the seed term
+    (L L) beta(L) on the letters 11, 0 and 10 reduces to alpha(L) (L L)."""
+    path = write_doc(tmp_path / "elt.json", {
+        "field": {"kind": "rational"}, "rank": 12,
+        "terms": [{"tree": "((L[0,0;0] L[0,0;0]){0} L[0,1;0]){0}", "word": [11, 0, 10],
+                   "coeff": "2"}]})
+    code, out, err = run(["trees", "reduce", path, "--max-leaves", "3", "--max-ab", "1",
+                          "--max-r", "0"])
+    want = {"field": {"kind": "rational"}, "rank": 12, "terms": [
+        {"tree": "(L[1,0;0] (L[0,0;0] L[0,0;0]){0}){0}", "word": [11, 0, 10], "coeff": "2"}]}
+    assert (code, out, err) == (0, json.dumps(want, indent=2) + "\n", "")
+    assert '"word": [\n        11,\n        0,\n        10\n      ]' in out
+
+
 # -- parameter names: the ones FieldSpec takes are the ones the grammar reads --
 
 LETTER = st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo")).filter(str.isalpha)

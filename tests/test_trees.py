@@ -1424,3 +1424,89 @@ def test_an_integral_fraction_coefficient_prints_and_compares_as_the_int():
     assert (type(c), type(x._t[ref_term_key(X_LEAF, (0,))][1])) == (Fraction, int)
     assert y == x and raw_terms(y) == raw_terms(x)
     assert [scalar_to_str(c) for _, _, c in y.terms.values()] == ["1"]
+
+
+# ---------------------------------------------------------------------------
+# A term's info is its window summary; its word is read from its key
+# ---------------------------------------------------------------------------
+
+WORD_12 = (11, 0, 10)
+LEFT_COMB = "((L[0,0;0] L[0,0;0]){0} L[0,0;0]){0}"
+
+
+def leaf_12(letter, a=0, b=0):
+    return FreeElement.generator(Q, 12, RBAugTree(LEAF, ((a, b),), (0,)), (letter,))
+
+
+def words(x):
+    return [word for _, word, _ in x.terms.values()]
+
+
+def test_words_whose_letters_have_several_digits_read_back_from_the_key():
+    """At rank 12 the word (11, 0, 10) is "11,0,10" in its key, and every
+    reader that parses the word from the key gives it back as a tuple of
+    ints: `terms`, the three tree maps, products and reduction."""
+    t = parse_tree(LEFT_COMB)
+    x = FreeElement.generator(Q, 12, t, WORD_12, Q.from_int(3))
+    assert list(x.terms.items()) == [
+        (f"{LEFT_COMB}|11,0,10", (t, WORD_12, Q.from_int(3)))]
+    assert all(type(w) is int for w in words(x)[0])
+    for fn, ref in ((free_alpha, ref_free_alpha), (free_beta, ref_free_beta),
+                    (free_R, ref_free_R)):
+        assert raw_terms(fn(x)) == raw_terms(ref(x)) and words(fn(x)) == [WORD_12]
+    t1, t2, t3 = leaf_12(11), leaf_12(0), leaf_12(10)
+    for a, b, word in ((t1, t2, (11, 0)), (free_multiply(t1, t2), t3, WORD_12),
+                       (t1, free_multiply(t2, t3), WORD_12)):
+        assert raw_terms(free_multiply(a, b)) == raw_terms(ref_free_multiply(a, b))
+        assert words(free_multiply(a, b)) == [word]
+    # the seed's pivot term reduces to its other term, (alpha t1)(t2 t3)
+    lead = free_multiply(free_multiply(t1, t2), free_beta(t3))
+    other = free_multiply(free_alpha(t1), free_multiply(t2, t3))
+    got = trees.truncated_ideal_reduce(lead + x, window(3, 1, 0))
+    assert got == other + x
+    assert sorted(raw_terms(got)) == sorted(raw_terms(ref_add(other, x)))
+    assert words(got) == [WORD_12] * 2
+
+
+def test_a_word_letter_that_is_not_an_int_is_refused():
+    """The word is read back from the key, where True would print as
+    "True" and 1.0 as "1.0"."""
+    leaf = RBAugTree(LEAF, ((0, 0),), (0,))
+    for word in ((True,), (1.0,)):
+        with pytest.raises(ValueError, match="^leaf word letters must be ints, got "):
+            FreeElement(Q, 2, {ref_term_key(leaf, word): (leaf, word, Q.one())})
+    with pytest.raises(ValueError, match="^leaf word letters must be ints, got"):
+        FreeElement.generator(Q, 2, leaf, (True,))
+
+
+def assert_infos_are_summaries(x):
+    """Every stored (info, c) holds as info the window summary of the tree
+    its key names, and nothing else."""
+    for key, (info, _) in x._t.items():
+        tree, _, _ = x.terms[key]
+        assert type(info) is tuple and info == trees._summary(tree)
+
+
+@pytest.mark.parametrize("rank, bounds", [(1, window(3, 1, 1)), (2, window(3, 1, 1)),
+                                          (1, window(3, 2, 1))],
+                         ids=["w311r1", "w311r2", "w321r1"])
+def test_every_pivot_info_is_its_terms_summary(rank, bounds):
+    for x in TruncatedIdealReducer(Q, rank, bounds)._elim.pivots.values():
+        assert_infos_are_summaries(x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_stored_info_is_its_terms_summary_property(field, data):
+    """After products, alpha, beta and R images, sums, differences and
+    scaling, of B- and RB-augmented elements alike."""
+    kind = data.draw(st.sampled_from(["b", "rb"]))
+    x = data.draw(free_elements(field, kind=kind))
+    y = data.draw(free_elements(field, kind=kind, keys_from=x))
+    made = [x, y, x + y, x - y, x.scale(field.from_int(-2)), free_multiply(x, y),
+            free_multiply(y, x), free_alpha(x), free_beta(y)]
+    if kind == "rb":
+        made.append(free_R(x))
+    for z in made:
+        assert_infos_are_summaries(z)
